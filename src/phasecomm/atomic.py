@@ -7,13 +7,20 @@ number basis (diagonal plus one superdiagonal), which gives closed-form
 photon-number series for the error probability and the joint outcome
 probabilities. The matrix path through the Kraus POVM is kept as an
 independent cross-check.
+
+Every outcome probability depends on xi only through sin(xi). The error is
+linear in it and the mutual information is convex in the channel, so both
+optima lie at |sin xi| = 1. There the joint table is affine in
+(cos 2theta, sin 2theta), which `optimize` exploits: the minimum error over
+theta has a closed form, and only Phi (and 2theta, for the information)
+remains to be searched.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as sciopt
-from scipy.stats import qmc
 
 from .config import DEFAULT_TOL, Tolerances
 from .discrimination import BinaryPovm, mutual_information_from_joint
@@ -26,14 +33,24 @@ __all__ = [
     "SeriesConfig",
     "OptimizeConfig",
     "OptimizeResult",
+    "PHI_MAX",
     "kraus_operators",
     "povm_from_kraus",
     "error_probability_series",
     "joint_probabilities_series",
     "mutual_information_series",
-    "canonicalize",
     "optimize",
 ]
+
+# The receiver family's coupling range: `optimize` searches Phi in [0, PHI_MAX].
+PHI_MAX = 25.0
+# Grid of the search: Phi step 0.01, 2theta step 1.5 degrees.
+_PHI_GRID = np.linspace(0.0, PHI_MAX, 2501)
+_TWO_THETA_GRID = np.linspace(0.0, np.pi, 120, endpoint=False)
+# Phi rows per block of the grid: each (Phi, 2theta) temporary stays near 120 kB.
+_BLOCK_ROWS = 128
+# Local optima of the grid that are polished.
+_POLISHED = 3
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,31 @@ class SeriesConfig:
     """Truncation of the photon-number series."""
 
     n_terms: int = 30
+
+    @classmethod
+    def for_amplitudes(cls, amplitudes, tol: Tolerances = DEFAULT_TOL) -> "SeriesConfig":
+        """The shortest series the truncation guard accepts at every setting.
+
+        With Poisson weights p_n of mean alpha^2, the guard's last term is
+        at most e^{alpha^2} (sqrt(p_N) + sqrt(p_{N+1}))^2 whatever
+        (xi, theta, Phi), and f_plus + f_minus >= e^{alpha^2} sum_{n<=N} p_n,
+        so max(f_plus, f_minus) is at least half of that. N is the smallest
+        count past the Poisson mode for which the one bound stays below
+        `series_tail` times the other, over all amplitudes.
+        """
+        n_terms = 1
+        for alpha in amplitudes:
+            a2 = float(alpha) ** 2
+            n, p_n = 0, math.exp(-a2)
+            cdf = p_n
+            while True:
+                p_next = p_n * a2 / (n + 1)
+                if n > a2 and (math.sqrt(p_n) + math.sqrt(p_next)) ** 2 <= 0.5 * tol.series_tail * cdf:
+                    break
+                n, p_n = n + 1, p_next
+                cdf += p_n
+            n_terms = max(n_terms, n)
+        return cls(n_terms=n_terms)
 
 
 def kraus_operators(p: AtomicParams, dim: FockDim) -> tuple:
@@ -82,6 +124,43 @@ def povm_from_kraus(k1: np.ndarray, k2: np.ndarray) -> BinaryPovm:
     return BinaryPovm((0.5 * (m1 + m1.conj().T), 0.5 * (m2 + m2.conj().T)))
 
 
+def _series_weights(alpha: float, n_terms: int) -> np.ndarray:
+    """Rows w0[n] = alpha^{2n}/n!, w1[n] = w0[n+1], wc[n] = alpha^{2n+1}/sqrt(n!(n+1)!)."""
+    n = np.arange(n_terms + 1)
+    a2 = alpha * alpha
+    # alpha^{2n}/n! via cumulative products (stable for the amplitudes used here)
+    w0 = np.ones(n_terms + 1)
+    w0[1:] = np.cumprod(a2 / n[1:])
+    w1 = w0 * a2 / (n + 1)
+    return np.stack([w0, w1, np.sign(alpha) * np.sqrt(w0 * w1)])
+
+
+def _series_sums(weights: np.ndarray, phi: np.ndarray) -> tuple:
+    """Diagonal, raised and cross sums of one amplitude at each coupling.
+
+    With the rows (w0, w1, wc) of `_series_weights`, over n = 0..n_terms:
+    diag = sum w0 cos^2(Phi sqrt n), raised = sum w1 sin^2(Phi sqrt(n+1)),
+    cross = sum wc cos(Phi sqrt n) sin(Phi sqrt(n+1)).
+    Returns (sums, last), each of shape (3, len(phi)): the three sums and
+    their n = n_terms terms.
+    """
+    arg = np.multiply.outer(phi, np.sqrt(np.arange(weights.shape[1] + 1)))
+    cos_n = np.cos(arg[:, :-1])
+    sin_n1 = np.sin(arg[:, 1:])
+    terms = weights[:, None, :] * np.stack([cos_n**2, sin_n1**2, cos_n * sin_n1])
+    return terms.sum(axis=-1), terms[..., -1]
+
+
+def _check_tail(last, scale, n_terms: int, tol: Tolerances) -> None:
+    """Raise unless the last series term stays below series_tail of the sum."""
+    ratio = np.max(np.asarray(last) / np.maximum(scale, 1e-300))
+    if ratio > tol.series_tail:
+        raise SeriesTruncationError(
+            f"last series term is {ratio:.3e} of the sum, above {tol.series_tail:.0e}; "
+            f"increase n_terms (currently {n_terms})"
+        )
+
+
 def _outcome_series(
     alpha: float,
     sigma: float,
@@ -95,40 +174,17 @@ def _outcome_series(
     exchanging the angle weights and flipping the cross sign gives f_minus.
     The cross term is damped by exactly exp(-sigma^2 / 2).
     """
-    n = np.arange(cfg.n_terms + 1)
-    a2 = alpha * alpha
-    # alpha^{2n}/n! via cumulative products (stable for the amplitudes used here)
-    w0 = np.ones(cfg.n_terms + 1)
-    w0[1:] = np.cumprod(a2 / n[1:])
-    w1 = w0 * a2 / (n + 1)  # alpha^{2(n+1)}/(n+1)!
-    wc = np.sign(alpha) * np.sqrt(w0 * w1)  # alpha^{2n+1}/sqrt(n!(n+1)!)
-
-    cos_n = np.cos(p.phi_pulse * np.sqrt(n))
-    sin_n1 = np.sin(p.phi_pulse * np.sqrt(n + 1))
-    diag = w0 * cos_n**2
-    raised = w1 * sin_n1**2
+    (diag, raised, cross), (d, r, x) = _series_sums(
+        _series_weights(alpha, cfg.n_terms), np.array([p.phi_pulse])
+    )
     # Gaussian phase average of the interference term: the minus sign follows
     # from <n|K|n> real and <n-1|K|n> proportional to -i e^{-i xi}
-    cross = (
-        -wc
-        * np.exp(-0.5 * sigma * sigma)
-        * np.sin(p.xi)
-        * np.sin(2 * p.theta)
-        * cos_n
-        * sin_n1
-    )
-
+    k = -np.exp(-0.5 * sigma * sigma) * np.sin(p.xi) * np.sin(2 * p.theta)
     c2, s2 = np.cos(p.theta) ** 2, np.sin(p.theta) ** 2
-    f_plus = float(np.sum(c2 * diag + s2 * raised + cross))
-    f_minus = float(np.sum(s2 * diag + c2 * raised - cross))
-
-    last = abs(c2 * diag[-1] + s2 * raised[-1]) + abs(s2 * diag[-1] + c2 * raised[-1]) + 2 * abs(cross[-1])
-    scale = max(abs(f_plus), abs(f_minus), 1e-300)
-    if last > tol.series_tail * scale:
-        raise SeriesTruncationError(
-            f"last series term {last:.3e} exceeds {tol.series_tail:.0e} of the sum; "
-            f"increase n_terms (currently {cfg.n_terms})"
-        )
+    f_plus = float(c2 * diag[0] + s2 * raised[0] + k * cross[0])
+    f_minus = float(s2 * diag[0] + c2 * raised[0] - k * cross[0])
+    last = abs(c2 * d + s2 * r) + abs(s2 * d + c2 * r) + 2 * abs(k * x)
+    _check_tail(last, max(abs(f_plus), abs(f_minus)), cfg.n_terms, tol)
     return f_plus, f_minus
 
 
@@ -171,31 +227,158 @@ def mutual_information_series(
     return mutual_information_from_joint(table, (params.q1, params.q2), tol.prob_guard)
 
 
-def canonicalize(p: AtomicParams) -> AtomicParams:
-    """Map parameters into the canonical box using exact symmetries.
+class _TableCoefficients:
+    """The joint table over couplings at xi = pi/2, as (a, b, c) of shape
+    (len(phi), 2, 2) with Pr(x, y) = a + b cos(2theta) + c sin(2theta).
 
-    Phi -> -Phi together with xi -> -xi, and theta -> pi - theta together
-    with xi -> -xi, leave every outcome probability unchanged.
+    The truncation guard is checked at each Phi in its worst case over
+    (xi, theta), so it holds at every angle the search evaluates.
     """
-    xi, theta, phi = p.xi, p.theta, p.phi_pulse
-    if phi < 0:
-        phi, xi = -phi, -xi
-    theta = theta % np.pi
-    if theta > np.pi / 2:
-        theta, xi = np.pi - theta, -xi
-    xi = xi % (2 * np.pi)
-    return AtomicParams(xi=float(xi), theta=float(theta), phi_pulse=float(phi))
+
+    def __init__(self, params: SignalParams, cfg: SeriesConfig, tol: Tolerances):
+        self.cfg, self.tol = cfg, tol
+        self.damping = np.exp(-0.5 * params.sigma**2)
+        self.hypotheses = [
+            (q * np.exp(-alpha * alpha), _series_weights(alpha, cfg.n_terms))
+            for q, alpha in ((params.q1, params.alpha1), (params.q2, params.alpha2))
+        ]
+
+    def __call__(self, phi: np.ndarray) -> tuple:
+        a, b, c = (np.empty((len(phi), 2, 2)) for _ in range(3))
+        for x, (scale, weights) in enumerate(self.hypotheses):
+            (diag, raised, cross), (d, r, x_last) = _series_sums(weights, phi)
+            # f_plus + f_minus = diag + raised, so the larger is at least half of it
+            _check_tail(
+                d + r + 2 * self.damping * np.abs(x_last), 0.5 * (diag + raised), self.cfg.n_terms, self.tol
+            )
+            a[:, x, 0] = a[:, x, 1] = 0.5 * scale * (diag + raised)
+            b[:, x, 0] = 0.5 * scale * (diag - raised)
+            b[:, x, 1] = -b[:, x, 0]
+            c[:, x, 0] = -scale * self.damping * cross
+            c[:, x, 1] = -c[:, x, 0]
+        return a, b, c
+
+
+def _min_error_over_theta(coeffs: tuple) -> tuple:
+    """Minimum over theta of the error at each Phi, and the minimizing 2theta."""
+    a, b, c = coeffs
+    # error = 1 - P(1, 1) - P(2, 2) = e_a + e_b cos(2theta) + e_c sin(2theta)
+    e_a = 1.0 - a[:, 0, 0] - a[:, 1, 1]
+    e_b = -b[:, 0, 0] - b[:, 1, 1]
+    e_c = -c[:, 0, 0] - c[:, 1, 1]
+    return e_a - np.hypot(e_b, e_c), np.arctan2(-e_c, -e_b)
+
+
+def _information_grid(coeffs: tuple, two_theta: np.ndarray, priors, guard: float) -> np.ndarray:
+    """Mutual information in bits at each (Phi, 2theta), shape (len(phi), len(two_theta)).
+
+    Column y = 1 of the table is a - (b cos + c sin) of column 0, and
+    I = sum p log p - sum_y p_y log p_y - sum_x p_x log q_x. Entries below
+    `guard` shift the value by less than 1e-13, which only the polish sees.
+    """
+    def plogp(p):
+        return p * np.log2(np.maximum(p, guard))
+
+    a, b, c = (v[:, :, 0] for v in coeffs)
+    info, p_y = 0.0, [0.0, 0.0]
+    for x in range(2):
+        mean = a[:, x, None]
+        swing = np.multiply.outer(b[:, x], np.cos(two_theta)) + np.multiply.outer(c[:, x], np.sin(two_theta))
+        col0, col1 = mean + swing, mean - swing
+        info = info + plogp(col0) + plogp(col1) - 2 * mean * np.log2(max(priors[x], guard))
+        p_y = [p_y[0] + col0, p_y[1] + col1]
+    return info - plogp(p_y[0]) - plogp(p_y[1])
+
+
+def _best_local(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the `count` lowest local minima of a sampled curve."""
+    padded = np.concatenate([[np.inf], values, [np.inf]])
+    is_min = (values <= padded[:-2]) & (values <= padded[2:])
+    idx = np.flatnonzero(is_min)
+    return idx[np.argsort(values[idx], kind="stable")][:count]
+
+
+def _canonical(phi: float, two_theta: float) -> AtomicParams:
+    """Parameters at |sin xi| = 1 with theta in [0, pi/2]: 2theta past pi
+    becomes xi = 3pi/2, which flips the sign of sin(2theta) sin(xi)."""
+    t = float(two_theta) % (2 * np.pi)
+    if t <= np.pi:
+        return AtomicParams(xi=np.pi / 2, theta=t / 2, phi_pulse=float(phi))
+    return AtomicParams(xi=3 * np.pi / 2, theta=np.pi - t / 2, phi_pulse=float(phi))
+
+
+def _grid_profile(coefficients: _TableCoefficients, over_theta) -> tuple:
+    """`over_theta` (best value to minimize, its 2theta) at each Phi of the
+    grid, evaluated in blocks of rows."""
+    parts = [
+        over_theta(coefficients(_PHI_GRID[i:i + _BLOCK_ROWS]))
+        for i in range(0, _PHI_GRID.size, _BLOCK_ROWS)
+    ]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _search_min_error(params, cfg, tol) -> list:
+    coefficients = _TableCoefficients(params, cfg, tol)
+    grid = _PHI_GRID
+    curve, _ = _grid_profile(coefficients, _min_error_over_theta)
+
+    def at(phi):
+        return _min_error_over_theta(coefficients(np.array([phi])))
+
+    found = []
+    for i in _best_local(curve, _POLISHED):
+        res = sciopt.minimize_scalar(
+            lambda phi: at(phi)[0][0],
+            bounds=(max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX)),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        phi = res.x if res.fun < curve[i] else grid[i]
+        found.append(_canonical(phi, at(phi)[1][0]))
+    return found
+
+
+def _search_max_information(params, cfg, tol) -> list:
+    """Swapping the outcome labels leaves the information unchanged and maps
+    2theta to 2theta + pi, so 2theta runs over [0, pi) only."""
+    coefficients = _TableCoefficients(params, cfg, tol)
+    grid, two_theta = _PHI_GRID, _TWO_THETA_GRID
+    priors = (params.q1, params.q2)
+
+    def over_theta(coeffs):
+        info = _information_grid(coeffs, two_theta, priors, tol.prob_guard)
+        j = info.argmax(axis=1)
+        return -info[np.arange(len(j)), j], two_theta[j]
+
+    def neg_info(x):
+        a, b, c = coefficients(x[:1])
+        table = a[0] + b[0] * np.cos(x[1]) + c[0] * np.sin(x[1])
+        return -mutual_information_from_joint(table, priors, tol.prob_guard)
+
+    profile, best_t = _grid_profile(coefficients, over_theta)
+    found = []
+    for i in _best_local(profile, _POLISHED):
+        x0 = np.array([grid[i], best_t[i]])
+        res = sciopt.minimize(
+            neg_info,
+            x0,
+            method="Nelder-Mead",
+            bounds=[(0.0, PHI_MAX), (None, None)],
+            options={
+                "initial_simplex": [x0, x0 + [grid[1], 0.0], x0 + [0.0, two_theta[1]]],
+                "xatol": 1e-10,
+                "fatol": 1e-15,
+            },
+        )
+        phi, t = res.x if res.fun < profile[i] else x0
+        found.append(_canonical(phi, t % np.pi))
+    return found
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Multi-start simplex search over (xi, theta, Phi)."""
+    """Settings of the atomic search: the series truncation."""
 
-    n_starts: int = 16
-    seed: int = 0
-    xatol: float = 1e-8
-    fatol: float = 1e-12
-    max_local_iter: int = 4000
     series: SeriesConfig = SeriesConfig()
 
 
@@ -203,6 +386,7 @@ class OptimizeConfig:
 class OptimizeResult:
     params: AtomicParams
     value: float
+    # (value, params) of each polished local optimum, best first
     per_start: list
 
 
@@ -214,57 +398,28 @@ def optimize(
 ) -> OptimizeResult:
     """Best receiver setting for 'min-error' or 'max-information'.
 
-    Latin-hypercube starts over xi in [0, 2pi), theta in [0, pi/2],
-    Phi in [0, pi sqrt(n_terms)], each refined by Nelder-Mead. Ties are
-    broken by lexicographic parameter order for reproducibility.
-
-    A fixed set of structured starts on the ridge xi in {pi/2, 3pi/2},
-    theta = pi/4 is always included: every outcome probability depends on
-    xi only through sin(xi), and the error probability is linear in it,
-    so the minimum sits at |sin(xi)| = 1. This keeps the found optimum
-    independent of the random seed across a sigma grid.
+    The search runs at |sin xi| = 1 over Phi in [0, PHI_MAX], on a grid of
+    step 0.01. For the error, the minimum over theta at each Phi is
+    closed-form; for the information, 2theta runs over a grid of 120
+    points in [0, pi). The best three local optima of the grid are polished
+    (bounded Brent in Phi; Nelder-Mead in (Phi, 2theta)) and each is
+    evaluated by the public series functions. The returned parameters have xi in
+    {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
+    the lexicographically smallest.
     """
     if objective == "min-error":
-        def fun(x):
-            return error_probability_series(
-                params, AtomicParams(*x), cfg.series, tol
-            )
-        sign = 1.0
+        candidates = _search_min_error(params, cfg.series, tol)
+        sign, value_at = 1.0, error_probability_series
     elif objective == "max-information":
-        def fun(x):
-            return -mutual_information_series(
-                params, AtomicParams(*x), cfg.series, tol
-            )
-        sign = -1.0
+        candidates = _search_max_information(params, cfg.series, tol)
+        sign, value_at = -1.0, mutual_information_series
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
-    lo = np.array([0.0, 0.0, 0.0])
-    hi = np.array([2 * np.pi, np.pi / 2, np.pi * np.sqrt(cfg.series.n_terms)])
-    sampler = qmc.LatinHypercube(d=3, seed=cfg.seed)
-    starts = list(lo + sampler.random(cfg.n_starts) * (hi - lo))
-    for xi0 in (np.pi / 2, 3 * np.pi / 2):
-        for frac in (0.125, 0.375, 0.625, 0.875):
-            starts.append(np.array([xi0, np.pi / 4, frac * hi[2]]))
-
-    runs = []
-    for x0 in starts:
-        res = sciopt.minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": cfg.xatol,
-                "fatol": cfg.fatol,
-                "maxiter": cfg.max_local_iter,
-            },
-        )
-        p = canonicalize(AtomicParams(*res.x))
-        runs.append((float(res.fun), (p.xi, p.theta, p.phi_pulse)))
-
-    runs.sort()
-    best_fun, best_x = runs[0]
-    per_start = [(sign * f, AtomicParams(*x)) for f, x in runs]
-    return OptimizeResult(
-        params=AtomicParams(*best_x), value=sign * best_fun, per_start=per_start
+    runs = sorted(
+        (sign * value_at(params, p, cfg.series, tol), (p.xi, p.theta, p.phi_pulse))
+        for p in candidates
     )
+    per_start = [(sign * f, AtomicParams(*x)) for f, x in runs]
+    best_value, best_params = per_start[0]
+    return OptimizeResult(params=best_params, value=best_value, per_start=per_start)

@@ -43,10 +43,18 @@ def _cmd_sweep(args) -> int:
     if cfg.json_output:
         write_json(rows, cfg.json_output)
         print(f"wrote JSON mirror to {cfg.json_output}")
+    _warn(rows)
+    return 0
+
+
+def _warn(rows: list) -> None:
+    """Flag rows whose values break an envelope or did not converge."""
     bad = [r for r in rows if r.get("violations")]
     if bad:
         print(f"warning: {len(bad)} rows carry envelope violations", file=sys.stderr)
-    return 0
+    unconverged = [r for r in rows if r.get("accinfo_converged") == 0]
+    if unconverged:
+        print(f"warning: {len(unconverged)} rows have accinfo_converged = 0", file=sys.stderr)
 
 
 def _cmd_point(args) -> int:
@@ -56,6 +64,7 @@ def _cmd_point(args) -> int:
     )
     row = compute_point(cfg, args.sigma, 0)
     sys.stdout.write(json.dumps(row, indent=2, sort_keys=True) + "\n")
+    _warn([row])
     return 0
 
 

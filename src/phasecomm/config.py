@@ -21,8 +21,6 @@ class Tolerances:
     pinv_rel: float = 1e-10
     # entrywise deviation from M1 + M2 = I
     povm_completeness: float = 1e-9
-    # how far a density-operator trace may exceed 1
-    trace_excess: float = 1e-12
     # joint probabilities below this contribute nothing to information sums
     prob_guard: float = 1e-15
     # last retained series term must stay below this fraction of the sum

@@ -169,7 +169,6 @@ class AscentConfig:
     residual_tol: float = 1e-6
     restarts: int = 5
     seed: int = 0
-    check_every: int = 1  # POVM invariants asserted every this many steps
     outcomes: int = 2  # POVM elements carried by the ascent
 
 
@@ -251,13 +250,12 @@ def _ascend(ens: BinaryEnsemble, start: Povm, cfg: AscentConfig, tol: Tolerances
             mn = s_inv @ mt @ s_inv
             new.append(0.5 * (mn + mn.conj().T))
         cand = Povm(tuple(new))
-        if iters % cfg.check_every == 0:
-            try:
-                cand.validate(tol)
-            except ValueError:
-                new = _repair_psd(new)
-                cand = Povm(tuple(new))
-                cand.validate(tol)
+        try:
+            cand.validate(tol)
+        except ValueError:
+            new = _repair_psd(new)
+            cand = Povm(tuple(new))
+            cand.validate(tol)
         info_new = mutual_information(ens, cand)
         iters += 1
         if info_new < info - 1e-9:

@@ -24,7 +24,6 @@ __all__ = [
     "trace_norm",
     "matrix_function_sqrt_inv",
     "check_hermitian",
-    "check_density",
 ]
 
 
@@ -94,17 +93,6 @@ def check_hermitian(op: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
     dev = np.max(np.abs(op - op.conj().T))
     if dev > tol.hermiticity:
         raise ValueError(f"operator deviates from hermiticity by {dev:.3e}")
-
-
-def check_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
-    """Validate positivity and trace of a (possibly truncation-lossy) state."""
-    check_hermitian(rho, tol)
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -tol.psd_floor:
-        raise ValueError(f"density operator has eigenvalue {w.min():.3e}")
-    tr = float(np.real(np.trace(rho)))
-    if tr > 1.0 + tol.trace_excess or tr < 1.0 - max(tol.tail, 1e-9):
-        raise ValueError(f"density operator trace {tr} outside [1-tail, 1]")
 
 
 def hermitian_eig(op: np.ndarray, tol: Tolerances = DEFAULT_TOL):

@@ -74,6 +74,11 @@ class SweepConfig:
                     r.setdefault("objectives", ["error", "information"])
                     if not set(r["objectives"]) <= {"error", "information"}:
                         raise ConfigError(f"bad atomic objectives {r['objectives']}")
+                    if "n_starts" in r:
+                        raise ConfigError(
+                            "atomic receiver: n_starts is not accepted; the search is an "
+                            "exact grid over Phi and has no starts any more"
+                        )
                 if r["type"] == "accinfo":
                     r.setdefault("restarts", 5)
                     # 4 outcomes so the estimate envelopes the multi-outcome
@@ -129,11 +134,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
         if kind == "helstrom":
             row["p_helstrom"] = helstrom_bound(ensemble())
         elif kind == "atomic":
-            ocfg = OptimizeConfig(
-                n_starts=int(rec.get("n_starts", 16)),
-                seed=point_seed,
-                series=SeriesConfig(n_terms=cutoff),
-            )
+            ocfg = OptimizeConfig(series=SeriesConfig.for_amplitudes([params.alpha1, params.alpha2]))
             if "error" in rec["objectives"]:
                 res = optimize("min-error", params, ocfg)
                 row["p_atomic"] = res.value

@@ -311,9 +311,7 @@ def test_criterion_4_near_helstrom_gap():
     for sigma, (pin_hel, pin_gap) in CRITERION_4_GAP_CURVE.items():
         params = bpsk(0.5, sigma)
         p_hel = helstrom_bound(build_ensemble(params, dim))
-        p_atomic = optimize(
-            "min-error", params, OptimizeConfig(n_starts=16, seed=0)
-        ).value
+        p_atomic = optimize("min-error", params, OptimizeConfig()).value
         oracle = matrix_path_min_error(params, dim)
         gap = p_atomic - p_hel
         lines.append(
@@ -483,7 +481,7 @@ def test_criterion_8_determinism(tmp_path):
         "sigma_grid": {"start": 0.0, "stop": 1.2, "steps": 3},
         "receivers": [
             {"type": "helstrom"},
-            {"type": "atomic", "objectives": ["error"], "n_starts": 6},
+            {"type": "atomic", "objectives": ["error"]},
             {
                 "type": "accinfo",
                 "restarts": 2,

@@ -60,6 +60,7 @@ class TestSweepConfig:
             {"receivers": [{"type": "homodyne"}]},
             {"receivers": [{"type": "pnr", "beta_mode": "magic"}]},
             {"receivers": [{"type": "atomic", "objectives": ["error", "speed"]}]},
+            {"receivers": [{"type": "atomic", "n_starts": 16}]},
         ],
     )
     def test_rejects_bad_config(self, bad):
@@ -197,3 +198,26 @@ class TestCli:
         assert main(["point", "--config", cfg, "--sigma", "0.0", "--cutoff", "35"]) == 0
         row = json.loads(capsys.readouterr().out)
         assert row["cutoff"] == 35
+
+    def test_warns_on_unconverged_accessible_information(self, tmp_path, capsys):
+        # too few ascent steps to reach the stationarity tolerance
+        accinfo = {"type": "accinfo", "restarts": 1, "outcomes": 2, "polish_max": 0, "max_iter": 3}
+        doc = base_config(
+            sigma_grid={"start": 0.3, "stop": 0.6, "steps": 2},
+            receivers=[{"type": "helstrom"}, accinfo],
+        )
+        cfg = self.write_config(tmp_path, doc)
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert "warning: 2 rows have accinfo_converged = 0" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == csv_text(run_sweep(SweepConfig.from_dict(doc)))
+
+        assert main(["point", "--config", cfg, "--sigma", "0.3"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["accinfo_converged"] == 0
+        assert "warning: 1 rows have accinfo_converged = 0" in captured.err
+
+    def test_no_warning_when_converged(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, base_config())
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 0
+        assert "warning" not in capsys.readouterr().err

@@ -377,9 +377,13 @@ def _search_max_information(params, cfg, tol) -> list:
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Settings of the atomic search: the series truncation."""
+    """Settings of the atomic search: the series truncation.
 
-    series: SeriesConfig = SeriesConfig()
+    With `series=None`, `optimize` takes the shortest series the truncation
+    guard accepts for the amplitudes it is given (`SeriesConfig.for_amplitudes`).
+    """
+
+    series: SeriesConfig | None = None
 
 
 @dataclass
@@ -407,17 +411,18 @@ def optimize(
     {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
     the lexicographically smallest.
     """
+    series = cfg.series or SeriesConfig.for_amplitudes([params.alpha1, params.alpha2], tol)
     if objective == "min-error":
-        candidates = _search_min_error(params, cfg.series, tol)
+        candidates = _search_min_error(params, series, tol)
         sign, value_at = 1.0, error_probability_series
     elif objective == "max-information":
-        candidates = _search_max_information(params, cfg.series, tol)
+        candidates = _search_max_information(params, series, tol)
         sign, value_at = -1.0, mutual_information_series
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
     runs = sorted(
-        (sign * value_at(params, p, cfg.series, tol), (p.xi, p.theta, p.phi_pulse))
+        (sign * value_at(params, p, series, tol), (p.xi, p.theta, p.phi_pulse))
         for p in candidates
     )
     per_start = [(sign * f, AtomicParams(*x)) for f, x in runs]

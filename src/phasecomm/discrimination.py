@@ -56,13 +56,12 @@ class Povm:
     elements: tuple
 
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
-        for m in self.elements:
-            check_hermitian(m, tol)
-            w = np.linalg.eigvalsh(m)
-            if w.min() < -tol.psd_floor:
-                raise ValueError(f"POVM element has eigenvalue {w.min():.3e}")
-        total = sum(self.elements)
-        dev = np.max(np.abs(total - np.eye(total.shape[0])))
+        ms = np.asarray(self.elements)
+        check_hermitian(ms, tol)
+        w_min = np.linalg.eigvalsh(ms).min()
+        if w_min < -tol.psd_floor:
+            raise ValueError(f"POVM element has eigenvalue {w_min:.3e}")
+        dev = np.max(np.abs(ms.sum(axis=0) - np.eye(ms.shape[1])))
         if dev > tol.povm_completeness:
             raise ValueError(f"POVM completeness violated by {dev:.3e}")
 
@@ -123,11 +122,11 @@ def helstrom_bound(ens: BinaryEnsemble, tol: Tolerances = DEFAULT_TOL) -> float:
 def joint_distribution(ens: BinaryEnsemble, povm: Povm) -> np.ndarray:
     """Table Pr(x, y) = q_x Tr{tau_x M_y}, one row per hypothesis."""
     _check_dims(ens, povm)
-    table = np.empty((2, len(povm.elements)))
-    for x, (q, tau) in enumerate(zip(ens.priors, ens.states)):
-        for y, m in enumerate(povm.elements):
-            table[x, y] = q * float(np.real(np.einsum("ij,ji->", tau, m)))
-    return table
+    return _joint(np.asarray(ens.priors, dtype=float), np.asarray(ens.states), np.asarray(povm.elements))
+
+
+def _joint(q: np.ndarray, taus: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    return q[:, None] * np.real(np.einsum("xij,yji->xy", taus, ms))
 
 
 def mutual_information_from_joint(
@@ -182,81 +181,94 @@ class AscentReport:
     restart_values: list = field(default_factory=list)
 
 
-def _info_operators(ens: BinaryEnsemble, povm: Povm, guard: float):
-    """Joint table and the gradient-like operators R_y."""
-    joint = joint_distribution(ens, povm)
+def _dagger(ms: np.ndarray) -> np.ndarray:
+    return ms.conj().swapaxes(-1, -2)
+
+
+def _info_operators(q: np.ndarray, taus: np.ndarray, joint: np.ndarray, guard: float) -> np.ndarray:
+    """Stack of the gradient-like operators R_y for the given joint table."""
     py = joint.sum(axis=0)
-    r = []
-    for y in range(len(povm.elements)):
-        op = np.zeros_like(ens.states[0])
-        for x, (q, tau) in enumerate(zip(ens.priors, ens.states)):
-            p = joint[x, y]
-            if p < guard or py[y] < guard:
-                continue
-            op = op + q * tau * np.log2(p / (ens.priors[x] * py[y]))
-        r.append(0.5 * (op + op.conj().T))
-    return joint, r
+    live = (joint >= guard) & (py >= guard)
+    ratio = np.where(live, joint, 1.0) / np.where(live, q[:, None] * py, 1.0)
+    r = np.einsum("xy,xij->yij", np.where(live, q[:, None] * np.log2(ratio), 0.0), taus)
+    return 0.5 * (r + _dagger(r))
 
 
 def _residual(ens: BinaryEnsemble, povm: Povm, guard: float) -> float:
-    _, r = _info_operators(ens, povm, guard)
-    gamma = sum(ry @ my for ry, my in zip(r, povm.elements))
-    return float(
-        max(
-            np.max(np.abs(my @ gamma - my @ ry))
-            for ry, my in zip(r, povm.elements)
-        )
-    )
+    """max_y ||M_y Gamma - M_y R_y||_max with Gamma = sum_y R_y M_y."""
+    q, taus, ms = np.asarray(ens.priors, dtype=float), np.asarray(ens.states), np.asarray(povm.elements)
+    r = _info_operators(q, taus, _joint(q, taus, ms), guard)
+    gamma = (r @ ms).sum(axis=0)
+    return float(np.max(np.abs(ms @ gamma - ms @ r)))
 
 
-def _repair_psd(elements: list) -> list:
+def _renormalize(ms: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """S^{-1/2} M S^{-1/2} for each element of the stack, S the stack's sum."""
+    s_inv = matrix_function_sqrt_inv(ms.sum(axis=0), tol)
+    out = s_inv @ ms @ s_inv
+    return 0.5 * (out + _dagger(out))
+
+
+def _repair_psd(ms: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Clip roundoff-negative eigenvalues and restore completeness.
 
     The conjugation update only preserves positivity up to roundoff; when
     drift exceeds the PSD floor the elements are projected back onto the
     PSD cone and renormalized (a perturbation at the drift scale, ~1e-10).
     """
-    clipped = []
-    for m in elements:
-        w, v = np.linalg.eigh(m)
-        mc = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        clipped.append(0.5 * (mc + mc.conj().T))
-    s_inv = matrix_function_sqrt_inv(sum(clipped))
-    out = []
-    for m in clipped:
-        mn = s_inv @ m @ s_inv
-        out.append(0.5 * (mn + mn.conj().T))
-    return out
+    w, v = np.linalg.eigh(ms)
+    clipped = (v * np.clip(w, 0.0, None)[:, None, :]) @ _dagger(v)
+    return _renormalize(0.5 * (clipped + _dagger(clipped)), tol)
 
 
-def _ascend(ens: BinaryEnsemble, start: Povm, cfg: AscentConfig, tol: Tolerances):
-    dim = ens.size
-    eye = np.eye(dim, dtype=complex)
-    ms = list(start.elements)
-    info = mutual_information(ens, Povm(tuple(ms)))
+def _support_basis(ens: BinaryEnsemble, tol: Tolerances) -> np.ndarray:
+    """Orthonormal columns spanning the support of q1 tau1 + q2 tau2.
+
+    Eigenvalues count as nonzero above numpy's matrix_rank cutoff,
+    w_max * d * eps.
+    """
+    q1, q2 = ens.priors
+    w, v = hermitian_eig(q1 * ens.states[0] + q2 * ens.states[1], tol)
+    return v[:, w > w.max() * ens.size * np.finfo(float).eps]
+
+
+def _ascend(ens: BinaryEnsemble, basis: np.ndarray, start: np.ndarray, cfg: AscentConfig, tol: Tolerances):
+    """Steepest ascent from `start` (a stack of full-space elements), run on the support.
+
+    Every operator the information sees lives on the support, so the
+    iteration runs on the compressions V^dagger . V, and the result is
+    lifted back as V M V^dagger + (I - V V^dagger)/k. The stop test and
+    the reported residual use the lifted POVM.
+    """
+    q = np.asarray(ens.priors, dtype=float)
+    vh = basis.conj().T
+    taus = vh @ np.asarray(ens.states) @ basis
+    ms = vh @ start @ basis
+    k, rank = ms.shape[0], ms.shape[1]
+    eye = np.eye(rank)
+    rest = (np.eye(ens.size) - basis @ vh) / k
+
+    def lifted(ms):
+        elements = tuple(basis @ ms @ vh + rest)
+        return Povm(elements) if k != 2 else BinaryPovm(elements)
+
+    joint = _joint(q, taus, ms)
+    info = mutual_information_from_joint(joint, q)
+    r = _info_operators(q, taus, joint, tol.prob_guard)
+    gamma = (r @ ms).sum(axis=0)
     lam = cfg.lam
     iters = 0
     polish = 0
     while iters < cfg.max_iter:
-        _, r = _info_operators(ens, Povm(tuple(ms)), tol.prob_guard)
-        acc = sum(ry @ my for ry, my in zip(r, ms))
-        tilde = []
-        for ry, my in zip(r, ms):
-            g = eye + lam * (ry - acc)
-            tilde.append(g.conj().T @ my @ g)
-        s_inv = matrix_function_sqrt_inv(sum(tilde), tol)
-        new = []
-        for mt in tilde:
-            mn = s_inv @ mt @ s_inv
-            new.append(0.5 * (mn + mn.conj().T))
-        cand = Povm(tuple(new))
+        g = eye + lam * (r - gamma)
+        new = _renormalize(_dagger(g) @ ms @ g, tol)
         try:
-            cand.validate(tol)
+            Povm(tuple(new)).validate(tol)
         except ValueError:
-            new = _repair_psd(new)
-            cand = Povm(tuple(new))
-            cand.validate(tol)
-        info_new = mutual_information(ens, cand)
+            new = _repair_psd(new, tol)
+            Povm(tuple(new)).validate(tol)
+        joint_new = _joint(q, taus, new)
+        info_new = mutual_information_from_joint(joint_new, q)
         iters += 1
         if info_new < info - 1e-9:
             # overshoot: reject the step and shrink the step size
@@ -266,6 +278,8 @@ def _ascend(ens: BinaryEnsemble, start: Povm, cfg: AscentConfig, tol: Tolerances
             continue
         gain = info_new - info
         ms, info = new, info_new
+        r = _info_operators(q, taus, joint_new, tol.prob_guard)
+        gamma = (r @ ms).sum(axis=0)
         lam = min(lam * 1.2, cfg.lam_max)
         if gain < cfg.tol:
             # information has plateaued; keep polishing until the stationary
@@ -273,45 +287,37 @@ def _ascend(ens: BinaryEnsemble, start: Povm, cfg: AscentConfig, tol: Tolerances
             polish += 1
             if polish > cfg.polish_max:
                 break
-            if _residual(ens, Povm(tuple(ms)), tol.prob_guard) <= cfg.residual_tol:
+            if _residual(ens, lifted(ms), tol.prob_guard) <= cfg.residual_tol:
                 break
-    povm = Povm(tuple(ms)) if len(ms) != 2 else BinaryPovm(tuple(ms))
+    povm = lifted(ms)
     return povm, info, iters, _residual(ens, povm, tol.prob_guard)
 
 
-def _random_povm(dim: int, outcomes: int, rng: np.random.Generator) -> Povm:
+def _random_povm(dim: int, outcomes: int, rng: np.random.Generator, tol: Tolerances) -> np.ndarray:
     raw = []
     for _ in range(outcomes):
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        a = z @ z.conj().T
-        raw.append(0.5 * (a + a.conj().T))
-    s_inv = matrix_function_sqrt_inv(sum(raw))
-    elements = []
-    for a in raw:
-        m = s_inv @ a @ s_inv
-        elements.append(0.5 * (m + m.conj().T))
-    return Povm(tuple(elements))
+        raw.append(z @ z.conj().T)
+    raw = np.array(raw)
+    return _renormalize(0.5 * (raw + _dagger(raw)), tol)
 
 
 def _ascent_starts(ens: BinaryEnsemble, cfg: AscentConfig, tol: Tolerances) -> list:
-    """Deterministic seed start plus randomly perturbed restarts."""
+    """Deterministic seed start plus randomly perturbed restarts, as element stacks."""
     dim = ens.size
     k = cfg.outcomes
     eye = np.eye(dim, dtype=complex)
     _, hel = helstrom_measurement(ens, tol)
     if k == 2:
-        base = list(hel.elements)
+        base = np.array(hel.elements)
     else:
         # split each Helstrom element evenly over the extra outcomes
-        base = []
-        for m in hel.elements:
-            base.extend([m / (k // 2)] * (k // 2))
-        for _ in range(k - len(base)):
-            base.append(np.zeros_like(eye))
+        base = [m / (k // 2) for m in hel.elements for _ in range(k // 2)]
+        base = np.array(base + [np.zeros_like(eye)] * (k - len(base)))
     w0 = 1e-3
 
     def flat_mix(elements):
-        return Povm(tuple((1 - w0) * m + w0 * eye / k for m in elements))
+        return (1 - w0) * elements + w0 * eye / k
 
     starts = [flat_mix(base)]
     rng = np.random.default_rng(cfg.seed)
@@ -320,9 +326,9 @@ def _ascent_starts(ens: BinaryEnsemble, cfg: AscentConfig, tol: Tolerances) -> l
         # merged, plain and displaced by each hypothesis' mean field
         from scipy.linalg import expm
 
-        counters = [np.zeros_like(eye) for _ in range(k)]
+        counters = np.zeros((k, dim, dim), dtype=complex)
         for n in range(dim):
-            counters[min(n, k - 1)][n, n] = 1.0
+            counters[min(n, k - 1), n, n] = 1.0
         ladder = np.zeros_like(eye)
         idx = np.arange(1, dim)
         ladder[idx - 1, idx] = np.sqrt(idx)
@@ -330,18 +336,11 @@ def _ascent_starts(ens: BinaryEnsemble, cfg: AscentConfig, tol: Tolerances) -> l
         for tau in ens.states:
             beta = complex(np.trace(tau @ ladder))
             disp = expm(-beta * ladder.conj().T + np.conj(beta) * ladder)
-            shifted = [disp @ c @ disp.conj().T for c in counters]
-            starts.append(flat_mix([0.5 * (m + m.conj().T) for m in shifted]))
+            shifted = disp @ counters @ disp.conj().T
+            starts.append(flat_mix(0.5 * (shifted + _dagger(shifted))))
     while len(starts) < cfg.restarts:
         w = rng.uniform(0.05, 0.3)
-        rand = _random_povm(dim, k, rng)
-        starts.append(
-            Povm(
-                tuple(
-                    (1 - w) * m + w * r for m, r in zip(base, rand.elements)
-                )
-            )
-        )
+        starts.append((1 - w) * base + w * _random_povm(dim, k, rng, tol))
     return starts[: cfg.restarts] if cfg.restarts > 0 else starts[:1]
 
 
@@ -354,15 +353,16 @@ def accessible_information(
     1e-3 (the gradient operators are ill-defined at exactly zero outcome
     probabilities); further restarts mix in random POVMs, plus a
     photon-counting-like start when more than two outcomes are carried.
+    Each run works on the support of q1 tau1 + q2 tau2 (see `_ascend`).
     The best run is reported together with all restart values.
     """
     ens.validate(tol)
-    starts = _ascent_starts(ens, cfg, tol)
+    basis = _support_basis(ens, tol)
 
     best = None
     values = []
-    for start in starts:
-        povm, info, iters, residual = _ascend(ens, start, cfg, tol)
+    for start in _ascent_starts(ens, cfg, tol):
+        povm, info, iters, residual = _ascend(ens, basis, start, cfg, tol)
         values.append(info)
         run = AscentReport(
             povm=povm,

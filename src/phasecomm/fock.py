@@ -90,7 +90,8 @@ def coherent_ket(alpha: float, dim: FockDim, tol: Tolerances = DEFAULT_TOL) -> n
 
 
 def check_hermitian(op: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
-    dev = np.max(np.abs(op - op.conj().T))
+    """Raise unless op (one matrix or a stack of them) is Hermitian within tolerance."""
+    dev = np.max(np.abs(op - op.conj().swapaxes(-1, -2)))
     if dev > tol.hermiticity:
         raise ValueError(f"operator deviates from hermiticity by {dev:.3e}")
 
@@ -108,7 +109,7 @@ def hermitian_eig(op: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     scale = max(np.max(np.abs(op)), 1.0)
-    recon = v @ np.diag(w.astype(complex)) @ v.conj().T
+    recon = (v * w) @ v.conj().T
     err = np.max(np.abs(op - recon))
     if err > tol.eig_reconstruction * scale:
         raise ConvergenceFailure(f"reconstruction error {err:.3e} exceeds bound")
@@ -131,4 +132,4 @@ def matrix_function_sqrt_inv(op: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
     lam_max = max(float(w.max()), 0.0)
     thr = tol.pinv_rel * lam_max
     f = np.where(w > thr, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
-    return v @ np.diag(f.astype(complex)) @ v.conj().T
+    return (v * f) @ v.conj().T

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import OptimizeConfig, SeriesConfig, optimize
+from .atomic import optimize
 from .config import DEFAULT_TOL
 from .discrimination import AscentConfig, accessible_information, helstrom_bound
 from .errors import ConfigError, GridMismatch, PhasecommError
@@ -134,15 +134,14 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
         if kind == "helstrom":
             row["p_helstrom"] = helstrom_bound(ensemble())
         elif kind == "atomic":
-            ocfg = OptimizeConfig(series=SeriesConfig.for_amplitudes([params.alpha1, params.alpha2]))
             if "error" in rec["objectives"]:
-                res = optimize("min-error", params, ocfg)
+                res = optimize("min-error", params)
                 row["p_atomic"] = res.value
                 row["atomic_xi"] = res.params.xi
                 row["atomic_theta"] = res.params.theta
                 row["atomic_phi"] = res.params.phi_pulse
             if "information" in rec["objectives"]:
-                res = optimize("max-information", params, ocfg)
+                res = optimize("max-information", params)
                 row["i_atomic"] = res.value
         elif kind == "accinfo":
             acfg = AscentConfig(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import optimize as sciopt
@@ -18,6 +20,7 @@ from phasecomm import (
     povm_from_kraus,
 )
 from phasecomm.atomic import PHI_MAX
+from phasecomm.cli import main
 from phasecomm.discrimination import joint_distribution
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
@@ -338,3 +341,25 @@ class TestSeriesLength:
         }
         row = compute_point(SweepConfig.from_dict(doc), 0.6, 0)
         assert row["p_atomic"] == pytest.approx(KrausBruteForce(ook(3.0, 0.6)).min_error(), abs=1e-9)
+
+    def test_default_config_derives_series_length(self, tmp_path, capsys):
+        # OptimizeConfig() used to keep 30 series terms whatever the
+        # amplitudes, so this call raised SeriesTruncationError while the
+        # same point ran through `phasecomm point`
+        res = optimize("min-error", ook(3.0, 0.6))
+        cfg = tmp_path / "ook3.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "signal": "OOK",
+                    "mean_photons": 3.0,
+                    "sigma_grid": {"start": 0.6, "stop": 0.6, "steps": 1},
+                    "receivers": [{"type": "atomic", "objectives": ["error"]}],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["point", "--config", str(cfg), "--sigma", "0.6"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert res.value == row["p_atomic"]
+        assert res.params.phi_pulse == row["atomic_phi"]

@@ -14,6 +14,8 @@ from phasecomm import (
     helstrom_measurement,
     mutual_information,
 )
+from phasecomm.config import DEFAULT_TOL
+from phasecomm.discrimination import _residual
 from phasecomm.signals import bpsk, build_ensemble
 
 
@@ -153,3 +155,34 @@ class TestAccessibleInformation:
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)
         rep = accessible_information(ens, AscentConfig(restarts=1))
         rep.povm.validate()
+
+
+class TestAscentOnSupport:
+    """The ascent runs on the support of the ensemble and lifts its result back."""
+
+    SHORT = AscentConfig(restarts=1, outcomes=4, max_iter=200)
+    # BPSK 0.5 at sigma 0.6 with the SHORT budget, measured with the
+    # full-space ascent at commit eea53343e0084db5ac6be73c2bca94c9f46adaa1
+    PARENT_VALUE = 0.5309965344493945
+    PARENT_RESIDUAL = 1.9174902445975695e-07
+
+    def test_cutoff_invariance(self):
+        values = [
+            accessible_information(build_ensemble(bpsk(0.5, 0.6), FockDim(c)), self.SHORT).mutual_information
+            for c in (30, 45)
+        ]
+        assert values[0] == pytest.approx(values[1], abs=1e-12)
+
+    def test_lifted_povm_is_full_and_carries_the_residual(self):
+        ens = build_ensemble(bpsk(0.5, 0.6), DIM)
+        rep = accessible_information(ens, self.SHORT)
+        assert len(rep.povm.elements) == 4
+        assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
+        rep.povm.validate()
+        assert rep.stationarity_residual == _residual(ens, rep.povm, DEFAULT_TOL.prob_guard)
+
+    def test_matches_full_space_ascent(self):
+        rep = accessible_information(build_ensemble(bpsk(0.5, 0.6), DIM), self.SHORT)
+        assert rep.mutual_information == pytest.approx(self.PARENT_VALUE, abs=1e-12)
+        assert rep.stationarity_residual == pytest.approx(self.PARENT_RESIDUAL, abs=1e-14)
+        assert rep.iterations == 200

@@ -377,13 +377,11 @@ def _search_max_information(params, cfg, tol) -> list:
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Settings of the atomic search: the series truncation.
+    """Settings of the atomic search; the search has none left to set.
 
-    With `series=None`, `optimize` takes the shortest series the truncation
-    guard accepts for the amplitudes it is given (`SeriesConfig.for_amplitudes`).
+    `optimize` takes the shortest series the truncation guard accepts for
+    the amplitudes it is given (`SeriesConfig.for_amplitudes`).
     """
-
-    series: SeriesConfig | None = None
 
 
 @dataclass
@@ -411,7 +409,7 @@ def optimize(
     {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
     the lexicographically smallest.
     """
-    series = cfg.series or SeriesConfig.for_amplitudes([params.alpha1, params.alpha2], tol)
+    series = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2], tol)
     if objective == "min-error":
         candidates = _search_min_error(params, series, tol)
         sign, value_at = 1.0, error_probability_series

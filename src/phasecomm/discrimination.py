@@ -232,24 +232,54 @@ def _support_basis(ens: BinaryEnsemble, tol: Tolerances) -> np.ndarray:
     return v[:, w > w.max() * ens.size * np.finfo(float).eps]
 
 
-def _ascend(ens: BinaryEnsemble, basis: np.ndarray, start: np.ndarray, cfg: AscentConfig, tol: Tolerances):
-    """Steepest ascent from `start` (a stack of full-space elements), run on the support.
+def _invariant_basis(support: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Orthonormal columns of the smallest subspace that holds the support
+    and that every element of `start` maps into itself.
 
-    Every operator the information sees lives on the support, so the
-    iteration runs on the compressions V^dagger . V, and the result is
-    lifted back as V M V^dagger + (I - V V^dagger)/k. The stop test and
-    the reported residual use the lifted POVM.
+    Directions are added while the elements carry the basis out of its
+    span by more than numpy's matrix_rank cutoff, d * eps (POVM elements
+    have norm at most 1).
     """
+    dim = support.shape[0]
+    basis = support
+    while basis.shape[1] < dim:
+        spill = np.concatenate(tuple(start @ basis), axis=1)
+        spill = spill - basis @ (basis.conj().T @ spill)
+        u, s, _ = np.linalg.svd(spill, full_matrices=False)
+        grow = u[:, s > dim * np.finfo(float).eps][:, : dim - basis.shape[1]]
+        if grow.shape[1] == 0:
+            break
+        # directions just above the cutoff carry rounding along the basis
+        grow = np.linalg.qr(grow - basis @ (basis.conj().T @ grow))[0]
+        basis = np.concatenate((basis, grow), axis=1)
+    return basis
+
+
+def _ascend(ens: BinaryEnsemble, support: np.ndarray, start: np.ndarray, cfg: AscentConfig, tol: Tolerances):
+    """Steepest ascent from `start` (a stack of full-space elements).
+
+    The states live on the support, so a subspace W that holds the support
+    and that each start element maps into itself stays invariant under
+    every step: R_y and Gamma act inside W, the step conjugates W and its
+    complement separately, and the complement block of each element keeps
+    its start value. The iteration therefore runs on the compressions
+    W^dagger . W (W is the support itself when the start does not couple
+    it to its complement), and the result is lifted back with the start's
+    complement blocks. The stop test and the reported residual use the
+    lifted POVM.
+    """
+    basis = _invariant_basis(support, start)
     q = np.asarray(ens.priors, dtype=float)
-    vh = basis.conj().T
-    taus = vh @ np.asarray(ens.states) @ basis
-    ms = vh @ start @ basis
-    k, rank = ms.shape[0], ms.shape[1]
-    eye = np.eye(rank)
-    rest = (np.eye(ens.size) - basis @ vh) / k
+    wh = basis.conj().T
+    taus = wh @ np.asarray(ens.states) @ basis
+    ms = wh @ start @ basis
+    k, n = ms.shape[0], ms.shape[1]
+    eye = np.eye(n)
+    out = np.eye(ens.size) - basis @ wh
+    rest = out @ start @ out
 
     def lifted(ms):
-        elements = tuple(basis @ ms @ vh + rest)
+        elements = tuple(basis @ ms @ wh + rest)
         return Povm(elements) if k != 2 else BinaryPovm(elements)
 
     joint = _joint(q, taus, ms)
@@ -353,16 +383,17 @@ def accessible_information(
     1e-3 (the gradient operators are ill-defined at exactly zero outcome
     probabilities); further restarts mix in random POVMs, plus a
     photon-counting-like start when more than two outcomes are carried.
-    Each run works on the support of q1 tau1 + q2 tau2 (see `_ascend`).
+    Each run works on the smallest subspace that holds the support of
+    q1 tau1 + q2 tau2 and is invariant under its start (see `_ascend`).
     The best run is reported together with all restart values.
     """
     ens.validate(tol)
-    basis = _support_basis(ens, tol)
+    support = _support_basis(ens, tol)
 
     best = None
     values = []
     for start in _ascent_starts(ens, cfg, tol):
-        povm, info, iters, residual = _ascend(ens, basis, start, cfg, tol)
+        povm, info, iters, residual = _ascend(ens, support, start, cfg, tol)
         values.append(info)
         run = AscentReport(
             povm=povm,

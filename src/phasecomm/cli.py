@@ -10,9 +10,10 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
-from .errors import PhasecommError
+from .errors import ConfigError, PhasecommError
 from .sweep import SweepConfig, compute_point, find_crossing, run_sweep, write_csv, write_json
 
 
@@ -58,6 +59,8 @@ def _warn(rows: list) -> None:
 
 
 def _cmd_point(args) -> int:
+    if not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise ConfigError(f"--sigma must be finite and >= 0, got {args.sigma}")
     cfg = _load_config(args)
     cfg = dataclasses.replace(
         cfg, sigma_start=args.sigma, sigma_stop=args.sigma, sigma_steps=1

@@ -5,6 +5,7 @@ Everything here works on plain complex numpy arrays of shape
 helpers enforce hermiticity / positivity / trace invariants.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ def poisson_tail(alpha: float, cutoff: int) -> float:
 def default_cutoff(amplitudes, tol: Tolerances = DEFAULT_TOL, floor: int = 30) -> int:
     """Smallest cutoff keeping every amplitude's Poisson tail below tolerance."""
     amplitudes = [abs(float(a)) for a in amplitudes]
+    if not all(math.isfinite(a) for a in amplitudes):
+        raise ValueError(f"amplitudes must be finite, got {amplitudes}")
     a_max = max(amplitudes) if amplitudes else 0.0
     n = floor
     while poisson_tail(a_max, n) >= tol.tail:

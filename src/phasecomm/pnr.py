@@ -4,10 +4,14 @@ Surrogate for a feedback-excluded receiver: the signal interferes with a
 local displacement of amplitude beta at visibility v, a finite-resolution
 photon counter distinguishes counts 0..m-1 and merges everything above,
 and a maximum-a-posteriori rule decides the hypothesis. The Gaussian
-phase of the channel is averaged by Gauss-Hermite quadrature.
+phase of the channel is averaged by Gauss-Hermite quadrature; the rule is
+built once per order, and one batched kernel evaluates every
+(amplitude, displacement) pair of a call.
 """
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -39,8 +43,59 @@ class PnrConfig:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
+        if not math.isfinite(self.displacement):
+            raise ValueError(f"displacement must be finite, got {self.displacement}")
         if self.quadrature_points < 16:
             raise ValueError("quadrature_points must be >= 16")
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(order: int) -> tuple:
+    """Nodes and probability weights (summing to 1) of the Gauss-Hermite rule; read-only."""
+    nodes, w = np.polynomial.hermite.hermgauss(order)
+    weights = w / np.sqrt(np.pi)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _outcome_table(alphas, sigma: float, betas, cfg: PnrConfig, tol: Tolerances) -> np.ndarray:
+    """Outcome distributions for every amplitude and displacement, shape (A, B, m+1).
+
+    `alphas` and `betas` are sequences of scalars; each (alpha, beta) entry
+    equals `outcome_distribution` at that pair bit for bit.
+    """
+    cfg.validate()
+    m = cfg.resolution
+    if sigma == 0.0:
+        phis = np.array([0.0])
+        weights = np.array([1.0])
+    else:
+        nodes, weights = _gauss_hermite(cfg.quadrature_points)
+        norm = float(weights.sum())
+        if abs(norm - 1.0) > tol.quadrature_norm:
+            raise QuadratureUnderflow(
+                f"Gauss-Hermite weights sum to {norm}, off by more than "
+                f"{tol.quadrature_norm:.0e}"
+            )
+        phis = np.sqrt(2.0) * sigma * nodes
+
+    # squares of the scalars as given: numpy's square and libm's pow differ in the last bit
+    a = np.array(alphas, dtype=float)[:, None, None]
+    b = np.array(betas, dtype=float)[None, :, None]
+    a2 = np.array([x**2 for x in alphas], dtype=float)[:, None, None]
+    b2 = np.array([x**2 for x in betas], dtype=float)[None, :, None]
+    n_eff = a2 + b2 - 2 * cfg.visibility * a * b * np.cos(phis)
+    n_eff = np.clip(n_eff, 0.0, None)
+    k = np.arange(m)
+    # Poisson pmf per node, averaged with the quadrature weights
+    log_pmf = -n_eff[..., None] + k * np.log(np.clip(n_eff, 1e-300, None))[..., None] - special.gammaln(k + 1)
+    pmf = np.exp(log_pmf)
+    pmf[n_eff == 0.0] = np.where(k == 0, 1.0, 0.0)
+    probs = np.empty(n_eff.shape[:2] + (m + 1,))
+    probs[..., :m] = weights @ pmf
+    probs[..., m] = np.maximum(1.0 - probs[..., :m].sum(axis=-1), 0.0)
+    return probs
 
 
 def outcome_distribution(
@@ -52,60 +107,43 @@ def outcome_distribution(
     Poisson count at mean alpha^2 + beta^2 - 2 v alpha beta cos(phi),
     averaged over the Gaussian channel phase.
     """
-    cfg.validate()
-    m = cfg.resolution
-    if sigma == 0.0:
-        phis = np.array([0.0])
-        weights = np.array([1.0])
-    else:
-        nodes, w = np.polynomial.hermite.hermgauss(cfg.quadrature_points)
-        weights = w / np.sqrt(np.pi)
-        norm = float(weights.sum())
-        if abs(norm - 1.0) > tol.quadrature_norm:
-            raise QuadratureUnderflow(
-                f"Gauss-Hermite weights sum to {norm}, off by more than "
-                f"{tol.quadrature_norm:.0e}"
-            )
-        phis = np.sqrt(2.0) * sigma * nodes
-
-    n_eff = alpha**2 + cfg.displacement**2 - 2 * cfg.visibility * alpha * cfg.displacement * np.cos(phis)
-    n_eff = np.clip(n_eff, 0.0, None)
-    k = np.arange(m)
-    # Poisson pmf per node, averaged with the quadrature weights
-    log_pmf = -n_eff[:, None] + k[None, :] * np.log(np.clip(n_eff, 1e-300, None))[:, None] - special.gammaln(k + 1)[None, :]
-    pmf = np.exp(log_pmf)
-    pmf[n_eff == 0.0] = np.where(k == 0, 1.0, 0.0)
-    probs = np.empty(m + 1)
-    probs[:m] = weights @ pmf
-    probs[m] = max(1.0 - probs[:m].sum(), 0.0)
-    return probs
+    return _outcome_table([alpha], sigma, [cfg.displacement], cfg, tol)[0, 0]
 
 
 def _conditional_table(params: SignalParams, cfg: PnrConfig, tol: Tolerances) -> np.ndarray:
-    return np.vstack(
-        [
-            outcome_distribution(params.alpha1, params.sigma, cfg, tol),
-            outcome_distribution(params.alpha2, params.sigma, cfg, tol),
-        ]
-    )
+    return _outcome_table([params.alpha1, params.alpha2], params.sigma, [cfg.displacement], cfg, tol)[:, 0]
+
+
+def _map_error(params: SignalParams, cond: np.ndarray) -> float:
+    weighted = np.vstack([params.q1 * cond[0], params.q2 * cond[1]])
+    return float(1.0 - weighted.max(axis=0).sum())
+
+
+def _map_information(params: SignalParams, cond: np.ndarray, tol: Tolerances) -> float:
+    joint = np.vstack([params.q1 * cond[0], params.q2 * cond[1]])
+    return mutual_information_from_joint(joint, (params.q1, params.q2), tol.prob_guard)
 
 
 def map_error_probability(
     params: SignalParams, cfg: PnrConfig, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Error of the maximum-a-posteriori decision over the count outcomes."""
-    cond = _conditional_table(params, cfg, tol)
-    weighted = np.vstack([params.q1 * cond[0], params.q2 * cond[1]])
-    return float(1.0 - weighted.max(axis=0).sum())
+    return _map_error(params, _conditional_table(params, cfg, tol))
 
 
 def map_mutual_information(
     params: SignalParams, cfg: PnrConfig, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Mutual information of the full (m+1)-outcome channel, in bits."""
-    cond = _conditional_table(params, cfg, tol)
-    joint = np.vstack([params.q1 * cond[0], params.q2 * cond[1]])
-    return mutual_information_from_joint(joint, (params.q1, params.q2), tol.prob_guard)
+    return _map_information(params, _conditional_table(params, cfg, tol), tol)
+
+
+def _grid_values(params: SignalParams, cfg: PnrConfig, objective: str, tol: Tolerances, grid) -> list:
+    """The objective to minimise at every displacement of the grid, from one kernel call."""
+    table = _outcome_table([params.alpha1, params.alpha2], params.sigma, grid, cfg, tol)
+    if objective == "min-error":
+        return [_map_error(params, table[:, j]) for j in range(len(grid))]
+    return [-_map_information(params, table[:, j], tol) for j in range(len(grid))]
 
 
 def optimize_displacement(
@@ -117,8 +155,8 @@ def optimize_displacement(
 ) -> tuple:
     """Scalar search over the displacement; returns (best_cfg, best_value).
 
-    Coarse grid over a symmetric range, then bounded refinement around the
-    best cell. Deterministic.
+    Coarse grid over a symmetric range, evaluated in one kernel call, then
+    bounded refinement around the best cell. Deterministic.
     """
     if objective == "min-error":
         def fun(beta):
@@ -131,7 +169,7 @@ def optimize_displacement(
 
     span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
     grid = np.linspace(-span, span, grid_points)
-    values = [fun(b) for b in grid]
+    values = _grid_values(params, cfg, objective, tol, grid.tolist())
     i = int(np.argmin(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_points - 1)]

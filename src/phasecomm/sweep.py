@@ -9,6 +9,7 @@ optional JSON mirror. Rows are deterministic given the seed.
 import csv
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -50,14 +51,14 @@ class SweepConfig:
             if signal not in _SIGNALS:
                 raise ConfigError(f"signal must be one of {_SIGNALS}, got {signal!r}")
             nbar = float(d["mean_photons"])
-            if not nbar > 0:
-                raise ConfigError("mean_photons must be > 0")
+            if not (nbar > 0 and math.isfinite(nbar)):
+                raise ConfigError(f"mean_photons must be finite and > 0, got {nbar}")
             priors = tuple(float(p) for p in d.get("priors", [0.5, 0.5]))
             if len(priors) != 2 or abs(sum(priors) - 1.0) > 1e-12 or min(priors) < 0:
                 raise ConfigError(f"priors {priors} are not a binary distribution")
             grid = d["sigma_grid"]
             start, stop, steps = float(grid["start"]), float(grid["stop"]), int(grid["steps"])
-            if start < 0 or stop < start or steps < 1:
+            if not (math.isfinite(start) and math.isfinite(stop)) or start < 0 or stop < start or steps < 1:
                 raise ConfigError(f"bad sigma_grid {grid}")
             receivers = []
             for r in d["receivers"]:
@@ -70,6 +71,13 @@ class SweepConfig:
                     r.setdefault("beta_mode", "null-first")
                     if r["beta_mode"] not in _BETA_MODES:
                         raise ConfigError(f"beta_mode must be one of {_BETA_MODES}")
+                    # a ValueError here becomes a ConfigError below
+                    PnrConfig(
+                        resolution=int(r["resolution"]),
+                        visibility=float(r["visibility"]),
+                        displacement=float(r.get("displacement", 0.0)),
+                        quadrature_points=int(r.get("quadrature_points", 64)),
+                    ).validate()
                 if r["type"] == "atomic":
                     r.setdefault("objectives", ["error", "information"])
                     if not set(r["objectives"]) <= {"error", "information"}:

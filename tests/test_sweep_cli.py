@@ -5,6 +5,7 @@ import pytest
 
 from phasecomm import ConfigError, FockDim, GridMismatch, helstrom_bound
 from phasecomm.cli import main
+from phasecomm.fock import default_cutoff
 from phasecomm.signals import bpsk, build_ensemble
 from phasecomm.sweep import (
     SweepConfig,
@@ -61,11 +62,24 @@ class TestSweepConfig:
             {"receivers": [{"type": "pnr", "beta_mode": "magic"}]},
             {"receivers": [{"type": "atomic", "objectives": ["error", "speed"]}]},
             {"receivers": [{"type": "atomic", "n_starts": 16}]},
+            {"mean_photons": float("inf")},
+            {"mean_photons": float("nan")},
+            {"sigma_grid": {"start": float("nan"), "stop": 1.0, "steps": 5}},
+            {"sigma_grid": {"start": 0.0, "stop": float("nan"), "steps": 5}},
+            {"sigma_grid": {"start": 0.0, "stop": float("inf"), "steps": 5}},
+            {"sigma_grid": {"start": float("inf"), "stop": float("inf"), "steps": 5}},
+            {"receivers": [{"type": "pnr", "displacement": float("nan")}]},
+            {"receivers": [{"type": "pnr", "visibility": 1.5}]},
         ],
     )
     def test_rejects_bad_config(self, bad):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(base_config(**bad))
+
+    @pytest.mark.parametrize("amplitude", [float("inf"), -float("inf"), float("nan")])
+    def test_default_cutoff_rejects_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ValueError):
+            default_cutoff([0.5, amplitude])
 
     def test_missing_key(self):
         doc = base_config()
@@ -189,6 +203,19 @@ class TestCli:
         cfg = self.write_config(tmp_path, base_config(signal="QPSK"))
         assert main(["sweep", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_infinite_mean_photons_exit_code(self, tmp_path, capsys):
+        # json writes and reads the non-standard Infinity literal
+        cfg = self.write_config(tmp_path, base_config(mean_photons=float("inf")))
+        assert '"mean_photons": Infinity' in open(cfg, encoding="utf-8").read()
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "mean_photons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])
+    def test_point_rejects_bad_sigma(self, tmp_path, capsys, sigma):
+        cfg = self.write_config(tmp_path, base_config())
+        assert main(["point", "--config", cfg, "--sigma", sigma]) == 2
+        assert "--sigma" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json"]) == 2

@@ -61,9 +61,6 @@ class AtomicParams:
     theta: float
     phi_pulse: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.xi, self.theta, self.phi_pulse])
-
 
 @dataclass(frozen=True)
 class SeriesConfig:

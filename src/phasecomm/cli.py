@@ -20,17 +20,13 @@ from .sweep import SweepConfig, compute_point, find_crossing, run_sweep, write_c
 def _load_config(args) -> SweepConfig:
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
-    cfg = SweepConfig.from_dict(doc)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "cutoff", None) is not None:
-        overrides["fock_cutoff"] = args.cutoff
-    if getattr(args, "out", None) is not None:
-        overrides["output"] = args.out
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    if not isinstance(doc, dict):
+        raise ConfigError("a sweep config is a JSON object")
+    # overrides pass the same checks as the config's own keys
+    for key, arg in (("seed", "seed"), ("fock_cutoff", "cutoff"), ("output", "out")):
+        if getattr(args, arg, None) is not None:
+            doc[key] = getattr(args, arg)
+    return SweepConfig.from_dict(doc)
 
 
 def _cmd_sweep(args) -> int:

@@ -2,16 +2,20 @@
 
 Error probability of a given POVM, the Helstrom bound via the weighted
 difference operator, Shannon mutual information, and accessible
-information via the steepest-ascent POVM iteration.
+information. The accessible information is maximised by L-BFGS-B over
+rank-one real POVMs M_y = phi_y phi_y^T on the support of the ensemble,
+so the ensemble must be real symmetric (see `accessible_information`).
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize as sciopt
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatch
-from .fock import check_hermitian, hermitian_eig, matrix_function_sqrt_inv
+from .fock import check_hermitian, hermitian_eig
 
 __all__ = [
     "BinaryEnsemble",
@@ -108,7 +112,8 @@ def helstrom_measurement(ens: BinaryEnsemble, tol: Tolerances = DEFAULT_TOL):
     lam = 0.5 * (lam + lam.conj().T)
     w, v = hermitian_eig(lam, tol)
     bound = 0.5 - 0.5 * float(np.sum(np.abs(w)))
-    pos = v[:, w > 0]
+    # eigenvalues at rounding level (numpy's matrix_rank cutoff) are null
+    pos = v[:, w > np.abs(w).max() * lam.shape[0] * np.finfo(float).eps]
     m1 = pos @ pos.conj().T
     m1 = 0.5 * (m1 + m1.conj().T)
     m2 = np.eye(lam.shape[0], dtype=complex) - m1
@@ -158,17 +163,19 @@ def binary_entropy(p: float) -> float:
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Knobs for the steepest-ascent POVM iteration."""
+    """Knobs for the quasi-Newton accessible-information ascent.
 
-    lam: float = 0.05
-    lam_max: float = 0.5  # adaptive growth ceiling
-    polish_max: int = 5000  # extra iterations allowed after the gain plateaus
-    tol: float = 1e-10  # bits/iteration
-    max_iter: int = 50_000
+    `lam_max` and `polish_max` tuned the steepest-ascent iteration this
+    ascent replaced; they are accepted and ignored.
+    """
+
+    max_iter: int = 50_000  # L-BFGS iterations per run
     residual_tol: float = 1e-6
-    restarts: int = 5
-    seed: int = 0
-    outcomes: int = 2  # POVM elements carried by the ascent
+    restarts: int = 5  # most L-BFGS runs; each resumes where the last one stopped
+    seed: int = 0  # seeds the perturbation of the first start
+    outcomes: int = 2  # the ascent carries max(outcomes, 2 r) rank-one elements
+    lam_max: float = 0.5  # ignored
+    polish_max: int = 5000  # ignored
 
 
 @dataclass
@@ -181,17 +188,25 @@ class AscentReport:
     restart_values: list = field(default_factory=list)
 
 
-def _dagger(ms: np.ndarray) -> np.ndarray:
-    return ms.conj().swapaxes(-1, -2)
+# iterations between two residual checks of an L-BFGS run
+_CHECK_EVERY = 50
+# L-BFGS correction pairs
+_MAXCOR = 30
+# scale of the Gaussian perturbation of the first start
+_START_NOISE = 0.05
+
+
+def _log_ratio(q: np.ndarray, joint: np.ndarray, guard: float) -> np.ndarray:
+    """log2 p(x, y) / (q_x p(y)), zero where an entry is below the guard."""
+    py = joint.sum(axis=0)
+    live = (joint >= guard) & (py >= guard)
+    return np.log2(np.where(live, joint, 1.0) / np.where(live, q[:, None] * py, 1.0))
 
 
 def _info_operators(q: np.ndarray, taus: np.ndarray, joint: np.ndarray, guard: float) -> np.ndarray:
     """Stack of the gradient-like operators R_y for the given joint table."""
-    py = joint.sum(axis=0)
-    live = (joint >= guard) & (py >= guard)
-    ratio = np.where(live, joint, 1.0) / np.where(live, q[:, None] * py, 1.0)
-    r = np.einsum("xy,xij->yij", np.where(live, q[:, None] * np.log2(ratio), 0.0), taus)
-    return 0.5 * (r + _dagger(r))
+    r = np.einsum("xy,xij->yij", q[:, None] * _log_ratio(q, joint, guard), taus)
+    return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 
 def _residual(ens: BinaryEnsemble, povm: Povm, guard: float) -> float:
@@ -202,207 +217,106 @@ def _residual(ens: BinaryEnsemble, povm: Povm, guard: float) -> float:
     return float(np.max(np.abs(ms @ gamma - ms @ r)))
 
 
-def _renormalize(ms: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """S^{-1/2} M S^{-1/2} for each element of the stack, S the stack's sum."""
-    s_inv = matrix_function_sqrt_inv(ms.sum(axis=0), tol)
-    out = s_inv @ ms @ s_inv
-    return 0.5 * (out + _dagger(out))
-
-
-def _repair_psd(ms: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Clip roundoff-negative eigenvalues and restore completeness.
-
-    The conjugation update only preserves positivity up to roundoff; when
-    drift exceeds the PSD floor the elements are projected back onto the
-    PSD cone and renormalized (a perturbation at the drift scale, ~1e-10).
-    """
-    w, v = np.linalg.eigh(ms)
-    clipped = (v * np.clip(w, 0.0, None)[:, None, :]) @ _dagger(v)
-    return _renormalize(0.5 * (clipped + _dagger(clipped)), tol)
-
-
 def _support_basis(ens: BinaryEnsemble, tol: Tolerances) -> np.ndarray:
-    """Orthonormal columns spanning the support of q1 tau1 + q2 tau2.
+    """Orthonormal real columns spanning the support of q1 tau1 + q2 tau2.
 
     Eigenvalues count as nonzero above numpy's matrix_rank cutoff,
     w_max * d * eps.
     """
     q1, q2 = ens.priors
-    w, v = hermitian_eig(q1 * ens.states[0] + q2 * ens.states[1], tol)
+    w, v = hermitian_eig(np.real(q1 * ens.states[0] + q2 * ens.states[1]), tol)
     return v[:, w > w.max() * ens.size * np.finfo(float).eps]
 
 
-def _invariant_basis(support: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Orthonormal columns of the smallest subspace that holds the support
-    and that every element of `start` maps into itself.
+def _rank_one_povm(x: np.ndarray) -> np.ndarray:
+    """The rows phi_y of Phi = X (X^T X)^{-1/2}; M_y = phi_y phi_y^T sum to I."""
+    s, u = np.linalg.eigh(x.T @ x)
+    return x @ (u / np.sqrt(s)) @ u.T
 
-    Directions are added while the elements carry the basis out of its
-    span by more than numpy's matrix_rank cutoff, d * eps (POVM elements
-    have norm at most 1).
+
+def _objective(x: np.ndarray, q: np.ndarray, taus: np.ndarray, guard: float):
+    """Minus the information of the rank-one POVM of X, and its gradient in X.
+
+    The gradient in phi_y is 2 R_y phi_y. It is pulled back through the
+    inverse square root of S = X^T X with the Daleckii-Krein divided
+    differences of s^{-1/2} over the eigenvalues of S.
     """
-    dim = support.shape[0]
-    basis = support
-    while basis.shape[1] < dim:
-        spill = np.concatenate(tuple(start @ basis), axis=1)
-        spill = spill - basis @ (basis.conj().T @ spill)
-        u, s, _ = np.linalg.svd(spill, full_matrices=False)
-        grow = u[:, s > dim * np.finfo(float).eps][:, : dim - basis.shape[1]]
-        if grow.shape[1] == 0:
-            break
-        # directions just above the cutoff carry rounding along the basis
-        grow = np.linalg.qr(grow - basis @ (basis.conj().T @ grow))[0]
-        basis = np.concatenate((basis, grow), axis=1)
-    return basis
-
-
-def _ascend(ens: BinaryEnsemble, support: np.ndarray, start: np.ndarray, cfg: AscentConfig, tol: Tolerances):
-    """Steepest ascent from `start` (a stack of full-space elements).
-
-    The states live on the support, so a subspace W that holds the support
-    and that each start element maps into itself stays invariant under
-    every step: R_y and Gamma act inside W, the step conjugates W and its
-    complement separately, and the complement block of each element keeps
-    its start value. The iteration therefore runs on the compressions
-    W^dagger . W (W is the support itself when the start does not couple
-    it to its complement), and the result is lifted back with the start's
-    complement blocks. The stop test and the reported residual use the
-    lifted POVM.
-    """
-    basis = _invariant_basis(support, start)
-    q = np.asarray(ens.priors, dtype=float)
-    wh = basis.conj().T
-    taus = wh @ np.asarray(ens.states) @ basis
-    ms = wh @ start @ basis
-    k, n = ms.shape[0], ms.shape[1]
-    eye = np.eye(n)
-    out = np.eye(ens.size) - basis @ wh
-    rest = out @ start @ out
-
-    def lifted(ms):
-        elements = tuple(basis @ ms @ wh + rest)
-        return Povm(elements) if k != 2 else BinaryPovm(elements)
-
-    joint = _joint(q, taus, ms)
-    info = mutual_information_from_joint(joint, q)
-    r = _info_operators(q, taus, joint, tol.prob_guard)
-    gamma = (r @ ms).sum(axis=0)
-    lam = cfg.lam
-    iters = 0
-    polish = 0
-    while iters < cfg.max_iter:
-        g = eye + lam * (r - gamma)
-        new = _renormalize(_dagger(g) @ ms @ g, tol)
-        try:
-            Povm(tuple(new)).validate(tol)
-        except ValueError:
-            new = _repair_psd(new, tol)
-            Povm(tuple(new)).validate(tol)
-        joint_new = _joint(q, taus, new)
-        info_new = mutual_information_from_joint(joint_new, q)
-        iters += 1
-        if info_new < info - 1e-9:
-            # overshoot: reject the step and shrink the step size
-            lam *= 0.5
-            if lam < 1e-12:
-                break
-            continue
-        gain = info_new - info
-        ms, info = new, info_new
-        r = _info_operators(q, taus, joint_new, tol.prob_guard)
-        gamma = (r @ ms).sum(axis=0)
-        lam = min(lam * 1.2, cfg.lam_max)
-        if gain < cfg.tol:
-            # information has plateaued; keep polishing until the stationary
-            # conditions are met as well, within a bounded extra budget
-            polish += 1
-            if polish > cfg.polish_max:
-                break
-            if _residual(ens, lifted(ms), tol.prob_guard) <= cfg.residual_tol:
-                break
-    povm = lifted(ms)
-    return povm, info, iters, _residual(ens, povm, tol.prob_guard)
-
-
-def _random_povm(dim: int, outcomes: int, rng: np.random.Generator, tol: Tolerances) -> np.ndarray:
-    raw = []
-    for _ in range(outcomes):
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        raw.append(z @ z.conj().T)
-    raw = np.array(raw)
-    return _renormalize(0.5 * (raw + _dagger(raw)), tol)
-
-
-def _ascent_starts(ens: BinaryEnsemble, cfg: AscentConfig, tol: Tolerances) -> list:
-    """Deterministic seed start plus randomly perturbed restarts, as element stacks."""
-    dim = ens.size
-    k = cfg.outcomes
-    eye = np.eye(dim, dtype=complex)
-    _, hel = helstrom_measurement(ens, tol)
-    if k == 2:
-        base = np.array(hel.elements)
-    else:
-        # split each Helstrom element evenly over the extra outcomes
-        base = [m / (k // 2) for m in hel.elements for _ in range(k // 2)]
-        base = np.array(base + [np.zeros_like(eye)] * (k - len(base)))
-    w0 = 1e-3
-
-    def flat_mix(elements):
-        return (1 - w0) * elements + w0 * eye / k
-
-    starts = [flat_mix(base)]
-    rng = np.random.default_rng(cfg.seed)
-    if k > 2:
-        # photon-counting-like starts: number projectors with the tail
-        # merged, plain and displaced by each hypothesis' mean field
-        from scipy.linalg import expm
-
-        counters = np.zeros((k, dim, dim), dtype=complex)
-        for n in range(dim):
-            counters[min(n, k - 1), n, n] = 1.0
-        ladder = np.zeros_like(eye)
-        idx = np.arange(1, dim)
-        ladder[idx - 1, idx] = np.sqrt(idx)
-        starts.append(flat_mix(counters))
-        for tau in ens.states:
-            beta = complex(np.trace(tau @ ladder))
-            disp = expm(-beta * ladder.conj().T + np.conj(beta) * ladder)
-            shifted = disp @ counters @ disp.conj().T
-            starts.append(flat_mix(0.5 * (shifted + _dagger(shifted))))
-    while len(starts) < cfg.restarts:
-        w = rng.uniform(0.05, 0.3)
-        starts.append((1 - w) * base + w * _random_povm(dim, k, rng, tol))
-    return starts[: cfg.restarts] if cfg.restarts > 0 else starts[:1]
+    x = x.reshape(-1, taus.shape[1])
+    s, u = np.linalg.eigh(x.T @ x)
+    root = np.sqrt(s)
+    inv_root = (u / root) @ u.T
+    phi = x @ inv_root
+    t = taus @ phi.T  # t[x, :, y] = tau_x phi_y
+    joint = q[:, None] * np.einsum("yi,xiy->xy", phi, t)
+    log_ratio = _log_ratio(q, joint, guard)
+    g = 2.0 * np.einsum("xy,xiy->yi", q[:, None] * log_ratio, t)
+    a = u.T @ (x.T @ g) @ u
+    divided = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+    grad = g @ inv_root + x @ (u @ ((a + a.T) * divided) @ u.T)
+    return -float(np.sum(joint * log_ratio)), -grad.ravel()
 
 
 def accessible_information(
     ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig(), tol: Tolerances = DEFAULT_TOL
 ) -> AscentReport:
-    """Steepest-ascent estimate of the accessible information.
+    """Quasi-Newton estimate of the accessible information.
 
-    The first start is the Helstrom POVM mixed with the flat POVM at weight
-    1e-3 (the gradient operators are ill-defined at exactly zero outcome
-    probabilities); further restarts mix in random POVMs, plus a
-    photon-counting-like start when more than two outcomes are carried.
-    Each run works on the smallest subspace that holds the support of
-    q1 tau1 + q2 tau2 and is invariant under its start (see `_ascend`).
-    The best run is reported together with all restart values.
+    Rank-one elements suffice (Davies 1978), and for real states so do
+    real ones. On a real orthonormal basis V of the support of
+    q1 tau1 + q2 tau2 (rank r), the POVM is M_y = phi_y phi_y^T with phi_y
+    the rows of Phi = X (X^T X)^{-1/2}, X real K x r and
+    K = max(outcomes, 2 r). L-BFGS-B maximises the information over X; a
+    run stops when the stationarity residual of the lifted POVM
+    V M_y V^T + (I - V V^T) / K reaches `residual_tol` (checked every 50
+    iterations) or after `max_iter` iterations. The first run starts from
+    the eigenbasis of the weighted difference on the support, stacked,
+    plus a seeded Gaussian perturbation; each further run, up to
+    `restarts` runs in all, resumes from the last end point with fresh
+    curvature memory. `restart_values` holds the value after each run.
     """
     ens.validate(tol)
+    states = np.asarray(ens.states)
+    if np.max(np.abs(np.imag(states))) > tol.hermiticity:
+        raise ValueError("accessible_information needs real symmetric states")
+    q = np.asarray(ens.priors, dtype=float)
     support = _support_basis(ens, tol)
+    taus = support.T @ np.real(states) @ support
+    r = support.shape[1]
+    k = max(cfg.outcomes, 2 * r)
+    rest = (np.eye(ens.size) - support @ support.T) / k
 
-    best = None
-    values = []
-    for start in _ascent_starts(ens, cfg, tol):
-        povm, info, iters, residual = _ascend(ens, support, start, cfg, tol)
-        values.append(info)
-        run = AscentReport(
-            povm=povm,
-            mutual_information=info,
-            iterations=iters,
-            stationarity_residual=residual,
-            converged=residual <= cfg.residual_tol,
+    def lifted(x):
+        phi = _rank_one_povm(x.reshape(k, r)) @ support.T
+        return Povm(tuple(phi[:, :, None] * phi[:, None, :] + rest))
+
+    def stationary(intermediate_result):
+        x = intermediate_result.x
+        if next(count) % _CHECK_EVERY == 0 and _residual(ens, lifted(x), tol.prob_guard) <= cfg.residual_tol:
+            raise StopIteration
+
+    _, e = hermitian_eig(q[0] * taus[0] - q[1] * taus[1], tol)
+    x = np.tile(e.T, (-(-k // r), 1))[:k] * np.sqrt(r / k)
+    x = x + _START_NOISE * np.random.default_rng(cfg.seed).standard_normal((k, r))
+    options = {"maxcor": _MAXCOR, "maxiter": cfg.max_iter, "maxfun": 2 * cfg.max_iter, "ftol": 0.0, "gtol": 0.0}
+    iters, values = 0, []
+    for _ in range(max(cfg.restarts, 1)):
+        count = itertools.count(1)  # this run's iterations, read by `stationary`
+        run = sciopt.minimize(
+            _objective, x.ravel(), args=(q, taus, tol.prob_guard), jac=True, method="L-BFGS-B",
+            callback=stationary, options=options,
         )
-        if best is None or run.mutual_information > best.mutual_information:
-            best = run
-    best.restart_values = values
-    return best
+        x, iters = run.x, iters + run.nit
+        povm = lifted(x)
+        values.append(mutual_information(ens, povm))
+        res = _residual(ens, povm, tol.prob_guard)
+        if res <= cfg.residual_tol:
+            break
+    povm.validate(tol)
+    return AscentReport(
+        povm=povm,
+        mutual_information=values[-1],
+        iterations=iters,
+        stationarity_residual=res,
+        converged=res <= cfg.residual_tol,
+        restart_values=values,
+    )

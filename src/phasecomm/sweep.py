@@ -19,7 +19,7 @@ from .atomic import optimize
 from .config import DEFAULT_TOL
 from .discrimination import AscentConfig, accessible_information, helstrom_bound
 from .errors import ConfigError, GridMismatch, PhasecommError
-from .fock import FockDim, default_cutoff
+from .fock import FockDim, default_cutoff, poisson_tail
 from .pnr import PnrConfig, map_error_probability, map_mutual_information, optimize_displacement
 from .signals import bpsk, build_ensemble, ook
 
@@ -28,6 +28,10 @@ __all__ = ["SweepConfig", "run_sweep", "find_crossing", "write_csv", "write_json
 _SIGNALS = ("BPSK", "OOK")
 _RECEIVER_TYPES = ("helstrom", "atomic", "accinfo", "pnr")
 _BETA_MODES = ("null-first", "optimized")
+# Largest Fock cutoff a config may set or need: within it the Poisson tail of
+# the largest amplitude must fall below the tail tolerance. BPSK at 10 mean
+# photons needs 39; one dense operator at this cutoff takes 2.6 MB.
+MAX_FOCK_CUTOFF = 400
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,9 @@ class SweepConfig:
             priors = tuple(float(p) for p in d.get("priors", [0.5, 0.5]))
             if len(priors) != 2 or abs(sum(priors) - 1.0) > 1e-12 or min(priors) < 0:
                 raise ConfigError(f"priors {priors} are not a binary distribution")
+            params = (bpsk if signal == "BPSK" else ook)(nbar, 0.0, priors[0])
+            if poisson_tail(max(abs(params.alpha1), abs(params.alpha2)), MAX_FOCK_CUTOFF) >= DEFAULT_TOL.tail:
+                raise ConfigError(f"mean_photons {nbar} needs a Fock cutoff above {MAX_FOCK_CUTOFF}")
             grid = d["sigma_grid"]
             start, stop, steps = float(grid["start"]), float(grid["stop"]), int(grid["steps"])
             if not (math.isfinite(start) and math.isfinite(stop)) or start < 0 or stop < start or steps < 1:
@@ -88,12 +95,13 @@ class SweepConfig:
                             "exact grid over Phi and has no starts any more"
                         )
                 if r["type"] == "accinfo":
+                    # "lam_max" and "polish_max" are accepted and ignored
                     r.setdefault("restarts", 5)
-                    # 4 outcomes so the estimate envelopes the multi-outcome
-                    # photon-counting receivers as well
                     r.setdefault("outcomes", 4)
                 receivers.append(r)
             cutoff = d.get("fock_cutoff")
+            if cutoff is not None and not 1 <= int(cutoff) <= MAX_FOCK_CUTOFF:
+                raise ConfigError(f"fock_cutoff must lie in [1, {MAX_FOCK_CUTOFF}], got {cutoff}")
             return cls(
                 signal=signal,
                 mean_photons=nbar,
@@ -155,9 +163,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
             acfg = AscentConfig(
                 restarts=int(rec["restarts"]),
                 outcomes=int(rec["outcomes"]),
-                polish_max=int(rec.get("polish_max", 5000)),
                 max_iter=int(rec.get("max_iter", 50_000)),
-                lam_max=float(rec.get("lam_max", 0.5)),
                 seed=point_seed,
             )
             rep = accessible_information(ensemble(), acfg)

@@ -244,6 +244,56 @@ def test_criterion_3_optimality_envelopes(
     assert not failures
 
 
+# i_accessible of the steepest-ascent iteration that the quasi-Newton ascent
+# replaced (restarts 4, outcomes 4, lam_max 2.0, commit 5c663b2), on the
+# 25-point grids of sweep_bpsk_05 and sweep_bpsk_075. It stopped short of
+# its residual tolerance on 48 of these 50 rows, up to 6.4e-3 bits low.
+STEEPEST_ASCENT_VALUES = {
+    0.5: [
+        0.7808196892653794, 0.7787378776945229, 0.772776672186464,
+        0.7634082711015995, 0.7512994302821396, 0.7370168486121246,
+        0.72055211141279, 0.7021661245409258, 0.6818278913104279,
+        0.65941126128177, 0.6347789883786784, 0.6078653391350979,
+        0.5787347217644669, 0.5476026880729068, 0.5148215434324033,
+        0.4808433329456791, 0.4461747965612173, 0.411335194693484,
+        0.37682032767192647, 0.34307974934103375, 0.3104995850910679,
+        0.27939380987485163, 0.2500012837161873, 0.22249060564950712,
+        0.1969653743870568,
+    ],
+    0.75: [
+        0.9023899240953654, 0.9003345465613453, 0.8943937940885414,
+        0.8852914393390409, 0.873882388085309, 0.8600475611492621,
+        0.8442404520858757, 0.8263883075413607, 0.8061908945008435,
+        0.7832332284350434, 0.757131929620098, 0.7276764007890878,
+        0.6949190075051449, 0.6591919449357587, 0.621082434882908,
+        0.5812873100877325, 0.5404507812356147, 0.49909591079461096,
+        0.45771027567609435, 0.4169533479492713, 0.37737871245485677,
+        0.3394077284288581, 0.30359589583695534, 0.27000721134560274,
+        0.23884597841173366,
+    ],
+}
+
+
+def von_neumann_bits(rho: np.ndarray) -> float:
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 0]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def test_accessible_information_converges_between_old_ascent_and_holevo(sweep_bpsk_05, sweep_bpsk_075):
+    failures = []
+    for nbar, rows in ((0.5, sweep_bpsk_05), (0.75, sweep_bpsk_075)):
+        for row, old in zip(rows, STEEPEST_ASCENT_VALUES[nbar], strict=True):
+            t1, t2 = build_ensemble(bpsk(nbar, row["sigma"]), FockDim(row["cutoff"])).states
+            chi = von_neumann_bits(0.5 * t1 + 0.5 * t2) - 0.5 * von_neumann_bits(t1) - 0.5 * von_neumann_bits(t2)
+            i_acc = row["i_accessible"]
+            if row["accinfo_converged"] != 1:
+                failures.append(f"BPSK {nbar} sigma={row['sigma']:.2f}: residual {row['accinfo_residual']:.2e}")
+            if i_acc < old - 1e-12 or i_acc > chi:
+                failures.append(f"BPSK {nbar} sigma={row['sigma']:.2f}: {i_acc!r} outside [{old!r}, chi {chi!r}]")
+    assert not failures, "; ".join(failures)
+
+
 # Verified optimum of the atomic receiver family for BPSK at mean photons
 # 0.5, per sigma: (p_helstrom, p_atomic - p_helstrom). Derived outside the
 # library's own code paths: the Helstrom values by Gauss-Hermite quadrature
@@ -343,14 +393,14 @@ def test_criterion_5_steepest_ascent_correctness():
     rep = accessible_information(ens, AscentConfig())
     expected = 1.0 - binary_entropy(analytic_bpsk_error(0.5))
     dev = abs(rep.mutual_information - expected)
-    rep.povm.validate()  # invariants also asserted inside every iteration
+    rep.povm.validate()  # rank-one elements on the support: valid by construction
     ok = dev <= 1e-4 and rep.stationarity_residual <= 1e-6
     report(
         5,
         ok,
         f"I={rep.mutual_information:.9f} vs oracle {expected:.9f} "
         f"(|dev| {dev:.2e}, tol 1e-4), residual {rep.stationarity_residual:.2e} "
-        f"(tol 1e-6), POVM invariants checked each iteration",
+        f"(tol 1e-6), POVM invariants checked on the result",
     )
     assert dev <= 1e-4
     assert rep.stationarity_residual <= 1e-6

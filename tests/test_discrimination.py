@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from phasecomm import (
     mutual_information,
 )
 from phasecomm.config import DEFAULT_TOL
-from phasecomm.discrimination import _ascend, _invariant_basis, _residual, _support_basis
+from phasecomm.discrimination import _objective, _residual, _support_basis
 from phasecomm.signals import bpsk, build_ensemble
 
 
@@ -87,6 +89,16 @@ class TestHelstromBound:
         bound, povm = helstrom_measurement(ens)
         assert error_probability(ens, povm) == pytest.approx(bound, abs=1e-11)
 
+    @pytest.mark.parametrize("sigma", [0.6, 1.2])
+    def test_measurement_drops_rounding_level_eigenvectors(self, sigma):
+        # the positive eigenvalues of the weighted difference above
+        # w_max d eps run from 0.38 (0.22) down to 3.6e-14 (2.9e-14), the
+        # next one is below 1e-16; keeping every w > 0 gave rank 15
+        ens = build_ensemble(bpsk(0.5, sigma), DIM)
+        bound, povm = helstrom_measurement(ens)
+        assert np.linalg.matrix_rank(povm.elements[0]) == 7
+        assert error_probability(ens, povm) == pytest.approx(bound, abs=1e-12)
+
     def test_nondecreasing_in_sigma(self):
         vals = [
             helstrom_bound(build_ensemble(bpsk(0.5, s), DIM))
@@ -148,72 +160,82 @@ class TestAccessibleInformation:
     def test_reports_all_restart_values(self):
         ens = build_ensemble(bpsk(0.5, 0.3), DIM)
         rep = accessible_information(ens, AscentConfig(restarts=3, seed=5))
-        assert len(rep.restart_values) == 3
-        assert max(rep.restart_values) == pytest.approx(rep.mutual_information)
+        assert 1 <= len(rep.restart_values) <= 3
+        assert rep.mutual_information == rep.restart_values[-1]
+        # each run resumes where the last one stopped
+        assert all(b >= a - 1e-12 for a, b in zip(rep.restart_values, rep.restart_values[1:]))
+        assert rep.converged
 
     def test_povm_invariants_at_output(self):
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)
         rep = accessible_information(ens, AscentConfig(restarts=1))
         rep.povm.validate()
 
+    def test_rejects_complex_states(self):
+        ens = fock_projector_ensemble()
+        phase = np.diag(np.exp(1j * np.arange(4)))
+        plus = np.full((4, 4), 0.25, dtype=complex)
+        twisted = BinaryEnsemble(priors=(0.5, 0.5), states=(ens.states[0], phase @ plus @ phase.conj().T))
+        with pytest.raises(ValueError, match="real"):
+            accessible_information(twisted)
+
+
+class TestQuasiNewtonAscent:
+    """L-BFGS over X in R^{K x r}: Phi = X (X^T X)^{-1/2}, M_y = phi_y phi_y^T on the support."""
+
+    def test_gradient_matches_central_difference(self):
+        ens = build_ensemble(bpsk(0.5, 0.6), DIM)
+        support = _support_basis(ens, DEFAULT_TOL)
+        r = support.shape[1]
+        taus = support.T @ np.real(np.asarray(ens.states)) @ support
+        q = np.asarray(ens.priors)
+        x = np.random.default_rng(11).standard_normal(2 * r * r)
+        _, grad = _objective(x, q, taus, DEFAULT_TOL.prob_guard)
+        h = 1e-5
+        numeric = np.array([
+            (_objective(x + h * e, q, taus, DEFAULT_TOL.prob_guard)[0]
+             - _objective(x - h * e, q, taus, DEFAULT_TOL.prob_guard)[0]) / (2 * h)
+            for e in np.eye(x.size)
+        ])
+        assert np.linalg.norm(numeric - grad) <= 1e-6 * np.linalg.norm(grad)
+
+    def test_runs_resume_and_stop_at_the_first_converged_run(self):
+        ens = build_ensemble(bpsk(0.5, 0.6), DIM)
+        short = AscentConfig(outcomes=4, max_iter=100, restarts=2)
+        two = accessible_information(ens, short)
+        assert not two.converged
+        assert two.iterations == 200
+        # a fresh start would repeat the first run's value
+        assert two.restart_values[1] > two.restart_values[0]
+        assert two.restart_values[0] == accessible_information(ens, replace(short, restarts=1)).mutual_information
+
+        rep = accessible_information(ens, replace(short, restarts=50))
+        runs = len(rep.restart_values)
+        assert rep.converged and runs <= 50
+        fewer = accessible_information(ens, replace(short, restarts=runs - 1))
+        assert not fewer.converged
+        assert fewer.restart_values == rep.restart_values[:-1]
+
 
 class TestAscentOnSupport:
-    """The ascent runs on a subspace that holds the support and lifts its result back."""
-
-    SHORT = AscentConfig(restarts=1, outcomes=4, max_iter=200)
-    # BPSK 0.5 with the SHORT budget: (sigma, value, residual) measured with
-    # the full-space ascent at commit eea53343e0084db5ac6be73c2bca94c9f46adaa1
-    PARENT_PINS = [
-        (0.05, 0.7786353430031616, 2.3560298435809646e-07),
-        (0.6, 0.5309965344493945, 1.9174902445975695e-07),
-    ]
+    """The ascent runs on the ensemble support and lifts its result back."""
 
     def test_cutoff_invariance(self):
-        values = [
-            accessible_information(build_ensemble(bpsk(0.5, 0.6), FockDim(c)), self.SHORT).mutual_information
-            for c in (30, 45)
-        ]
-        assert values[0] == pytest.approx(values[1], abs=1e-12)
+        # converged values agree to the spread across seeds (1e-9 at
+        # sigma 0.6, 2e-8 at 1.2)
+        for sigma in (0.6, 1.2):
+            reports = [
+                accessible_information(build_ensemble(bpsk(0.5, sigma), FockDim(c)), AscentConfig(outcomes=4))
+                for c in (30, 45)
+            ]
+            assert all(rep.converged for rep in reports)
+            assert reports[0].mutual_information == pytest.approx(reports[1].mutual_information, abs=1e-6)
 
     def test_lifted_povm_is_full_and_carries_the_residual(self):
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)
-        rep = accessible_information(ens, self.SHORT)
-        assert len(rep.povm.elements) == 4
+        rep = accessible_information(ens, AscentConfig(outcomes=4))
+        # K = max(outcomes, 2 r) rank-one elements on the support
+        assert len(rep.povm.elements) == 2 * _support_basis(ens, DEFAULT_TOL).shape[1]
         assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
         rep.povm.validate()
         assert rep.stationarity_residual == _residual(ens, rep.povm, DEFAULT_TOL.prob_guard)
-
-    @pytest.mark.parametrize("sigma, value, residual", PARENT_PINS)
-    def test_matches_full_space_ascent(self, sigma, value, residual):
-        rep = accessible_information(build_ensemble(bpsk(0.5, sigma), DIM), self.SHORT)
-        assert rep.mutual_information == pytest.approx(value, abs=1e-12)
-        assert rep.stationarity_residual == pytest.approx(residual, abs=1e-14)
-        assert rep.iterations == 200
-
-    def test_start_coupling_support_to_complement_follows_full_space(self):
-        # A start that carries the support into its complement: the softened
-        # Helstrom projector with the dominant support direction turned by
-        # 0.4 rad towards the complement. Dropping the coupling block moves
-        # this run by about 3e-9 bits and 3e-2 in residual.
-        ens = build_ensemble(bpsk(0.5, 0.6), DIM)
-        support = _support_basis(ens, DEFAULT_TOL)
-        d = ens.size
-        v = support[:, -1]
-        u = np.eye(d)[:, -1] - support @ support[-1].conj()
-        u /= np.linalg.norm(u)
-        c, s = np.cos(0.4), np.sin(0.4)
-        rot = np.eye(d) + (c - 1) * (np.outer(v, v) + np.outer(u, u)) + s * (np.outer(u, v) - np.outer(v, u))
-        w, vecs = np.linalg.eigh(0.5 * ens.states[0] - 0.5 * ens.states[1])
-        pos = vecs[:, w > 1e-8]
-        m1 = rot @ (0.7 * pos @ pos.T + 0.15 * np.eye(d)) @ rot.T
-        start = np.array([m1, np.eye(d) - m1])
-        outside = np.eye(d) - support @ support.conj().T
-        assert np.max(np.abs(support.conj().T @ start @ outside)) > 0.1
-        assert _invariant_basis(support, start).shape[1] < d
-
-        cfg = AscentConfig(outcomes=2, max_iter=10)
-        povm, info, _, residual = _ascend(ens, support, start, cfg, DEFAULT_TOL)
-        full_povm, full_info, _, full_residual = _ascend(ens, np.eye(d), start, cfg, DEFAULT_TOL)
-        assert info == pytest.approx(full_info, abs=1e-12)
-        assert residual == pytest.approx(full_residual, abs=1e-12)
-        assert np.max(np.abs(np.array(povm.elements) - np.array(full_povm.elements))) < 1e-12

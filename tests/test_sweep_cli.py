@@ -8,6 +8,7 @@ from phasecomm.cli import main
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import bpsk, build_ensemble
 from phasecomm.sweep import (
+    MAX_FOCK_CUTOFF,
     SweepConfig,
     compute_point,
     csv_text,
@@ -70,11 +71,23 @@ class TestSweepConfig:
             {"sigma_grid": {"start": float("inf"), "stop": float("inf"), "steps": 5}},
             {"receivers": [{"type": "pnr", "displacement": float("nan")}]},
             {"receivers": [{"type": "pnr", "visibility": 1.5}]},
+            {"mean_photons": 1e4},
+            {"signal": "OOK", "mean_photons": 10.0, "priors": [0.99, 0.01]},
+            {"fock_cutoff": MAX_FOCK_CUTOFF + 1},
+            {"fock_cutoff": 0},
         ],
     )
     def test_rejects_bad_config(self, bad):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(base_config(**bad))
+
+    @pytest.mark.parametrize(
+        "signal, mean_photons, q1, cutoff",
+        [("BPSK", 10.0, 0.5, 39), ("OOK", 10.0, 0.5, 59), ("OOK", 10.0, 0.95, 307)],
+    )
+    def test_accepts_amplitudes_within_the_cutoff_limit(self, signal, mean_photons, q1, cutoff):
+        cfg = SweepConfig.from_dict(base_config(signal=signal, mean_photons=mean_photons, priors=[q1, 1 - q1]))
+        assert compute_point(cfg, 0.0, 0)["cutoff"] == cutoff <= MAX_FOCK_CUTOFF
 
     @pytest.mark.parametrize("amplitude", [float("inf"), -float("inf"), float("nan")])
     def test_default_cutoff_rejects_non_finite_amplitude(self, amplitude):
@@ -210,6 +223,16 @@ class TestCli:
         assert '"mean_photons": Infinity' in open(cfg, encoding="utf-8").read()
         assert main(["sweep", "--config", cfg]) == 2
         assert "mean_photons" in capsys.readouterr().err
+
+    def test_huge_mean_photons_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, base_config(mean_photons=1e4))
+        assert main(["point", "--config", cfg, "--sigma", "0.6"]) == 2
+        assert "mean_photons" in capsys.readouterr().err
+
+    def test_cutoff_override_is_checked(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, base_config())
+        assert main(["point", "--config", cfg, "--sigma", "0.6", "--cutoff", str(MAX_FOCK_CUTOFF + 1)]) == 2
+        assert "fock_cutoff" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])
     def test_point_rejects_bad_sigma(self, tmp_path, capsys, sigma):

@@ -38,7 +38,6 @@ from .errors import (
     DimensionMismatch,
     GridMismatch,
     PhasecommError,
-    QuadratureUnderflow,
     SeriesTruncationError,
     TailTooHeavy,
 )

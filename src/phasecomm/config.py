@@ -25,8 +25,6 @@ class Tolerances:
     prob_guard: float = 1e-15
     # last retained series term must stay below this fraction of the sum
     series_tail: float = 1e-14
-    # allowed loss of Gauss-Hermite weight normalization
-    quadrature_norm: float = 1e-8
 
 
 DEFAULT_TOL = Tolerances()

@@ -15,7 +15,7 @@ from scipy import optimize as sciopt
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatch
-from .fock import check_hermitian, hermitian_eig
+from .fock import check_hermitian, hermitian_eig, trace_norm
 
 __all__ = [
     "BinaryEnsemble",
@@ -100,28 +100,35 @@ def error_probability(ens: BinaryEnsemble, povm: BinaryPovm) -> float:
     return 1.0 - hit
 
 
-def helstrom_measurement(ens: BinaryEnsemble, tol: Tolerances = DEFAULT_TOL):
-    """Minimum-error bound and the projective POVM achieving it.
-
-    The bound is 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1; outcome 1 projects onto
-    the positive eigenspace of the weighted difference.
-    """
+def _weighted_difference(ens: BinaryEnsemble, tol: Tolerances) -> np.ndarray:
     ens.validate(tol)
     q1, q2 = ens.priors
     lam = q1 * ens.states[0] - q2 * ens.states[1]
-    lam = 0.5 * (lam + lam.conj().T)
-    w, v = hermitian_eig(lam, tol)
-    bound = 0.5 - 0.5 * float(np.sum(np.abs(w)))
-    # eigenvalues at rounding level (numpy's matrix_rank cutoff) are null
-    pos = v[:, w > np.abs(w).max() * lam.shape[0] * np.finfo(float).eps]
-    m1 = pos @ pos.conj().T
-    m1 = 0.5 * (m1 + m1.conj().T)
-    m2 = np.eye(lam.shape[0], dtype=complex) - m1
-    return bound, BinaryPovm((m1, m2))
+    return 0.5 * (lam + lam.conj().T)
 
 
 def helstrom_bound(ens: BinaryEnsemble, tol: Tolerances = DEFAULT_TOL) -> float:
-    return helstrom_measurement(ens, tol)[0]
+    """Minimum error over all measurements, 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1."""
+    return 0.5 - 0.5 * trace_norm(_weighted_difference(ens, tol), tol)
+
+
+def helstrom_measurement(ens: BinaryEnsemble, tol: Tolerances = DEFAULT_TOL):
+    """The Helstrom bound and the projective POVM achieving it.
+
+    Outcome 1 projects onto the positive eigenspace of the weighted
+    difference restricted to the support V of the ensemble,
+    M1 = V Q Q^dagger V^dagger, so M1 does not couple the support to its
+    complement.
+    """
+    lam = _weighted_difference(ens, tol)
+    support = _support_basis(ens, tol)
+    w, q = hermitian_eig(support.conj().T @ lam @ support, tol)
+    # eigenvalues at rounding level (numpy's matrix_rank cutoff) are null
+    pos = support @ q[:, w > np.abs(w).max() * lam.shape[0] * np.finfo(float).eps]
+    m1 = pos @ pos.conj().T
+    m1 = 0.5 * (m1 + m1.conj().T)
+    m2 = np.eye(lam.shape[0], dtype=complex) - m1
+    return helstrom_bound(ens, tol), BinaryPovm((m1, m2))
 
 
 def joint_distribution(ens: BinaryEnsemble, povm: Povm) -> np.ndarray:
@@ -218,13 +225,17 @@ def _residual(ens: BinaryEnsemble, povm: Povm, guard: float) -> float:
 
 
 def _support_basis(ens: BinaryEnsemble, tol: Tolerances) -> np.ndarray:
-    """Orthonormal real columns spanning the support of q1 tau1 + q2 tau2.
+    """Orthonormal columns spanning the support of q1 tau1 + q2 tau2.
 
-    Eigenvalues count as nonzero above numpy's matrix_rank cutoff,
-    w_max * d * eps.
+    The columns are real when that operator is, to the hermiticity
+    tolerance. Eigenvalues count as nonzero above numpy's matrix_rank
+    cutoff, w_max * d * eps.
     """
     q1, q2 = ens.priors
-    w, v = hermitian_eig(np.real(q1 * ens.states[0] + q2 * ens.states[1]), tol)
+    rho = q1 * ens.states[0] + q2 * ens.states[1]
+    if np.max(np.abs(np.imag(rho))) <= tol.hermiticity:
+        rho = np.real(rho)
+    w, v = hermitian_eig(rho, tol)
     return v[:, w > w.max() * ens.size * np.finfo(float).eps]
 
 

@@ -21,10 +21,6 @@ class SeriesTruncationError(PhasecommError):
     """The closed-form photon-number series was cut before its tail was negligible."""
 
 
-class QuadratureUnderflow(PhasecommError):
-    """Gauss-Hermite weights lost normalization beyond tolerance."""
-
-
 class ConfigError(PhasecommError):
     """Sweep configuration violates the documented schema."""
 

@@ -3,15 +3,16 @@
 Surrogate for a feedback-excluded receiver: the signal interferes with a
 local displacement of amplitude beta at visibility v, a finite-resolution
 photon counter distinguishes counts 0..m-1 and merges everything above,
-and a maximum-a-posteriori rule decides the hypothesis. The Gaussian
-phase of the channel is averaged by Gauss-Hermite quadrature; the rule is
-built once per order, and one batched kernel evaluates every
-(amplitude, displacement) pair of a call.
+and a maximum-a-posteriori rule decides the hypothesis. The count pmf is
+2 pi-periodic in the channel phase, and the Gaussian phase average is
+taken exactly: an equispaced rule whose weights damp Fourier mode k by
+exp(-sigma^2 k^2 / 2), with the node count derived from each pair's
+bandwidth. One batched kernel evaluates every (amplitude, displacement)
+pair of a call.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -19,7 +20,6 @@ from scipy import special
 
 from .config import DEFAULT_TOL, Tolerances
 from .discrimination import mutual_information_from_joint
-from .errors import QuadratureUnderflow
 from .signals import SignalParams
 
 __all__ = [
@@ -36,7 +36,6 @@ class PnrConfig:
     resolution: int = 1
     visibility: float = 0.998
     displacement: float = 0.0
-    quadrature_points: int = 64
 
     def validate(self) -> None:
         if self.resolution < 1:
@@ -45,73 +44,68 @@ class PnrConfig:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
         if not math.isfinite(self.displacement):
             raise ValueError(f"displacement must be finite, got {self.displacement}")
-        if self.quadrature_points < 16:
-            raise ValueError("quadrature_points must be >= 16")
 
 
-@lru_cache(maxsize=None)
-def _gauss_hermite(order: int) -> tuple:
-    """Nodes and probability weights (summing to 1) of the Gauss-Hermite rule; read-only."""
-    nodes, w = np.polynomial.hermite.hermgauss(order)
-    weights = w / np.sqrt(np.pi)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+def _phase_rule(sigma: float, n: int) -> tuple:
+    """Nodes 2 pi j / n, j = 0..n/2, and weights of the exact Gaussian phase average.
+
+    The wrapped normal damps Fourier mode k by exp(-sigma^2 k^2 / 2); the
+    weights are the inverse real FFT of those factors, with nodes j and
+    n - j folded since the count pmf is even in phi.
+    """
+    j = np.arange(n // 2 + 1)
+    weights = np.fft.irfft(np.exp(-0.5 * sigma * sigma * j**2), n=n)[: n // 2 + 1]
+    weights[1:-1] *= 2.0
+    return 2.0 * np.pi * j / n, weights
 
 
-def _outcome_table(alphas, sigma: float, betas, cfg: PnrConfig, tol: Tolerances) -> np.ndarray:
+def _outcome_table(alphas, sigma: float, betas, cfg: PnrConfig) -> np.ndarray:
     """Outcome distributions for every amplitude and displacement, shape (A, B, m+1).
 
-    `alphas` and `betas` are sequences of scalars; each (alpha, beta) entry
-    equals `outcome_distribution` at that pair bit for bit.
+    `alphas` and `betas` are sequences of scalars. Entries are grouped by
+    their own node count, so each equals `outcome_distribution` at that
+    pair bit for bit.
     """
     cfg.validate()
     m = cfg.resolution
-    if sigma == 0.0:
-        phis = np.array([0.0])
-        weights = np.array([1.0])
-    else:
-        nodes, weights = _gauss_hermite(cfg.quadrature_points)
-        norm = float(weights.sum())
-        if abs(norm - 1.0) > tol.quadrature_norm:
-            raise QuadratureUnderflow(
-                f"Gauss-Hermite weights sum to {norm}, off by more than "
-                f"{tol.quadrature_norm:.0e}"
-            )
-        phis = np.sqrt(2.0) * sigma * nodes
-
     # squares of the scalars as given: numpy's square and libm's pow differ in the last bit
-    a = np.array(alphas, dtype=float)[:, None, None]
-    b = np.array(betas, dtype=float)[None, :, None]
-    a2 = np.array([x**2 for x in alphas], dtype=float)[:, None, None]
-    b2 = np.array([x**2 for x in betas], dtype=float)[None, :, None]
-    n_eff = a2 + b2 - 2 * cfg.visibility * a * b * np.cos(phis)
-    n_eff = np.clip(n_eff, 0.0, None)
+    a = np.array(alphas, dtype=float)[:, None]
+    b = np.array(betas, dtype=float)[None, :]
+    a2 = np.array([x**2 for x in alphas], dtype=float)[:, None]
+    b2 = np.array([x**2 for x in betas], dtype=float)[None, :]
+    cross = 2 * cfg.visibility * a * b
+    # the smallest power of two N >= 64 with N/2 >= 9 sqrt(d) + 16, d = |cross|:
+    # Fourier mode k of the count pmf falls off like exp(-k^2 / 2d)
+    sizes = 2 ** np.ceil(np.log2(np.maximum(18.0 * np.sqrt(np.abs(cross)) + 32.0, 64.0))).astype(int)
     k = np.arange(m)
-    # Poisson pmf per node, averaged with the quadrature weights
-    log_pmf = -n_eff[..., None] + k * np.log(np.clip(n_eff, 1e-300, None))[..., None] - special.gammaln(k + 1)
-    pmf = np.exp(log_pmf)
-    pmf[n_eff == 0.0] = np.where(k == 0, 1.0, 0.0)
-    probs = np.empty(n_eff.shape[:2] + (m + 1,))
-    probs[..., :m] = weights @ pmf
+    probs = np.empty(sizes.shape + (m + 1,))
+    for n in np.unique(sizes):
+        sel = sizes == n
+        phis, weights = _phase_rule(sigma, int(n))
+        n_eff = (a2 + b2)[sel][:, None] - cross[sel][:, None] * np.cos(phis)
+        n_eff = np.clip(n_eff, 0.0, None)
+        # Poisson pmf per node, averaged with the phase weights
+        log_pmf = -n_eff[..., None] + k * np.log(np.clip(n_eff, 1e-300, None))[..., None] - special.gammaln(k + 1)
+        pmf = np.exp(log_pmf)
+        pmf[n_eff == 0.0] = np.where(k == 0, 1.0, 0.0)
+        # the weights oscillate at small sigma, so a vanishing average can round below 0
+        probs[sel, :m] = np.maximum(weights @ pmf, 0.0)
     probs[..., m] = np.maximum(1.0 - probs[..., :m].sum(axis=-1), 0.0)
     return probs
 
 
-def outcome_distribution(
-    alpha: float, sigma: float, cfg: PnrConfig, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarray:
     """Probabilities of counts 0..m-1 and the merged '>= m' outcome.
 
     After imperfect interference with the displacement the detector sees a
     Poisson count at mean alpha^2 + beta^2 - 2 v alpha beta cos(phi),
     averaged over the Gaussian channel phase.
     """
-    return _outcome_table([alpha], sigma, [cfg.displacement], cfg, tol)[0, 0]
+    return _outcome_table([alpha], sigma, [cfg.displacement], cfg)[0, 0]
 
 
-def _conditional_table(params: SignalParams, cfg: PnrConfig, tol: Tolerances) -> np.ndarray:
-    return _outcome_table([params.alpha1, params.alpha2], params.sigma, [cfg.displacement], cfg, tol)[:, 0]
+def _conditional_table(params: SignalParams, cfg: PnrConfig) -> np.ndarray:
+    return _outcome_table([params.alpha1, params.alpha2], params.sigma, [cfg.displacement], cfg)[:, 0]
 
 
 def _map_error(params: SignalParams, cond: np.ndarray) -> float:
@@ -124,23 +118,21 @@ def _map_information(params: SignalParams, cond: np.ndarray, tol: Tolerances) ->
     return mutual_information_from_joint(joint, (params.q1, params.q2), tol.prob_guard)
 
 
-def map_error_probability(
-    params: SignalParams, cfg: PnrConfig, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def map_error_probability(params: SignalParams, cfg: PnrConfig) -> float:
     """Error of the maximum-a-posteriori decision over the count outcomes."""
-    return _map_error(params, _conditional_table(params, cfg, tol))
+    return _map_error(params, _conditional_table(params, cfg))
 
 
 def map_mutual_information(
     params: SignalParams, cfg: PnrConfig, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Mutual information of the full (m+1)-outcome channel, in bits."""
-    return _map_information(params, _conditional_table(params, cfg, tol), tol)
+    return _map_information(params, _conditional_table(params, cfg), tol)
 
 
 def _grid_values(params: SignalParams, cfg: PnrConfig, objective: str, tol: Tolerances, grid) -> list:
     """The objective to minimise at every displacement of the grid, from one kernel call."""
-    table = _outcome_table([params.alpha1, params.alpha2], params.sigma, grid, cfg, tol)
+    table = _outcome_table([params.alpha1, params.alpha2], params.sigma, grid, cfg)
     if objective == "min-error":
         return [_map_error(params, table[:, j]) for j in range(len(grid))]
     return [-_map_information(params, table[:, j], tol) for j in range(len(grid))]
@@ -160,7 +152,7 @@ def optimize_displacement(
     """
     if objective == "min-error":
         def fun(beta):
-            return map_error_probability(params, replace(cfg, displacement=float(beta)), tol)
+            return map_error_probability(params, replace(cfg, displacement=float(beta)))
     elif objective == "max-information":
         def fun(beta):
             return -map_mutual_information(params, replace(cfg, displacement=float(beta)), tol)

@@ -73,6 +73,10 @@ class SweepConfig:
                 if r.get("type") not in _RECEIVER_TYPES:
                     raise ConfigError(f"unknown receiver type {r.get('type')!r}")
                 if r["type"] == "pnr":
+                    if "quadrature_points" in r:
+                        raise ConfigError(
+                            "pnr receiver: quadrature_points is not accepted; the phase average is now exact"
+                        )
                     r.setdefault("resolution", 1)
                     r.setdefault("visibility", 0.998)
                     r.setdefault("beta_mode", "null-first")
@@ -83,7 +87,6 @@ class SweepConfig:
                         resolution=int(r["resolution"]),
                         visibility=float(r["visibility"]),
                         displacement=float(r.get("displacement", 0.0)),
-                        quadrature_points=int(r.get("quadrature_points", 64)),
                     ).validate()
                 if r["type"] == "atomic":
                     r.setdefault("objectives", ["error", "information"])
@@ -177,7 +180,6 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
                 resolution=m,
                 visibility=float(rec["visibility"]),
                 displacement=float(rec.get("displacement", params.alpha1)),
-                quadrature_points=int(rec.get("quadrature_points", 64)),
             )
             if rec["beta_mode"] == "optimized":
                 err_cfg, p_err = optimize_displacement(params, base, "min-error")

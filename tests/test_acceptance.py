@@ -488,8 +488,8 @@ def test_criterion_7_figure_reproduction(
     # crossing thresholds (soft targets: the baseline is a surrogate model)
     targets = [
         ("BPSK 0.75 error atomic/pnr m=3", sweep_bpsk_075, "p_atomic", "p_pnr_m3", 0.61707),
-        ("BPSK 1.0 error atomic/pnr m=2", sweep_bpsk_10, "p_atomic", "p_pnr_m2", 0.29838),
-        ("BPSK 1.0 error atomic/pnr m=3", sweep_bpsk_10, "p_atomic", "p_pnr_m3", 0.33528),
+        ("BPSK 1.0 error atomic/pnr m=2", sweep_bpsk_10, "p_atomic", "p_pnr_m2", 0.33528),
+        ("BPSK 1.0 error atomic/pnr m=3", sweep_bpsk_10, "p_atomic", "p_pnr_m3", 0.29838),
         ("BPSK 0.5 info atomic/pnr m=2", sweep_bpsk_05, "i_atomic", "i_pnr_m2", 0.68653),
         ("BPSK 0.5 info atomic/pnr m=3", sweep_bpsk_05, "i_atomic", "i_pnr_m3", 0.4062),
         ("BPSK 0.75 info atomic/pnr m=2", sweep_bpsk_075, "i_atomic", "i_pnr_m2", 0.3453),

@@ -99,6 +99,25 @@ class TestHelstromBound:
         assert np.linalg.matrix_rank(povm.elements[0]) == 7
         assert error_probability(ens, povm) == pytest.approx(bound, abs=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 0.6])
+    def test_measurement_leaves_the_complement_of_the_support_alone(self, sigma):
+        # eigenvectors of the full weighted difference at eigenvalues just
+        # above the cutoff coupled the two by 5.4e-4, 0.50 and 1.2e-2
+        ens = build_ensemble(bpsk(0.5, sigma), DIM)
+        _, povm = helstrom_measurement(ens)
+        support = _support_basis(ens, DEFAULT_TOL)
+        block = support.T @ povm.elements[0] @ (np.eye(ens.size) - support @ support.T)
+        assert np.max(np.abs(block)) <= 1e-12
+
+    def test_measurement_of_a_complex_ensemble(self):
+        ens = build_ensemble(bpsk(0.5, 0.3), DIM)
+        phase = np.diag(np.exp(0.7j * np.arange(ens.size)))
+        twisted = BinaryEnsemble(ens.priors, tuple(phase @ tau @ phase.conj().T for tau in ens.states))
+        bound, povm = helstrom_measurement(twisted)
+        assert bound == pytest.approx(helstrom_bound(ens), abs=1e-12)
+        assert error_probability(twisted, povm) == pytest.approx(bound, abs=1e-12)
+        povm.validate()
+
     def test_nondecreasing_in_sigma(self):
         vals = [
             helstrom_bound(build_ensemble(bpsk(0.5, s), DIM))

@@ -75,6 +75,7 @@ class TestSweepConfig:
             {"signal": "OOK", "mean_photons": 10.0, "priors": [0.99, 0.01]},
             {"fock_cutoff": MAX_FOCK_CUTOFF + 1},
             {"fock_cutoff": 0},
+            {"receivers": [{"type": "pnr", "quadrature_points": 64}]},
         ],
     )
     def test_rejects_bad_config(self, bad):

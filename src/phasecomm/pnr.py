@@ -68,12 +68,15 @@ def _outcome_table(alphas, sigma: float, betas, cfg: PnrConfig) -> np.ndarray:
     """
     cfg.validate()
     m = cfg.resolution
-    # squares of the scalars as given: numpy's square and libm's pow differ in the last bit
     a = np.array(alphas, dtype=float)[:, None]
     b = np.array(betas, dtype=float)[None, :]
-    a2 = np.array([x**2 for x in alphas], dtype=float)[:, None]
-    b2 = np.array([x**2 for x in betas], dtype=float)[None, :]
     cross = 2 * cfg.visibility * a * b
+    # the count mean a^2 + b^2 - 2 v a b cos(phi) as a sum of nonnegative terms,
+    # (|a| - |b|)^2 + 2 |ab| (1 - v) + 4 v |ab| h(phi) with h = sin^2(phi / 2)
+    # for ab >= 0 and cos^2(phi / 2) for ab < 0, which does not cancel near nulling
+    ab = a * b
+    offset = (np.abs(a) - np.abs(b)) ** 2 + 2.0 * (1.0 - cfg.visibility) * np.abs(ab)
+    swing = 4.0 * cfg.visibility * np.abs(ab)
     # the smallest power of two N >= 64 with N/2 >= 9 sqrt(d) + 16, d = |cross|:
     # Fourier mode k of the count pmf falls off like exp(-k^2 / 2d)
     sizes = 2 ** np.ceil(np.log2(np.maximum(18.0 * np.sqrt(np.abs(cross)) + 32.0, 64.0))).astype(int)
@@ -82,8 +85,8 @@ def _outcome_table(alphas, sigma: float, betas, cfg: PnrConfig) -> np.ndarray:
     for n in np.unique(sizes):
         sel = sizes == n
         phis, weights = _phase_rule(sigma, int(n))
-        n_eff = (a2 + b2)[sel][:, None] - cross[sel][:, None] * np.cos(phis)
-        n_eff = np.clip(n_eff, 0.0, None)
+        h = np.where((ab >= 0)[sel][:, None], np.sin(phis / 2) ** 2, np.cos(phis / 2) ** 2)
+        n_eff = offset[sel][:, None] + swing[sel][:, None] * h
         # Poisson pmf per node, averaged with the phase weights
         log_pmf = -n_eff[..., None] + k * np.log(np.clip(n_eff, 1e-300, None))[..., None] - special.gammaln(k + 1)
         pmf = np.exp(log_pmf)

@@ -6,7 +6,10 @@ one row of figures of merit per grid point and the writers emit CSV plus an
 optional JSON mirror. Rows are deterministic given the seed.
 """
 
+import contextlib
 import csv
+import ctypes
+import functools
 import io
 import json
 import math
@@ -210,17 +213,74 @@ def _envelope_violations(row: dict) -> list:
     return out
 
 
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    Empty where no OpenBLAS is loaded or /proc is missing: the thread limit
+    then does nothing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # scipy-openblas wheels prefix every symbol and suffix the ILP64 build with 64_
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread, then restore the counts.
+
+    A sweep point's matrices are small: an extra BLAS thread gains nothing
+    and, left spinning after an eigensolve, takes the core of a pool worker.
+    """
+    controls = _openblas_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(controls, saved):
+            set_threads(n)
+
+
 def _point_task(args):
     cfg, sigma, index = args
     try:
-        return compute_point(cfg, sigma, index)
+        with _one_blas_thread():
+            return compute_point(cfg, sigma, index)
     except PhasecommError as exc:
         raise type(exc)(f"sigma={sigma:g}: {exc}") from exc
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
-    """One result row per grid point, emitted in sigma order."""
+    """One result row per grid point, emitted in sigma order.
+
+    `workers` above 1 spreads the points over a process pool of at most
+    one worker per point. Every point runs on one OpenBLAS thread.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [(cfg, s, i) for i, s in enumerate(cfg.sigma_grid())]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_point_task, tasks))

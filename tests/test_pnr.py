@@ -251,3 +251,10 @@ class TestExactPhaseAverage:
         for alpha in (params.alpha1, params.alpha2):
             probs = outcome_distribution(alpha, params.sigma, cfg)
             assert np.max(np.abs(probs - quad_distribution(alpha, params.sigma, beta, cfg.visibility, 3))) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_count_mean_does_not_cancel_near_nulling(self, m):
+        # a^2 + b^2 - 2 v a b cos(phi) loses about 2 a^2 eps here and missed by 1.7e-14
+        cfg = PnrConfig(resolution=m, visibility=1.0, displacement=11.33)
+        probs = outcome_distribution(11.33, 0.01, cfg)
+        assert np.max(np.abs(probs - quad_distribution(11.33, 0.01, 11.33, 1.0, m))) <= 1e-15

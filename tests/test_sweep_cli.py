@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from phasecomm import ConfigError, FockDim, GridMismatch, helstrom_bound
+from phasecomm import ConfigError, FockDim, GridMismatch, PhasecommError, helstrom_bound
+from phasecomm import sweep
 from phasecomm.cli import main
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import bpsk, build_ensemble
@@ -136,6 +137,84 @@ class TestComputePoint:
             assert abs(lo[key] - hi[key]) < 1e-6
 
 
+class TestRunSweep:
+    def test_pool_rows_equal_serial_rows(self):
+        doc = base_config(
+            receivers=[
+                {"type": "helstrom"},
+                {"type": "atomic"},
+                {"type": "pnr", "resolution": 2},
+            ]
+        )
+        cfg = SweepConfig.from_dict(doc)
+        assert csv_text(run_sweep(cfg, workers=2)) == csv_text(run_sweep(cfg, workers=1))
+
+    @pytest.mark.parametrize("steps, workers, pool_size", [(1, 4, None), (2, 4, 2), (3, 2, 2), (3, 1, None)])
+    def test_at_most_one_worker_per_point(self, monkeypatch, steps, workers, pool_size):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+        cfg = SweepConfig.from_dict(base_config(sigma_grid={"start": 0.0, "stop": 1.2, "steps": steps}))
+        assert len(run_sweep(cfg, workers=workers)) == steps
+        assert sizes == ([] if pool_size is None else [pool_size])
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_sweep(SweepConfig.from_dict(base_config()), workers=workers)
+
+
+class TestBlasThreads:
+    def test_point_runs_on_one_thread_and_restores_the_counts(self, monkeypatch):
+        controls = sweep._openblas_controls()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" in blas.get("name", "").lower():
+            assert controls
+        original = [get() for get, _ in controls]
+        seen = []
+
+        def counts():
+            return [get() for get, _ in controls]
+
+        def record(cfg, sigma, index):
+            seen.append(counts())
+            return {"sigma": sigma}
+
+        def fail(cfg, sigma, index):
+            seen.append(counts())
+            raise PhasecommError("no convergence")
+
+        cfg = SweepConfig.from_dict(base_config())
+        try:
+            # two threads before the call, so that a restore differs from the limit
+            for _, set_threads in controls:
+                set_threads(2)
+            monkeypatch.setattr(sweep, "compute_point", record)
+            assert sweep._point_task((cfg, 0.3, 0)) == {"sigma": 0.3}
+            assert counts() == [2] * len(controls)
+            monkeypatch.setattr(sweep, "compute_point", fail)
+            with pytest.raises(PhasecommError, match="sigma=0.3: no convergence"):
+                sweep._point_task((cfg, 0.3, 0))
+            assert counts() == [2] * len(controls)
+        finally:
+            for (_, set_threads), n in zip(controls, original):
+                set_threads(n)
+        assert seen == [[1] * len(controls)] * 2
+
+
 class TestCsvFormat:
     def test_header_and_precision(self):
         rows = [{"sigma": 0.0, "cutoff": 30, "p_helstrom": 1 / 3, "violations": ""}]
@@ -240,6 +319,12 @@ class TestCli:
         cfg = self.write_config(tmp_path, base_config())
         assert main(["point", "--config", cfg, "--sigma", sigma]) == 2
         assert "--sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_code(self, tmp_path, capsys, workers):
+        cfg = self.write_config(tmp_path, base_config())
+        assert main(["sweep", "--config", cfg, "--workers", workers]) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json"]) == 2

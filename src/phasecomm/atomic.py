@@ -74,8 +74,8 @@ class SeriesConfig:
 
         With Poisson weights p_n of mean alpha^2, the guard's last term is
         at most e^{alpha^2} (sqrt(p_N) + sqrt(p_{N+1}))^2 whatever
-        (xi, theta, Phi), and f_plus + f_minus >= e^{alpha^2} sum_{n<=N} p_n,
-        so max(f_plus, f_minus) is at least half of that. N is the smallest
+        (xi, theta, Phi), and its scale, half of diag + raised, is at least
+        half of e^{alpha^2} sum_{n<=N} p_n. N is the smallest
         count past the Poisson mode for which the one bound stays below
         `series_tail` times the other, over all amplitudes.
         """
@@ -148,41 +148,43 @@ def _series_sums(weights: np.ndarray, phi: np.ndarray) -> tuple:
     return terms.sum(axis=-1), terms[..., -1]
 
 
-def _check_tail(last, scale, n_terms: int, tol: Tolerances) -> None:
-    """Raise unless the last series term stays below series_tail of the sum."""
-    ratio = np.max(np.asarray(last) / np.maximum(scale, 1e-300))
-    if ratio > tol.series_tail:
-        raise SeriesTruncationError(
-            f"last series term is {ratio:.3e} of the sum, above {tol.series_tail:.0e}; "
-            f"increase n_terms (currently {n_terms})"
-        )
+class _TableCoefficients:
+    """The joint table over couplings at xi = pi/2, as (a, b, c) of shape
+    (len(phi), 2, 2) with Pr(x, y) = a + b cos(2theta) + c sin(2theta).
 
-
-def _outcome_series(
-    alpha: float,
-    sigma: float,
-    p: AtomicParams,
-    cfg: SeriesConfig,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple:
-    """(f_plus, f_minus): conditional outcome sums for one amplitude.
-
-    f_plus carries cos^2(theta) on the diagonal term and the +cross term;
-    exchanging the angle weights and flipping the cross sign gives f_minus.
-    The cross term is damped by exactly exp(-sigma^2 / 2).
+    At any xi the interference term c carries a factor sin(xi). The
+    truncation guard is checked at each Phi in its worst case over
+    (xi, theta), so it holds at every angle.
     """
-    (diag, raised, cross), (d, r, x) = _series_sums(
-        _series_weights(alpha, cfg.n_terms), np.array([p.phi_pulse])
-    )
-    # Gaussian phase average of the interference term: the minus sign follows
-    # from <n|K|n> real and <n-1|K|n> proportional to -i e^{-i xi}
-    k = -np.exp(-0.5 * sigma * sigma) * np.sin(p.xi) * np.sin(2 * p.theta)
-    c2, s2 = np.cos(p.theta) ** 2, np.sin(p.theta) ** 2
-    f_plus = float(c2 * diag[0] + s2 * raised[0] + k * cross[0])
-    f_minus = float(s2 * diag[0] + c2 * raised[0] - k * cross[0])
-    last = abs(c2 * d + s2 * r) + abs(s2 * d + c2 * r) + 2 * abs(k * x)
-    _check_tail(last, max(abs(f_plus), abs(f_minus)), cfg.n_terms, tol)
-    return f_plus, f_minus
+
+    def __init__(self, params: SignalParams, cfg: SeriesConfig, tol: Tolerances):
+        self.cfg, self.tol = cfg, tol
+        self.damping = np.exp(-0.5 * params.sigma**2)
+        self.hypotheses = [
+            (q * np.exp(-alpha * alpha), _series_weights(alpha, cfg.n_terms))
+            for q, alpha in ((params.q1, params.alpha1), (params.q2, params.alpha2))
+        ]
+
+    def __call__(self, phi: np.ndarray) -> tuple:
+        a, b, c = (np.empty((len(phi), 2, 2)) for _ in range(3))
+        for x, (scale, weights) in enumerate(self.hypotheses):
+            (diag, raised, cross), (d, r, x_last) = _series_sums(weights, phi)
+            # the last terms at their worst over (xi, theta), against half of the two
+            # outcome sums' total diag + raised, which the larger of them reaches
+            ratio = np.max((d + r + 2 * self.damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300))
+            if ratio > self.tol.series_tail:
+                raise SeriesTruncationError(
+                    f"last series term is {ratio:.3e} of the sum, above {self.tol.series_tail:.0e}; "
+                    f"increase n_terms (currently {self.cfg.n_terms})"
+                )
+            a[:, x, 0] = a[:, x, 1] = 0.5 * scale * (diag + raised)
+            b[:, x, 0] = 0.5 * scale * (diag - raised)
+            b[:, x, 1] = -b[:, x, 0]
+            # Gaussian phase average of the interference term: the minus sign follows
+            # from <n|K|n> real and <n-1|K|n> proportional to -i e^{-i xi}
+            c[:, x, 0] = -scale * self.damping * cross
+            c[:, x, 1] = -c[:, x, 0]
+        return a, b, c
 
 
 def joint_probabilities_series(
@@ -191,16 +193,13 @@ def joint_probabilities_series(
     cfg: SeriesConfig,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
-    """2x2 table Pr(x, y) from the closed-form series."""
-    table = np.empty((2, 2))
-    for x, (q, alpha) in enumerate(
-        [(params.q1, params.alpha1), (params.q2, params.alpha2)]
-    ):
-        f_plus, f_minus = _outcome_series(alpha, params.sigma, p, cfg, tol)
-        scale = q * np.exp(-alpha * alpha)
-        table[x, 0] = scale * f_plus
-        table[x, 1] = scale * f_minus
-    return table
+    """2x2 table Pr(x, y) from the closed-form series.
+
+    The table at xi = pi/2 (`_TableCoefficients`) with its interference
+    term scaled by sin(xi), which is how xi enters.
+    """
+    a, b, c = _TableCoefficients(params, cfg, tol)(np.array([p.phi_pulse]))
+    return a[0] + b[0] * np.cos(2 * p.theta) + np.sin(p.xi) * c[0] * np.sin(2 * p.theta)
 
 
 def error_probability_series(
@@ -221,39 +220,7 @@ def mutual_information_series(
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     table = joint_probabilities_series(params, p, cfg, tol)
-    return mutual_information_from_joint(table, (params.q1, params.q2), tol.prob_guard)
-
-
-class _TableCoefficients:
-    """The joint table over couplings at xi = pi/2, as (a, b, c) of shape
-    (len(phi), 2, 2) with Pr(x, y) = a + b cos(2theta) + c sin(2theta).
-
-    The truncation guard is checked at each Phi in its worst case over
-    (xi, theta), so it holds at every angle the search evaluates.
-    """
-
-    def __init__(self, params: SignalParams, cfg: SeriesConfig, tol: Tolerances):
-        self.cfg, self.tol = cfg, tol
-        self.damping = np.exp(-0.5 * params.sigma**2)
-        self.hypotheses = [
-            (q * np.exp(-alpha * alpha), _series_weights(alpha, cfg.n_terms))
-            for q, alpha in ((params.q1, params.alpha1), (params.q2, params.alpha2))
-        ]
-
-    def __call__(self, phi: np.ndarray) -> tuple:
-        a, b, c = (np.empty((len(phi), 2, 2)) for _ in range(3))
-        for x, (scale, weights) in enumerate(self.hypotheses):
-            (diag, raised, cross), (d, r, x_last) = _series_sums(weights, phi)
-            # f_plus + f_minus = diag + raised, so the larger is at least half of it
-            _check_tail(
-                d + r + 2 * self.damping * np.abs(x_last), 0.5 * (diag + raised), self.cfg.n_terms, self.tol
-            )
-            a[:, x, 0] = a[:, x, 1] = 0.5 * scale * (diag + raised)
-            b[:, x, 0] = 0.5 * scale * (diag - raised)
-            b[:, x, 1] = -b[:, x, 0]
-            c[:, x, 0] = -scale * self.damping * cross
-            c[:, x, 1] = -c[:, x, 0]
-        return a, b, c
+    return float(mutual_information_from_joint(table, (params.q1, params.q2), tol.prob_guard))
 
 
 def _min_error_over_theta(coeffs: tuple) -> tuple:

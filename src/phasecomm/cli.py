@@ -14,7 +14,7 @@ import math
 import sys
 
 from .errors import ConfigError, PhasecommError
-from .sweep import SweepConfig, compute_point, find_crossing, run_sweep, write_csv, write_json
+from .sweep import SweepConfig, find_crossing, run_sweep, write_csv, write_json
 
 
 def _load_config(args) -> SweepConfig:
@@ -61,7 +61,7 @@ def _cmd_point(args) -> int:
     cfg = dataclasses.replace(
         cfg, sigma_start=args.sigma, sigma_stop=args.sigma, sigma_steps=1
     )
-    row = compute_point(cfg, args.sigma, 0)
+    (row,) = run_sweep(cfg)
     sys.stdout.write(json.dumps(row, indent=2, sort_keys=True) + "\n")
     _warn([row])
     return 0

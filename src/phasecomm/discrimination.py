@@ -141,24 +141,17 @@ def _joint(q: np.ndarray, taus: np.ndarray, ms: np.ndarray) -> np.ndarray:
     return q[:, None] * np.real(np.einsum("xij,yji->xy", taus, ms))
 
 
-def mutual_information_from_joint(
-    joint: np.ndarray, priors, guard: float = DEFAULT_TOL.prob_guard
-) -> float:
-    """Shannon mutual information in bits, with 0 log 0 := 0."""
+def mutual_information_from_joint(joint: np.ndarray, priors, guard: float = DEFAULT_TOL.prob_guard):
+    """Shannon mutual information in bits of a table Pr(x, y) or a stack (..., x, y).
+
+    Entries below `guard` count as 0, with 0 log 0 := 0.
+    """
     joint = np.asarray(joint, dtype=float)
-    py = joint.sum(axis=0)
-    info = 0.0
-    for x in range(joint.shape[0]):
-        for y in range(joint.shape[1]):
-            p = joint[x, y]
-            if p < guard:
-                continue
-            info += p * np.log2(p / (priors[x] * py[y]))
-    return float(info)
+    return (joint * _log_ratio(np.asarray(priors, dtype=float), joint, guard)).sum(axis=(-2, -1))
 
 
 def mutual_information(ens: BinaryEnsemble, povm: BinaryPovm) -> float:
-    return mutual_information_from_joint(joint_distribution(ens, povm), ens.priors)
+    return float(mutual_information_from_joint(joint_distribution(ens, povm), ens.priors))
 
 
 def binary_entropy(p: float) -> float:
@@ -204,8 +197,9 @@ _START_NOISE = 0.05
 
 
 def _log_ratio(q: np.ndarray, joint: np.ndarray, guard: float) -> np.ndarray:
-    """log2 p(x, y) / (q_x p(y)), zero where an entry is below the guard."""
-    py = joint.sum(axis=0)
+    """log2 p(x, y) / (q_x p(y)) of a table or a stack (..., x, y), zero where
+    an entry is below the guard."""
+    py = joint.sum(axis=-2, keepdims=True)
     live = (joint >= guard) & (py >= guard)
     return np.log2(np.where(live, joint, 1.0) / np.where(live, q[:, None] * py, 1.0))
 

@@ -107,38 +107,29 @@ def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarr
     return _outcome_table([alpha], sigma, [cfg.displacement], cfg)[0, 0]
 
 
-def _conditional_table(params: SignalParams, cfg: PnrConfig) -> np.ndarray:
-    return _outcome_table([params.alpha1, params.alpha2], params.sigma, [cfg.displacement], cfg)[:, 0]
-
-
-def _map_error(params: SignalParams, cond: np.ndarray) -> float:
-    weighted = np.vstack([params.q1 * cond[0], params.q2 * cond[1]])
-    return float(1.0 - weighted.max(axis=0).sum())
-
-
-def _map_information(params: SignalParams, cond: np.ndarray, tol: Tolerances) -> float:
-    joint = np.vstack([params.q1 * cond[0], params.q2 * cond[1]])
-    return mutual_information_from_joint(joint, (params.q1, params.q2), tol.prob_guard)
+def _objective(params: SignalParams, betas, cfg: PnrConfig, objective: str, tol: Tolerances) -> np.ndarray:
+    """The MAP error ('min-error') or the information in bits ('max-information')
+    at every displacement of `betas`, from one kernel call."""
+    if objective not in ("min-error", "max-information"):
+        raise ValueError(f"unknown objective {objective!r}")
+    q = np.array([params.q1, params.q2])
+    table = _outcome_table([params.alpha1, params.alpha2], params.sigma, betas, cfg)
+    joint = np.moveaxis(q[:, None, None] * table, 1, 0)  # (displacement, x, count)
+    if objective == "min-error":
+        return 1.0 - joint.max(axis=-2).sum(axis=-1)
+    return mutual_information_from_joint(joint, q, tol.prob_guard)
 
 
 def map_error_probability(params: SignalParams, cfg: PnrConfig) -> float:
     """Error of the maximum-a-posteriori decision over the count outcomes."""
-    return _map_error(params, _conditional_table(params, cfg))
+    return float(_objective(params, [cfg.displacement], cfg, "min-error", DEFAULT_TOL)[0])
 
 
 def map_mutual_information(
     params: SignalParams, cfg: PnrConfig, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Mutual information of the full (m+1)-outcome channel, in bits."""
-    return _map_information(params, _conditional_table(params, cfg), tol)
-
-
-def _grid_values(params: SignalParams, cfg: PnrConfig, objective: str, tol: Tolerances, grid) -> list:
-    """The objective to minimise at every displacement of the grid, from one kernel call."""
-    table = _outcome_table([params.alpha1, params.alpha2], params.sigma, grid, cfg)
-    if objective == "min-error":
-        return [_map_error(params, table[:, j]) for j in range(len(grid))]
-    return [-_map_information(params, table[:, j], tol) for j in range(len(grid))]
+    return float(_objective(params, [cfg.displacement], cfg, "max-information", tol)[0])
 
 
 def optimize_displacement(
@@ -153,24 +144,24 @@ def optimize_displacement(
     Coarse grid over a symmetric range, evaluated in one kernel call, then
     bounded refinement around the best cell. Deterministic.
     """
-    if objective == "min-error":
-        def fun(beta):
-            return map_error_probability(params, replace(cfg, displacement=float(beta)))
-    elif objective == "max-information":
-        def fun(beta):
-            return -map_mutual_information(params, replace(cfg, displacement=float(beta)), tol)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-
+    # the search minimises sign * objective
+    sign = -1.0 if objective == "max-information" else 1.0
     span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
     grid = np.linspace(-span, span, grid_points)
-    values = _grid_values(params, cfg, objective, tol, grid.tolist())
+    values = sign * _objective(params, grid, cfg, objective, tol)
     i = int(np.argmin(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_points - 1)]
-    res = sciopt.minimize_scalar(fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-9})
+    res = sciopt.minimize_scalar(
+        lambda beta: sign * _objective(params, [beta], cfg, objective, tol)[0],
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-9},
+    )
     best_beta = float(res.x) if res.fun <= values[i] else float(grid[i])
-    best_val = min(float(res.fun), values[i])
-    if objective == "max-information":
-        best_val = -best_val
+    best_val = sign * min(float(res.fun), float(values[i]))
+    if params.q1 == params.q2 and params.alpha2 == -params.alpha1 and best_beta < 0:
+        # BPSK with equal priors: the value is even in beta, so report the optimum at |beta|
+        best_beta = -best_beta
+        best_val = float(_objective(params, [best_beta], cfg, objective, tol)[0])
     return replace(cfg, displacement=best_beta), best_val

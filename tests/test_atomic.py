@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from scipy import optimize as sciopt
+from scipy import special
 
 from phasecomm import (
     AtomicParams,
@@ -19,9 +20,11 @@ from phasecomm import (
     optimize,
     povm_from_kraus,
 )
+from phasecomm import atomic
 from phasecomm.atomic import PHI_MAX
 from phasecomm.cli import main
-from phasecomm.discrimination import joint_distribution
+from phasecomm.config import DEFAULT_TOL
+from phasecomm.discrimination import joint_distribution, mutual_information_from_joint
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
 from phasecomm.sweep import SweepConfig, compute_point
@@ -294,6 +297,69 @@ class TestReduction:
         assert {res.params.xi, res_mirror.params.xi} == {np.pi / 2, 3 * np.pi / 2}
         assert res_mirror.params.theta == pytest.approx(res.params.theta, abs=1e-9)
         assert res_mirror.params.phi_pulse == pytest.approx(res.params.phi_pulse, abs=1e-9)
+
+
+class TestInformationGrid:
+    @pytest.mark.parametrize(
+        "params", [bpsk(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 0.0)], ids=["bpsk", "ook", "ook-noiseless"]
+    )
+    def test_grid_form_matches_the_shared_kernel(self, params):
+        # the search keeps its own form of the information; on one block of
+        # the grid it agrees with the kernel up to the guard's effect
+        cfg = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2])
+        coeffs = atomic._TableCoefficients(params, cfg, DEFAULT_TOL)(atomic._PHI_GRID[: atomic._BLOCK_ROWS])
+        two_theta = atomic._TWO_THETA_GRID
+        priors = (params.q1, params.q2)
+        a, b, c = (v[:, None] for v in coeffs)
+        tables = a + b * np.cos(two_theta)[:, None, None] + c * np.sin(two_theta)[:, None, None]
+        grid = atomic._information_grid(coeffs, two_theta, priors, DEFAULT_TOL.prob_guard)
+        assert grid.shape == tables.shape[:2]
+        assert np.max(np.abs(grid - mutual_information_from_joint(tables, priors))) <= 1e-13
+
+
+def per_angle_guard_rejects(params: SignalParams, p: AtomicParams, n_terms: int) -> bool:
+    """The truncation guard the series functions applied at one angle before
+    they shared the search's table: the last terms of both outcome sums at
+    this (xi, theta), against the larger of the two sums."""
+    n = np.arange(n_terms + 1)
+    k = -np.exp(-0.5 * params.sigma**2) * np.sin(p.xi) * np.sin(2 * p.theta)
+    c2, s2 = np.cos(p.theta) ** 2, np.sin(p.theta) ** 2
+    for alpha in (params.alpha1, params.alpha2):
+        w0 = np.exp(2 * n * np.log(abs(alpha)) - special.gammaln(n + 1)) if alpha else (n == 0) * 1.0
+        w1 = w0 * alpha**2 / (n + 1)
+        cos_n, sin_n1 = np.cos(p.phi_pulse * np.sqrt(n)), np.sin(p.phi_pulse * np.sqrt(n + 1))
+        diag, raised, cross = w0 * cos_n**2, w1 * sin_n1**2, np.sign(alpha) * np.sqrt(w0 * w1) * cos_n * sin_n1
+        f_plus = c2 * diag.sum() + s2 * raised.sum() + k * cross.sum()
+        f_minus = s2 * diag.sum() + c2 * raised.sum() - k * cross.sum()
+        d, r, x = diag[-1], raised[-1], cross[-1]
+        last = abs(c2 * d + s2 * r) + abs(s2 * d + c2 * r) + 2 * abs(k * x)
+        if last > DEFAULT_TOL.series_tail * max(abs(f_plus), abs(f_minus)):
+            return True
+    return False
+
+
+class TestOneGuard:
+    ANGLES = [(xi, theta) for xi in (0.0, 0.4, np.pi / 2, 2.5, 4.0) for theta in (0.0, 0.3, np.pi / 4, 1.2, np.pi / 2)]
+
+    @pytest.mark.parametrize(
+        "params", [bpsk(0.75, 0.3), ook(3.0, 0.6), SignalParams(q1=0.3, alpha1=1.2, alpha2=-0.4, sigma=1.1)],
+        ids=["bpsk", "ook-3", "asymmetric"],
+    )
+    def test_series_guard_is_the_worst_case_over_angles(self, params):
+        longest = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2]).n_terms
+        for n_terms in range(1, longest):
+            for phi in (0.7, 2.0, 9.3):
+                rejected = []
+                for xi, theta in self.ANGLES:
+                    p = AtomicParams(xi, theta, phi)
+                    try:
+                        joint_probabilities_series(params, p, SeriesConfig(n_terms))
+                        rejected.append(False)
+                    except SeriesTruncationError:
+                        rejected.append(True)
+                    # never weaker than the old per-angle guard
+                    assert rejected[-1] or not per_angle_guard_rejects(params, p, n_terms)
+                assert len(set(rejected)) == 1, (n_terms, phi)
 
 
 class TestOptimize:

@@ -17,7 +17,7 @@ from phasecomm import (
     mutual_information,
 )
 from phasecomm.config import DEFAULT_TOL
-from phasecomm.discrimination import _objective, _residual, _support_basis
+from phasecomm.discrimination import _objective, _residual, _support_basis, mutual_information_from_joint
 from phasecomm.signals import bpsk, build_ensemble
 
 
@@ -143,6 +143,57 @@ class TestMutualInformation:
         bound, povm = helstrom_measurement(ens)
         expected = 1.0 - binary_entropy(bound)
         assert mutual_information(ens, povm) == pytest.approx(expected, abs=1e-9)
+
+
+def random_tables(rng, count, outcomes):
+    """Joint tables q_x Pr(y | x), shape (count, 2, outcomes), and their priors."""
+    q = np.array([0.3, 0.7])
+    cond = rng.dirichlet(np.ones(outcomes), size=(count, 2))
+    return q[:, None] * cond, q
+
+
+def loop_information(joint, priors, guard):
+    """The Shannon information of one table, one entry at a time."""
+    py = joint.sum(axis=0)
+    info = 0.0
+    for x in range(joint.shape[0]):
+        for y in range(joint.shape[1]):
+            if joint[x, y] >= guard:
+                info += joint[x, y] * np.log2(joint[x, y] / (priors[x] * py[y]))
+    return info
+
+
+class TestInformationKernel:
+    @pytest.mark.parametrize("outcomes", [2, 3, 4])
+    def test_stack_equals_each_table_bit_for_bit(self, outcomes):
+        joint, q = random_tables(np.random.default_rng(outcomes), 50, outcomes)
+        stacked = mutual_information_from_joint(joint, q)
+        assert stacked.shape == (50,)
+        for table, value in zip(joint, stacked):
+            assert value == mutual_information_from_joint(table, q)
+        # a non-contiguous stack, as the PNR search builds it
+        moved = np.moveaxis(np.ascontiguousarray(np.moveaxis(joint, 0, 1)), 1, 0)
+        assert np.array_equal(mutual_information_from_joint(moved, q), stacked)
+
+    @pytest.mark.parametrize("outcomes", [2, 3, 4])
+    def test_matches_a_double_loop(self, outcomes):
+        joint, q = random_tables(np.random.default_rng(10 + outcomes), 50, outcomes)
+        for table in joint:
+            expected = loop_information(table, q, DEFAULT_TOL.prob_guard)
+            assert abs(mutual_information_from_joint(table, q) - expected) <= 1e-15
+
+    def test_entries_below_the_guard_contribute_nothing(self):
+        guard = DEFAULT_TOL.prob_guard
+        q = np.array([0.5, 0.5])
+        table = np.array([[0.3, 0.2, 0.0], [0.1, 0.4, 0.0]])
+        tiny = table.copy()
+        tiny[0, 2] = 0.5 * guard
+        tiny[1, 2] = -0.5 * guard
+        assert mutual_information_from_joint(tiny, q) == mutual_information_from_joint(table, q)
+        # an entry of the guard itself counts
+        at_guard = table.copy()
+        at_guard[0, 2] = guard
+        assert mutual_information_from_joint(at_guard, q) != mutual_information_from_joint(table, q)
 
 
 class TestBinaryEntropy:

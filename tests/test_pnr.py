@@ -18,6 +18,7 @@ from phasecomm import (
 from phasecomm import pnr
 from phasecomm.config import DEFAULT_TOL
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
+from phasecomm.sweep import SweepConfig, run_sweep
 
 
 def negate(params: SignalParams) -> SignalParams:
@@ -147,6 +148,26 @@ class TestOptimizeDisplacement:
         with pytest.raises(ValueError):
             optimize_displacement(bpsk(0.5, 0.0), PnrConfig(), "max-profit")
 
+    def test_bpsk_reports_the_optimum_at_nonnegative_beta(self):
+        # with equal priors the BPSK value is even in beta: the report takes |beta|,
+        # and the value is the public function's at the reported beta
+        doc = {
+            "signal": "BPSK",
+            "mean_photons": 0.75,
+            "sigma_grid": {"start": 0.0, "stop": 1.2, "steps": 25},
+            "receivers": [{"type": "pnr", "resolution": m, "beta_mode": "optimized"} for m in (1, 2, 3)],
+        }
+        rows = run_sweep(SweepConfig.from_dict(doc))
+        for row in rows:
+            params = bpsk(0.75, row["sigma"])
+            for m in (1, 2, 3):
+                beta_err, beta_info = row[f"pnr_beta_err_m{m}"], row[f"pnr_beta_info_m{m}"]
+                assert beta_err >= 0 and beta_info >= 0
+                err_cfg = PnrConfig(resolution=m, displacement=beta_err)
+                info_cfg = PnrConfig(resolution=m, displacement=beta_info)
+                assert map_error_probability(params, err_cfg) == row[f"p_pnr_m{m}"]
+                assert map_mutual_information(params, info_cfg) == row[f"i_pnr_m{m}"]
+
 
 def quad_distribution(alpha, sigma, beta, visibility, m):
     """Counts 0..m-1 and the merged rest, by adaptive quadrature of the Gaussian phase.
@@ -205,12 +226,12 @@ class TestBatchedKernel:
     def test_grid_values_equal_public_functions(self, signal, sigma):
         params = signal(0.75, sigma)
         cfg = PnrConfig(resolution=3)
-        errs = pnr._grid_values(params, cfg, "min-error", DEFAULT_TOL, self.BETAS)
-        infos = pnr._grid_values(params, cfg, "max-information", DEFAULT_TOL, self.BETAS)
+        errs = pnr._objective(params, self.BETAS, cfg, "min-error", DEFAULT_TOL)
+        infos = pnr._objective(params, self.BETAS, cfg, "max-information", DEFAULT_TOL)
         for beta, err, info in zip(self.BETAS, errs, infos):
             one = replace(cfg, displacement=beta)
             assert err == map_error_probability(params, one)
-            assert info == -map_mutual_information(params, one)
+            assert info == map_mutual_information(params, one)
 
 
 class TestExactPhaseAverage:

@@ -314,6 +314,12 @@ class TestCli:
         assert main(["point", "--config", cfg, "--sigma", "0.6", "--cutoff", str(MAX_FOCK_CUTOFF + 1)]) == 2
         assert "fock_cutoff" in capsys.readouterr().err
 
+    def test_point_names_the_failing_sigma(self, tmp_path, capsys):
+        # `point` runs its one-step sweep through `run_sweep`, which prefixes errors
+        cfg = self.write_config(tmp_path, base_config())
+        assert main(["point", "--config", cfg, "--sigma", "0.6", "--cutoff", "2"]) == 2
+        assert "sigma=0.6:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])
     def test_point_rejects_bad_sigma(self, tmp_path, capsys, sigma):
         cfg = self.write_config(tmp_path, base_config())

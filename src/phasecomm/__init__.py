@@ -18,7 +18,6 @@ from .atomic import (
     povm_from_kraus,
 )
 from .channel import dephase, mean_photon_number, phase_diffused_coherent
-from .config import DEFAULT_TOL, Tolerances
 from .discrimination import (
     AscentConfig,
     AscentReport,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize as sciopt
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import PROB_GUARD, SERIES_TAIL
 from .discrimination import BinaryPovm, mutual_information_from_joint
 from .errors import SeriesTruncationError
 from .fock import FockDim
@@ -69,7 +69,7 @@ class SeriesConfig:
     n_terms: int = 30
 
     @classmethod
-    def for_amplitudes(cls, amplitudes, tol: Tolerances = DEFAULT_TOL) -> "SeriesConfig":
+    def for_amplitudes(cls, amplitudes) -> "SeriesConfig":
         """The shortest series the truncation guard accepts at every setting.
 
         With Poisson weights p_n of mean alpha^2, the guard's last term is
@@ -77,7 +77,7 @@ class SeriesConfig:
         (xi, theta, Phi), and its scale, half of diag + raised, is at least
         half of e^{alpha^2} sum_{n<=N} p_n. N is the smallest
         count past the Poisson mode for which the one bound stays below
-        `series_tail` times the other, over all amplitudes.
+        SERIES_TAIL times the other, over all amplitudes.
         """
         n_terms = 1
         for alpha in amplitudes:
@@ -86,7 +86,7 @@ class SeriesConfig:
             cdf = p_n
             while True:
                 p_next = p_n * a2 / (n + 1)
-                if n > a2 and (math.sqrt(p_n) + math.sqrt(p_next)) ** 2 <= 0.5 * tol.series_tail * cdf:
+                if n > a2 and (math.sqrt(p_n) + math.sqrt(p_next)) ** 2 <= 0.5 * SERIES_TAIL * cdf:
                     break
                 n, p_n = n + 1, p_next
                 cdf += p_n
@@ -157,8 +157,8 @@ class _TableCoefficients:
     (xi, theta), so it holds at every angle.
     """
 
-    def __init__(self, params: SignalParams, cfg: SeriesConfig, tol: Tolerances):
-        self.cfg, self.tol = cfg, tol
+    def __init__(self, params: SignalParams, cfg: SeriesConfig):
+        self.cfg = cfg
         self.damping = np.exp(-0.5 * params.sigma**2)
         self.hypotheses = [
             (q * np.exp(-alpha * alpha), _series_weights(alpha, cfg.n_terms))
@@ -172,9 +172,9 @@ class _TableCoefficients:
             # the last terms at their worst over (xi, theta), against half of the two
             # outcome sums' total diag + raised, which the larger of them reaches
             ratio = np.max((d + r + 2 * self.damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300))
-            if ratio > self.tol.series_tail:
+            if ratio > SERIES_TAIL:
                 raise SeriesTruncationError(
-                    f"last series term is {ratio:.3e} of the sum, above {self.tol.series_tail:.0e}; "
+                    f"last series term is {ratio:.3e} of the sum, above {SERIES_TAIL:.0e}; "
                     f"increase n_terms (currently {self.cfg.n_terms})"
                 )
             a[:, x, 0] = a[:, x, 1] = 0.5 * scale * (diag + raised)
@@ -187,40 +187,25 @@ class _TableCoefficients:
         return a, b, c
 
 
-def joint_probabilities_series(
-    params: SignalParams,
-    p: AtomicParams,
-    cfg: SeriesConfig,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def joint_probabilities_series(params: SignalParams, p: AtomicParams, cfg: SeriesConfig) -> np.ndarray:
     """2x2 table Pr(x, y) from the closed-form series.
 
     The table at xi = pi/2 (`_TableCoefficients`) with its interference
     term scaled by sin(xi), which is how xi enters.
     """
-    a, b, c = _TableCoefficients(params, cfg, tol)(np.array([p.phi_pulse]))
+    a, b, c = _TableCoefficients(params, cfg)(np.array([p.phi_pulse]))
     return a[0] + b[0] * np.cos(2 * p.theta) + np.sin(p.xi) * c[0] * np.sin(2 * p.theta)
 
 
-def error_probability_series(
-    params: SignalParams,
-    p: AtomicParams,
-    cfg: SeriesConfig,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def error_probability_series(params: SignalParams, p: AtomicParams, cfg: SeriesConfig) -> float:
     """Closed-form error probability; outcome y=1 decides hypothesis 1."""
-    table = joint_probabilities_series(params, p, cfg, tol)
+    table = joint_probabilities_series(params, p, cfg)
     return float(1.0 - table[0, 0] - table[1, 1])
 
 
-def mutual_information_series(
-    params: SignalParams,
-    p: AtomicParams,
-    cfg: SeriesConfig,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    table = joint_probabilities_series(params, p, cfg, tol)
-    return float(mutual_information_from_joint(table, (params.q1, params.q2), tol.prob_guard))
+def mutual_information_series(params: SignalParams, p: AtomicParams, cfg: SeriesConfig) -> float:
+    table = joint_probabilities_series(params, p, cfg)
+    return float(mutual_information_from_joint(table, (params.q1, params.q2)))
 
 
 def _min_error_over_theta(coeffs: tuple) -> tuple:
@@ -233,15 +218,15 @@ def _min_error_over_theta(coeffs: tuple) -> tuple:
     return e_a - np.hypot(e_b, e_c), np.arctan2(-e_c, -e_b)
 
 
-def _information_grid(coeffs: tuple, two_theta: np.ndarray, priors, guard: float) -> np.ndarray:
+def _information_grid(coeffs: tuple, two_theta: np.ndarray, priors) -> np.ndarray:
     """Mutual information in bits at each (Phi, 2theta), shape (len(phi), len(two_theta)).
 
     Column y = 1 of the table is a - (b cos + c sin) of column 0, and
     I = sum p log p - sum_y p_y log p_y - sum_x p_x log q_x. Entries below
-    `guard` shift the value by less than 1e-13, which only the polish sees.
+    PROB_GUARD shift the value by less than 1e-13, which only the polish sees.
     """
     def plogp(p):
-        return p * np.log2(np.maximum(p, guard))
+        return p * np.log2(np.maximum(p, PROB_GUARD))
 
     a, b, c = (v[:, :, 0] for v in coeffs)
     info, p_y = 0.0, [0.0, 0.0]
@@ -249,7 +234,7 @@ def _information_grid(coeffs: tuple, two_theta: np.ndarray, priors, guard: float
         mean = a[:, x, None]
         swing = np.multiply.outer(b[:, x], np.cos(two_theta)) + np.multiply.outer(c[:, x], np.sin(two_theta))
         col0, col1 = mean + swing, mean - swing
-        info = info + plogp(col0) + plogp(col1) - 2 * mean * np.log2(max(priors[x], guard))
+        info = info + plogp(col0) + plogp(col1) - 2 * mean * np.log2(max(priors[x], PROB_GUARD))
         p_y = [p_y[0] + col0, p_y[1] + col1]
     return info - plogp(p_y[0]) - plogp(p_y[1])
 
@@ -281,8 +266,8 @@ def _grid_profile(coefficients: _TableCoefficients, over_theta) -> tuple:
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _search_min_error(params, cfg, tol) -> list:
-    coefficients = _TableCoefficients(params, cfg, tol)
+def _search_min_error(params, cfg) -> list:
+    coefficients = _TableCoefficients(params, cfg)
     grid = _PHI_GRID
     curve, _ = _grid_profile(coefficients, _min_error_over_theta)
 
@@ -302,22 +287,22 @@ def _search_min_error(params, cfg, tol) -> list:
     return found
 
 
-def _search_max_information(params, cfg, tol) -> list:
+def _search_max_information(params, cfg) -> list:
     """Swapping the outcome labels leaves the information unchanged and maps
     2theta to 2theta + pi, so 2theta runs over [0, pi) only."""
-    coefficients = _TableCoefficients(params, cfg, tol)
+    coefficients = _TableCoefficients(params, cfg)
     grid, two_theta = _PHI_GRID, _TWO_THETA_GRID
     priors = (params.q1, params.q2)
 
     def over_theta(coeffs):
-        info = _information_grid(coeffs, two_theta, priors, tol.prob_guard)
+        info = _information_grid(coeffs, two_theta, priors)
         j = info.argmax(axis=1)
         return -info[np.arange(len(j)), j], two_theta[j]
 
     def neg_info(x):
         a, b, c = coefficients(x[:1])
         table = a[0] + b[0] * np.cos(x[1]) + c[0] * np.sin(x[1])
-        return -mutual_information_from_joint(table, priors, tol.prob_guard)
+        return -mutual_information_from_joint(table, priors)
 
     profile, best_t = _grid_profile(coefficients, over_theta)
     found = []
@@ -356,12 +341,7 @@ class OptimizeResult:
     per_start: list
 
 
-def optimize(
-    objective: str,
-    params: SignalParams,
-    cfg: OptimizeConfig = OptimizeConfig(),
-    tol: Tolerances = DEFAULT_TOL,
-) -> OptimizeResult:
+def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = OptimizeConfig()) -> OptimizeResult:
     """Best receiver setting for 'min-error' or 'max-information'.
 
     The search runs at |sin xi| = 1 over Phi in [0, PHI_MAX], on a grid of
@@ -373,18 +353,18 @@ def optimize(
     {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
     the lexicographically smallest.
     """
-    series = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2], tol)
+    series = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2])
     if objective == "min-error":
-        candidates = _search_min_error(params, series, tol)
+        candidates = _search_min_error(params, series)
         sign, value_at = 1.0, error_probability_series
     elif objective == "max-information":
-        candidates = _search_max_information(params, series, tol)
+        candidates = _search_max_information(params, series)
         sign, value_at = -1.0, mutual_information_series
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
     runs = sorted(
-        (sign * value_at(params, p, series, tol), (p.xi, p.theta, p.phi_pulse))
+        (sign * value_at(params, p, series), (p.xi, p.theta, p.phi_pulse))
         for p in candidates
     )
     per_start = [(sign * f, AtomicParams(*x)) for f, x in runs]

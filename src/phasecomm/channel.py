@@ -8,7 +8,6 @@ closed form rather than by quadrature.
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .fock import FockDim, coherent_ket
 
 __all__ = [
@@ -28,14 +27,12 @@ def dephasing_kernel(sigma: float, size: int) -> np.ndarray:
     return np.exp(-0.5 * sigma * sigma * d.astype(float) ** 2)
 
 
-def phase_diffused_coherent(
-    alpha: float, sigma: float, dim: FockDim, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def phase_diffused_coherent(alpha: float, sigma: float, dim: FockDim) -> np.ndarray:
     """Phase-diffused coherent state, entrywise closed form.
 
     <n|tau|m> = exp(-alpha^2) exp(-sigma^2 (n-m)^2/2) alpha^(n+m)/sqrt(n! m!)
     """
-    c = coherent_ket(alpha, dim, tol)
+    c = coherent_ket(alpha, dim)
     return np.outer(c, c.conj()) * dephasing_kernel(sigma, dim.size)
 
 

@@ -68,15 +68,21 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
+    columns = ("sigma", args.col_a, args.col_b)
     with open(args.csv, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        for col in columns:
+            if col not in (reader.fieldnames or ()):
+                raise PhasecommError(f"column {col!r} not in {args.csv}")
         rows = list(reader)
-    for col in ("sigma", args.col_a, args.col_b):
-        if rows and col not in rows[0]:
-            raise PhasecommError(f"column {col!r} not in {args.csv}")
-    grid = [float(r["sigma"]) for r in rows]
-    a = [float(r[args.col_a]) for r in rows]
-    b = [float(r[args.col_b]) for r in rows]
+
+    def number(i, row, col):
+        try:
+            return float(row[col])
+        except (TypeError, ValueError):
+            raise PhasecommError(f"{args.csv}: row {i}, column {col!r}: {row[col]!r} is not a number") from None
+
+    grid, a, b = ([number(i, row, col) for i, row in enumerate(rows, 1)] for col in columns)
     sigma = find_crossing(grid, a, b)
     if sigma is None:
         print("no crossing")

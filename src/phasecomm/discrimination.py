@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize as sciopt
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import HERMITICITY, POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOOR
 from .errors import DimensionMismatch
 from .fock import check_hermitian, hermitian_eig, trace_norm
 
@@ -41,9 +41,9 @@ class BinaryEnsemble:
     priors: tuple
     states: tuple
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         q1, q2 = self.priors
-        if q1 < 0 or q2 < 0 or abs(q1 + q2 - 1.0) > 1e-12:
+        if q1 < 0 or q2 < 0 or abs(q1 + q2 - 1.0) > PRIORS_SUM:
             raise ValueError(f"priors ({q1}, {q2}) are not a distribution")
         if self.states[0].shape != self.states[1].shape:
             raise DimensionMismatch("ensemble states live on different spaces")
@@ -59,14 +59,14 @@ class Povm:
 
     elements: tuple
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         ms = np.asarray(self.elements)
-        check_hermitian(ms, tol)
+        check_hermitian(ms)
         w_min = np.linalg.eigvalsh(ms).min()
-        if w_min < -tol.psd_floor:
+        if w_min < -PSD_FLOOR:
             raise ValueError(f"POVM element has eigenvalue {w_min:.3e}")
         dev = np.max(np.abs(ms.sum(axis=0) - np.eye(ms.shape[1])))
-        if dev > tol.povm_completeness:
+        if dev > POVM_COMPLETENESS:
             raise ValueError(f"POVM completeness violated by {dev:.3e}")
 
     @property
@@ -77,10 +77,10 @@ class Povm:
 class BinaryPovm(Povm):
     """Two-outcome POVM; the measurement class of the binary protocol."""
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         if len(self.elements) != 2:
             raise ValueError(f"binary POVM needs 2 elements, got {len(self.elements)}")
-        super().validate(tol)
+        super().validate()
 
 
 def _check_dims(ens: BinaryEnsemble, povm: BinaryPovm) -> None:
@@ -100,19 +100,19 @@ def error_probability(ens: BinaryEnsemble, povm: BinaryPovm) -> float:
     return 1.0 - hit
 
 
-def _weighted_difference(ens: BinaryEnsemble, tol: Tolerances) -> np.ndarray:
-    ens.validate(tol)
+def _weighted_difference(ens: BinaryEnsemble) -> np.ndarray:
+    ens.validate()
     q1, q2 = ens.priors
     lam = q1 * ens.states[0] - q2 * ens.states[1]
     return 0.5 * (lam + lam.conj().T)
 
 
-def helstrom_bound(ens: BinaryEnsemble, tol: Tolerances = DEFAULT_TOL) -> float:
+def helstrom_bound(ens: BinaryEnsemble) -> float:
     """Minimum error over all measurements, 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1."""
-    return 0.5 - 0.5 * trace_norm(_weighted_difference(ens, tol), tol)
+    return 0.5 - 0.5 * trace_norm(_weighted_difference(ens))
 
 
-def helstrom_measurement(ens: BinaryEnsemble, tol: Tolerances = DEFAULT_TOL):
+def helstrom_measurement(ens: BinaryEnsemble):
     """The Helstrom bound and the projective POVM achieving it.
 
     Outcome 1 projects onto the positive eigenspace of the weighted
@@ -120,15 +120,15 @@ def helstrom_measurement(ens: BinaryEnsemble, tol: Tolerances = DEFAULT_TOL):
     M1 = V Q Q^dagger V^dagger, so M1 does not couple the support to its
     complement.
     """
-    lam = _weighted_difference(ens, tol)
-    support = _support_basis(ens, tol)
-    w, q = hermitian_eig(support.conj().T @ lam @ support, tol)
+    lam = _weighted_difference(ens)
+    support = _support_basis(ens)
+    w, q = hermitian_eig(support.conj().T @ lam @ support)
     # eigenvalues at rounding level (numpy's matrix_rank cutoff) are null
     pos = support @ q[:, w > np.abs(w).max() * lam.shape[0] * np.finfo(float).eps]
     m1 = pos @ pos.conj().T
     m1 = 0.5 * (m1 + m1.conj().T)
     m2 = np.eye(lam.shape[0], dtype=complex) - m1
-    return helstrom_bound(ens, tol), BinaryPovm((m1, m2))
+    return helstrom_bound(ens), BinaryPovm((m1, m2))
 
 
 def joint_distribution(ens: BinaryEnsemble, povm: Povm) -> np.ndarray:
@@ -141,13 +141,13 @@ def _joint(q: np.ndarray, taus: np.ndarray, ms: np.ndarray) -> np.ndarray:
     return q[:, None] * np.real(np.einsum("xij,yji->xy", taus, ms))
 
 
-def mutual_information_from_joint(joint: np.ndarray, priors, guard: float = DEFAULT_TOL.prob_guard):
+def mutual_information_from_joint(joint: np.ndarray, priors):
     """Shannon mutual information in bits of a table Pr(x, y) or a stack (..., x, y).
 
-    Entries below `guard` count as 0, with 0 log 0 := 0.
+    Entries below PROB_GUARD count as 0, with 0 log 0 := 0.
     """
     joint = np.asarray(joint, dtype=float)
-    return (joint * _log_ratio(np.asarray(priors, dtype=float), joint, guard)).sum(axis=(-2, -1))
+    return (joint * _log_ratio(np.asarray(priors, dtype=float), joint)).sum(axis=(-2, -1))
 
 
 def mutual_information(ens: BinaryEnsemble, povm: BinaryPovm) -> float:
@@ -170,7 +170,6 @@ class AscentConfig:
     """
 
     max_iter: int = 50_000  # L-BFGS iterations per run
-    residual_tol: float = 1e-6
     restarts: int = 5  # most L-BFGS runs; each resumes where the last one stopped
     seed: int = 0  # seeds the perturbation of the first start
     outcomes: int = 2  # the ascent carries max(outcomes, 2 r) rank-one elements
@@ -188,6 +187,8 @@ class AscentReport:
     restart_values: list = field(default_factory=list)
 
 
+# stationarity residual at which an L-BFGS run stops and the ascent converges
+RESIDUAL_TOL = 1e-6
 # iterations between two residual checks of an L-BFGS run
 _CHECK_EVERY = 50
 # L-BFGS correction pairs
@@ -196,40 +197,40 @@ _MAXCOR = 30
 _START_NOISE = 0.05
 
 
-def _log_ratio(q: np.ndarray, joint: np.ndarray, guard: float) -> np.ndarray:
+def _log_ratio(q: np.ndarray, joint: np.ndarray) -> np.ndarray:
     """log2 p(x, y) / (q_x p(y)) of a table or a stack (..., x, y), zero where
-    an entry is below the guard."""
+    an entry is below PROB_GUARD."""
     py = joint.sum(axis=-2, keepdims=True)
-    live = (joint >= guard) & (py >= guard)
+    live = (joint >= PROB_GUARD) & (py >= PROB_GUARD)
     return np.log2(np.where(live, joint, 1.0) / np.where(live, q[:, None] * py, 1.0))
 
 
-def _info_operators(q: np.ndarray, taus: np.ndarray, joint: np.ndarray, guard: float) -> np.ndarray:
+def _info_operators(q: np.ndarray, taus: np.ndarray, joint: np.ndarray) -> np.ndarray:
     """Stack of the gradient-like operators R_y for the given joint table."""
-    r = np.einsum("xy,xij->yij", q[:, None] * _log_ratio(q, joint, guard), taus)
+    r = np.einsum("xy,xij->yij", q[:, None] * _log_ratio(q, joint), taus)
     return 0.5 * (r + r.conj().swapaxes(-1, -2))
 
 
-def _residual(ens: BinaryEnsemble, povm: Povm, guard: float) -> float:
+def _residual(ens: BinaryEnsemble, povm: Povm) -> float:
     """max_y ||M_y Gamma - M_y R_y||_max with Gamma = sum_y R_y M_y."""
     q, taus, ms = np.asarray(ens.priors, dtype=float), np.asarray(ens.states), np.asarray(povm.elements)
-    r = _info_operators(q, taus, _joint(q, taus, ms), guard)
+    r = _info_operators(q, taus, _joint(q, taus, ms))
     gamma = (r @ ms).sum(axis=0)
     return float(np.max(np.abs(ms @ gamma - ms @ r)))
 
 
-def _support_basis(ens: BinaryEnsemble, tol: Tolerances) -> np.ndarray:
+def _support_basis(ens: BinaryEnsemble) -> np.ndarray:
     """Orthonormal columns spanning the support of q1 tau1 + q2 tau2.
 
-    The columns are real when that operator is, to the hermiticity
-    tolerance. Eigenvalues count as nonzero above numpy's matrix_rank
+    The columns are real when that operator is, to HERMITICITY.
+    Eigenvalues count as nonzero above numpy's matrix_rank
     cutoff, w_max * d * eps.
     """
     q1, q2 = ens.priors
     rho = q1 * ens.states[0] + q2 * ens.states[1]
-    if np.max(np.abs(np.imag(rho))) <= tol.hermiticity:
+    if np.max(np.abs(np.imag(rho))) <= HERMITICITY:
         rho = np.real(rho)
-    w, v = hermitian_eig(rho, tol)
+    w, v = hermitian_eig(rho)
     return v[:, w > w.max() * ens.size * np.finfo(float).eps]
 
 
@@ -239,7 +240,7 @@ def _rank_one_povm(x: np.ndarray) -> np.ndarray:
     return x @ (u / np.sqrt(s)) @ u.T
 
 
-def _objective(x: np.ndarray, q: np.ndarray, taus: np.ndarray, guard: float):
+def _objective(x: np.ndarray, q: np.ndarray, taus: np.ndarray):
     """Minus the information of the rank-one POVM of X, and its gradient in X.
 
     The gradient in phi_y is 2 R_y phi_y. It is pulled back through the
@@ -253,7 +254,7 @@ def _objective(x: np.ndarray, q: np.ndarray, taus: np.ndarray, guard: float):
     phi = x @ inv_root
     t = taus @ phi.T  # t[x, :, y] = tau_x phi_y
     joint = q[:, None] * np.einsum("yi,xiy->xy", phi, t)
-    log_ratio = _log_ratio(q, joint, guard)
+    log_ratio = _log_ratio(q, joint)
     g = 2.0 * np.einsum("xy,xiy->yi", q[:, None] * log_ratio, t)
     a = u.T @ (x.T @ g) @ u
     divided = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
@@ -261,9 +262,7 @@ def _objective(x: np.ndarray, q: np.ndarray, taus: np.ndarray, guard: float):
     return -float(np.sum(joint * log_ratio)), -grad.ravel()
 
 
-def accessible_information(
-    ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig(), tol: Tolerances = DEFAULT_TOL
-) -> AscentReport:
+def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig()) -> AscentReport:
     """Quasi-Newton estimate of the accessible information.
 
     Rank-one elements suffice (Davies 1978), and for real states so do
@@ -272,19 +271,19 @@ def accessible_information(
     the rows of Phi = X (X^T X)^{-1/2}, X real K x r and
     K = max(outcomes, 2 r). L-BFGS-B maximises the information over X; a
     run stops when the stationarity residual of the lifted POVM
-    V M_y V^T + (I - V V^T) / K reaches `residual_tol` (checked every 50
+    V M_y V^T + (I - V V^T) / K reaches RESIDUAL_TOL (checked every 50
     iterations) or after `max_iter` iterations. The first run starts from
     the eigenbasis of the weighted difference on the support, stacked,
     plus a seeded Gaussian perturbation; each further run, up to
     `restarts` runs in all, resumes from the last end point with fresh
     curvature memory. `restart_values` holds the value after each run.
     """
-    ens.validate(tol)
+    ens.validate()
     states = np.asarray(ens.states)
-    if np.max(np.abs(np.imag(states))) > tol.hermiticity:
+    if np.max(np.abs(np.imag(states))) > HERMITICITY:
         raise ValueError("accessible_information needs real symmetric states")
     q = np.asarray(ens.priors, dtype=float)
-    support = _support_basis(ens, tol)
+    support = _support_basis(ens)
     taus = support.T @ np.real(states) @ support
     r = support.shape[1]
     k = max(cfg.outcomes, 2 * r)
@@ -296,10 +295,10 @@ def accessible_information(
 
     def stationary(intermediate_result):
         x = intermediate_result.x
-        if next(count) % _CHECK_EVERY == 0 and _residual(ens, lifted(x), tol.prob_guard) <= cfg.residual_tol:
+        if next(count) % _CHECK_EVERY == 0 and _residual(ens, lifted(x)) <= RESIDUAL_TOL:
             raise StopIteration
 
-    _, e = hermitian_eig(q[0] * taus[0] - q[1] * taus[1], tol)
+    _, e = hermitian_eig(q[0] * taus[0] - q[1] * taus[1])
     x = np.tile(e.T, (-(-k // r), 1))[:k] * np.sqrt(r / k)
     x = x + _START_NOISE * np.random.default_rng(cfg.seed).standard_normal((k, r))
     options = {"maxcor": _MAXCOR, "maxiter": cfg.max_iter, "maxfun": 2 * cfg.max_iter, "ftol": 0.0, "gtol": 0.0}
@@ -307,21 +306,21 @@ def accessible_information(
     for _ in range(max(cfg.restarts, 1)):
         count = itertools.count(1)  # this run's iterations, read by `stationary`
         run = sciopt.minimize(
-            _objective, x.ravel(), args=(q, taus, tol.prob_guard), jac=True, method="L-BFGS-B",
+            _objective, x.ravel(), args=(q, taus), jac=True, method="L-BFGS-B",
             callback=stationary, options=options,
         )
         x, iters = run.x, iters + run.nit
         povm = lifted(x)
         values.append(mutual_information(ens, povm))
-        res = _residual(ens, povm, tol.prob_guard)
-        if res <= cfg.residual_tol:
+        res = _residual(ens, povm)
+        if res <= RESIDUAL_TOL:
             break
-    povm.validate(tol)
+    povm.validate()
     return AscentReport(
         povm=povm,
         mutual_information=values[-1],
         iterations=iters,
         stationarity_residual=res,
-        converged=res <= cfg.residual_tol,
+        converged=res <= RESIDUAL_TOL,
         restart_values=values,
     )

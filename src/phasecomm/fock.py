@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import EIG_RECONSTRUCTION, HERMITICITY, PINV_REL, TAIL
 from .errors import ConvergenceFailure, TailTooHeavy
 
 __all__ = [
@@ -26,6 +26,10 @@ __all__ = [
     "matrix_function_sqrt_inv",
     "check_hermitian",
 ]
+
+
+# smallest cutoff `default_cutoff` returns
+_CUTOFF_FLOOR = 30
 
 
 @dataclass(frozen=True)
@@ -49,14 +53,14 @@ def poisson_tail(alpha: float, cutoff: int) -> float:
     return float(special.gammainc(cutoff + 1, alpha * alpha))
 
 
-def default_cutoff(amplitudes, tol: Tolerances = DEFAULT_TOL, floor: int = 30) -> int:
-    """Smallest cutoff keeping every amplitude's Poisson tail below tolerance."""
+def default_cutoff(amplitudes) -> int:
+    """Smallest cutoff, at least _CUTOFF_FLOOR, keeping every amplitude's Poisson tail below TAIL."""
     amplitudes = [abs(float(a)) for a in amplitudes]
     if not all(math.isfinite(a) for a in amplitudes):
         raise ValueError(f"amplitudes must be finite, got {amplitudes}")
     a_max = max(amplitudes) if amplitudes else 0.0
-    n = floor
-    while poisson_tail(a_max, n) >= tol.tail:
+    n = _CUTOFF_FLOOR
+    while poisson_tail(a_max, n) >= TAIL:
         n += 1
     return n
 
@@ -73,17 +77,16 @@ def number_operator(dim: FockDim) -> np.ndarray:
     return np.diag(np.arange(dim.size).astype(complex))
 
 
-def coherent_ket(alpha: float, dim: FockDim, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def coherent_ket(alpha: float, dim: FockDim) -> np.ndarray:
     """Truncated coherent state |alpha> with real amplitude.
 
-    Raises TailTooHeavy when the cutoff discards more Poisson mass than
-    the configured tolerance.
+    Raises TailTooHeavy when the cutoff discards Poisson mass of TAIL or more.
     """
     tail = poisson_tail(alpha, dim.cutoff)
-    if tail >= tol.tail:
+    if tail >= TAIL:
         raise TailTooHeavy(
             f"alpha={alpha} at cutoff {dim.cutoff} discards mass {tail:.3e} "
-            f">= {tol.tail:.1e}"
+            f">= {TAIL:.1e}"
         )
     amps = np.empty(dim.size)
     amps[0] = np.exp(-0.5 * alpha * alpha)
@@ -92,21 +95,21 @@ def coherent_ket(alpha: float, dim: FockDim, tol: Tolerances = DEFAULT_TOL) -> n
     return amps.astype(complex)
 
 
-def check_hermitian(op: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> None:
-    """Raise unless op (one matrix or a stack of them) is Hermitian within tolerance."""
+def check_hermitian(op: np.ndarray) -> None:
+    """Raise unless op (one matrix or a stack of them) is Hermitian within HERMITICITY."""
     dev = np.max(np.abs(op - op.conj().swapaxes(-1, -2)))
-    if dev > tol.hermiticity:
+    if dev > HERMITICITY:
         raise ValueError(f"operator deviates from hermiticity by {dev:.3e}")
 
 
-def hermitian_eig(op: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def hermitian_eig(op: np.ndarray):
     """Eigendecomposition of a Hermitian matrix; eigenvalues ascending.
 
     The reconstruction ||A - V D V^dagger||_max is checked against a
     relative bound; failure of the underlying solver raises
     ConvergenceFailure.
     """
-    check_hermitian(op, tol)
+    check_hermitian(op)
     try:
         w, v = np.linalg.eigh(op)
     except np.linalg.LinAlgError as exc:
@@ -114,25 +117,25 @@ def hermitian_eig(op: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     scale = max(np.max(np.abs(op)), 1.0)
     recon = (v * w) @ v.conj().T
     err = np.max(np.abs(op - recon))
-    if err > tol.eig_reconstruction * scale:
+    if err > EIG_RECONSTRUCTION * scale:
         raise ConvergenceFailure(f"reconstruction error {err:.3e} exceeds bound")
     return w, v
 
 
-def trace_norm(op: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+def trace_norm(op: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w, _ = hermitian_eig(op, tol)
+    w, _ = hermitian_eig(op)
     return float(np.sum(np.abs(w)))
 
 
-def matrix_function_sqrt_inv(op: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def matrix_function_sqrt_inv(op: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root of a PSD matrix.
 
-    Eigenvalues below pinv_rel * lambda_max map to zero; everything else
+    Eigenvalues below PINV_REL * lambda_max map to zero; everything else
     to lambda^{-1/2}.
     """
-    w, v = hermitian_eig(op, tol)
+    w, v = hermitian_eig(op)
     lam_max = max(float(w.max()), 0.0)
-    thr = tol.pinv_rel * lam_max
+    thr = PINV_REL * lam_max
     f = np.where(w > thr, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
     return (v * f) @ v.conj().T

@@ -18,7 +18,6 @@ import numpy as np
 from scipy import optimize as sciopt
 from scipy import special
 
-from .config import DEFAULT_TOL, Tolerances
 from .discrimination import mutual_information_from_joint
 from .signals import SignalParams
 
@@ -29,6 +28,10 @@ __all__ = [
     "map_mutual_information",
     "optimize_displacement",
 ]
+
+
+# points of the coarse displacement grid of `optimize_displacement`
+_GRID_POINTS = 81
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarr
     return _outcome_table([alpha], sigma, [cfg.displacement], cfg)[0, 0]
 
 
-def _objective(params: SignalParams, betas, cfg: PnrConfig, objective: str, tol: Tolerances) -> np.ndarray:
+def _objective(params: SignalParams, betas, cfg: PnrConfig, objective: str) -> np.ndarray:
     """The MAP error ('min-error') or the information in bits ('max-information')
     at every displacement of `betas`, from one kernel call."""
     if objective not in ("min-error", "max-information"):
@@ -117,28 +120,20 @@ def _objective(params: SignalParams, betas, cfg: PnrConfig, objective: str, tol:
     joint = np.moveaxis(q[:, None, None] * table, 1, 0)  # (displacement, x, count)
     if objective == "min-error":
         return 1.0 - joint.max(axis=-2).sum(axis=-1)
-    return mutual_information_from_joint(joint, q, tol.prob_guard)
+    return mutual_information_from_joint(joint, q)
 
 
 def map_error_probability(params: SignalParams, cfg: PnrConfig) -> float:
     """Error of the maximum-a-posteriori decision over the count outcomes."""
-    return float(_objective(params, [cfg.displacement], cfg, "min-error", DEFAULT_TOL)[0])
+    return float(_objective(params, [cfg.displacement], cfg, "min-error")[0])
 
 
-def map_mutual_information(
-    params: SignalParams, cfg: PnrConfig, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def map_mutual_information(params: SignalParams, cfg: PnrConfig) -> float:
     """Mutual information of the full (m+1)-outcome channel, in bits."""
-    return float(_objective(params, [cfg.displacement], cfg, "max-information", tol)[0])
+    return float(_objective(params, [cfg.displacement], cfg, "max-information")[0])
 
 
-def optimize_displacement(
-    params: SignalParams,
-    cfg: PnrConfig,
-    objective: str = "min-error",
-    tol: Tolerances = DEFAULT_TOL,
-    grid_points: int = 81,
-) -> tuple:
+def optimize_displacement(params: SignalParams, cfg: PnrConfig, objective: str = "min-error") -> tuple:
     """Scalar search over the displacement; returns (best_cfg, best_value).
 
     Coarse grid over a symmetric range, evaluated in one kernel call, then
@@ -147,13 +142,13 @@ def optimize_displacement(
     # the search minimises sign * objective
     sign = -1.0 if objective == "max-information" else 1.0
     span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
-    grid = np.linspace(-span, span, grid_points)
-    values = sign * _objective(params, grid, cfg, objective, tol)
+    grid = np.linspace(-span, span, _GRID_POINTS)
+    values = sign * _objective(params, grid, cfg, objective)
     i = int(np.argmin(values))
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
+    hi = grid[min(i + 1, _GRID_POINTS - 1)]
     res = sciopt.minimize_scalar(
-        lambda beta: sign * _objective(params, [beta], cfg, objective, tol)[0],
+        lambda beta: sign * _objective(params, [beta], cfg, objective)[0],
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": 1e-9},
@@ -163,5 +158,5 @@ def optimize_displacement(
     if params.q1 == params.q2 and params.alpha2 == -params.alpha1 and best_beta < 0:
         # BPSK with equal priors: the value is even in beta, so report the optimum at |beta|
         best_beta = -best_beta
-        best_val = float(_objective(params, [best_beta], cfg, objective, tol)[0])
+        best_val = float(_objective(params, [best_beta], cfg, objective)[0])
     return replace(cfg, displacement=best_beta), best_val

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import phase_diffused_coherent
-from .config import DEFAULT_TOL, Tolerances
 from .discrimination import BinaryEnsemble
 from .fock import FockDim
 
@@ -44,9 +43,7 @@ def ook(mean_photons: float, sigma: float, q1: float = 0.5) -> SignalParams:
     return SignalParams(q1=q1, alpha1=0.0, alpha2=float(np.sqrt(mean_photons / q2)), sigma=sigma)
 
 
-def build_ensemble(
-    params: SignalParams, dim: FockDim, tol: Tolerances = DEFAULT_TOL
-) -> BinaryEnsemble:
-    tau1 = phase_diffused_coherent(params.alpha1, params.sigma, dim, tol)
-    tau2 = phase_diffused_coherent(params.alpha2, params.sigma, dim, tol)
+def build_ensemble(params: SignalParams, dim: FockDim) -> BinaryEnsemble:
+    tau1 = phase_diffused_coherent(params.alpha1, params.sigma, dim)
+    tau2 = phase_diffused_coherent(params.alpha2, params.sigma, dim)
     return BinaryEnsemble(priors=(params.q1, params.q2), states=(tau1, tau2))

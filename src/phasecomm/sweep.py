@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import optimize
-from .config import DEFAULT_TOL
+from .config import PRIORS_SUM, TAIL
 from .discrimination import AscentConfig, accessible_information, helstrom_bound
 from .errors import ConfigError, GridMismatch, PhasecommError
 from .fock import FockDim, default_cutoff, poisson_tail
@@ -61,10 +61,10 @@ class SweepConfig:
             if not (nbar > 0 and math.isfinite(nbar)):
                 raise ConfigError(f"mean_photons must be finite and > 0, got {nbar}")
             priors = tuple(float(p) for p in d.get("priors", [0.5, 0.5]))
-            if len(priors) != 2 or abs(sum(priors) - 1.0) > 1e-12 or min(priors) < 0:
+            if len(priors) != 2 or abs(sum(priors) - 1.0) > PRIORS_SUM or min(priors) < 0:
                 raise ConfigError(f"priors {priors} are not a binary distribution")
             params = (bpsk if signal == "BPSK" else ook)(nbar, 0.0, priors[0])
-            if poisson_tail(max(abs(params.alpha1), abs(params.alpha2)), MAX_FOCK_CUTOFF) >= DEFAULT_TOL.tail:
+            if poisson_tail(max(abs(params.alpha1), abs(params.alpha2)), MAX_FOCK_CUTOFF) >= TAIL:
                 raise ConfigError(f"mean_photons {nbar} needs a Fock cutoff above {MAX_FOCK_CUTOFF}")
             grid = d["sigma_grid"]
             start, stop, steps = float(grid["start"]), float(grid["stop"]), int(grid["steps"])
@@ -102,8 +102,14 @@ class SweepConfig:
                         )
                 if r["type"] == "accinfo":
                     # "lam_max" and "polish_max" are accepted and ignored
-                    r.setdefault("restarts", 5)
-                    r.setdefault("outcomes", 4)
+                    for key, default, least in (
+                        ("restarts", AscentConfig.restarts, 1),
+                        ("outcomes", 4, 2),
+                        ("max_iter", AscentConfig.max_iter, 1),
+                    ):
+                        value = r.setdefault(key, default)
+                        if type(value) is not int or value < least:
+                            raise ConfigError(f"accinfo receiver: {key} must be an integer >= {least}, got {value!r}")
                 receivers.append(r)
             cutoff = d.get("fock_cutoff")
             if cutoff is not None and not 1 <= int(cutoff) <= MAX_FOCK_CUTOFF:
@@ -167,10 +173,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
                 row["i_atomic"] = res.value
         elif kind == "accinfo":
             acfg = AscentConfig(
-                restarts=int(rec["restarts"]),
-                outcomes=int(rec["outcomes"]),
-                max_iter=int(rec.get("max_iter", 50_000)),
-                seed=point_seed,
+                restarts=rec["restarts"], outcomes=rec["outcomes"], max_iter=rec["max_iter"], seed=point_seed
             )
             rep = accessible_information(ensemble(), acfg)
             row["i_accessible"] = rep.mutual_information

@@ -23,7 +23,7 @@ from phasecomm import (
 from phasecomm import atomic
 from phasecomm.atomic import PHI_MAX
 from phasecomm.cli import main
-from phasecomm.config import DEFAULT_TOL
+from phasecomm.config import SERIES_TAIL
 from phasecomm.discrimination import joint_distribution, mutual_information_from_joint
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
@@ -307,12 +307,12 @@ class TestInformationGrid:
         # the search keeps its own form of the information; on one block of
         # the grid it agrees with the kernel up to the guard's effect
         cfg = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2])
-        coeffs = atomic._TableCoefficients(params, cfg, DEFAULT_TOL)(atomic._PHI_GRID[: atomic._BLOCK_ROWS])
+        coeffs = atomic._TableCoefficients(params, cfg)(atomic._PHI_GRID[: atomic._BLOCK_ROWS])
         two_theta = atomic._TWO_THETA_GRID
         priors = (params.q1, params.q2)
         a, b, c = (v[:, None] for v in coeffs)
         tables = a + b * np.cos(two_theta)[:, None, None] + c * np.sin(two_theta)[:, None, None]
-        grid = atomic._information_grid(coeffs, two_theta, priors, DEFAULT_TOL.prob_guard)
+        grid = atomic._information_grid(coeffs, two_theta, priors)
         assert grid.shape == tables.shape[:2]
         assert np.max(np.abs(grid - mutual_information_from_joint(tables, priors))) <= 1e-13
 
@@ -333,7 +333,7 @@ def per_angle_guard_rejects(params: SignalParams, p: AtomicParams, n_terms: int)
         f_minus = s2 * diag.sum() + c2 * raised.sum() - k * cross.sum()
         d, r, x = diag[-1], raised[-1], cross[-1]
         last = abs(c2 * d + s2 * r) + abs(s2 * d + c2 * r) + 2 * abs(k * x)
-        if last > DEFAULT_TOL.series_tail * max(abs(f_plus), abs(f_minus)):
+        if last > SERIES_TAIL * max(abs(f_plus), abs(f_minus)):
             return True
     return False
 

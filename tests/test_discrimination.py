@@ -9,6 +9,7 @@ from phasecomm import (
     BinaryPovm,
     DimensionMismatch,
     FockDim,
+    Povm,
     accessible_information,
     binary_entropy,
     error_probability,
@@ -16,7 +17,7 @@ from phasecomm import (
     helstrom_measurement,
     mutual_information,
 )
-from phasecomm.config import DEFAULT_TOL
+from phasecomm.config import POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOOR
 from phasecomm.discrimination import _objective, _residual, _support_basis, mutual_information_from_joint
 from phasecomm.signals import bpsk, build_ensemble
 
@@ -105,7 +106,7 @@ class TestHelstromBound:
         # above the cutoff coupled the two by 5.4e-4, 0.50 and 1.2e-2
         ens = build_ensemble(bpsk(0.5, sigma), DIM)
         _, povm = helstrom_measurement(ens)
-        support = _support_basis(ens, DEFAULT_TOL)
+        support = _support_basis(ens)
         block = support.T @ povm.elements[0] @ (np.eye(ens.size) - support @ support.T)
         assert np.max(np.abs(block)) <= 1e-12
 
@@ -124,6 +125,32 @@ class TestHelstromBound:
             for s in np.linspace(0.0, 1.2, 7)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+class TestValidationThresholds:
+    @staticmethod
+    def povm(m1_diag, m2_diag):
+        return Povm((np.diag(np.asarray(m1_diag, dtype=complex)), np.diag(np.asarray(m2_diag, dtype=complex))))
+
+    def test_positivity_threshold(self):
+        # elements sum to I; one eigenvalue dips below 0 by f
+        def dipped(f):
+            return self.povm([-f, 1.0], [1.0 + f, 0.0])
+
+        dipped(0.5 * PSD_FLOOR).validate()
+        with pytest.raises(ValueError, match="eigenvalue"):
+            dipped(2 * PSD_FLOOR).validate()
+
+    def test_completeness_threshold(self):
+        self.povm([1.0, 0.0], [0.0, 1.0 + 0.5 * POVM_COMPLETENESS]).validate()
+        with pytest.raises(ValueError, match="completeness"):
+            self.povm([1.0, 0.0], [0.0, 1.0 + 2 * POVM_COMPLETENESS]).validate()
+
+    def test_priors_sum_threshold(self):
+        states = fock_projector_ensemble().states
+        BinaryEnsemble((0.5, 0.5 + 0.5 * PRIORS_SUM), states).validate()
+        with pytest.raises(ValueError, match="distribution"):
+            BinaryEnsemble((0.5, 0.5 + 2 * PRIORS_SUM), states).validate()
 
 
 class TestMutualInformation:
@@ -179,11 +206,11 @@ class TestInformationKernel:
     def test_matches_a_double_loop(self, outcomes):
         joint, q = random_tables(np.random.default_rng(10 + outcomes), 50, outcomes)
         for table in joint:
-            expected = loop_information(table, q, DEFAULT_TOL.prob_guard)
+            expected = loop_information(table, q, PROB_GUARD)
             assert abs(mutual_information_from_joint(table, q) - expected) <= 1e-15
 
     def test_entries_below_the_guard_contribute_nothing(self):
-        guard = DEFAULT_TOL.prob_guard
+        guard = PROB_GUARD
         q = np.array([0.5, 0.5])
         table = np.array([[0.3, 0.2, 0.0], [0.1, 0.4, 0.0]])
         tiny = table.copy()
@@ -255,16 +282,16 @@ class TestQuasiNewtonAscent:
 
     def test_gradient_matches_central_difference(self):
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)
-        support = _support_basis(ens, DEFAULT_TOL)
+        support = _support_basis(ens)
         r = support.shape[1]
         taus = support.T @ np.real(np.asarray(ens.states)) @ support
         q = np.asarray(ens.priors)
         x = np.random.default_rng(11).standard_normal(2 * r * r)
-        _, grad = _objective(x, q, taus, DEFAULT_TOL.prob_guard)
+        _, grad = _objective(x, q, taus)
         h = 1e-5
         numeric = np.array([
-            (_objective(x + h * e, q, taus, DEFAULT_TOL.prob_guard)[0]
-             - _objective(x - h * e, q, taus, DEFAULT_TOL.prob_guard)[0]) / (2 * h)
+            (_objective(x + h * e, q, taus)[0]
+             - _objective(x - h * e, q, taus)[0]) / (2 * h)
             for e in np.eye(x.size)
         ])
         assert np.linalg.norm(numeric - grad) <= 1e-6 * np.linalg.norm(grad)
@@ -305,7 +332,7 @@ class TestAscentOnSupport:
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)
         rep = accessible_information(ens, AscentConfig(outcomes=4))
         # K = max(outcomes, 2 r) rank-one elements on the support
-        assert len(rep.povm.elements) == 2 * _support_basis(ens, DEFAULT_TOL).shape[1]
+        assert len(rep.povm.elements) == 2 * _support_basis(ens).shape[1]
         assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
         rep.povm.validate()
-        assert rep.stationarity_residual == _residual(ens, rep.povm, DEFAULT_TOL.prob_guard)
+        assert rep.stationarity_residual == _residual(ens, rep.povm)

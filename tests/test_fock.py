@@ -12,7 +12,8 @@ from phasecomm import (
     matrix_function_sqrt_inv,
     trace_norm,
 )
-from phasecomm.fock import number_operator, poisson_tail
+from phasecomm.config import HERMITICITY
+from phasecomm.fock import check_hermitian, number_operator, poisson_tail
 
 
 def random_hermitian(n, rng):
@@ -100,6 +101,18 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_hermiticity_threshold(self):
+        def skewed(dev):
+            # A - A^dagger has max-norm exactly dev
+            return np.array([[1.0, dev], [0.0, 2.0]], dtype=complex)
+
+        check_hermitian(skewed(0.5 * HERMITICITY))
+        check_hermitian(np.stack([skewed(0.0), skewed(0.5 * HERMITICITY)]))
+        with pytest.raises(ValueError, match="hermiticity"):
+            check_hermitian(skewed(2 * HERMITICITY))
+        with pytest.raises(ValueError, match="hermiticity"):
+            check_hermitian(np.stack([skewed(0.0), skewed(2 * HERMITICITY)]))
 
 
 class TestTraceNorm:

@@ -16,7 +16,6 @@ from phasecomm import (
     outcome_distribution,
 )
 from phasecomm import pnr
-from phasecomm.config import DEFAULT_TOL
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
 from phasecomm.sweep import SweepConfig, run_sweep
 
@@ -226,8 +225,8 @@ class TestBatchedKernel:
     def test_grid_values_equal_public_functions(self, signal, sigma):
         params = signal(0.75, sigma)
         cfg = PnrConfig(resolution=3)
-        errs = pnr._objective(params, self.BETAS, cfg, "min-error", DEFAULT_TOL)
-        infos = pnr._objective(params, self.BETAS, cfg, "max-information", DEFAULT_TOL)
+        errs = pnr._objective(params, self.BETAS, cfg, "min-error")
+        infos = pnr._objective(params, self.BETAS, cfg, "max-information")
         for beta, err, info in zip(self.BETAS, errs, infos):
             one = replace(cfg, displacement=beta)
             assert err == map_error_probability(params, one)

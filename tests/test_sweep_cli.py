@@ -51,6 +51,7 @@ class TestSweepConfig:
         assert atomic["objectives"] == ["error", "information"]
         assert accinfo["restarts"] == 5
         assert accinfo["outcomes"] == 4
+        assert accinfo["max_iter"] == 50_000
 
     @pytest.mark.parametrize(
         "bad",
@@ -358,6 +359,51 @@ class TestCli:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["accinfo_converged"] == 0
         assert "warning: 1 rows have accinfo_converged = 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_iter", "abc"),
+            ("max_iter", 0),
+            ("max_iter", -5),
+            ("max_iter", 2.5),
+            ("restarts", None),
+            ("restarts", 0),
+            ("outcomes", 1),
+            ("outcomes", True),
+        ],
+    )
+    def test_point_rejects_bad_accinfo_keys(self, tmp_path, capsys, key, value):
+        accinfo = {"type": "accinfo", "restarts": 1, "outcomes": 2, "max_iter": 3, key: value}
+        cfg = self.write_config(tmp_path, base_config(receivers=[accinfo]))
+        assert main(["point", "--config", cfg, "--sigma", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
+    def crossings(self, tmp_path, text):
+        csv_path = tmp_path / "curves.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        return main(["crossings", "--csv", str(csv_path), "--col-a", "a", "--col-b", "b"])
+
+    @pytest.mark.parametrize("cell", ["", "abc"])
+    def test_crossings_rejects_a_cell_that_is_not_a_number(self, tmp_path, capsys, cell):
+        assert self.crossings(tmp_path, f"sigma,a,b\n0,-1,0\n1,{cell},0\n") == 2
+        assert "row 2, column 'a'" in capsys.readouterr().err
+
+    def test_crossings_rejects_a_short_row(self, tmp_path, capsys):
+        assert self.crossings(tmp_path, "sigma,a,b\n0,-1,0\n1,1\n") == 2
+        assert "row 2, column 'b'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["sigma,a\n", "sigma,a\n0,1\n", ""])
+    def test_crossings_rejects_a_missing_column(self, tmp_path, capsys, text):
+        assert self.crossings(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert "column 'b'" in captured.err or "column 'sigma'" in captured.err
+        assert "no crossing" not in captured.out
+
+    def test_crossings_of_a_header_only_csv(self, tmp_path, capsys):
+        assert self.crossings(tmp_path, "sigma,a,b\n") == 0
+        assert capsys.readouterr().out.strip() == "no crossing"
 
     def test_no_warning_when_converged(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, base_config())

@@ -17,7 +17,7 @@ from .atomic import (
     optimize,
     povm_from_kraus,
 )
-from .channel import dephase, mean_photon_number, phase_diffused_coherent
+from .channel import dephase, phase_diffused_coherent
 from .discrimination import (
     AscentConfig,
     AscentReport,
@@ -45,7 +45,6 @@ from .fock import (
     coherent_ket,
     default_cutoff,
     hermitian_eig,
-    lowering_operator,
     matrix_function_sqrt_inv,
     trace_norm,
 )

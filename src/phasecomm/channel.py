@@ -14,7 +14,6 @@ __all__ = [
     "dephasing_kernel",
     "phase_diffused_coherent",
     "dephase",
-    "mean_photon_number",
 ]
 
 
@@ -40,11 +39,3 @@ def dephase(rho: np.ndarray, sigma: float) -> np.ndarray:
     """Apply the dephasing map to an arbitrary state; diagonal is invariant."""
     return rho * dephasing_kernel(sigma, rho.shape[0])
 
-
-def mean_photon_number(ensemble) -> float:
-    """Prior-weighted Tr{tau a^dag a} over the two hypotheses."""
-    total = 0.0
-    for q, tau in zip(ensemble.priors, ensemble.states):
-        n = np.arange(tau.shape[0])
-        total += q * float(np.real(np.sum(n * np.diagonal(tau))))
-    return total

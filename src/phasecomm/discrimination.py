@@ -205,20 +205,6 @@ def _log_ratio(q: np.ndarray, joint: np.ndarray) -> np.ndarray:
     return np.log2(np.where(live, joint, 1.0) / np.where(live, q[:, None] * py, 1.0))
 
 
-def _info_operators(q: np.ndarray, taus: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """Stack of the gradient-like operators R_y for the given joint table."""
-    r = np.einsum("xy,xij->yij", q[:, None] * _log_ratio(q, joint), taus)
-    return 0.5 * (r + r.conj().swapaxes(-1, -2))
-
-
-def _residual(ens: BinaryEnsemble, povm: Povm) -> float:
-    """max_y ||M_y Gamma - M_y R_y||_max with Gamma = sum_y R_y M_y."""
-    q, taus, ms = np.asarray(ens.priors, dtype=float), np.asarray(ens.states), np.asarray(povm.elements)
-    r = _info_operators(q, taus, _joint(q, taus, ms))
-    gamma = (r @ ms).sum(axis=0)
-    return float(np.max(np.abs(ms @ gamma - ms @ r)))
-
-
 def _support_basis(ens: BinaryEnsemble) -> np.ndarray:
     """Orthonormal columns spanning the support of q1 tau1 + q2 tau2.
 
@@ -234,32 +220,59 @@ def _support_basis(ens: BinaryEnsemble) -> np.ndarray:
     return v[:, w > w.max() * ens.size * np.finfo(float).eps]
 
 
-def _rank_one_povm(x: np.ndarray) -> np.ndarray:
-    """The rows phi_y of Phi = X (X^T X)^{-1/2}; M_y = phi_y phi_y^T sum to I."""
+def _polar(x: np.ndarray):
+    """Phi = X (X^T X)^{-1/2}, whose rows phi_y give M_y = phi_y phi_y^T summing to I.
+
+    Also returns (X^T X)^{-1/2} and the eigenvectors u and square-rooted
+    eigenvalues of X^T X, which the gradient's pull-back needs.
+    """
     s, u = np.linalg.eigh(x.T @ x)
-    return x @ (u / np.sqrt(s)) @ u.T
+    root = np.sqrt(s)
+    inv_root = (u / root) @ u.T
+    return x @ inv_root, inv_root, u, root
+
+
+def _information(phi: np.ndarray, q: np.ndarray, taus: np.ndarray):
+    """The information of M_y = phi_y phi_y^T, and G with rows g_y = R_y phi_y.
+
+    R_y = sum_x q_x log2(p(x, y) / (q_x p(y))) tau_x; the gradient of the
+    information in phi_y is 2 g_y.
+    """
+    t = taus @ phi.T  # t[x, :, y] = tau_x phi_y
+    joint = q[:, None] * np.einsum("yi,xiy->xy", phi, t)
+    log_ratio = _log_ratio(q, joint)
+    g = np.einsum("xy,xiy->yi", q[:, None] * log_ratio, t)
+    return float(np.sum(joint * log_ratio)), g
 
 
 def _objective(x: np.ndarray, q: np.ndarray, taus: np.ndarray):
     """Minus the information of the rank-one POVM of X, and its gradient in X.
 
-    The gradient in phi_y is 2 R_y phi_y. It is pulled back through the
-    inverse square root of S = X^T X with the Daleckii-Krein divided
-    differences of s^{-1/2} over the eigenvalues of S.
+    The gradient 2 g_y in phi_y is pulled back through the inverse square
+    root of S = X^T X with the Daleckii-Krein divided differences of
+    s^{-1/2} over the eigenvalues of S.
     """
     x = x.reshape(-1, taus.shape[1])
-    s, u = np.linalg.eigh(x.T @ x)
-    root = np.sqrt(s)
-    inv_root = (u / root) @ u.T
-    phi = x @ inv_root
-    t = taus @ phi.T  # t[x, :, y] = tau_x phi_y
-    joint = q[:, None] * np.einsum("yi,xiy->xy", phi, t)
-    log_ratio = _log_ratio(q, joint)
-    g = 2.0 * np.einsum("xy,xiy->yi", q[:, None] * log_ratio, t)
+    phi, inv_root, u, root = _polar(x)
+    info, g = _information(phi, q, taus)
     a = u.T @ (x.T @ g) @ u
     divided = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
     grad = g @ inv_root + x @ (u @ ((a + a.T) * divided) @ u.T)
-    return -float(np.sum(joint * log_ratio)), -grad.ravel()
+    return -info, -2.0 * grad.ravel()
+
+
+def _residual(x: np.ndarray, q: np.ndarray, taus: np.ndarray, support: np.ndarray) -> float:
+    """max_y ||M_y Gamma - M_y R_y||_max of the POVM of X lifted by `support` V.
+
+    Gamma = sum_y R_y M_y. On the support each block is the outer product
+    phi_y w_y^T, with w_y the rows of W = Phi G^T Phi - G, so its lift is
+    (V phi_y)(V w_y)^T. Gamma and R_y vanish off the support, so the part
+    (I - V V^T) / K of the lifted POVM adds nothing.
+    """
+    phi = _polar(x.reshape(-1, taus.shape[1]))[0]
+    g = _information(phi, q, taus)[1]
+    w = phi @ g.T @ phi - g
+    return float(np.max(np.abs(phi @ support.T).max(axis=1) * np.abs(w @ support.T).max(axis=1)))
 
 
 def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig()) -> AscentReport:
@@ -272,11 +285,12 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
     K = max(outcomes, 2 r). L-BFGS-B maximises the information over X; a
     run stops when the stationarity residual of the lifted POVM
     V M_y V^T + (I - V V^T) / K reaches RESIDUAL_TOL (checked every 50
-    iterations) or after `max_iter` iterations. The first run starts from
-    the eigenbasis of the weighted difference on the support, stacked,
-    plus a seeded Gaussian perturbation; each further run, up to
-    `restarts` runs in all, resumes from the last end point with fresh
-    curvature memory. `restart_values` holds the value after each run.
+    iterations, on the support) or after `max_iter` iterations. The first
+    run starts from the eigenbasis of the weighted difference on the
+    support, stacked, plus a seeded Gaussian perturbation; each further
+    run, up to `restarts` runs in all, resumes from the last end point
+    with fresh curvature memory. `restart_values` holds the value after
+    each run. The POVM is lifted once, for the report.
     """
     ens.validate()
     states = np.asarray(ens.states)
@@ -287,15 +301,10 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
     taus = support.T @ np.real(states) @ support
     r = support.shape[1]
     k = max(cfg.outcomes, 2 * r)
-    rest = (np.eye(ens.size) - support @ support.T) / k
-
-    def lifted(x):
-        phi = _rank_one_povm(x.reshape(k, r)) @ support.T
-        return Povm(tuple(phi[:, :, None] * phi[:, None, :] + rest))
 
     def stationary(intermediate_result):
         x = intermediate_result.x
-        if next(count) % _CHECK_EVERY == 0 and _residual(ens, lifted(x)) <= RESIDUAL_TOL:
+        if next(count) % _CHECK_EVERY == 0 and _residual(x, q, taus, support) <= RESIDUAL_TOL:
             raise StopIteration
 
     _, e = hermitian_eig(q[0] * taus[0] - q[1] * taus[1])
@@ -310,11 +319,12 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
             callback=stationary, options=options,
         )
         x, iters = run.x, iters + run.nit
-        povm = lifted(x)
-        values.append(mutual_information(ens, povm))
-        res = _residual(ens, povm)
+        values.append(-float(run.fun))
+        res = _residual(x, q, taus, support)
         if res <= RESIDUAL_TOL:
             break
+    phi = _polar(x.reshape(k, r))[0] @ support.T
+    povm = Povm(tuple(phi[:, :, None] * phi[:, None, :] + (np.eye(ens.size) - support @ support.T) / k))
     povm.validate()
     return AscentReport(
         povm=povm,

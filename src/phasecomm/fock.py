@@ -18,8 +18,6 @@ __all__ = [
     "FockDim",
     "default_cutoff",
     "poisson_tail",
-    "lowering_operator",
-    "number_operator",
     "coherent_ket",
     "hermitian_eig",
     "trace_norm",
@@ -63,18 +61,6 @@ def default_cutoff(amplitudes) -> int:
     while poisson_tail(a_max, n) >= TAIL:
         n += 1
     return n
-
-
-def lowering_operator(dim: FockDim) -> np.ndarray:
-    """Annihilation operator a with <n-1|a|n> = sqrt(n)."""
-    a = np.zeros((dim.size, dim.size), dtype=complex)
-    n = np.arange(1, dim.size)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def number_operator(dim: FockDim) -> np.ndarray:
-    return np.diag(np.arange(dim.size).astype(complex))
 
 
 def coherent_ket(alpha: float, dim: FockDim) -> np.ndarray:

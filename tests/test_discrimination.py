@@ -19,7 +19,7 @@ from phasecomm import (
 )
 from phasecomm.config import POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOOR
 from phasecomm.discrimination import _objective, _residual, _support_basis, mutual_information_from_joint
-from phasecomm.signals import bpsk, build_ensemble
+from phasecomm.signals import bpsk, build_ensemble, ook
 
 
 DIM = FockDim(30)
@@ -31,6 +31,23 @@ def fock_projector_ensemble(priors=(0.5, 0.5), size=4):
     p0[0, 0] = 1.0
     p1[1, 1] = 1.0
     return BinaryEnsemble(priors=priors, states=(p0, p1))
+
+
+def dense_residual(ens: BinaryEnsemble, povm: Povm) -> float:
+    """max_y ||M_y Gamma - M_y R_y||_max on the full space, Gamma = sum_y R_y M_y.
+
+    R_y = sum_x q_x log2(p(x, y) / (q_x p(y))) tau_x, with entries of p(x, y)
+    below PROB_GUARD left out of the sum.
+    """
+    q = np.asarray(ens.priors, dtype=float)
+    taus, ms = np.asarray(ens.states), np.asarray(povm.elements)
+    joint = np.array([[q[x] * np.real(np.trace(taus[x] @ ms[y])) for y in range(len(ms))] for x in range(2)])
+    py = joint.sum(axis=0)
+    live = (joint >= PROB_GUARD) & (py >= PROB_GUARD)
+    weights = np.where(live, q[:, None] * np.log2(np.where(live, joint / (q[:, None] * py), 1.0)), 0.0)
+    r = np.array([sum(weights[x, y] * taus[x] for x in range(2)) for y in range(len(ms))])
+    gamma = sum(r[y] @ ms[y] for y in range(len(ms)))
+    return max(float(np.max(np.abs(ms[y] @ gamma - ms[y] @ r[y]))) for y in range(len(ms)))
 
 
 def bpsk_pure_error(mean_photons: float) -> float:
@@ -329,10 +346,28 @@ class TestAscentOnSupport:
             assert reports[0].mutual_information == pytest.approx(reports[1].mutual_information, abs=1e-6)
 
     def test_lifted_povm_is_full_and_carries_the_residual(self):
-        ens = build_ensemble(bpsk(0.5, 0.6), DIM)
-        rep = accessible_information(ens, AscentConfig(outcomes=4))
-        # K = max(outcomes, 2 r) rank-one elements on the support
-        assert len(rep.povm.elements) == 2 * _support_basis(ens).shape[1]
-        assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
-        rep.povm.validate()
-        assert rep.stationarity_residual == _residual(ens, rep.povm)
+        for params in (bpsk(0.5, 0.6), ook(0.5, 0.6)):
+            ens = build_ensemble(params, DIM)
+            rep = accessible_information(ens, AscentConfig(outcomes=4))
+            # K = max(outcomes, 2 r) rank-one elements on the support
+            assert len(rep.povm.elements) == 2 * _support_basis(ens).shape[1]
+            assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
+            rep.povm.validate()
+            assert rep.stationarity_residual == pytest.approx(dense_residual(ens, rep.povm), abs=1e-12)
+            assert rep.mutual_information == pytest.approx(mutual_information(ens, rep.povm), abs=1e-13)
+
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    def test_residual_on_the_support_matches_the_dense_definition(self, signal):
+        ens = build_ensemble(signal(0.5, 0.6), DIM)
+        support = _support_basis(ens)
+        r = support.shape[1]
+        taus = support.T @ np.real(np.asarray(ens.states)) @ support
+        x = np.random.default_rng(7).standard_normal((2 * r, r))
+        # X (X^T X)^{-1/2} = U W^T for the thin SVD X = U S W^T
+        u, _, wt = np.linalg.svd(x, full_matrices=False)
+        phi = (u @ wt) @ support.T
+        rest = (np.eye(ens.size) - support @ support.T) / (2 * r)
+        povm = Povm(tuple(np.outer(p, p) + rest for p in phi))
+        res = _residual(x.ravel(), np.asarray(ens.priors), taus, support)
+        assert res > 1e-3
+        assert res == pytest.approx(dense_residual(ens, povm), abs=1e-12)

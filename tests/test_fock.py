@@ -8,43 +8,16 @@ from phasecomm import (
     coherent_ket,
     default_cutoff,
     hermitian_eig,
-    lowering_operator,
     matrix_function_sqrt_inv,
     trace_norm,
 )
 from phasecomm.config import HERMITICITY
-from phasecomm.fock import check_hermitian, number_operator, poisson_tail
+from phasecomm.fock import check_hermitian, poisson_tail
 
 
 def random_hermitian(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (z + z.conj().T)
-
-
-class TestLoweringOperator:
-    def test_two_level(self):
-        a = lowering_operator(FockDim(1))
-        np.testing.assert_array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_sqrt_two_entry(self):
-        a = lowering_operator(FockDim(2))
-        assert a[1, 2] == pytest.approx(np.sqrt(2))
-
-    def test_number_operator_action(self):
-        dim = FockDim(12)
-        a = lowering_operator(dim)
-        num = a.conj().T @ a
-        for n in range(dim.size):
-            e = np.zeros(dim.size, dtype=complex)
-            e[n] = 1.0
-            np.testing.assert_allclose(num @ e, n * e, atol=1e-13)
-
-    def test_matrix_elements_exact(self):
-        dim = FockDim(20)
-        a = lowering_operator(dim)
-        for n in range(1, dim.size):
-            assert a[n - 1, n] == np.sqrt(n)
-        assert np.count_nonzero(a) == dim.cutoff
 
 
 class TestCoherentKet:

@@ -78,6 +78,15 @@ class TestSweepConfig:
             {"fock_cutoff": MAX_FOCK_CUTOFF + 1},
             {"fock_cutoff": 0},
             {"receivers": [{"type": "pnr", "quadrature_points": 64}]},
+            # integer keys take integers only, never truncated
+            {"receivers": [{"type": "pnr", "resolution": 2.5}]},
+            {"receivers": [{"type": "pnr", "resolution": 0}]},
+            {"sigma_grid": {"start": 0.0, "stop": 1.0, "steps": 2.9}},
+            {"sigma_grid": {"start": 0.0, "stop": 1.0, "steps": True}},
+            {"sigma_grid": {"start": 0.0, "stop": 1.0, "steps": 0}},
+            {"seed": 1.7},
+            {"seed": -1},
+            {"fock_cutoff": 30.7},
         ],
     )
     def test_rejects_bad_config(self, bad):
@@ -332,6 +341,14 @@ class TestCli:
         cfg = self.write_config(tmp_path, base_config())
         assert main(["sweep", "--config", cfg, "--workers", workers]) == 2
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        # the ascent would hand the seed to numpy's default_rng, which rejects it
+        accinfo = {"type": "accinfo", "restarts": 1, "outcomes": 2, "max_iter": 3}
+        cfg = self.write_config(tmp_path, base_config(receivers=[accinfo]))
+        assert main(["point", "--config", cfg, "--sigma", "0.3", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json"]) == 2

@@ -9,7 +9,6 @@ photon-counting baseline, plus a sigma-sweep experiment runner.
 from .atomic import (
     AtomicParams,
     OptimizeConfig,
-    SeriesConfig,
     error_probability_series,
     joint_probabilities_series,
     kraus_operators,

@@ -5,8 +5,9 @@ the probe and the accumulated coupling Phi of the interaction. Its action
 on the light mode is a pair of Kraus operators that are tridiagonal in the
 number basis (diagonal plus one superdiagonal), which gives closed-form
 photon-number series for the error probability and the joint outcome
-probabilities. The matrix path through the Kraus POVM is kept as an
-independent cross-check.
+probabilities; their length is derived from the amplitudes, never set.
+The matrix path through the Kraus POVM is kept as an independent
+cross-check.
 
 Every outcome probability depends on xi only through sin(xi). The error is
 linear in it and the mutual information is convex in the channel, so both
@@ -30,7 +31,6 @@ from .signals import SignalParams
 
 __all__ = [
     "AtomicParams",
-    "SeriesConfig",
     "OptimizeConfig",
     "OptimizeResult",
     "PHI_MAX",
@@ -62,36 +62,29 @@ class AtomicParams:
     phi_pulse: float
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation of the photon-number series."""
+def _series_length(amplitudes) -> int:
+    """The shortest series the truncation guard accepts at every setting.
 
-    n_terms: int = 30
-
-    @classmethod
-    def for_amplitudes(cls, amplitudes) -> "SeriesConfig":
-        """The shortest series the truncation guard accepts at every setting.
-
-        With Poisson weights p_n of mean alpha^2, the guard's last term is
-        at most e^{alpha^2} (sqrt(p_N) + sqrt(p_{N+1}))^2 whatever
-        (xi, theta, Phi), and its scale, half of diag + raised, is at least
-        half of e^{alpha^2} sum_{n<=N} p_n. N is the smallest
-        count past the Poisson mode for which the one bound stays below
-        SERIES_TAIL times the other, over all amplitudes.
-        """
-        n_terms = 1
-        for alpha in amplitudes:
-            a2 = float(alpha) ** 2
-            n, p_n = 0, math.exp(-a2)
-            cdf = p_n
-            while True:
-                p_next = p_n * a2 / (n + 1)
-                if n > a2 and (math.sqrt(p_n) + math.sqrt(p_next)) ** 2 <= 0.5 * SERIES_TAIL * cdf:
-                    break
-                n, p_n = n + 1, p_next
-                cdf += p_n
-            n_terms = max(n_terms, n)
-        return cls(n_terms=n_terms)
+    With Poisson weights p_n of mean alpha^2, the guard's last term is
+    at most e^{alpha^2} (sqrt(p_N) + sqrt(p_{N+1}))^2 whatever
+    (xi, theta, Phi), and its scale, half of diag + raised, is at least
+    half of e^{alpha^2} sum_{n<=N} p_n. N is the smallest
+    count past the Poisson mode for which the one bound stays below
+    SERIES_TAIL times the other, over all amplitudes.
+    """
+    n_terms = 1
+    for alpha in amplitudes:
+        a2 = float(alpha) ** 2
+        n, p_n = 0, math.exp(-a2)
+        cdf = p_n
+        while True:
+            p_next = p_n * a2 / (n + 1)
+            if n > a2 and (math.sqrt(p_n) + math.sqrt(p_next)) ** 2 <= 0.5 * SERIES_TAIL * cdf:
+                break
+            n, p_n = n + 1, p_next
+            cdf += p_n
+        n_terms = max(n_terms, n)
+    return n_terms
 
 
 def kraus_operators(p: AtomicParams, dim: FockDim) -> tuple:
@@ -153,15 +146,15 @@ class _TableCoefficients:
     (len(phi), 2, 2) with Pr(x, y) = a + b cos(2theta) + c sin(2theta).
 
     At any xi the interference term c carries a factor sin(xi). The
-    truncation guard is checked at each Phi in its worst case over
-    (xi, theta), so it holds at every angle.
+    truncation guard checks the series length at each Phi in its worst
+    case over (xi, theta), so it holds at every angle.
     """
 
-    def __init__(self, params: SignalParams, cfg: SeriesConfig):
-        self.cfg = cfg
+    def __init__(self, params: SignalParams):
+        self.n_terms = _series_length([params.alpha1, params.alpha2])
         self.damping = np.exp(-0.5 * params.sigma**2)
         self.hypotheses = [
-            (q * np.exp(-alpha * alpha), _series_weights(alpha, cfg.n_terms))
+            (q * np.exp(-alpha * alpha), _series_weights(alpha, self.n_terms))
             for q, alpha in ((params.q1, params.alpha1), (params.q2, params.alpha2))
         ]
 
@@ -174,8 +167,7 @@ class _TableCoefficients:
             ratio = np.max((d + r + 2 * self.damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300))
             if ratio > SERIES_TAIL:
                 raise SeriesTruncationError(
-                    f"last series term is {ratio:.3e} of the sum, above {SERIES_TAIL:.0e}; "
-                    f"increase n_terms (currently {self.cfg.n_terms})"
+                    f"last series term is {ratio:.3e} of the sum at {self.n_terms} terms, above {SERIES_TAIL:.0e}"
                 )
             a[:, x, 0] = a[:, x, 1] = 0.5 * scale * (diag + raised)
             b[:, x, 0] = 0.5 * scale * (diag - raised)
@@ -187,24 +179,24 @@ class _TableCoefficients:
         return a, b, c
 
 
-def joint_probabilities_series(params: SignalParams, p: AtomicParams, cfg: SeriesConfig) -> np.ndarray:
+def joint_probabilities_series(params: SignalParams, p: AtomicParams) -> np.ndarray:
     """2x2 table Pr(x, y) from the closed-form series.
 
     The table at xi = pi/2 (`_TableCoefficients`) with its interference
     term scaled by sin(xi), which is how xi enters.
     """
-    a, b, c = _TableCoefficients(params, cfg)(np.array([p.phi_pulse]))
+    a, b, c = _TableCoefficients(params)(np.array([p.phi_pulse]))
     return a[0] + b[0] * np.cos(2 * p.theta) + np.sin(p.xi) * c[0] * np.sin(2 * p.theta)
 
 
-def error_probability_series(params: SignalParams, p: AtomicParams, cfg: SeriesConfig) -> float:
+def error_probability_series(params: SignalParams, p: AtomicParams) -> float:
     """Closed-form error probability; outcome y=1 decides hypothesis 1."""
-    table = joint_probabilities_series(params, p, cfg)
+    table = joint_probabilities_series(params, p)
     return float(1.0 - table[0, 0] - table[1, 1])
 
 
-def mutual_information_series(params: SignalParams, p: AtomicParams, cfg: SeriesConfig) -> float:
-    table = joint_probabilities_series(params, p, cfg)
+def mutual_information_series(params: SignalParams, p: AtomicParams) -> float:
+    table = joint_probabilities_series(params, p)
     return float(mutual_information_from_joint(table, (params.q1, params.q2)))
 
 
@@ -266,8 +258,8 @@ def _grid_profile(coefficients: _TableCoefficients, over_theta) -> tuple:
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _search_min_error(params, cfg) -> list:
-    coefficients = _TableCoefficients(params, cfg)
+def _search_min_error(params) -> list:
+    coefficients = _TableCoefficients(params)
     grid = _PHI_GRID
     curve, _ = _grid_profile(coefficients, _min_error_over_theta)
 
@@ -287,10 +279,10 @@ def _search_min_error(params, cfg) -> list:
     return found
 
 
-def _search_max_information(params, cfg) -> list:
+def _search_max_information(params) -> list:
     """Swapping the outcome labels leaves the information unchanged and maps
     2theta to 2theta + pi, so 2theta runs over [0, pi) only."""
-    coefficients = _TableCoefficients(params, cfg)
+    coefficients = _TableCoefficients(params)
     grid, two_theta = _PHI_GRID, _TWO_THETA_GRID
     priors = (params.q1, params.q2)
 
@@ -328,8 +320,7 @@ def _search_max_information(params, cfg) -> list:
 class OptimizeConfig:
     """Settings of the atomic search; the search has none left to set.
 
-    `optimize` takes the shortest series the truncation guard accepts for
-    the amplitudes it is given (`SeriesConfig.for_amplitudes`).
+    Its series length is derived from the amplitudes (`_series_length`).
     """
 
 
@@ -353,18 +344,17 @@ def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = Optimiz
     {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
     the lexicographically smallest.
     """
-    series = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2])
     if objective == "min-error":
-        candidates = _search_min_error(params, series)
+        candidates = _search_min_error(params)
         sign, value_at = 1.0, error_probability_series
     elif objective == "max-information":
-        candidates = _search_max_information(params, series)
+        candidates = _search_max_information(params)
         sign, value_at = -1.0, mutual_information_series
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
     runs = sorted(
-        (sign * value_at(params, p, series), (p.xi, p.theta, p.phi_pulse))
+        (sign * value_at(params, p), (p.xi, p.theta, p.phi_pulse))
         for p in candidates
     )
     per_start = [(sign * f, AtomicParams(*x)) for f, x in runs]

@@ -28,13 +28,32 @@ from .signals import bpsk, build_ensemble, ook
 
 __all__ = ["SweepConfig", "run_sweep", "find_crossing", "write_csv", "write_json", "csv_text"]
 
-_SIGNALS = ("BPSK", "OOK")
-_RECEIVER_TYPES = ("helstrom", "atomic", "accinfo", "pnr")
+_SIGNALS = {"BPSK": bpsk, "OOK": ook}
 _BETA_MODES = ("null-first", "optimized")
 # Largest Fock cutoff a config may set or need: within it the Poisson tail of
 # the largest amplitude must fall below the tail tolerance. BPSK at 10 mean
 # photons needs 39; one dense operator at this cutoff takes 2.6 MB.
 MAX_FOCK_CUTOFF = 400
+_REQUIRED = object()  # a key without a default, which a config must give
+# Every key a sweep config accepts, with its default: the top level, the
+# sigma grid and each receiver type. Any other key is a ConfigError.
+_KEYS = {
+    "config": {
+        "signal": _REQUIRED, "mean_photons": _REQUIRED, "priors": (0.5, 0.5), "sigma_grid": _REQUIRED,
+        "receivers": _REQUIRED, "fock_cutoff": None, "seed": 0, "output": None, "json_output": None,
+    },
+    "sigma_grid": {"start": _REQUIRED, "stop": _REQUIRED, "steps": _REQUIRED},
+    "receivers": {
+        "helstrom": {},
+        "atomic": {"objectives": ["error", "information"]},
+        # lam_max and polish_max tuned the steepest ascent that L-BFGS replaced: accepted and ignored
+        "accinfo": {
+            "restarts": AscentConfig.restarts, "outcomes": 4, "max_iter": AscentConfig.max_iter,
+            "lam_max": AscentConfig.lam_max, "polish_max": AscentConfig.polish_max,
+        },
+        "pnr": {"resolution": PnrConfig.resolution, "visibility": PnrConfig.visibility, "beta_mode": "null-first"},
+    },
+}
 
 
 def _integer(name: str, value, least: int, most: float = math.inf) -> int:
@@ -43,6 +62,26 @@ def _integer(name: str, value, least: int, most: float = math.inf) -> int:
         bounds = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
         raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
     return value
+
+
+def _number(name: str, value) -> float:
+    """`value` as a float if it is a finite int or float (not a bool), else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _section(name: str, doc, keys: dict) -> dict:
+    """`doc` with the defaults of `keys` filled in; an undeclared or missing key is a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name}: unknown key {unknown[0]!r}; the keys are {', '.join(keys)}")
+    missing = [k for k, default in keys.items() if default is _REQUIRED and k not in doc]
+    if missing:
+        raise ConfigError(f"{name}: missing key {missing[0]!r}")
+    return {k: doc.get(k, default) for k, default in keys.items()}
 
 
 @dataclass(frozen=True)
@@ -62,77 +101,52 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
         try:
+            d = _section("sweep config", d, _KEYS["config"])
             signal = d["signal"]
             if signal not in _SIGNALS:
-                raise ConfigError(f"signal must be one of {_SIGNALS}, got {signal!r}")
-            nbar = float(d["mean_photons"])
-            if not (nbar > 0 and math.isfinite(nbar)):
-                raise ConfigError(f"mean_photons must be finite and > 0, got {nbar}")
-            priors = tuple(float(p) for p in d.get("priors", [0.5, 0.5]))
+                raise ConfigError(f"signal must be one of {tuple(_SIGNALS)}, got {signal!r}")
+            nbar = _number("mean_photons", d["mean_photons"])
+            if nbar <= 0:
+                raise ConfigError(f"mean_photons must be > 0, got {nbar}")
+            priors = tuple(_number("priors", p) for p in d["priors"])
             if len(priors) != 2 or abs(sum(priors) - 1.0) > PRIORS_SUM or min(priors) < 0:
                 raise ConfigError(f"priors {priors} are not a binary distribution")
-            params = (bpsk if signal == "BPSK" else ook)(nbar, 0.0, priors[0])
+            params = _SIGNALS[signal](nbar, 0.0, priors[0])
             if poisson_tail(max(abs(params.alpha1), abs(params.alpha2)), MAX_FOCK_CUTOFF) >= TAIL:
                 raise ConfigError(f"mean_photons {nbar} needs a Fock cutoff above {MAX_FOCK_CUTOFF}")
-            grid = d["sigma_grid"]
-            start, stop = float(grid["start"]), float(grid["stop"])
+            grid = _section("sigma_grid", d["sigma_grid"], _KEYS["sigma_grid"])
+            start, stop = (_number(f"sigma_grid.{key}", grid[key]) for key in ("start", "stop"))
             steps = _integer("sigma_grid.steps", grid["steps"], 1)
-            if not (math.isfinite(start) and math.isfinite(stop)) or start < 0 or stop < start:
+            if start < 0 or stop < start:
                 raise ConfigError(f"bad sigma_grid {grid}")
             receivers = []
             for r in d["receivers"]:
-                r = dict(r)
-                if r.get("type") not in _RECEIVER_TYPES:
-                    raise ConfigError(f"unknown receiver type {r.get('type')!r}")
-                if r["type"] == "pnr":
-                    if "quadrature_points" in r:
-                        raise ConfigError(
-                            "pnr receiver: quadrature_points is not accepted; the phase average is now exact"
-                        )
-                    _integer("pnr receiver: resolution", r.setdefault("resolution", 1), 1)
-                    r.setdefault("visibility", 0.998)
-                    r.setdefault("beta_mode", "null-first")
+                kind = r.get("type") if isinstance(r, dict) else None
+                if kind not in _KEYS["receivers"]:
+                    raise ConfigError(f"unknown receiver type {kind!r}")
+                name = f"{kind} receiver"
+                r = _section(name, r, {"type": kind, **_KEYS["receivers"][kind]})
+                if kind == "pnr":
+                    _integer(f"{name}: resolution", r["resolution"], 1)
                     if r["beta_mode"] not in _BETA_MODES:
                         raise ConfigError(f"beta_mode must be one of {_BETA_MODES}")
                     # a ValueError here becomes a ConfigError below
-                    PnrConfig(
-                        resolution=r["resolution"],
-                        visibility=float(r["visibility"]),
-                        displacement=float(r.get("displacement", 0.0)),
-                    ).validate()
-                if r["type"] == "atomic":
-                    r.setdefault("objectives", ["error", "information"])
-                    if not set(r["objectives"]) <= {"error", "information"}:
-                        raise ConfigError(f"bad atomic objectives {r['objectives']}")
-                    if "n_starts" in r:
-                        raise ConfigError(
-                            "atomic receiver: n_starts is not accepted; the search is an "
-                            "exact grid over Phi and has no starts any more"
-                        )
-                if r["type"] == "accinfo":
-                    # "lam_max" and "polish_max" are accepted and ignored
-                    for key, default, least in (
-                        ("restarts", AscentConfig.restarts, 1),
-                        ("outcomes", 4, 2),
-                        ("max_iter", AscentConfig.max_iter, 1),
-                    ):
-                        _integer(f"accinfo receiver: {key}", r.setdefault(key, default), least)
+                    PnrConfig(r["resolution"], _number(f"{name}: visibility", r["visibility"])).validate()
+                if kind == "atomic" and not (r["objectives"] and set(r["objectives"]) <= {"error", "information"}):
+                    raise ConfigError(f"bad atomic objectives {r['objectives']}")
+                if kind == "accinfo":
+                    for key, least in (("restarts", 1), ("outcomes", 2), ("max_iter", 1)):
+                        _integer(f"{name}: {key}", r[key], least)
                 receivers.append(r)
-            cutoff = d.get("fock_cutoff")
-            if cutoff is not None:
-                _integer("fock_cutoff", cutoff, 1, MAX_FOCK_CUTOFF)
+            if d["fock_cutoff"] is not None:
+                _integer("fock_cutoff", d["fock_cutoff"], 1, MAX_FOCK_CUTOFF)
+            for key in ("output", "json_output"):
+                if d[key] is not None and not isinstance(d[key], str):
+                    raise ConfigError(f"{key} must be a path, got {d[key]!r}")
             return cls(
-                signal=signal,
-                mean_photons=nbar,
-                priors=priors,
-                sigma_start=start,
-                sigma_stop=stop,
-                sigma_steps=steps,
-                receivers=tuple(receivers),
-                fock_cutoff=cutoff,
-                seed=_integer("seed", d.get("seed", 0), 0),
-                output=d.get("output"),
-                json_output=d.get("json_output"),
+                signal=signal, mean_photons=nbar, priors=priors, sigma_start=start, sigma_stop=stop,
+                sigma_steps=steps, receivers=tuple(receivers), fock_cutoff=d["fock_cutoff"],
+                seed=_integer("seed", d["seed"], 0), output=d["output"], json_output=d["json_output"],
             )
         except ConfigError:
             raise
@@ -143,15 +157,9 @@ class SweepConfig:
         return np.linspace(self.sigma_start, self.sigma_stop, self.sigma_steps)
 
 
-def _signal_params(cfg: SweepConfig, sigma: float):
-    if cfg.signal == "BPSK":
-        return bpsk(cfg.mean_photons, sigma, cfg.priors[0])
-    return ook(cfg.mean_photons, sigma, cfg.priors[0])
-
-
 def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
     """All configured figures of merit at one grid point."""
-    params = _signal_params(cfg, sigma)
+    params = _SIGNALS[cfg.signal](cfg.mean_photons, sigma, cfg.priors[0])
     cutoff = cfg.fock_cutoff or default_cutoff([params.alpha1, params.alpha2])
     dim = FockDim(cutoff)
     point_seed = cfg.seed * 100_003 + index
@@ -189,11 +197,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
             row["accinfo_converged"] = int(rep.converged)
         elif kind == "pnr":
             m = rec["resolution"]
-            base = PnrConfig(
-                resolution=m,
-                visibility=float(rec["visibility"]),
-                displacement=float(rec.get("displacement", params.alpha1)),
-            )
+            base = PnrConfig(resolution=m, visibility=float(rec["visibility"]), displacement=params.alpha1)
             if rec["beta_mode"] == "optimized":
                 err_cfg, p_err = optimize_displacement(params, base, "min-error")
                 info_cfg, i_val = optimize_displacement(params, base, "max-information")

@@ -17,7 +17,6 @@ from phasecomm import (
     AtomicParams,
     FockDim,
     OptimizeConfig,
-    SeriesConfig,
     accessible_information,
     binary_entropy,
     dephase,
@@ -164,7 +163,6 @@ def test_criterion_2_series_matrix_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     dim = FockDim(30)
-    series = SeriesConfig(n_terms=30)
     worst_err = 0.0
     worst_joint = 0.0
     for _ in range(100):
@@ -184,7 +182,7 @@ def test_criterion_2_series_matrix_equivalence():
         worst_err = max(
             worst_err,
             abs(
-                error_probability_series(params, p, series)
+                error_probability_series(params, p)
                 - error_probability(ens, povm)
             ),
         )
@@ -193,7 +191,7 @@ def test_criterion_2_series_matrix_equivalence():
             float(
                 np.max(
                     np.abs(
-                        joint_probabilities_series(params, p, series)
+                        joint_probabilities_series(params, p)
                         - joint_distribution(ens, povm)
                     )
                 )
@@ -422,12 +420,11 @@ def test_criterion_6_monotonicity_suite(sweep_bpsk_05):
 
     # each joint-table entry is D + exp(-sigma^2/2) C with sigma-independent
     # D and C; solve for them at two sigmas and predict a third
-    series = SeriesConfig(n_terms=30)
     p = AtomicParams(xi=1.9, theta=0.55, phi_pulse=2.4)
 
     def table(sigma):
         return joint_probabilities_series(
-            SignalParams(0.5, np.sqrt(0.5), -np.sqrt(0.5), sigma), p, series
+            SignalParams(0.5, np.sqrt(0.5), -np.sqrt(0.5), sigma), p
         )
 
     t0, t1 = table(0.0), table(0.7)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize as sciopt
 from scipy import special
 
@@ -9,7 +11,6 @@ from phasecomm import (
     AtomicParams,
     FockDim,
     OptimizeConfig,
-    SeriesConfig,
     SeriesTruncationError,
     error_probability,
     error_probability_series,
@@ -31,7 +32,6 @@ from phasecomm.sweep import SweepConfig, compute_point
 
 
 DIM = FockDim(30)
-SERIES = SeriesConfig(n_terms=30)
 
 
 def matrix_joint(params: SignalParams, p: AtomicParams, dim: FockDim = DIM):
@@ -89,17 +89,34 @@ class TestSeriesVsMatrix:
             phi_pulse=rng.uniform(0, 8.0),
         )
         _, _, table_matrix = matrix_joint(params, p)
-        table_series = joint_probabilities_series(params, p, SERIES)
+        table_series = joint_probabilities_series(params, p)
         np.testing.assert_allclose(table_matrix, table_series, atol=1e-8)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(
+        signal=st.sampled_from([bpsk, ook]),
+        mean_photons=st.floats(0.01, 10.0),
+        q1=st.floats(0.05, 0.95),
+        sigma=st.floats(0.0, 3.0),
+        xi=st.floats(0.0, 2 * np.pi),
+        theta=st.floats(0.0, np.pi / 2),
+        phi=st.floats(0.0, PHI_MAX),
+    )
+    def test_derived_length_matches_kraus_path(self, signal, mean_photons, q1, sigma, xi, theta, phi):
+        # over the documented config space, at the series length the amplitudes give
+        params = signal(mean_photons, sigma, q1)
+        p = AtomicParams(xi, theta, phi)
+        _, _, table_matrix = matrix_joint(params, p, FockDim(default_cutoff([params.alpha1, params.alpha2])))
+        assert np.max(np.abs(joint_probabilities_series(params, p) - table_matrix)) <= 1e-10
 
     def test_error_and_information_agree(self):
         params = bpsk(0.5, 0.4)
         p = AtomicParams(xi=np.pi / 2, theta=0.6, phi_pulse=1.8)
         ens, povm, _ = matrix_joint(params, p)
-        assert error_probability_series(params, p, SERIES) == pytest.approx(
+        assert error_probability_series(params, p) == pytest.approx(
             error_probability(ens, povm), abs=1e-8
         )
-        assert mutual_information_series(params, p, SERIES) == pytest.approx(
+        assert mutual_information_series(params, p) == pytest.approx(
             mutual_information(ens, povm), abs=1e-8
         )
 
@@ -108,32 +125,32 @@ class TestSeriesProperties:
     def test_trivial_params_error_is_q2(self):
         params = SignalParams(q1=0.35, alpha1=0.4, alpha2=-0.9, sigma=0.5)
         p = AtomicParams(xi=0.0, theta=0.0, phi_pulse=0.0)
-        assert error_probability_series(params, p, SERIES) == pytest.approx(
+        assert error_probability_series(params, p) == pytest.approx(
             0.65, abs=1e-12
         )
 
     def test_trivial_params_second_column_zero(self):
         params = bpsk(0.5, 0.3)
         p = AtomicParams(xi=0.0, theta=0.0, phi_pulse=0.0)
-        table = joint_probabilities_series(params, p, SERIES)
+        table = joint_probabilities_series(params, p)
         np.testing.assert_allclose(table[:, 1], 0.0, atol=1e-15)
-        assert mutual_information_series(params, p, SERIES) == pytest.approx(
+        assert mutual_information_series(params, p) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_row_sums_are_priors(self):
         params = SignalParams(q1=0.3, alpha1=0.7, alpha2=-0.5, sigma=0.8)
         p = AtomicParams(xi=2.1, theta=0.7, phi_pulse=3.0)
-        table = joint_probabilities_series(params, p, SERIES)
+        table = joint_probabilities_series(params, p)
         np.testing.assert_allclose(table.sum(axis=1), [0.3, 0.7], atol=1e-9)
         assert table.min() >= -1e-12
 
     def test_xi_reflection_symmetry(self):
         params = bpsk(0.5, 0.6)
         xi = 0.8
-        a = error_probability_series(params, AtomicParams(xi, 0.7, 2.0), SERIES)
+        a = error_probability_series(params, AtomicParams(xi, 0.7, 2.0))
         b = error_probability_series(
-            params, AtomicParams(np.pi - xi, 0.7, 2.0), SERIES
+            params, AtomicParams(np.pi - xi, 0.7, 2.0)
         )
         assert abs(a - b) <= 1e-12
 
@@ -147,7 +164,7 @@ class TestSeriesProperties:
             # remove the channel's own effect on sigma-independent pieces by
             # holding everything but the cross factor fixed: amplitudes and
             # priors are shared, so D and C are shared too
-            return joint_probabilities_series(params, p, SERIES)
+            return joint_probabilities_series(params, p)
 
         t0, t1 = table(0.0), table(0.7)
         c = (t0 - t1) / (1.0 - np.exp(-0.5 * 0.7**2))
@@ -155,11 +172,12 @@ class TestSeriesProperties:
         predicted = d + np.exp(-0.5 * 1.1**2) * c
         assert np.max(np.abs(predicted - table(1.1))) <= 1e-12
 
-    def test_truncation_guard(self):
+    def test_truncation_guard(self, monkeypatch):
         params = SignalParams(q1=0.5, alpha1=1.5, alpha2=-1.5, sigma=0.2)
         p = AtomicParams(xi=1.0, theta=0.6, phi_pulse=2.0)
-        with pytest.raises(SeriesTruncationError):
-            joint_probabilities_series(params, p, SeriesConfig(n_terms=4))
+        monkeypatch.setattr(atomic, "_series_length", lambda amplitudes: 4)
+        with pytest.raises(SeriesTruncationError, match="at 4 terms"):
+            joint_probabilities_series(params, p)
 
 
 def kraus_coefficients(ens, dim: FockDim, phi: float) -> tuple:
@@ -306,8 +324,7 @@ class TestInformationGrid:
     def test_grid_form_matches_the_shared_kernel(self, params):
         # the search keeps its own form of the information; on one block of
         # the grid it agrees with the kernel up to the guard's effect
-        cfg = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2])
-        coeffs = atomic._TableCoefficients(params, cfg)(atomic._PHI_GRID[: atomic._BLOCK_ROWS])
+        coeffs = atomic._TableCoefficients(params)(atomic._PHI_GRID[: atomic._BLOCK_ROWS])
         two_theta = atomic._TWO_THETA_GRID
         priors = (params.q1, params.q2)
         a, b, c = (v[:, None] for v in coeffs)
@@ -345,15 +362,16 @@ class TestOneGuard:
         "params", [bpsk(0.75, 0.3), ook(3.0, 0.6), SignalParams(q1=0.3, alpha1=1.2, alpha2=-0.4, sigma=1.1)],
         ids=["bpsk", "ook-3", "asymmetric"],
     )
-    def test_series_guard_is_the_worst_case_over_angles(self, params):
-        longest = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2]).n_terms
+    def test_series_guard_is_the_worst_case_over_angles(self, monkeypatch, params):
+        longest = atomic._series_length([params.alpha1, params.alpha2])
         for n_terms in range(1, longest):
+            monkeypatch.setattr(atomic, "_series_length", lambda amplitudes: n_terms)
             for phi in (0.7, 2.0, 9.3):
                 rejected = []
                 for xi, theta in self.ANGLES:
                     p = AtomicParams(xi, theta, phi)
                     try:
-                        joint_probabilities_series(params, p, SeriesConfig(n_terms))
+                        joint_probabilities_series(params, p)
                         rejected.append(False)
                     except SeriesTruncationError:
                         rejected.append(True)
@@ -386,15 +404,16 @@ class TestOptimize:
 
 
 class TestSeriesLength:
-    def test_guard_accepts_derived_length_everywhere(self):
+    def test_guard_accepts_derived_length_everywhere(self, monkeypatch):
         params = ook(3.0, 0.6)
-        cfg = SeriesConfig.for_amplitudes([params.alpha1, params.alpha2])
+        n_terms = atomic._series_length([params.alpha1, params.alpha2])
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = AtomicParams(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi / 2), rng.uniform(0, PHI_MAX))
-            joint_probabilities_series(params, p, cfg)
+            joint_probabilities_series(params, p)
+        monkeypatch.setattr(atomic, "_series_length", lambda amplitudes: n_terms - 4)
         with pytest.raises(SeriesTruncationError):
-            joint_probabilities_series(params, AtomicParams(np.pi / 2, 0.7, 2.0), SeriesConfig(cfg.n_terms - 4))
+            joint_probabilities_series(params, AtomicParams(np.pi / 2, 0.7, 2.0))
 
     def test_ook_3_point_runs_and_matches_kraus_path(self):
         # the series length used to be the Fock cutoff, whose guard differs:

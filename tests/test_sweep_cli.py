@@ -87,6 +87,29 @@ class TestSweepConfig:
             {"seed": 1.7},
             {"seed": -1},
             {"fock_cutoff": 30.7},
+            # real-valued keys take finite ints or floats only
+            {"priors": [float("nan"), 0.5]},
+            {"priors": [0.5, float("nan")]},
+            {"priors": ["0.5", "0.5"]},
+            {"mean_photons": True},
+            {"mean_photons": "0.5"},
+            {"sigma_grid": {"start": "0", "stop": 1.0, "steps": 5}},
+            {"sigma_grid": {"start": 0.0, "stop": False, "steps": 5}},
+            {"receivers": [{"type": "pnr", "visibility": "0.5"}]},
+            {"receivers": [{"type": "atomic", "objectives": []}]},
+            # an integer path would be opened as a file descriptor
+            {"output": 1},
+            {"json_output": True},
+            # every key outside the declared table is an error, misspellings included
+            {"resolutoin": 3},
+            {"fock_cuttoff": 40},
+            {"sigma_grid": {"start": 0.0, "stop": 1.0, "steps": 5, "stpes": 5}},
+            {"receivers": [{"type": "helstrom", "cutoff": 30}]},
+            {"receivers": [{"type": "atomic", "objective": ["error"]}]},
+            {"receivers": [{"type": "accinfo", "restart": 4}]},
+            {"receivers": [{"type": "pnr", "resolutoin": 3}]},
+            {"receivers": [{"type": "pnr", "displacement": 0.5}]},
+            {"receivers": ["pnr"]},
         ],
     )
     def test_rejects_bad_config(self, bad):
@@ -306,6 +329,12 @@ class TestCli:
         cfg = self.write_config(tmp_path, base_config(signal="QPSK"))
         assert main(["sweep", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, base_config(receivers=[{"type": "pnr", "resolutoin": 3}]))
+        assert main(["sweep", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'resolutoin'" in err
 
     def test_infinite_mean_photons_exit_code(self, tmp_path, capsys):
         # json writes and reads the non-standard Infinity literal

@@ -14,7 +14,9 @@ linear in it and the mutual information is convex in the channel, so both
 optima lie at |sin xi| = 1. There the joint table is affine in
 (cos 2theta, sin 2theta), which `optimize` exploits: the minimum error over
 theta has a closed form, and only Phi (and 2theta, for the information)
-remains to be searched.
+remains to be searched. The table's Phi derivatives are series of the same
+form (`_series_sums`), so the information has an exact gradient in
+(Phi, 2theta), which its polish by L-BFGS-B follows.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from .config import PROB_GUARD, SERIES_TAIL
-from .discrimination import BinaryPovm, mutual_information_from_joint
+from .discrimination import BinaryPovm, _log_ratio, mutual_information_from_joint
 from .errors import SeriesTruncationError
 from .fock import FockDim
 from .signals import SignalParams
@@ -125,20 +127,34 @@ def _series_weights(alpha: float, n_terms: int) -> np.ndarray:
     return np.stack([w0, w1, np.sign(alpha) * np.sqrt(w0 * w1)])
 
 
-def _series_sums(weights: np.ndarray, phi: np.ndarray) -> tuple:
+def _series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> tuple:
     """Diagonal, raised and cross sums of one amplitude at each coupling.
 
     With the rows (w0, w1, wc) of `_series_weights`, over n = 0..n_terms:
     diag = sum w0 cos^2(Phi sqrt n), raised = sum w1 sin^2(Phi sqrt(n+1)),
     cross = sum wc cos(Phi sqrt n) sin(Phi sqrt(n+1)).
     Returns (sums, last), each of shape (3, len(phi)): the three sums and
-    their n = n_terms terms.
+    their n = n_terms terms. With `slopes`, also their Phi derivatives:
+    d diag = -sum w0 sqrt(n) sin(2 Phi sqrt n),
+    d raised = sum w1 sqrt(n+1) sin(2 Phi sqrt(n+1)),
+    d cross = sum wc [sqrt(n+1) cos(Phi sqrt n) cos(Phi sqrt(n+1))
+                      - sqrt(n) sin(Phi sqrt n) sin(Phi sqrt(n+1))].
     """
-    arg = np.multiply.outer(phi, np.sqrt(np.arange(weights.shape[1] + 1)))
+    root = np.sqrt(np.arange(weights.shape[1] + 1))
+    arg = np.multiply.outer(phi, root)
     cos_n = np.cos(arg[:, :-1])
     sin_n1 = np.sin(arg[:, 1:])
     terms = weights[:, None, :] * np.stack([cos_n**2, sin_n1**2, cos_n * sin_n1])
-    return terms.sum(axis=-1), terms[..., -1]
+    if not slopes:
+        return terms.sum(axis=-1), terms[..., -1]
+    sin_n, cos_n1 = np.sin(arg[:, :-1]), np.cos(arg[:, 1:])
+    r0, r1 = root[:-1], root[1:]
+    derivatives = np.stack([
+        -2 * r0 * sin_n * cos_n,
+        2 * r1 * sin_n1 * cos_n1,
+        r1 * cos_n * cos_n1 - r0 * sin_n * sin_n1,
+    ])
+    return terms.sum(axis=-1), terms[..., -1], (weights[:, None, :] * derivatives).sum(axis=-1)
 
 
 class _TableCoefficients:
@@ -158,10 +174,11 @@ class _TableCoefficients:
             for q, alpha in ((params.q1, params.alpha1), (params.q2, params.alpha2))
         ]
 
-    def __call__(self, phi: np.ndarray) -> tuple:
-        a, b, c = (np.empty((len(phi), 2, 2)) for _ in range(3))
-        for x, (scale, weights) in enumerate(self.hypotheses):
-            (diag, raised, cross), (d, r, x_last) = _series_sums(weights, phi)
+    def __call__(self, phi: np.ndarray, slopes: bool = False) -> tuple:
+        """(a, b, c) at each coupling; with `slopes`, also their Phi derivatives."""
+        sums, derivatives = [], []
+        for _, weights in self.hypotheses:
+            (diag, raised, cross), (d, r, x_last), *slope = _series_sums(weights, phi, slopes)
             # the last terms at their worst over (xi, theta), against half of the two
             # outcome sums' total diag + raised, which the larger of them reaches
             ratio = np.max((d + r + 2 * self.damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300))
@@ -169,6 +186,16 @@ class _TableCoefficients:
                 raise SeriesTruncationError(
                     f"last series term is {ratio:.3e} of the sum at {self.n_terms} terms, above {SERIES_TAIL:.0e}"
                 )
+            sums.append((diag, raised, cross))
+            derivatives += slope
+        table = self._table(sums, len(phi))
+        return (table, self._table(derivatives, len(phi))) if slopes else table
+
+    def _table(self, sums: list, size: int) -> tuple:
+        """(a, b, c) from each hypothesis' (diag, raised, cross). The map is
+        linear, so it takes their Phi derivatives to the table's."""
+        a, b, c = (np.empty((size, 2, 2)) for _ in range(3))
+        for x, ((scale, _), (diag, raised, cross)) in enumerate(zip(self.hypotheses, sums)):
             a[:, x, 0] = a[:, x, 1] = 0.5 * scale * (diag + raised)
             b[:, x, 0] = 0.5 * scale * (diag - raised)
             b[:, x, 1] = -b[:, x, 0]
@@ -279,6 +306,22 @@ def _search_min_error(params) -> list:
     return found
 
 
+def _neg_information(x: np.ndarray, coefficients: _TableCoefficients, q: np.ndarray) -> tuple:
+    """Minus the information at x = (Phi, 2theta), and its gradient.
+
+    dI/dPr(x, y) is the log ratio log2 Pr(x, y) / (q_x Pr(y)), and
+    Pr = a + b cos(2theta) + c sin(2theta), so dI/dPhi = sum log_ratio
+    (a' + b' cos + c' sin) with the slopes of `_TableCoefficients`, and
+    dI/d2theta = sum log_ratio (c cos - b sin).
+    """
+    ((a,), (b,), (c,)), ((da,), (db,), (dc,)) = coefficients(x[:1], slopes=True)
+    cos_t, sin_t = np.cos(x[1]), np.sin(x[1])
+    table = a + b * cos_t + c * sin_t
+    log_ratio = _log_ratio(q, table)
+    gradient = [np.sum(log_ratio * (da + db * cos_t + dc * sin_t)), np.sum(log_ratio * (c * cos_t - b * sin_t))]
+    return -np.sum(table * log_ratio), -np.array(gradient)
+
+
 def _search_max_information(params) -> list:
     """Swapping the outcome labels leaves the information unchanged and maps
     2theta to 2theta + pi, so 2theta runs over [0, pi) only."""
@@ -291,25 +334,20 @@ def _search_max_information(params) -> list:
         j = info.argmax(axis=1)
         return -info[np.arange(len(j)), j], two_theta[j]
 
-    def neg_info(x):
-        a, b, c = coefficients(x[:1])
-        table = a[0] + b[0] * np.cos(x[1]) + c[0] * np.sin(x[1])
-        return -mutual_information_from_joint(table, priors)
-
     profile, best_t = _grid_profile(coefficients, over_theta)
     found = []
     for i in _best_local(profile, _POLISHED):
         x0 = np.array([grid[i], best_t[i]])
         res = sciopt.minimize(
-            neg_info,
+            _neg_information,
             x0,
-            method="Nelder-Mead",
+            args=(coefficients, np.asarray(priors)),
+            jac=True,
+            method="L-BFGS-B",
             bounds=[(0.0, PHI_MAX), (None, None)],
-            options={
-                "initial_simplex": [x0, x0 + [grid[1], 0.0], x0 + [0.0, two_theta[1]]],
-                "xatol": 1e-10,
-                "fatol": 1e-15,
-            },
+            # a line search that needs more than a few steps on this smooth 2-D
+            # objective has met rounding noise, where further steps find nothing
+            options={"gtol": 1e-12, "ftol": 0.0, "maxls": 6},
         )
         phi, t = res.x if res.fun < profile[i] else x0
         found.append(_canonical(phi, t % np.pi))
@@ -339,8 +377,11 @@ def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = Optimiz
     step 0.01. For the error, the minimum over theta at each Phi is
     closed-form; for the information, 2theta runs over a grid of 120
     points in [0, pi). The best three local optima of the grid are polished
-    (bounded Brent in Phi; Nelder-Mead in (Phi, 2theta)) and each is
-    evaluated by the public series functions. The returned parameters have xi in
+    (bounded Brent in Phi for the error; L-BFGS-B in (Phi, 2theta) with the
+    exact gradient of the information, from the Phi derivatives of the
+    series, bounded to Phi in [0, PHI_MAX]). A polish that ends no better
+    than its grid point keeps the grid point. Each candidate is evaluated
+    by the public series functions. The returned parameters have xi in
     {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
     the lexicographically smallest.
     """

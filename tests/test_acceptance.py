@@ -314,12 +314,13 @@ def matrix_path_min_error(params: SignalParams, dim: FockDim) -> float:
     """Minimum error of the atomic receiver family via its Kraus POVM.
 
     An oracle for `optimize`: it uses neither the photon-number series nor
-    the simplex search. The error depends on xi only through sin(xi) and is
+    the search's grid. The error depends on xi only through sin(xi) and is
     linear in it, so the minimum lies at |sin xi| = 1; letting theta range
     over a full period covers sin(xi) = -1, so xi = pi/2 suffices. There
     the error is a + b cos(2 theta) + c sin(2 theta), fixed by three thetas,
-    with minimum a - hypot(b, c). What remains is a dense grid in Phi past
-    the search box pi sqrt(30) ~ 17.2, polished around its lowest minima.
+    with minimum a - hypot(b, c). What remains is a dense grid of step 0.01
+    in Phi over [0, 20], inside the search range [0, PHI_MAX] = [0, 25],
+    polished around its lowest minima.
     """
     ens = build_ensemble(params, dim)
 

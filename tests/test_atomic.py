@@ -287,10 +287,14 @@ class TestReduction:
             _, _, table = matrix_joint(params, AtomicParams(np.pi / 2, t, phi))
             np.testing.assert_allclose(table, a + b * np.cos(2 * t) + c * np.sin(2 * t), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("params", [bpsk(0.5, 0.6), ook(1.5, 1.2)], ids=["bpsk-0.5-0.6", "ook-1.5-1.2"])
+    @pytest.mark.parametrize(
+        "params",
+        [bpsk(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 2.0), bpsk(0.75, 2.0), ook(1.5, 3.0)],
+        ids=["bpsk-0.5-0.6", "ook-1.5-1.2", "ook-0.5-2.0", "bpsk-0.75-2.0", "ook-1.5-3.0"],
+    )
     def test_max_information_matches_kraus_brute_force(self, params):
         res = optimize("max-information", params)
-        assert res.value == pytest.approx(KrausBruteForce(params).max_information(), abs=1e-9)
+        assert res.value == pytest.approx(KrausBruteForce(params).max_information(), abs=1e-13)
 
     @pytest.mark.parametrize(
         "params", [bpsk(0.5, 0.6), ook(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 2.0)],
@@ -332,6 +336,77 @@ class TestInformationGrid:
         grid = atomic._information_grid(coeffs, two_theta, priors)
         assert grid.shape == tables.shape[:2]
         assert np.max(np.abs(grid - mutual_information_from_joint(tables, priors))) <= 1e-13
+
+
+class TestPolish:
+    """The max-information polish: L-BFGS-B on (Phi, 2theta) with the exact gradient."""
+
+    STEP = 1e-6
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(
+        signal=st.sampled_from([bpsk, ook]),
+        mean_photons=st.floats(0.01, 10.0),
+        q1=st.floats(0.05, 0.95),
+        sigma=st.floats(0.0, 3.0),
+        phi=st.floats(0.0, PHI_MAX),
+        two_theta=st.floats(0.0, np.pi),
+    )
+    def test_gradient_matches_central_differences(self, signal, mean_photons, q1, sigma, phi, two_theta):
+        params = signal(mean_photons, sigma, q1)
+        coefficients = atomic._TableCoefficients(params)
+        h = self.STEP
+        table, slopes = coefficients(np.array([phi]), slopes=True)
+        for with_slopes, alone in zip(table, coefficients(np.array([phi]))):
+            assert np.array_equal(with_slopes, alone)
+        # the derivative series against central differences of the table
+        up, down = coefficients(np.array([phi + h])), coefficients(np.array([phi - h]))
+        for slope, u, d in zip(slopes, up, down):
+            assert np.max(np.abs(slope - (u - d) / (2 * h))) <= 1e-7
+
+        def info(phi, two_theta):
+            return mutual_information_series(params, AtomicParams(np.pi / 2, two_theta / 2, phi))
+
+        # the polish objective against central differences of the public series
+        value, gradient = atomic._neg_information(np.array([phi, two_theta]), coefficients, np.array([q1, 1 - q1]))
+        assert value == pytest.approx(-info(phi, two_theta), abs=1e-14)
+        central = -np.array([
+            (info(phi + h, two_theta) - info(phi - h, two_theta)) / (2 * h),
+            (info(phi, two_theta + h) - info(phi, two_theta - h)) / (2 * h),
+        ])
+        assert np.all(np.abs(gradient - central) <= 1e-7 * (1 + np.abs(central)))
+
+    @pytest.mark.parametrize("params", [bpsk(0.75, 0.6), ook(1.5, 1.2)], ids=["bpsk-0.75-0.6", "ook-1.5-1.2"])
+    def test_table_evaluations_per_start(self, monkeypatch, params):
+        # the Phi count of each table evaluation, with None where `_canonical`
+        # closes a polished start
+        log = []
+        call, canonical = atomic._TableCoefficients.__call__, atomic._canonical
+
+        def counted(self, phi, slopes=False):
+            log.append(len(phi))
+            return call(self, phi, slopes)
+
+        def closing(*args):
+            log.append(None)
+            return canonical(*args)
+
+        monkeypatch.setattr(atomic._TableCoefficients, "__call__", counted)
+        monkeypatch.setattr(atomic, "_canonical", closing)
+        res = optimize("max-information", params)
+        blocks = len(range(0, atomic._PHI_GRID.size, atomic._BLOCK_ROWS))
+        assert all(n > 1 for n in log[:blocks])
+        segments = [[]]
+        for n in log[blocks:]:
+            if n is None:
+                segments.append([])
+            else:
+                segments[-1].append(n)
+        *starts, scoring = segments
+        assert len(starts) == len(scoring) == len(res.per_start) == atomic._POLISHED
+        for start in starts:
+            assert set(start) == {1}
+            assert len(start) <= 60
 
 
 def per_angle_guard_rejects(params: SignalParams, p: AtomicParams, n_terms: int) -> bool:

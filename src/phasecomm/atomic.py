@@ -19,6 +19,7 @@ form (`_series_sums`), so the information has an exact gradient in
 (Phi, 2theta), which its polish by L-BFGS-B follows.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,10 +47,12 @@ __all__ = [
 
 # The receiver family's coupling range: `optimize` searches Phi in [0, PHI_MAX].
 PHI_MAX = 25.0
-# Grid of the search: Phi step 0.01, 2theta step 1.5 degrees.
+# Grid of the search: Phi step 0.01, 2theta step 5.625 degrees. The 32 angles
+# only rank the Phi basins of the information; its polish refines 2theta.
 _PHI_GRID = np.linspace(0.0, PHI_MAX, 2501)
-_TWO_THETA_GRID = np.linspace(0.0, np.pi, 120, endpoint=False)
-# Phi rows per block of the grid: each (Phi, 2theta) temporary stays near 120 kB.
+_TWO_THETA_GRID = np.linspace(0.0, np.pi, 32, endpoint=False)
+# Phi rows per block of the grid: each (Phi, 2theta) information temporary is
+# 32 kB, and each (Phi, n) series temporary n + 1 kB.
 _BLOCK_ROWS = 128
 # Local optima of the grid that are polished.
 _POLISHED = 3
@@ -157,28 +160,49 @@ def _series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> 
     return terms.sum(axis=-1), terms[..., -1], (weights[:, None, :] * derivatives).sum(axis=-1)
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_sums(alpha: float, n_terms: int) -> tuple:
+    """`_series_sums` of one amplitude at every Phi of `_PHI_GRID`, as read-only
+    (sums, last), evaluated in blocks of rows.
+
+    They depend on nothing else, so every sigma point and prior of a sweep,
+    and both searches, share one evaluation per amplitude.
+    """
+    weights = _series_weights(alpha, n_terms)
+    blocks = [_series_sums(weights, _PHI_GRID[i:i + _BLOCK_ROWS]) for i in range(0, _PHI_GRID.size, _BLOCK_ROWS)]
+    sums, last = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+    sums.flags.writeable = last.flags.writeable = False
+    return sums, last
+
+
 class _TableCoefficients:
     """The joint table over couplings at xi = pi/2, as (a, b, c) of shape
     (len(phi), 2, 2) with Pr(x, y) = a + b cos(2theta) + c sin(2theta).
 
     At any xi the interference term c carries a factor sin(xi). The
     truncation guard checks the series length at each Phi in its worst
-    case over (xi, theta), so it holds at every angle.
+    case over (xi, theta), so it holds at every angle; it runs on every
+    call, on the grid too.
     """
 
     def __init__(self, params: SignalParams):
         self.n_terms = _series_length([params.alpha1, params.alpha2])
         self.damping = np.exp(-0.5 * params.sigma**2)
         self.hypotheses = [
-            (q * np.exp(-alpha * alpha), _series_weights(alpha, self.n_terms))
+            (q * np.exp(-alpha * alpha), alpha, _series_weights(alpha, self.n_terms))
             for q, alpha in ((params.q1, params.alpha1), (params.q2, params.alpha2))
         ]
 
-    def __call__(self, phi: np.ndarray, slopes: bool = False) -> tuple:
-        """(a, b, c) at each coupling; with `slopes`, also their Phi derivatives."""
+    def __call__(self, phi: np.ndarray | None = None, slopes: bool = False) -> tuple:
+        """(a, b, c) at each coupling; with `slopes`, also their Phi derivatives.
+        Without `phi`, the table at every Phi of `_PHI_GRID`, from `_grid_sums`."""
         sums, derivatives = [], []
-        for _, weights in self.hypotheses:
-            (diag, raised, cross), (d, r, x_last), *slope = _series_sums(weights, phi, slopes)
+        for _, alpha, weights in self.hypotheses:
+            if phi is None:
+                (diag, raised, cross), (d, r, x_last) = _grid_sums(alpha, self.n_terms)
+            else:
+                (diag, raised, cross), (d, r, x_last), *slope = _series_sums(weights, phi, slopes)
+                derivatives += slope
             # the last terms at their worst over (xi, theta), against half of the two
             # outcome sums' total diag + raised, which the larger of them reaches
             ratio = np.max((d + r + 2 * self.damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300))
@@ -187,15 +211,14 @@ class _TableCoefficients:
                     f"last series term is {ratio:.3e} of the sum at {self.n_terms} terms, above {SERIES_TAIL:.0e}"
                 )
             sums.append((diag, raised, cross))
-            derivatives += slope
-        table = self._table(sums, len(phi))
-        return (table, self._table(derivatives, len(phi))) if slopes else table
+        table = self._table(sums)
+        return (table, self._table(derivatives)) if slopes else table
 
-    def _table(self, sums: list, size: int) -> tuple:
+    def _table(self, sums: list) -> tuple:
         """(a, b, c) from each hypothesis' (diag, raised, cross). The map is
         linear, so it takes their Phi derivatives to the table's."""
-        a, b, c = (np.empty((size, 2, 2)) for _ in range(3))
-        for x, ((scale, _), (diag, raised, cross)) in enumerate(zip(self.hypotheses, sums)):
+        a, b, c = (np.empty((len(sums[0][0]), 2, 2)) for _ in range(3))
+        for x, ((scale, _, _), (diag, raised, cross)) in enumerate(zip(self.hypotheses, sums)):
             a[:, x, 0] = a[:, x, 1] = 0.5 * scale * (diag + raised)
             b[:, x, 0] = 0.5 * scale * (diag - raised)
             b[:, x, 1] = -b[:, x, 0]
@@ -277,9 +300,10 @@ def _canonical(phi: float, two_theta: float) -> AtomicParams:
 
 def _grid_profile(coefficients: _TableCoefficients, over_theta) -> tuple:
     """`over_theta` (best value to minimize, its 2theta) at each Phi of the
-    grid, evaluated in blocks of rows."""
+    grid, evaluated in blocks of rows of the grid's table."""
+    table = coefficients()
     parts = [
-        over_theta(coefficients(_PHI_GRID[i:i + _BLOCK_ROWS]))
+        over_theta(tuple(v[i:i + _BLOCK_ROWS] for v in table))
         for i in range(0, _PHI_GRID.size, _BLOCK_ROWS)
     ]
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -374,9 +398,11 @@ def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = Optimiz
     """Best receiver setting for 'min-error' or 'max-information'.
 
     The search runs at |sin xi| = 1 over Phi in [0, PHI_MAX], on a grid of
-    step 0.01. For the error, the minimum over theta at each Phi is
-    closed-form; for the information, 2theta runs over a grid of 120
-    points in [0, pi). The best three local optima of the grid are polished
+    step 0.01, whose series are computed once per amplitude in a process
+    and shared by both objectives and every sigma and prior. For the error,
+    the minimum over theta at each Phi is closed-form; for the information,
+    2theta runs over a grid of 32 points in [0, pi), which only ranks the
+    Phi basins. The best three local optima of the grid are polished
     (bounded Brent in Phi for the error; L-BFGS-B in (Phi, 2theta) with the
     exact gradient of the information, from the Phi derivatives of the
     series, bounded to Phi in [0, PHI_MAX]). A polish that ends no better

@@ -109,8 +109,11 @@ class SweepConfig:
             if nbar <= 0:
                 raise ConfigError(f"mean_photons must be > 0, got {nbar}")
             priors = tuple(_number("priors", p) for p in d["priors"])
-            if len(priors) != 2 or abs(sum(priors) - 1.0) > PRIORS_SUM or min(priors) < 0:
+            if len(priors) != 2 or abs(sum(priors) - 1.0) > PRIORS_SUM:
                 raise ConfigError(f"priors {priors} are not a binary distribution")
+            # a zero prior leaves one state, whose figures of merit are rounding noise
+            if min(priors) <= 0:
+                raise ConfigError(f"priors must both be > 0, got {priors}")
             params = _SIGNALS[signal](nbar, 0.0, priors[0])
             if poisson_tail(max(abs(params.alpha1), abs(params.alpha2)), MAX_FOCK_CUTOFF) >= TAIL:
                 raise ConfigError(f"mean_photons {nbar} needs a Fock cutoff above {MAX_FOCK_CUTOFF}")

@@ -28,7 +28,7 @@ from phasecomm.config import SERIES_TAIL
 from phasecomm.discrimination import joint_distribution, mutual_information_from_joint
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
-from phasecomm.sweep import SweepConfig, compute_point
+from phasecomm.sweep import SweepConfig, compute_point, run_sweep
 
 
 DIM = FockDim(30)
@@ -289,8 +289,15 @@ class TestReduction:
 
     @pytest.mark.parametrize(
         "params",
-        [bpsk(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 2.0), bpsk(0.75, 2.0), ook(1.5, 3.0)],
-        ids=["bpsk-0.5-0.6", "ook-1.5-1.2", "ook-0.5-2.0", "bpsk-0.75-2.0", "ook-1.5-3.0"],
+        [
+            bpsk(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 2.0), bpsk(0.75, 2.0), ook(1.5, 3.0),
+            # information peaks over 2theta only 8.3 and 3.8 degrees wide at 90% of their height
+            ook(0.01, 0.0, 0.1), ook(0.01, 0.0, 0.05),
+        ],
+        ids=[
+            "bpsk-0.5-0.6", "ook-1.5-1.2", "ook-0.5-2.0", "bpsk-0.75-2.0", "ook-1.5-3.0",
+            "ook-0.01-0.0-q0.1", "ook-0.01-0.0-q0.05",
+        ],
     )
     def test_max_information_matches_kraus_brute_force(self, params):
         res = optimize("max-information", params)
@@ -383,8 +390,8 @@ class TestPolish:
         log = []
         call, canonical = atomic._TableCoefficients.__call__, atomic._canonical
 
-        def counted(self, phi, slopes=False):
-            log.append(len(phi))
+        def counted(self, phi=None, slopes=False):
+            log.append(atomic._PHI_GRID.size if phi is None else len(phi))
             return call(self, phi, slopes)
 
         def closing(*args):
@@ -394,10 +401,10 @@ class TestPolish:
         monkeypatch.setattr(atomic._TableCoefficients, "__call__", counted)
         monkeypatch.setattr(atomic, "_canonical", closing)
         res = optimize("max-information", params)
-        blocks = len(range(0, atomic._PHI_GRID.size, atomic._BLOCK_ROWS))
-        assert all(n > 1 for n in log[:blocks])
+        # the grid's table in one call, from the cached grid series
+        assert log[0] == atomic._PHI_GRID.size
         segments = [[]]
-        for n in log[blocks:]:
+        for n in log[1:]:
             if n is None:
                 segments.append([])
             else:
@@ -407,6 +414,54 @@ class TestPolish:
         for start in starts:
             assert set(start) == {1}
             assert len(start) <= 60
+
+
+class TestGridCache:
+    """The grid series of one amplitude, computed once and shared by every search."""
+
+    def test_cached_sums_equal_the_kernel_and_are_read_only(self):
+        alpha = -np.sqrt(0.75)
+        n_terms = atomic._series_length([alpha])
+        cached = atomic._grid_sums(alpha, n_terms)
+        fresh = atomic._series_sums(atomic._series_weights(alpha, n_terms), atomic._PHI_GRID)
+        for c, f in zip(cached, fresh):
+            assert np.array_equal(c, f)
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[0, 0] = 1.0
+
+    def test_sweep_evaluates_the_grid_series_once_per_amplitude(self, monkeypatch):
+        grid_calls = []
+        kernel = atomic._series_sums
+
+        def counted(weights, phi, slopes=False):
+            if len(phi) > 1:
+                grid_calls.append(len(phi))
+            return kernel(weights, phi, slopes)
+
+        monkeypatch.setattr(atomic, "_series_sums", counted)
+        atomic._grid_sums.cache_clear()
+        doc = {
+            "signal": "BPSK",
+            "mean_photons": 0.42,
+            "sigma_grid": {"start": 0.0, "stop": 1.2, "steps": 3},
+            "receivers": [{"type": "atomic", "objectives": ["error", "information"]}],
+        }
+        rows = run_sweep(SweepConfig.from_dict(doc))
+        assert len(rows) == 3
+        # the two amplitudes +-sqrt(0.42), each over the grid in blocks of rows
+        assert sum(grid_calls) == 2 * atomic._PHI_GRID.size
+        assert len(grid_calls) == 2 * len(range(0, atomic._PHI_GRID.size, atomic._BLOCK_ROWS))
+
+    def test_guard_runs_on_a_cache_hit(self, monkeypatch):
+        params = SignalParams(q1=0.5, alpha1=1.5, alpha2=-1.5, sigma=0.2)
+        monkeypatch.setattr(atomic, "_series_length", lambda amplitudes: 4)
+        atomic._grid_sums(1.5, 4)
+        hits = atomic._grid_sums.cache_info().hits
+        # the grid's table alone, before any polish evaluates an off-grid Phi
+        with pytest.raises(SeriesTruncationError, match="at 4 terms"):
+            atomic._TableCoefficients(params)()
+        assert atomic._grid_sums.cache_info().hits == hits + 1
 
 
 def per_angle_guard_rejects(params: SignalParams, p: AtomicParams, n_terms: int) -> bool:

@@ -379,6 +379,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err
 
+    @pytest.mark.parametrize(
+        "signal, priors", [("BPSK", [1.0, 0.0]), ("BPSK", [0.0, 1.0]), ("OOK", [0.0, 1.0]), ("OOK", [1.0, 0.0])]
+    )
+    def test_zero_prior_exit_code(self, tmp_path, capsys, signal, priors):
+        # one state is left, whose error columns would be rounding noise below 0
+        receivers = [{"type": "helstrom"}, {"type": "atomic"}]
+        cfg = self.write_config(tmp_path, base_config(signal=signal, priors=priors, receivers=receivers))
+        assert main(["point", "--config", cfg, "--sigma", "0.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "priors must both be > 0" in err
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json"]) == 2
 

@@ -45,7 +45,6 @@ from .fock import (
     default_cutoff,
     hermitian_eig,
     matrix_function_sqrt_inv,
-    trace_norm,
 )
 from .pnr import (
     PnrConfig,

@@ -1,10 +1,12 @@
 """Figures of merit for binary state discrimination.
 
-Error probability of a given POVM, the Helstrom bound via the weighted
-difference operator, Shannon mutual information, and accessible
-information. The accessible information is maximised by L-BFGS-B over
-rank-one real POVMs M_y = phi_y phi_y^T on the support of the ensemble,
-so the ensemble must be real symmetric (see `accessible_information`).
+Error probability of a given POVM, the Helstrom bound and its
+measurement, Shannon mutual information, and accessible information.
+The Helstrom functions and the accessible information read one
+decomposition of the ensemble on its support (`_on_support`). The
+accessible information is maximised by L-BFGS-B over rank-one real POVMs
+M_y = phi_y phi_y^T on that support, so the ensemble must be real
+symmetric (see `accessible_information`).
 """
 
 import itertools
@@ -15,7 +17,7 @@ from scipy import optimize as sciopt
 
 from .config import HERMITICITY, POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOOR
 from .errors import DimensionMismatch
-from .fock import check_hermitian, hermitian_eig, trace_norm
+from .fock import check_hermitian, hermitian_eig
 
 __all__ = [
     "BinaryEnsemble",
@@ -100,16 +102,45 @@ def error_probability(ens: BinaryEnsemble, povm: BinaryPovm) -> float:
     return 1.0 - hit
 
 
-def _weighted_difference(ens: BinaryEnsemble) -> np.ndarray:
+def _on_support(ens: BinaryEnsemble):
+    """The ensemble on its support: V, V^dagger tau_x V, and the eigenpairs there.
+
+    V has orthonormal columns spanning the support of q1 tau1 + q2 tau2,
+    whose eigenvalues count as nonzero above numpy's matrix_rank cutoff,
+    w_max * d * eps. The eigenvalues (ascending) and eigenvectors are
+    those of q1 tau1 - q2 tau2 on the support. Everything is real when
+    the states are, to HERMITICITY.
+    """
     ens.validate()
+    q = np.asarray(ens.priors, dtype=float)
+    states = np.asarray(ens.states)
+    if np.max(np.abs(np.imag(states))) <= HERMITICITY:
+        states = np.real(states)
+    w, v = hermitian_eig(q[0] * states[0] + q[1] * states[1])
+    support = v[:, w > w.max() * ens.size * np.finfo(float).eps]
+    taus = support.conj().T @ states @ support
+    w, e = hermitian_eig(q[0] * taus[0] - q[1] * taus[1])
+    return support, taus, w, e
+
+
+def _helstrom(ens: BinaryEnsemble):
+    """The Helstrom bound and V Q+, the positive eigenvectors lifted from the support.
+
+    Eigenvalues above |w|_max d eps count as positive; those at rounding
+    level are null. The bound is q1 Tr(tau1 P-) + q2 Tr(tau2 P+), a sum
+    of terms e_j^dagger tau_x e_j >= 0, each floored at 0, so it does not
+    cancel as 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1 does.
+    """
+    support, taus, w, e = _on_support(ens)
+    plus = w > np.abs(w).max() * ens.size * np.finfo(float).eps
+    hits = np.maximum(np.real(np.sum(e.conj() * (taus @ e), axis=1)), 0.0)
     q1, q2 = ens.priors
-    lam = q1 * ens.states[0] - q2 * ens.states[1]
-    return 0.5 * (lam + lam.conj().T)
+    return float(q1 * hits[0, ~plus].sum() + q2 * hits[1, plus].sum()), support @ e[:, plus]
 
 
 def helstrom_bound(ens: BinaryEnsemble) -> float:
     """Minimum error over all measurements, 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1."""
-    return 0.5 - 0.5 * trace_norm(_weighted_difference(ens))
+    return _helstrom(ens)[0]
 
 
 def helstrom_measurement(ens: BinaryEnsemble):
@@ -117,18 +148,13 @@ def helstrom_measurement(ens: BinaryEnsemble):
 
     Outcome 1 projects onto the positive eigenspace of the weighted
     difference restricted to the support V of the ensemble,
-    M1 = V Q Q^dagger V^dagger, so M1 does not couple the support to its
-    complement.
+    M1 = V Q+ Q+^dagger V^dagger, so M1 does not couple the support to
+    its complement.
     """
-    lam = _weighted_difference(ens)
-    support = _support_basis(ens)
-    w, q = hermitian_eig(support.conj().T @ lam @ support)
-    # eigenvalues at rounding level (numpy's matrix_rank cutoff) are null
-    pos = support @ q[:, w > np.abs(w).max() * lam.shape[0] * np.finfo(float).eps]
+    bound, pos = _helstrom(ens)
     m1 = pos @ pos.conj().T
     m1 = 0.5 * (m1 + m1.conj().T)
-    m2 = np.eye(lam.shape[0], dtype=complex) - m1
-    return helstrom_bound(ens), BinaryPovm((m1, m2))
+    return bound, BinaryPovm((m1, np.eye(ens.size) - m1))
 
 
 def joint_distribution(ens: BinaryEnsemble, povm: Povm) -> np.ndarray:
@@ -205,21 +231,6 @@ def _log_ratio(q: np.ndarray, joint: np.ndarray) -> np.ndarray:
     return np.log2(np.where(live, joint, 1.0) / np.where(live, q[:, None] * py, 1.0))
 
 
-def _support_basis(ens: BinaryEnsemble) -> np.ndarray:
-    """Orthonormal columns spanning the support of q1 tau1 + q2 tau2.
-
-    The columns are real when that operator is, to HERMITICITY.
-    Eigenvalues count as nonzero above numpy's matrix_rank
-    cutoff, w_max * d * eps.
-    """
-    q1, q2 = ens.priors
-    rho = q1 * ens.states[0] + q2 * ens.states[1]
-    if np.max(np.abs(np.imag(rho))) <= HERMITICITY:
-        rho = np.real(rho)
-    w, v = hermitian_eig(rho)
-    return v[:, w > w.max() * ens.size * np.finfo(float).eps]
-
-
 def _polar(x: np.ndarray):
     """Phi = X (X^T X)^{-1/2}, whose rows phi_y give M_y = phi_y phi_y^T summing to I.
 
@@ -292,13 +303,10 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
     with fresh curvature memory. `restart_values` holds the value after
     each run. The POVM is lifted once, for the report.
     """
-    ens.validate()
-    states = np.asarray(ens.states)
-    if np.max(np.abs(np.imag(states))) > HERMITICITY:
+    support, taus, _, e = _on_support(ens)
+    if np.iscomplexobj(taus):
         raise ValueError("accessible_information needs real symmetric states")
     q = np.asarray(ens.priors, dtype=float)
-    support = _support_basis(ens)
-    taus = support.T @ np.real(states) @ support
     r = support.shape[1]
     k = max(cfg.outcomes, 2 * r)
 
@@ -307,7 +315,6 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
         if next(count) % _CHECK_EVERY == 0 and _residual(x, q, taus, support) <= RESIDUAL_TOL:
             raise StopIteration
 
-    _, e = hermitian_eig(q[0] * taus[0] - q[1] * taus[1])
     x = np.tile(e.T, (-(-k // r), 1))[:k] * np.sqrt(r / k)
     x = x + _START_NOISE * np.random.default_rng(cfg.seed).standard_normal((k, r))
     options = {"maxcor": _MAXCOR, "maxiter": cfg.max_iter, "maxfun": 2 * cfg.max_iter, "ftol": 0.0, "gtol": 0.0}

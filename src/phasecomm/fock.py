@@ -20,7 +20,6 @@ __all__ = [
     "poisson_tail",
     "coherent_ket",
     "hermitian_eig",
-    "trace_norm",
     "matrix_function_sqrt_inv",
     "check_hermitian",
 ]
@@ -106,12 +105,6 @@ def hermitian_eig(op: np.ndarray):
     if err > EIG_RECONSTRUCTION * scale:
         raise ConvergenceFailure(f"reconstruction error {err:.3e} exceeds bound")
     return w, v
-
-
-def trace_norm(op: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w, _ = hermitian_eig(op)
-    return float(np.sum(np.abs(w)))
 
 
 def matrix_function_sqrt_inv(op: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize as sciopt
 
+from oracles import pure_state_error
 from phasecomm import (
     AscentConfig,
     AtomicParams,
@@ -37,10 +38,6 @@ from phasecomm.sweep import SweepConfig, find_crossing, run_sweep
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE CRITERION {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def analytic_bpsk_error(nbar: float) -> float:
-    return 0.5 * (1.0 - np.sqrt(1.0 - np.exp(-4.0 * nbar)))
 
 
 ACCINFO_RECEIVER = {
@@ -151,7 +148,7 @@ def test_criterion_1_noiseless_helstrom_golden_values():
     worst = 0.0
     for nbar in (0.5, 0.75, 1.0):
         got = helstrom_bound(build_ensemble(bpsk(nbar, 0.0), dim))
-        worst = max(worst, abs(got - analytic_bpsk_error(nbar)))
+        worst = max(worst, abs(got - pure_state_error(0.5, np.sqrt(nbar), -np.sqrt(nbar))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 1.0
     report(1, ok, f"max |deviation| {worst:.3e} (tol 1e-6), runtime {elapsed:.2f}s (< 1s)")
@@ -390,7 +387,7 @@ def test_criterion_4_near_helstrom_gap():
 def test_criterion_5_steepest_ascent_correctness():
     ens = build_ensemble(bpsk(0.5, 0.0), FockDim(30))
     rep = accessible_information(ens, AscentConfig())
-    expected = 1.0 - binary_entropy(analytic_bpsk_error(0.5))
+    expected = 1.0 - binary_entropy(pure_state_error(0.5, np.sqrt(0.5), -np.sqrt(0.5)))
     dev = abs(rep.mutual_information - expected)
     rep.povm.validate()  # rank-one elements on the support: valid by construction
     ok = dev <= 1e-4 and rep.stationarity_residual <= 1e-6

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import pure_state_error
 from phasecomm import (
     AscentConfig,
     BinaryEnsemble,
@@ -18,7 +19,8 @@ from phasecomm import (
     mutual_information,
 )
 from phasecomm.config import POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOOR
-from phasecomm.discrimination import _objective, _residual, _support_basis, mutual_information_from_joint
+from phasecomm.discrimination import _objective, _on_support, _residual, mutual_information_from_joint
+from phasecomm.fock import default_cutoff
 from phasecomm.signals import bpsk, build_ensemble, ook
 
 
@@ -50,9 +52,8 @@ def dense_residual(ens: BinaryEnsemble, povm: Povm) -> float:
     return max(float(np.max(np.abs(ms[y] @ gamma - ms[y] @ r[y]))) for y in range(len(ms)))
 
 
-def bpsk_pure_error(mean_photons: float) -> float:
-    """Analytic noiseless minimum error for equiprobable antipodal signals."""
-    return 0.5 * (1.0 - np.sqrt(1.0 - np.exp(-4.0 * mean_photons)))
+def default_ensemble(params):
+    return build_ensemble(params, FockDim(default_cutoff([params.alpha1, params.alpha2])))
 
 
 class TestErrorProbability:
@@ -90,7 +91,7 @@ class TestErrorProbability:
 class TestHelstromBound:
     def test_noiseless_bpsk_golden(self):
         ens = build_ensemble(bpsk(0.5, 0.0), DIM)
-        assert helstrom_bound(ens) == pytest.approx(bpsk_pure_error(0.5), abs=1e-9)
+        assert helstrom_bound(ens) == pytest.approx(pure_state_error(0.5, np.sqrt(0.5), -np.sqrt(0.5)), abs=1e-9)
 
     def test_identical_states(self):
         tau = build_ensemble(bpsk(0.5, 0.3), DIM).states[0]
@@ -123,7 +124,7 @@ class TestHelstromBound:
         # above the cutoff coupled the two by 5.4e-4, 0.50 and 1.2e-2
         ens = build_ensemble(bpsk(0.5, sigma), DIM)
         _, povm = helstrom_measurement(ens)
-        support = _support_basis(ens)
+        support = _on_support(ens)[0]
         block = support.T @ povm.elements[0] @ (np.eye(ens.size) - support @ support.T)
         assert np.max(np.abs(block)) <= 1e-12
 
@@ -135,6 +136,36 @@ class TestHelstromBound:
         assert bound == pytest.approx(helstrom_bound(ens), abs=1e-12)
         assert error_probability(twisted, povm) == pytest.approx(bound, abs=1e-12)
         povm.validate()
+
+    @pytest.mark.parametrize("q1", [0.5, 0.3])
+    @pytest.mark.parametrize("mean_photons", [5.0, 10.0])
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    def test_pure_states_match_the_closed_form(self, signal, mean_photons, q1):
+        # the error is 5e-10 (BPSK 5) and 1e-18 (BPSK 10), where
+        # 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1 cancels to 2.6e-15 and 3.7e-13
+        params = signal(mean_photons, 0.0, q1)
+        closed = pure_state_error(q1, params.alpha1, params.alpha2)
+        assert abs(helstrom_bound(default_ensemble(params)) - closed) <= 1e-6 * closed + 1e-16
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mean_photons", [5.0, 10.0])
+    def test_ook_stays_below_the_on_off_error(self, mean_photons, sigma):
+        # an on/off detector errs only on the vacuum component of tau2, at
+        # q2 exp(-alpha2^2) for any sigma, so no bound may exceed that; a
+        # cancelling trace norm lands up to 1.9e-13 above it at OOK 10
+        params = ook(mean_photons, sigma, 0.3)
+        on_off = params.q2 * np.exp(-params.alpha2**2)
+        assert 0.0 <= helstrom_bound(default_ensemble(params)) <= on_off * (1 + 1e-12)
+
+    @pytest.mark.parametrize("params", [bpsk(5.0, 0.0, 0.3), ook(10.0, 0.0, 0.5)], ids=["bpsk-5", "ook-10"])
+    def test_small_bound_equals_the_measurement_error(self, params):
+        # summed from the POVM's misses, not as 1 - hits, which cancels
+        ens = default_ensemble(params)
+        bound, povm = helstrom_measurement(ens)
+        m1, m2 = povm.elements
+        tau1, tau2 = ens.states
+        error = params.q1 * np.real(np.trace(tau1 @ m2)) + params.q2 * np.real(np.trace(tau2 @ m1))
+        assert error == pytest.approx(bound, rel=1e-6)
 
     def test_nondecreasing_in_sigma(self):
         vals = [
@@ -260,7 +291,7 @@ class TestAccessibleInformation:
     def test_noiseless_bpsk_matches_entropy_oracle(self):
         ens = build_ensemble(bpsk(0.5, 0.0), DIM)
         rep = accessible_information(ens, AscentConfig(restarts=1))
-        expected = 1.0 - binary_entropy(bpsk_pure_error(0.5))
+        expected = 1.0 - binary_entropy(pure_state_error(0.5, np.sqrt(0.5), -np.sqrt(0.5)))
         assert rep.mutual_information == pytest.approx(expected, abs=1e-4)
         assert rep.stationarity_residual <= 1e-6
 
@@ -299,9 +330,8 @@ class TestQuasiNewtonAscent:
 
     def test_gradient_matches_central_difference(self):
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)
-        support = _support_basis(ens)
+        support, taus = _on_support(ens)[:2]
         r = support.shape[1]
-        taus = support.T @ np.real(np.asarray(ens.states)) @ support
         q = np.asarray(ens.priors)
         x = np.random.default_rng(11).standard_normal(2 * r * r)
         _, grad = _objective(x, q, taus)
@@ -350,7 +380,7 @@ class TestAscentOnSupport:
             ens = build_ensemble(params, DIM)
             rep = accessible_information(ens, AscentConfig(outcomes=4))
             # K = max(outcomes, 2 r) rank-one elements on the support
-            assert len(rep.povm.elements) == 2 * _support_basis(ens).shape[1]
+            assert len(rep.povm.elements) == 2 * _on_support(ens)[0].shape[1]
             assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
             rep.povm.validate()
             assert rep.stationarity_residual == pytest.approx(dense_residual(ens, rep.povm), abs=1e-12)
@@ -359,9 +389,8 @@ class TestAscentOnSupport:
     @pytest.mark.parametrize("signal", [bpsk, ook])
     def test_residual_on_the_support_matches_the_dense_definition(self, signal):
         ens = build_ensemble(signal(0.5, 0.6), DIM)
-        support = _support_basis(ens)
+        support, taus = _on_support(ens)[:2]
         r = support.shape[1]
-        taus = support.T @ np.real(np.asarray(ens.states)) @ support
         x = np.random.default_rng(7).standard_normal((2 * r, r))
         # X (X^T X)^{-1/2} = U W^T for the thin SVD X = U S W^T
         u, _, wt = np.linalg.svd(x, full_matrices=False)

@@ -9,7 +9,6 @@ from phasecomm import (
     default_cutoff,
     hermitian_eig,
     matrix_function_sqrt_inv,
-    trace_norm,
 )
 from phasecomm.config import HERMITICITY
 from phasecomm.fock import check_hermitian, poisson_tail
@@ -86,32 +85,6 @@ class TestHermitianEig:
             check_hermitian(skewed(2 * HERMITICITY))
         with pytest.raises(ValueError, match="hermiticity"):
             check_hermitian(np.stack([skewed(0.0), skewed(2 * HERMITICITY)]))
-
-
-class TestTraceNorm:
-    def test_diagonal(self):
-        assert trace_norm(np.diag([1.0, -2.0, 0.0]).astype(complex)) == pytest.approx(3.0)
-
-    def test_density_operator_trace(self):
-        rng = np.random.default_rng(1)
-        a = random_hermitian(8, rng)
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        assert trace_norm(rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_identical_states_cancel(self):
-        rng = np.random.default_rng(2)
-        a = random_hermitian(6, rng)
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        lam = 0.5 * rho - 0.5 * rho
-        assert trace_norm(lam) == pytest.approx(0.0, abs=1e-14)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_dominates_trace(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_hermitian(7, rng)
-        assert trace_norm(a) >= abs(np.trace(a).real) - 1e-12
 
 
 class TestSqrtInv:

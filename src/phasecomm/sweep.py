@@ -216,16 +216,19 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
 
 
 def _envelope_violations(row: dict) -> list:
+    # a p_* may sit below p_helstrom by 1e-9 of its size (plus 1e-13 where it
+    # is near 0), an i_* above i_accessible by 5e-6 bits, above the 1e-6
+    # stationarity tolerance of the ascent
     out = []
     p_hel = row.get("p_helstrom")
     if p_hel is not None:
         for key, val in row.items():
-            if key.startswith("p_") and key != "p_helstrom" and p_hel > val + 1e-9:
+            if key.startswith("p_") and key != "p_helstrom" and p_hel > val + 1e-9 * p_hel + 1e-13:
                 out.append(f"{key}={val:.6g} below helstrom {p_hel:.6g}")
     i_acc = row.get("i_accessible")
     if i_acc is not None:
         for key, val in row.items():
-            if key.startswith("i_") and key != "i_accessible" and val > i_acc + 1e-4:
+            if key.startswith("i_") and key != "i_accessible" and val > i_acc + 5e-6:
                 out.append(f"{key}={val:.6g} above accessible {i_acc:.6g}")
     return out
 

@@ -1,10 +1,23 @@
-"""Closed forms the tests check the library against.
+"""Independent reference computations the tests check the library against.
 
-Nothing here imports phasecomm, so an oracle cannot share a fault with
-the code it checks.
+Each oracle is written once, here. They use numpy, scipy and math, and
+from phasecomm only its matrix path: `kraus_operators` (with its argument
+type `AtomicParams`), `povm_from_kraus`, `build_ensemble` /
+`phase_diffused_coherent`, `joint_distribution` and `error_probability`.
+Nothing here imports the photon-number series, the atomic or displacement
+searches, the PNR kernel or the accessible-information ascent, so an oracle
+cannot share a fault with the code it checks. `tests/test_oracles.py`
+enforces this list.
 """
 
 import math
+
+import numpy as np
+from scipy import integrate, special
+from scipy import optimize as sciopt
+
+from phasecomm import AtomicParams, build_ensemble, kraus_operators, povm_from_kraus
+from phasecomm.discrimination import joint_distribution
 
 
 def pure_state_error(q1: float, alpha1: float, alpha2: float) -> float:
@@ -17,3 +30,155 @@ def pure_state_error(q1: float, alpha1: float, alpha2: float) -> float:
     q2 = 1.0 - q1
     s = math.exp(-((alpha1 - alpha2) ** 2))
     return 2.0 * q1 * q2 * s / (1.0 + math.sqrt(1.0 - 4.0 * q1 * q2 * s))
+
+
+def information(joint, priors, guard: float = 0.0):
+    """Shannon information in bits of joint tables p(x, y) = q_x Pr(y | x), shape (..., x, y).
+
+    One (x, y) entry at a time, each over the whole stack of leading axes:
+    an entry counts when it is positive and at least `guard`, and p(y) is
+    the column sum as it stands.
+    """
+    joint = np.asarray(joint, dtype=float)
+    py = joint.sum(axis=-2)
+    info = np.zeros(joint.shape[:-2])
+    for x in range(joint.shape[-2]):
+        for y in range(joint.shape[-1]):
+            p = joint[..., x, y]
+            live = (p > 0) & (p >= guard)
+            ratio = np.divide(p, priors[x] * py[..., y], out=np.ones_like(p), where=live)
+            info = info + np.where(live, p * np.log2(ratio), 0.0)
+    return info
+
+
+def polished_minimum(fun, grid: np.ndarray, values: np.ndarray, count: int = 4) -> float:
+    """Lowest of `fun` after a bounded Brent search around the best local grid minima."""
+    padded = np.concatenate([[np.inf], values, [np.inf]])
+    minima = np.flatnonzero((values <= padded[:-2]) & (values <= padded[2:]))
+    best = float(values.min())
+    step = grid[1] - grid[0]
+    for i in minima[np.argsort(values[minima])][:count]:
+        res = sciopt.minimize_scalar(
+            fun,
+            bounds=(max(grid[i] - step, grid[0]), min(grid[i] + step, grid[-1])),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
+        best = min(best, float(res.fun))
+    return best
+
+
+class KrausOracle:
+    """Optimal atomic receiver of one point through its Kraus POVM, over a grid of Phi.
+
+    The error depends on xi only through sin(xi) and is linear in it, so the
+    optimum lies at |sin xi| = 1; letting theta range over a full period
+    covers sin(xi) = -1, so xi = pi/2 suffices. There the joint table is
+    a + b cos(2 theta) + c sin(2 theta), fixed by three thetas. The error's
+    minimum over theta is exact; the information's is a grid of 2theta,
+    polished. Over Phi: the grid, polished around its best local minima.
+    """
+
+    TWO_THETA = np.linspace(0.0, 2 * np.pi, 240, endpoint=False)
+
+    def __init__(self, params, dim, phi):
+        self.dim = dim
+        self.phi = np.asarray(phi, dtype=float)
+        self.ens = build_ensemble(params, dim)
+        self.priors = (params.q1, params.q2)
+        self._grid = None
+
+    def coefficients(self, phi: float) -> tuple:
+        """(a, b, c), each a 2x2 joint table, at one Phi."""
+        t0, t45, t90 = (
+            joint_distribution(self.ens, povm_from_kraus(*kraus_operators(AtomicParams(np.pi / 2, t, phi), self.dim)))
+            for t in (0.0, np.pi / 4, np.pi / 2)
+        )
+        a = 0.5 * (t0 + t90)
+        return a, 0.5 * (t0 - t90), t45 - a
+
+    def grid(self) -> tuple:
+        """(a, b, c) over the Phi grid, each of shape (len(phi), 2, 2)."""
+        if self._grid is None:
+            self._grid = tuple(np.array(v) for v in zip(*(self.coefficients(phi) for phi in self.phi)))
+        return self._grid
+
+    @staticmethod
+    def _error(a, b, c):
+        return 1.0 - a[..., 0, 0] - a[..., 1, 1] - np.hypot(b[..., 0, 0] + b[..., 1, 1], c[..., 0, 0] + c[..., 1, 1])
+
+    def min_error(self) -> float:
+        return polished_minimum(lambda phi: self._error(*self.coefficients(phi)), self.phi, self._error(*self.grid()))
+
+    def _info(self, coeffs, two_theta) -> np.ndarray:
+        """Information of the tables at each 2theta (last axis) for each leading entry of `coeffs`."""
+        a, b, c = (v[..., None, :, :] for v in coeffs)
+        t = two_theta[:, None, None]
+        return information(a + b * np.cos(t) + c * np.sin(t), self.priors)
+
+    def _neg_info_over_theta(self, phi: float) -> float:
+        coeffs = self.coefficients(phi)
+        return polished_minimum(
+            lambda t: -self._info(coeffs, np.array([t]))[0], self.TWO_THETA, -self._info(coeffs, self.TWO_THETA)
+        )
+
+    def max_information(self) -> float:
+        values = -self._info(self.grid(), self.TWO_THETA).max(axis=-1)
+        return -polished_minimum(self._neg_info_over_theta, self.phi, values)
+
+
+def holevo_chi(ens) -> float:
+    """Holevo chi in bits, S(sum_x q_x tau_x) - sum_x q_x S(tau_x), from eigenvalues."""
+
+    def von_neumann_bits(rho):
+        w = np.linalg.eigvalsh(rho)
+        w = w[w > 0]
+        return float(-np.sum(w * np.log2(w)))
+
+    (q1, q2), (t1, t2) = ens.priors, ens.states
+    return von_neumann_bits(q1 * t1 + q2 * t2) - q1 * von_neumann_bits(t1) - q2 * von_neumann_bits(t2)
+
+
+def dense_residual(ens, povm, guard: float) -> float:
+    """max_y ||M_y Gamma - M_y R_y||_max on the full space, Gamma = sum_y R_y M_y.
+
+    R_y = sum_x q_x log2(p(x, y) / (q_x p(y))) tau_x, with entries of p(x, y)
+    below `guard` left out of the sum.
+    """
+    q = np.asarray(ens.priors, dtype=float)
+    taus, ms = np.asarray(ens.states), np.asarray(povm.elements)
+    joint = np.array([[q[x] * np.real(np.trace(taus[x] @ ms[y])) for y in range(len(ms))] for x in range(2)])
+    py = joint.sum(axis=0)
+    live = (joint >= guard) & (py >= guard)
+    weights = np.where(live, q[:, None] * np.log2(np.where(live, joint / (q[:, None] * py), 1.0)), 0.0)
+    r = np.array([sum(weights[x, y] * taus[x] for x in range(2)) for y in range(len(ms))])
+    gamma = sum(r[y] @ ms[y] for y in range(len(ms)))
+    return max(float(np.max(np.abs(ms[y] @ gamma - ms[y] @ r[y]))) for y in range(len(ms)))
+
+
+def quad_distribution(alpha, sigma, beta, visibility, m):
+    """Counts 0..m-1 and the merged rest, by adaptive quadrature of the Gaussian phase.
+
+    Integrates over the real line in units of sigma, split where the count
+    mean repeats, with the count mean written as
+    (alpha - beta)^2 + 2 alpha beta (1 - v) + 4 v alpha beta sin^2(phi / 2),
+    which does not cancel near nulling.
+    """
+    k = np.arange(m)
+    factorials = special.factorial(k)
+
+    def pmf(phi):
+        mean = (alpha - beta) ** 2 + 2 * alpha * beta * (1 - visibility) + 4 * visibility * alpha * beta * np.sin(phi / 2) ** 2
+        mean = max(mean, 0.0)
+        return np.exp(-mean) * mean**k / factorials
+
+    if sigma == 0.0:
+        counts = pmf(0.0)
+    else:
+        # the integrand is even in phi; |phi| beyond 12 sigma carries exp(-72)
+        breaks = np.arange(1, int(12.0 * sigma / np.pi) + 1) * np.pi / sigma
+        counts, _ = integrate.quad_vec(
+            lambda t: np.sqrt(2.0 / np.pi) * np.exp(-0.5 * t * t) * pmf(sigma * t), 0.0, 12.0,
+            epsabs=1e-16, epsrel=1e-14, norm="max", points=breaks if breaks.size else None,
+        )
+    return np.append(counts, max(1.0 - counts.sum(), 0.0))

@@ -1,23 +1,25 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The sweep-based criteria share four session-scoped sweeps (25 grid points
-each) covering both signal sets and three mean photon numbers. Reference
-crossing thresholds for the photon-counting baseline are soft targets
-(the baseline is a surrogate model); deviations are reported either way.
+each) covering both signal sets and three mean photon numbers. The
+crossings of the atomic receiver with the photon-counting baseline are
+solved exactly near the grid's interpolated crossing and pinned.
 """
 
+import functools
 import time
 
 import numpy as np
 import pytest
 from scipy import optimize as sciopt
 
-from oracles import pure_state_error
+from oracles import KrausOracle, holevo_chi, pure_state_error
 from phasecomm import (
     AscentConfig,
     AtomicParams,
     FockDim,
     OptimizeConfig,
+    PnrConfig,
     accessible_information,
     binary_entropy,
     dephase,
@@ -27,9 +29,11 @@ from phasecomm import (
     joint_probabilities_series,
     kraus_operators,
     optimize,
+    optimize_displacement,
     phase_diffused_coherent,
     povm_from_kraus,
 )
+from phasecomm.atomic import PHI_MAX
 from phasecomm.cli import main
 from phasecomm.discrimination import joint_distribution
 from phasecomm.signals import SignalParams, bpsk, build_ensemble
@@ -216,13 +220,13 @@ def test_criterion_3_optimality_envelopes(
         p_hel = row["p_helstrom"]
         for key, val in row.items():
             if key.startswith("p_") and key != "p_helstrom":
-                if p_hel > val + 1e-9:
+                if p_hel > val + 1e-9 * p_hel + 1e-13:
                     failures.append(f"sigma={row['sigma']:.3f}: {key} below Helstrom")
         i_acc = row.get("i_accessible")
         if i_acc is not None:
             for key, val in row.items():
                 if key.startswith("i_") and key != "i_accessible":
-                    if val > i_acc + 1e-4:
+                    if val > i_acc + 5e-6:
                         failures.append(
                             f"sigma={row['sigma']:.3f}: {key}={val:.6f} above "
                             f"accessible {i_acc:.6f}"
@@ -269,18 +273,11 @@ STEEPEST_ASCENT_VALUES = {
 }
 
 
-def von_neumann_bits(rho: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(rho)
-    w = w[w > 0]
-    return float(-np.sum(w * np.log2(w)))
-
-
 def test_accessible_information_converges_between_old_ascent_and_holevo(sweep_bpsk_05, sweep_bpsk_075):
     failures = []
     for nbar, rows in ((0.5, sweep_bpsk_05), (0.75, sweep_bpsk_075)):
         for row, old in zip(rows, STEEPEST_ASCENT_VALUES[nbar], strict=True):
-            t1, t2 = build_ensemble(bpsk(nbar, row["sigma"]), FockDim(row["cutoff"])).states
-            chi = von_neumann_bits(0.5 * t1 + 0.5 * t2) - 0.5 * von_neumann_bits(t1) - 0.5 * von_neumann_bits(t2)
+            chi = holevo_chi(build_ensemble(bpsk(nbar, row["sigma"]), FockDim(row["cutoff"])))
             i_acc = row["i_accessible"]
             if row["accinfo_converged"] != 1:
                 failures.append(f"BPSK {nbar} sigma={row['sigma']:.2f}: residual {row['accinfo_residual']:.2e}")
@@ -307,46 +304,10 @@ CRITERION_4_GAP_CURVE = {
 }
 
 
-def matrix_path_min_error(params: SignalParams, dim: FockDim) -> float:
-    """Minimum error of the atomic receiver family via its Kraus POVM.
-
-    An oracle for `optimize`: it uses neither the photon-number series nor
-    the search's grid. The error depends on xi only through sin(xi) and is
-    linear in it, so the minimum lies at |sin xi| = 1; letting theta range
-    over a full period covers sin(xi) = -1, so xi = pi/2 suffices. There
-    the error is a + b cos(2 theta) + c sin(2 theta), fixed by three thetas,
-    with minimum a - hypot(b, c). What remains is a dense grid of step 0.01
-    in Phi over [0, 20], inside the search range [0, PHI_MAX] = [0, 25],
-    polished around its lowest minima.
-    """
-    ens = build_ensemble(params, dim)
-
-    def error_at(theta, phi):
-        kraus = kraus_operators(AtomicParams(np.pi / 2, theta, phi), dim)
-        return error_probability(ens, povm_from_kraus(*kraus))
-
-    def best_over_theta(phi):
-        e0, e1, e2 = (error_at(t, phi) for t in (0.0, np.pi / 4, np.pi / 2))
-        a = 0.5 * (e0 + e2)
-        return a - np.hypot(0.5 * (e0 - e2), e1 - a)
-
-    grid = np.linspace(0.0, 20.0, 2001)
-    values = np.array([best_over_theta(phi) for phi in grid])
-    interior = np.arange(1, grid.size - 1)
-    minima = interior[
-        (values[interior] <= values[interior - 1])
-        & (values[interior] <= values[interior + 1])
-    ]
-    best = float(values.min())
-    for k in minima[np.argsort(values[minima])][:3]:
-        res = sciopt.minimize_scalar(
-            best_over_theta,
-            bounds=(grid[k - 1], grid[k + 1]),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        best = min(best, float(res.fun))
-    return best
+@functools.cache
+def bpsk_05_oracle(sigma: float) -> KrausOracle:
+    """Kraus-path oracle of BPSK at mean photons 0.5 on FockDim(30), Phi in [0, PHI_MAX] in steps of 0.01."""
+    return KrausOracle(bpsk(0.5, sigma), FockDim(30), np.linspace(0.0, PHI_MAX, 2501))
 
 
 def test_criterion_4_near_helstrom_gap():
@@ -358,7 +319,7 @@ def test_criterion_4_near_helstrom_gap():
         params = bpsk(0.5, sigma)
         p_hel = helstrom_bound(build_ensemble(params, dim))
         p_atomic = optimize("min-error", params, OptimizeConfig()).value
-        oracle = matrix_path_min_error(params, dim)
+        oracle = bpsk_05_oracle(sigma).min_error()
         gap = p_atomic - p_hel
         lines.append(
             f"sigma={sigma:.1f}: p_hel={p_hel:.10f} p_atomic={p_atomic:.10f} "
@@ -378,6 +339,45 @@ def test_criterion_4_near_helstrom_gap():
         "p_helstrom and gap = pinned curve within 1e-6): "
         + "; ".join(lines)
         + f"; runtime {elapsed:.1f}s"
+        + ("" if ok else "; " + "; ".join(failures))
+    )
+    report(4, ok, detail)
+    assert ok, detail
+
+
+# How nearly the atomic receiver achieves the accessible information:
+# i_accessible - i_atomic in bits on the converged rows of sweep_bpsk_05
+# (BPSK, mean photons 0.5) at these sigmas. The ascent stops at a residual
+# of 1e-6, so the pins hold to 5e-6.
+CRITERION_4_INFORMATION_GAP_CURVE = {
+    0.0: 0.0029219581,
+    0.3: 0.0327604741,
+    0.6: 0.0867515629,
+    0.9: 0.0808511747,
+    1.2: 0.0452406586,
+}
+
+
+def test_criterion_4_near_accessible_information(sweep_bpsk_05):
+    lines = []
+    failures = []
+    for sigma, pin in CRITERION_4_INFORMATION_GAP_CURVE.items():
+        row = sweep_bpsk_05[round(sigma / 0.05)]
+        assert row["sigma"] == pytest.approx(sigma, abs=1e-12) and row["cutoff"] == 30
+        gap = row["i_accessible"] - row["i_atomic"]
+        oracle = bpsk_05_oracle(sigma).max_information()
+        lines.append(f"sigma={sigma:.1f}: gap={gap:.7f} ({gap / row['i_accessible']:.2%}) |i_atomic-oracle|={abs(row['i_atomic'] - oracle):.1e}")
+        if row["accinfo_converged"] != 1:
+            failures.append(f"sigma={sigma}: ascent not converged, residual {row['accinfo_residual']:.2e}")
+        if abs(gap - pin) > 5e-6:
+            failures.append(f"sigma={sigma}: gap {gap!r} vs pinned {pin}")
+        if abs(row["i_atomic"] - oracle) > 1e-13:
+            failures.append(f"sigma={sigma}: i_atomic {row['i_atomic']!r} vs oracle {oracle!r}")
+    ok = not failures
+    detail = (
+        "information gap curve (i_accessible - i_atomic = pinned within 5e-6, "
+        "i_atomic = Kraus-path oracle within 1e-13): "
+        + "; ".join(lines)
         + ("" if ok else "; " + "; ".join(failures))
     )
     report(4, ok, detail)
@@ -480,36 +480,47 @@ def test_criterion_7_figure_reproduction(
             f"OOK 0.5: baseline better on only {ook_better}/{len(sweep_ook_05)} rows"
         )
 
-    # crossing thresholds (soft targets: the baseline is a surrogate model)
+    # crossings: find_crossing interpolates between grid points, so the
+    # exact crossing lies within one grid step of its value. brentq (xtol
+    # 1e-9) on the library's values, optimize() against optimize_displacement()
+    # from the program's displacement start alpha1, solves it there; the
+    # pinned values are those solves
     targets = [
-        ("BPSK 0.75 error atomic/pnr m=3", sweep_bpsk_075, "p_atomic", "p_pnr_m3", 0.61707),
-        ("BPSK 1.0 error atomic/pnr m=2", sweep_bpsk_10, "p_atomic", "p_pnr_m2", 0.33528),
-        ("BPSK 1.0 error atomic/pnr m=3", sweep_bpsk_10, "p_atomic", "p_pnr_m3", 0.29838),
-        ("BPSK 0.5 info atomic/pnr m=2", sweep_bpsk_05, "i_atomic", "i_pnr_m2", 0.68653),
-        ("BPSK 0.5 info atomic/pnr m=3", sweep_bpsk_05, "i_atomic", "i_pnr_m3", 0.4062),
-        ("BPSK 0.75 info atomic/pnr m=2", sweep_bpsk_075, "i_atomic", "i_pnr_m2", 0.3453),
-        ("BPSK 0.75 info atomic/pnr m=3", sweep_bpsk_075, "i_atomic", "i_pnr_m3", 0.2515),
+        ("BPSK 0.75 error atomic/pnr m=3", sweep_bpsk_075, 0.75, "p", 3, 0.617031),
+        ("BPSK 1.0 error atomic/pnr m=2", sweep_bpsk_10, 1.0, "p", 2, 0.336196),
+        ("BPSK 1.0 error atomic/pnr m=3", sweep_bpsk_10, 1.0, "p", 3, 0.298468),
+        ("BPSK 0.5 info atomic/pnr m=2", sweep_bpsk_05, 0.5, "i", 2, 0.686519),
+        ("BPSK 0.5 info atomic/pnr m=3", sweep_bpsk_05, 0.5, "i", 3, 0.406190),
+        ("BPSK 0.75 info atomic/pnr m=2", sweep_bpsk_075, 0.75, "i", 2, 0.345274),
+        ("BPSK 0.75 info atomic/pnr m=3", sweep_bpsk_075, 0.75, "i", 3, 0.251073),
     ]
     crossing_lines = []
-    soft_passes = 0
-    for label, rows, col_a, col_b, target in targets:
+    for label, rows, nbar, prefix, m, pin in targets:
+        objective = {"p": "min-error", "i": "max-information"}[prefix]
+
+        def atomic_minus_pnr(sigma):
+            params = bpsk(nbar, sigma)
+            _, pnr = optimize_displacement(params, PnrConfig(m, 0.998, displacement=params.alpha1), objective)
+            return optimize(objective, params).value - pnr
+
         grid = series(rows, "sigma")
-        sigma_star = find_crossing(grid, series(rows, col_a), series(rows, col_b))
+        sigma_star = find_crossing(grid, series(rows, f"{prefix}_atomic"), series(rows, f"{prefix}_pnr_m{m}"))
         if sigma_star is None:
-            crossing_lines.append(f"{label}: no crossing (target {target})")
-        else:
-            dev = sigma_star - target
-            soft = abs(dev) <= 0.15
-            soft_passes += soft
-            crossing_lines.append(
-                f"{label}: sigma*={sigma_star:.4f} target={target} "
-                f"dev={dev:+.4f} ({'soft pass' if soft else 'outside +-0.15'})"
-            )
+            ordering_failures.append(f"{label}: no crossing on the grid (pinned {pin})")
+            continue
+        step = grid[1] - grid[0]
+        exact = sciopt.brentq(atomic_minus_pnr, sigma_star - step, sigma_star + step, xtol=1e-9)
+        if abs(exact - pin) > 1e-4:
+            ordering_failures.append(f"{label}: exact crossing {exact:.6f} vs pinned {pin}")
+        crossing_lines.append(
+            f"{label}: interpolated {sigma_star:.4f}, exact {exact:.6f}, pinned {pin} "
+            f"(interpolation off by {sigma_star - exact:+.1e})"
+        )
 
     ok = not ordering_failures
     detail = (
-        ("all ordering relations hold" if ok else "; ".join(ordering_failures))
-        + f"; crossings ({soft_passes}/{len(targets)} within +-0.15): "
+        ("all ordering relations hold and all crossings match their pins within 1e-4" if ok else "; ".join(ordering_failures))
+        + "; crossings: "
         + "; ".join(crossing_lines)
     )
     report(7, ok, detail)

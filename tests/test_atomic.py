@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize as sciopt
 from scipy import special
 
+from oracles import KrausOracle
 from phasecomm import (
     AtomicParams,
     FockDim,
@@ -32,6 +32,11 @@ from phasecomm.sweep import SweepConfig, compute_point, run_sweep
 
 
 DIM = FockDim(30)
+
+
+def kraus_oracle(params: SignalParams) -> KrausOracle:
+    """The Kraus-path oracle at the cutoff the amplitudes give, over Phi in [0, PHI_MAX] in steps of 0.02."""
+    return KrausOracle(params, FockDim(default_cutoff([params.alpha1, params.alpha2])), np.linspace(0.0, PHI_MAX, 1251))
 
 
 def matrix_joint(params: SignalParams, p: AtomicParams, dim: FockDim = DIM):
@@ -180,85 +185,6 @@ class TestSeriesProperties:
             joint_probabilities_series(params, p)
 
 
-def kraus_coefficients(ens, dim: FockDim, phi: float) -> tuple:
-    """(a, b, c) with the Kraus-path joint table at xi = pi/2 equal to
-    a + b cos(2 theta) + c sin(2 theta), from the tables at three thetas."""
-    t0, t45, t90 = (
-        joint_distribution(ens, povm_from_kraus(*kraus_operators(AtomicParams(np.pi / 2, t, phi), dim)))
-        for t in (0.0, np.pi / 4, np.pi / 2)
-    )
-    a = 0.5 * (t0 + t90)
-    return a, 0.5 * (t0 - t90), t45 - a
-
-
-def information(tables: np.ndarray, priors) -> np.ndarray:
-    """Mutual information in bits of (..., 2, 2) joint tables."""
-    p = np.maximum(tables, 1e-300)
-    p_y = p.sum(axis=-2, keepdims=True)
-    q = np.asarray(priors)[:, None]
-    return np.sum(p * np.log2(p / (q * p_y)), axis=(-2, -1))
-
-
-def polished_minimum(fun, grid: np.ndarray, values: np.ndarray, count: int = 4) -> float:
-    """Lowest of `fun` after a bounded Brent search around the best local grid minima."""
-    padded = np.concatenate([[np.inf], values, [np.inf]])
-    minima = np.flatnonzero((values <= padded[:-2]) & (values <= padded[2:]))
-    best = float(values.min())
-    step = grid[1] - grid[0]
-    for i in minima[np.argsort(values[minima])][:count]:
-        res = sciopt.minimize_scalar(
-            fun,
-            bounds=(max(grid[i] - step, grid[0]), min(grid[i] + step, grid[-1])),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        best = min(best, float(res.fun))
-    return best
-
-
-class KrausBruteForce:
-    """Optimal atomic receiver of one point over Phi in [0, PHI_MAX] through
-    the Kraus POVM: a dense Phi grid, exact or gridded 2theta, then Brent."""
-
-    PHI = np.linspace(0.0, PHI_MAX, 1251)
-    TWO_THETA = np.linspace(0.0, 2 * np.pi, 240, endpoint=False)
-
-    def __init__(self, params: SignalParams):
-        self.dim = FockDim(default_cutoff([params.alpha1, params.alpha2]))
-        self.ens = build_ensemble(params, self.dim)
-        self.priors = (params.q1, params.q2)
-        self.coeffs = [kraus_coefficients(self.ens, self.dim, phi) for phi in self.PHI]
-
-    def _error(self, coeffs) -> float:
-        a, b, c = coeffs
-        return 1.0 - a[0, 0] - a[1, 1] - np.hypot(b[0, 0] + b[1, 1], c[0, 0] + c[1, 1])
-
-    def min_error(self) -> float:
-        values = np.array([self._error(c) for c in self.coeffs])
-        return polished_minimum(
-            lambda phi: self._error(kraus_coefficients(self.ens, self.dim, phi)), self.PHI, values
-        )
-
-    def _info_grid(self, coeffs, two_theta) -> np.ndarray:
-        a, b, c = coeffs
-        t = two_theta[:, None, None]
-        return information(a + b * np.cos(t) + c * np.sin(t), self.priors)
-
-    def _neg_info_over_theta(self, coeffs) -> float:
-        values = -self._info_grid(coeffs, self.TWO_THETA)
-        return polished_minimum(
-            lambda t: -self._info_grid(coeffs, np.array([t]))[0], self.TWO_THETA, values
-        )
-
-    def max_information(self) -> float:
-        values = np.array([-self._info_grid(c, self.TWO_THETA).max() for c in self.coeffs])
-        return -polished_minimum(
-            lambda phi: self._neg_info_over_theta(kraus_coefficients(self.ens, self.dim, phi)),
-            self.PHI,
-            values,
-        )
-
-
 class TestReduction:
     """The structure the search rests on, checked through the Kraus POVM."""
 
@@ -282,7 +208,7 @@ class TestReduction:
         for xi in rng.uniform(0, 2 * np.pi, 5):
             assert abs(error(xi) - (e0 + np.sin(xi) * (e90 - e0))) <= 1e-12
 
-        a, b, c = kraus_coefficients(ens, DIM, phi)
+        a, b, c = KrausOracle(params, DIM, [phi]).coefficients(phi)
         for t in rng.uniform(0, np.pi / 2, 5):
             _, _, table = matrix_joint(params, AtomicParams(np.pi / 2, t, phi))
             np.testing.assert_allclose(table, a + b * np.cos(2 * t) + c * np.sin(2 * t), rtol=0, atol=1e-12)
@@ -301,7 +227,7 @@ class TestReduction:
     )
     def test_max_information_matches_kraus_brute_force(self, params):
         res = optimize("max-information", params)
-        assert res.value == pytest.approx(KrausBruteForce(params).max_information(), abs=1e-13)
+        assert res.value == pytest.approx(kraus_oracle(params).max_information(), abs=1e-13)
 
     @pytest.mark.parametrize(
         "params", [bpsk(0.5, 0.6), ook(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 2.0)],
@@ -555,7 +481,7 @@ class TestSeriesLength:
             "receivers": [{"type": "atomic", "objectives": ["error"]}],
         }
         row = compute_point(SweepConfig.from_dict(doc), 0.6, 0)
-        assert row["p_atomic"] == pytest.approx(KrausBruteForce(ook(3.0, 0.6)).min_error(), abs=1e-9)
+        assert row["p_atomic"] == pytest.approx(kraus_oracle(ook(3.0, 0.6)).min_error(), abs=1e-9)
 
     def test_default_config_derives_series_length(self, tmp_path, capsys):
         # OptimizeConfig() used to keep 30 series terms whatever the

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import pure_state_error
+from oracles import dense_residual, information, pure_state_error
 from phasecomm import (
     AscentConfig,
     BinaryEnsemble,
@@ -33,23 +33,6 @@ def fock_projector_ensemble(priors=(0.5, 0.5), size=4):
     p0[0, 0] = 1.0
     p1[1, 1] = 1.0
     return BinaryEnsemble(priors=priors, states=(p0, p1))
-
-
-def dense_residual(ens: BinaryEnsemble, povm: Povm) -> float:
-    """max_y ||M_y Gamma - M_y R_y||_max on the full space, Gamma = sum_y R_y M_y.
-
-    R_y = sum_x q_x log2(p(x, y) / (q_x p(y))) tau_x, with entries of p(x, y)
-    below PROB_GUARD left out of the sum.
-    """
-    q = np.asarray(ens.priors, dtype=float)
-    taus, ms = np.asarray(ens.states), np.asarray(povm.elements)
-    joint = np.array([[q[x] * np.real(np.trace(taus[x] @ ms[y])) for y in range(len(ms))] for x in range(2)])
-    py = joint.sum(axis=0)
-    live = (joint >= PROB_GUARD) & (py >= PROB_GUARD)
-    weights = np.where(live, q[:, None] * np.log2(np.where(live, joint / (q[:, None] * py), 1.0)), 0.0)
-    r = np.array([sum(weights[x, y] * taus[x] for x in range(2)) for y in range(len(ms))])
-    gamma = sum(r[y] @ ms[y] for y in range(len(ms)))
-    return max(float(np.max(np.abs(ms[y] @ gamma - ms[y] @ r[y]))) for y in range(len(ms)))
 
 
 def default_ensemble(params):
@@ -227,17 +210,6 @@ def random_tables(rng, count, outcomes):
     return q[:, None] * cond, q
 
 
-def loop_information(joint, priors, guard):
-    """The Shannon information of one table, one entry at a time."""
-    py = joint.sum(axis=0)
-    info = 0.0
-    for x in range(joint.shape[0]):
-        for y in range(joint.shape[1]):
-            if joint[x, y] >= guard:
-                info += joint[x, y] * np.log2(joint[x, y] / (priors[x] * py[y]))
-    return info
-
-
 class TestInformationKernel:
     @pytest.mark.parametrize("outcomes", [2, 3, 4])
     def test_stack_equals_each_table_bit_for_bit(self, outcomes):
@@ -254,7 +226,7 @@ class TestInformationKernel:
     def test_matches_a_double_loop(self, outcomes):
         joint, q = random_tables(np.random.default_rng(10 + outcomes), 50, outcomes)
         for table in joint:
-            expected = loop_information(table, q, PROB_GUARD)
+            expected = information(table, q, PROB_GUARD)
             assert abs(mutual_information_from_joint(table, q) - expected) <= 1e-15
 
     def test_entries_below_the_guard_contribute_nothing(self):
@@ -383,7 +355,7 @@ class TestAscentOnSupport:
             assert len(rep.povm.elements) == 2 * _on_support(ens)[0].shape[1]
             assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
             rep.povm.validate()
-            assert rep.stationarity_residual == pytest.approx(dense_residual(ens, rep.povm), abs=1e-12)
+            assert rep.stationarity_residual == pytest.approx(dense_residual(ens, rep.povm, PROB_GUARD), abs=1e-12)
             assert rep.mutual_information == pytest.approx(mutual_information(ens, rep.povm), abs=1e-13)
 
     @pytest.mark.parametrize("signal", [bpsk, ook])
@@ -399,4 +371,4 @@ class TestAscentOnSupport:
         povm = Povm(tuple(np.outer(p, p) + rest for p in phi))
         res = _residual(x.ravel(), np.asarray(ens.priors), taus, support)
         assert res > 1e-3
-        assert res == pytest.approx(dense_residual(ens, povm), abs=1e-12)
+        assert res == pytest.approx(dense_residual(ens, povm, PROB_GUARD), abs=1e-12)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import stats
 
+from oracles import quad_distribution
 from phasecomm import (
     FockDim,
     PnrConfig,
@@ -166,34 +167,6 @@ class TestOptimizeDisplacement:
                 info_cfg = PnrConfig(resolution=m, displacement=beta_info)
                 assert map_error_probability(params, err_cfg) == row[f"p_pnr_m{m}"]
                 assert map_mutual_information(params, info_cfg) == row[f"i_pnr_m{m}"]
-
-
-def quad_distribution(alpha, sigma, beta, visibility, m):
-    """Counts 0..m-1 and the merged rest, by adaptive quadrature of the Gaussian phase.
-
-    Integrates over the real line in units of sigma, split where the count
-    mean repeats, with the count mean written as
-    (alpha - beta)^2 + 2 alpha beta (1 - v) + 4 v alpha beta sin^2(phi / 2),
-    which does not cancel near nulling.
-    """
-    k = np.arange(m)
-    factorials = special.factorial(k)
-
-    def pmf(phi):
-        mean = (alpha - beta) ** 2 + 2 * alpha * beta * (1 - visibility) + 4 * visibility * alpha * beta * np.sin(phi / 2) ** 2
-        mean = max(mean, 0.0)
-        return np.exp(-mean) * mean**k / factorials
-
-    if sigma == 0.0:
-        counts = pmf(0.0)
-    else:
-        # the integrand is even in phi; |phi| beyond 12 sigma carries exp(-72)
-        breaks = np.arange(1, int(12.0 * sigma / np.pi) + 1) * np.pi / sigma
-        counts, _ = integrate.quad_vec(
-            lambda t: np.sqrt(2.0 / np.pi) * np.exp(-0.5 * t * t) * pmf(sigma * t), 0.0, 12.0,
-            epsabs=1e-16, epsrel=1e-14, norm="max", points=breaks if breaks.size else None,
-        )
-    return np.append(counts, max(1.0 - counts.sum(), 0.0))
 
 
 def squares_round_apart(count):

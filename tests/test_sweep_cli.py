@@ -169,6 +169,16 @@ class TestComputePoint:
         for key in ("p_helstrom", "p_pnr_m2", "i_pnr_m2"):
             assert abs(lo[key] - hi[key]) < 1e-6
 
+    def test_envelope_margins(self):
+        # 1e-9 of p_helstrom (plus 1e-13) below it, 5e-6 bits above i_accessible
+        row = {"p_helstrom": 0.1, "p_in": 0.1 - 0.9e-10, "i_accessible": 0.5, "i_in": 0.5 + 4e-6}
+        assert sweep._envelope_violations(row) == []
+        row.update(p_out=0.1 - 1.1e-10, i_out=0.5 + 6e-6)
+        assert [v.split("=")[0] for v in sweep._envelope_violations(row)] == ["p_out", "i_out"]
+        assert sweep._envelope_violations({"p_helstrom": 0.0, "p_x": -0.9e-13, "p_y": -1.1e-13}) == [
+            "p_y=-1.1e-13 below helstrom 0"
+        ]
+
 
 class TestRunSweep:
     def test_pool_rows_equal_serial_rows(self):

@@ -16,7 +16,7 @@ optima lie at |sin xi| = 1. There the joint table is affine in
 theta has a closed form, and only Phi (and 2theta, for the information)
 remains to be searched. The table's Phi derivatives are series of the same
 form (`_series_sums`), so the information has an exact gradient in
-(Phi, 2theta), which its polish by L-BFGS-B follows.
+(Phi, 2theta), which its polish by L-BFGS follows.
 """
 
 import functools
@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sciopt
 
+from ._minimize import bounded_brent, lbfgs
 from .config import PROB_GUARD, SERIES_TAIL
 from .discrimination import BinaryPovm, _log_ratio, mutual_information_from_joint
 from .errors import SeriesTruncationError
@@ -56,6 +56,9 @@ _TWO_THETA_GRID = np.linspace(0.0, np.pi, 32, endpoint=False)
 _BLOCK_ROWS = 128
 # Local optima of the grid that are polished.
 _POLISHED = 3
+# Iterations of one polish of the information, and its box in (Phi, 2theta).
+_POLISH_ITER = 200
+_POLISH_LOWER, _POLISH_UPPER = np.array([0.0, -np.inf]), np.array([PHI_MAX, np.inf])
 
 
 @dataclass(frozen=True)
@@ -319,13 +322,9 @@ def _search_min_error(params) -> list:
 
     found = []
     for i in _best_local(curve, _POLISHED):
-        res = sciopt.minimize_scalar(
-            lambda phi: at(phi)[0][0],
-            bounds=(max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX)),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        phi = res.x if res.fun < curve[i] else grid[i]
+        lo, hi = max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX)
+        phi, value = bounded_brent(lambda phi: at(phi)[0][0], lo, hi, 1e-10)
+        phi = phi if value < curve[i] else grid[i]
         found.append(_canonical(phi, at(phi)[1][0]))
     return found
 
@@ -359,21 +358,14 @@ def _search_max_information(params) -> list:
         return -info[np.arange(len(j)), j], two_theta[j]
 
     profile, best_t = _grid_profile(coefficients, over_theta)
+    q = np.asarray(priors)
     found = []
     for i in _best_local(profile, _POLISHED):
         x0 = np.array([grid[i], best_t[i]])
-        res = sciopt.minimize(
-            _neg_information,
-            x0,
-            args=(coefficients, np.asarray(priors)),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, PHI_MAX), (None, None)],
-            # a line search that needs more than a few steps on this smooth 2-D
-            # objective has met rounding noise, where further steps find nothing
-            options={"gtol": 1e-12, "ftol": 0.0, "maxls": 6},
+        x, fun, _ = lbfgs(
+            lambda x: _neg_information(x, coefficients, q), x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER
         )
-        phi, t = res.x if res.fun < profile[i] else x0
+        phi, t = x if fun < profile[i] else x0
         found.append(_canonical(phi, t % np.pi))
     return found
 
@@ -403,9 +395,10 @@ def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = Optimiz
     the minimum over theta at each Phi is closed-form; for the information,
     2theta runs over a grid of 32 points in [0, pi), which only ranks the
     Phi basins. The best three local optima of the grid are polished
-    (bounded Brent in Phi for the error; L-BFGS-B in (Phi, 2theta) with the
+    (bounded Brent in Phi for the error; L-BFGS in (Phi, 2theta) with the
     exact gradient of the information, from the Phi derivatives of the
-    series, bounded to Phi in [0, PHI_MAX]). A polish that ends no better
+    series, projected onto Phi in [0, PHI_MAX], until a line search finds
+    no lower value). A polish that ends no better
     than its grid point keeps the grid point. Each candidate is evaluated
     by the public series functions. The returned parameters have xi in
     {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to

@@ -4,7 +4,7 @@ Error probability of a given POVM, the Helstrom bound and its
 measurement, Shannon mutual information, and accessible information.
 The Helstrom functions and the accessible information read one
 decomposition of the ensemble on its support (`_on_support`). The
-accessible information is maximised by L-BFGS-B over rank-one real POVMs
+accessible information is maximised by L-BFGS over rank-one real POVMs
 M_y = phi_y phi_y^T on that support, so the ensemble must be real
 symmetric (see `accessible_information`).
 """
@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sciopt
 
+from ._minimize import lbfgs
 from .config import HERMITICITY, POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOOR
 from .errors import DimensionMismatch
 from .fock import check_hermitian, hermitian_eig
@@ -217,8 +217,6 @@ class AscentReport:
 RESIDUAL_TOL = 1e-6
 # iterations between two residual checks of an L-BFGS run
 _CHECK_EVERY = 50
-# L-BFGS correction pairs
-_MAXCOR = 30
 # scale of the Gaussian perturbation of the first start
 _START_NOISE = 0.05
 
@@ -293,8 +291,8 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
     real ones. On a real orthonormal basis V of the support of
     q1 tau1 + q2 tau2 (rank r), the POVM is M_y = phi_y phi_y^T with phi_y
     the rows of Phi = X (X^T X)^{-1/2}, X real K x r and
-    K = max(outcomes, 2 r). L-BFGS-B maximises the information over X; a
-    run stops when the stationarity residual of the lifted POVM
+    K = max(outcomes, 2 r). L-BFGS (`_minimize.lbfgs`) maximises the
+    information over X; a run stops when the stationarity residual of the lifted POVM
     V M_y V^T + (I - V V^T) / K reaches RESIDUAL_TOL (checked every 50
     iterations, on the support) or after `max_iter` iterations. The first
     run starts from the eigenbasis of the weighted difference on the
@@ -310,23 +308,17 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
     r = support.shape[1]
     k = max(cfg.outcomes, 2 * r)
 
-    def stationary(intermediate_result):
-        x = intermediate_result.x
-        if next(count) % _CHECK_EVERY == 0 and _residual(x, q, taus, support) <= RESIDUAL_TOL:
-            raise StopIteration
+    def stationary(x):
+        return next(count) % _CHECK_EVERY == 0 and _residual(x, q, taus, support) <= RESIDUAL_TOL
 
     x = np.tile(e.T, (-(-k // r), 1))[:k] * np.sqrt(r / k)
     x = x + _START_NOISE * np.random.default_rng(cfg.seed).standard_normal((k, r))
-    options = {"maxcor": _MAXCOR, "maxiter": cfg.max_iter, "maxfun": 2 * cfg.max_iter, "ftol": 0.0, "gtol": 0.0}
     iters, values = 0, []
     for _ in range(max(cfg.restarts, 1)):
         count = itertools.count(1)  # this run's iterations, read by `stationary`
-        run = sciopt.minimize(
-            _objective, x.ravel(), args=(q, taus), jac=True, method="L-BFGS-B",
-            callback=stationary, options=options,
-        )
-        x, iters = run.x, iters + run.nit
-        values.append(-float(run.fun))
+        x, fun, nit = lbfgs(lambda x: _objective(x, q, taus), x.ravel(), cfg.max_iter, stop=stationary)
+        iters += nit
+        values.append(-float(fun))
         res = _residual(x, q, taus, support)
         if res <= RESIDUAL_TOL:
             break

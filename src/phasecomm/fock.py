@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .config import EIG_RECONSTRUCTION, HERMITICITY, PINV_REL, TAIL
 from .errors import ConvergenceFailure, TailTooHeavy
@@ -46,8 +45,27 @@ class FockDim:
 
 def poisson_tail(alpha: float, cutoff: int) -> float:
     """Poisson mass of a coherent state with amplitude alpha beyond the cutoff."""
-    # P(X > cutoff) for X ~ Poisson(alpha^2), via the regularized lower gamma
-    return float(special.gammainc(cutoff + 1, alpha * alpha))
+    # P(X > cutoff) for X ~ Poisson(alpha^2): the pmf summed outward from the
+    # later of cutoff + 1 and the mode, where it cannot underflow, until its
+    # terms no longer change the sum
+    mean = alpha * alpha
+    if mean == 0.0:
+        return 0.0
+    start = max(cutoff + 1, math.floor(mean))
+    peak = math.exp(start * math.log(mean) - mean - math.lgamma(start + 1))
+    total, term, n = 0.0, peak, start
+    while total + term != total:
+        total += term
+        n += 1
+        term *= mean / n
+    term, n = peak, start
+    while n > cutoff + 1:
+        term *= n / mean
+        n -= 1
+        if total + term == total:
+            break
+        total += term
+    return min(total, 1.0)
 
 
 def default_cutoff(amplitudes) -> int:

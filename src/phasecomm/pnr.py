@@ -11,13 +11,13 @@ bandwidth. One batched kernel evaluates every (amplitude, displacement)
 pair of a call.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize as sciopt
-from scipy import special
 
+from ._minimize import bounded_brent
 from .discrimination import mutual_information_from_joint
 from .signals import SignalParams
 
@@ -49,17 +49,24 @@ class PnrConfig:
             raise ValueError(f"displacement must be finite, got {self.displacement}")
 
 
+@functools.lru_cache(maxsize=64)
 def _phase_rule(sigma: float, n: int) -> tuple:
-    """Nodes 2 pi j / n, j = 0..n/2, and weights of the exact Gaussian phase average.
+    """Weights of the exact Gaussian phase average at the nodes 2 pi j / n,
+    j = 0..n/2, and sin^2 and cos^2 of the half node angles, read-only.
 
     The wrapped normal damps Fourier mode k by exp(-sigma^2 k^2 / 2); the
     weights are the inverse real FFT of those factors, with nodes j and
-    n - j folded since the count pmf is even in phi.
+    n - j folded since the count pmf is even in phi. A displacement search
+    asks for the same rule at every trial, hence the cache.
     """
     j = np.arange(n // 2 + 1)
     weights = np.fft.irfft(np.exp(-0.5 * sigma * sigma * j**2), n=n)[: n // 2 + 1]
     weights[1:-1] *= 2.0
-    return 2.0 * np.pi * j / n, weights
+    half = np.pi * j / n
+    rule = (weights, np.sin(half) ** 2, np.cos(half) ** 2)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 def _outcome_table(alphas, sigma: float, betas, cfg: PnrConfig) -> np.ndarray:
@@ -84,14 +91,15 @@ def _outcome_table(alphas, sigma: float, betas, cfg: PnrConfig) -> np.ndarray:
     # Fourier mode k of the count pmf falls off like exp(-k^2 / 2d)
     sizes = 2 ** np.ceil(np.log2(np.maximum(18.0 * np.sqrt(np.abs(cross)) + 32.0, 64.0))).astype(int)
     k = np.arange(m)
+    log_factorial = np.array([math.log(math.factorial(j)) for j in range(m)])
     probs = np.empty(sizes.shape + (m + 1,))
-    for n in np.unique(sizes):
+    for n in sorted(set(sizes.ravel().tolist())):
         sel = sizes == n
-        phis, weights = _phase_rule(sigma, int(n))
-        h = np.where((ab >= 0)[sel][:, None], np.sin(phis / 2) ** 2, np.cos(phis / 2) ** 2)
+        weights, sin2, cos2 = _phase_rule(sigma, n)
+        h = np.where((ab >= 0)[sel][:, None], sin2, cos2)
         n_eff = offset[sel][:, None] + swing[sel][:, None] * h
         # Poisson pmf per node, averaged with the phase weights
-        log_pmf = -n_eff[..., None] + k * np.log(np.clip(n_eff, 1e-300, None))[..., None] - special.gammaln(k + 1)
+        log_pmf = -n_eff[..., None] + k * np.log(np.clip(n_eff, 1e-300, None))[..., None] - log_factorial
         pmf = np.exp(log_pmf)
         pmf[n_eff == 0.0] = np.where(k == 0, 1.0, 0.0)
         # the weights oscillate at small sigma, so a vanishing average can round below 0
@@ -147,14 +155,9 @@ def optimize_displacement(params: SignalParams, cfg: PnrConfig, objective: str =
     i = int(np.argmin(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, _GRID_POINTS - 1)]
-    res = sciopt.minimize_scalar(
-        lambda beta: sign * _objective(params, [beta], cfg, objective)[0],
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    best_beta = float(res.x) if res.fun <= values[i] else float(grid[i])
-    best_val = sign * min(float(res.fun), float(values[i]))
+    beta, value = bounded_brent(lambda beta: sign * _objective(params, [beta], cfg, objective)[0], lo, hi, 1e-9)
+    best_beta = float(beta) if value <= values[i] else float(grid[i])
+    best_val = sign * min(float(value), float(values[i]))
     if params.q1 == params.q2 and params.alpha2 == -params.alpha1 and best_beta < 0:
         # BPSK with equal priors: the value is even in beta, so report the optimum at |beta|
         best_beta = -best_beta

@@ -219,10 +219,12 @@ class TestReduction:
             bpsk(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 2.0), bpsk(0.75, 2.0), ook(1.5, 3.0),
             # information peaks over 2theta only 8.3 and 3.8 degrees wide at 90% of their height
             ook(0.01, 0.0, 0.1), ook(0.01, 0.0, 0.05),
+            # I = 1.3e-6 bits: a polish stop on the objective's absolute scale ends early here
+            bpsk(0.01, 3.0, 0.1),
         ],
         ids=[
             "bpsk-0.5-0.6", "ook-1.5-1.2", "ook-0.5-2.0", "bpsk-0.75-2.0", "ook-1.5-3.0",
-            "ook-0.01-0.0-q0.1", "ook-0.01-0.0-q0.05",
+            "ook-0.01-0.0-q0.1", "ook-0.01-0.0-q0.05", "bpsk-0.01-3.0-q0.1",
         ],
     )
     def test_max_information_matches_kraus_brute_force(self, params):

@@ -1,0 +1,131 @@
+"""The library's own minimisers against scipy, and the Poisson tail against gammainc."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import optimize as sciopt
+from scipy import special
+
+from phasecomm._minimize import bounded_brent, lbfgs
+from phasecomm.config import TAIL
+from phasecomm.fock import default_cutoff, poisson_tail
+
+
+def scipy_bounded(func, lo, hi, xatol):
+    res = sciopt.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return res.x, res.fun
+
+
+class TestBoundedBrent:
+    @pytest.mark.parametrize(
+        "func, lo, hi",
+        [
+            (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
+            (lambda x: math.cos(3.0 * x) + 0.1 * x, 0.0, 2.5),
+            (lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0),  # a kink: golden steps only
+            (lambda x: -x * math.exp(-x * x), 0.1, 4.0),
+            (lambda x: x, 2.0, 5.0),  # minimum on the bound
+            (lambda x: math.sin(40.0 * x) * math.exp(-x), 8.15, 8.17),
+        ],
+    )
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-9, 1e-10])
+    def test_matches_scipy_bit_for_bit(self, func, lo, hi, xatol):
+        x, fun = bounded_brent(func, lo, hi, xatol)
+        ref_x, ref_fun = scipy_bounded(func, lo, hi, xatol)
+        assert x == ref_x and fun == ref_fun
+
+
+def rosenbrock(x):
+    a, b = x[:-1], x[1:]
+    f = np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2)
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
+    g[1:] += 200.0 * (b - a * a)
+    return float(f), g
+
+
+class TestLbfgs:
+    def test_convex_quadratic(self):
+        # written about its minimiser, so that f keeps its relative precision there
+        rng = np.random.default_rng(3)
+        q = rng.standard_normal((40, 40))
+        a = q @ q.T + 0.5 * np.eye(40)
+        x_min = rng.standard_normal(40)
+
+        def fun(x):
+            g = a @ (x - x_min)
+            return 0.5 * float((x - x_min) @ g), g
+
+        x, _, iterations = lbfgs(fun, np.zeros(40), 1000)
+        assert iterations < 1000
+        assert np.max(np.abs(x - x_min)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_rosenbrock(self, n):
+        x0 = np.full(n, -1.2)
+        x0[1::2] = 1.0
+        x, f, iterations = lbfgs(rosenbrock, x0, 2000)
+        assert iterations < 2000
+        assert np.max(np.abs(x - 1.0)) <= 1e-8
+
+    def test_respects_max_iter_and_evaluations(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return rosenbrock(x)
+
+        x, f, iterations = lbfgs(counted, np.array([-1.2, 1.0]), 7)
+        assert iterations == 7
+        assert len(calls) <= 2 * 7
+        assert f == rosenbrock(x)[0]
+
+    def test_stops_when_stop_is_true(self):
+        seen = []
+
+        def stop(x):
+            seen.append(x.copy())
+            return len(seen) == 4
+
+        x, _, iterations = lbfgs(rosenbrock, np.array([-1.2, 1.0]), 1000, stop=stop)
+        assert iterations == 4 and len(seen) == 4
+        assert np.array_equal(x, seen[-1])
+
+    def test_box_holds_a_variable_on_its_bound(self):
+        # the unconstrained minimum (2, -1) lies outside x0 <= 1
+        def fun(x):
+            return float((x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2 + x[0] * x[1]), np.array(
+                [2.0 * (x[0] - 2.0) + x[1], 2.0 * (x[1] + 1.0) + x[0]]
+            )
+
+        x, _, _ = lbfgs(fun, np.array([0.0, 0.0]), 100, lower=np.array([-np.inf, -np.inf]), upper=np.array([1.0, np.inf]))
+        assert x[0] == 1.0
+        assert x[1] == pytest.approx(-1.5, abs=1e-8)  # the minimum over x1 at x0 = 1
+
+
+class TestPoissonTail:
+    def test_matches_regularized_gamma(self):
+        worst = 0.0
+        for alpha in np.linspace(0.0, 12.0, 121):
+            for cutoff in (1, 5, 30, 45, 60, 100, 200, 400):
+                ref = float(special.gammainc(cutoff + 1, alpha * alpha))
+                got = poisson_tail(alpha, cutoff)
+                assert got <= 1.0
+                if ref > 1e-300:
+                    worst = max(worst, abs(got - ref) / ref)
+        assert worst <= 1e-12
+
+    def test_mode_far_beyond_the_cutoff(self):
+        # the pmf at cutoff + 1 underflows; the tail is all the mass
+        assert poisson_tail(100.0, 400) == pytest.approx(1.0, abs=1e-12)
+
+    def test_default_cutoff_unchanged(self):
+        def reference(a):
+            n = 30
+            while float(special.gammainc(n + 1, a * a)) >= TAIL:
+                n += 1
+            return n
+
+        for a in np.linspace(0.0, 10.0, 401):
+            assert default_cutoff([a]) == reference(a)

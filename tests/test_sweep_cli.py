@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import phasecomm
 from phasecomm import ConfigError, FockDim, GridMismatch, PhasecommError, helstrom_bound
 from phasecomm import sweep
 from phasecomm.cli import main
@@ -476,3 +481,31 @@ class TestCli:
         cfg = self.write_config(tmp_path, base_config())
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "rows.csv")]) == 0
         assert "warning" not in capsys.readouterr().err
+
+
+class TestImportPath:
+    def test_no_scipy_at_run_time(self):
+        # a fresh interpreter: this one has loaded scipy for the oracles
+        code = """
+import json, sys
+import phasecomm, phasecomm.cli
+from phasecomm.sweep import SweepConfig, run_sweep
+doc = json.loads(sys.argv[1])
+rows = run_sweep(SweepConfig.from_dict(doc))
+assert len(rows) == 2 and all(not row["violations"] for row in rows), rows
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+        receivers = [
+            {"type": "helstrom"},
+            {"type": "accinfo", "restarts": 1, "outcomes": 2, "max_iter": 50},
+            {"type": "atomic", "objectives": ["error", "information"]},
+            {"type": "pnr", "resolution": 2, "beta_mode": "optimized"},
+            {"type": "pnr", "resolution": 1, "beta_mode": "null-first"},
+        ]
+        doc = base_config(sigma_grid={"start": 0.0, "stop": 0.6, "steps": 2}, receivers=receivers)
+        src = str(pathlib.Path(phasecomm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(doc)], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(out.stdout) == []

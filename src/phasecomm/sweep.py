@@ -20,7 +20,7 @@ import numpy as np
 
 from .atomic import optimize
 from .config import PRIORS_SUM, TAIL
-from .discrimination import AscentConfig, accessible_information, helstrom_bound
+from .discrimination import AscentConfig, accessible_information, binary_entropy, helstrom_bound
 from .errors import ConfigError, GridMismatch, PhasecommError
 from .fock import FockDim, default_cutoff, poisson_tail
 from .pnr import PnrConfig, map_error_probability, map_mutual_information, optimize_displacement
@@ -211,15 +211,23 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
             row[f"i_pnr_m{m}"] = i_val
             row[f"pnr_beta_err_m{m}"] = err_cfg.displacement
             row[f"pnr_beta_info_m{m}"] = info_cfg.displacement
-    row["violations"] = "|".join(_envelope_violations(row))
+    row["violations"] = "|".join(_envelope_violations(row, params.q1))
     return row
 
 
-def _envelope_violations(row: dict) -> list:
-    # a p_* may sit below p_helstrom by 1e-9 of its size (plus 1e-13 where it
-    # is near 0), an i_* above i_accessible by 5e-6 bits, above the 1e-6
-    # stationarity tolerance of the ascent
+def _envelope_violations(row: dict, q1: float) -> list:
+    # every p_* at most min(q1, q2), the error of guessing the likelier
+    # hypothesis, and every i_* at most h2(q1), the prior's entropy, each to
+    # 1e-13. A p_* may sit below p_helstrom by 1e-9 of its size (plus 1e-13
+    # where it is near 0), an i_* above i_accessible by 5e-6 bits, above the
+    # 1e-6 stationarity tolerance of the ascent
+    guess, entropy = min(q1, 1.0 - q1), binary_entropy(q1)
     out = []
+    for key, val in row.items():
+        if key.startswith("p_") and val > guess + 1e-13:
+            out.append(f"{key}={val:.6g} above guessing {guess:.6g}")
+        elif key.startswith("i_") and val > entropy + 1e-13:
+            out.append(f"{key}={val:.6g} above prior entropy {entropy:.6g}")
     p_hel = row.get("p_helstrom")
     if p_hel is not None:
         for key, val in row.items():
@@ -242,10 +250,11 @@ def _openblas_controls() -> tuple:
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
+            # only a mapped path can name OpenBLAS; splitting every line would
+            # grow the heap that a forked pool worker inherits
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()})
     except OSError:
         return ()
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
     controls = []
     for path in paths:
         try:
@@ -268,8 +277,9 @@ def _openblas_controls() -> tuple:
 def _one_blas_thread():
     """Run the block with every loaded OpenBLAS at one thread, then restore the counts.
 
-    A sweep point's matrices are small: an extra BLAS thread gains nothing
-    and, left spinning after an eigensolve, takes the core of a pool worker.
+    `run_sweep` holds it for the whole sweep. A sweep point's matrices are
+    small: an extra BLAS thread gains nothing and, left spinning after an
+    eigensolve, takes the core of a pool worker.
     """
     controls = _openblas_controls()
     saved = [get() for get, _ in controls]
@@ -282,11 +292,25 @@ def _one_blas_thread():
             set_threads(n)
 
 
+def _worker_one_blas_thread():
+    """Pool initializer: set every loaded OpenBLAS to one thread where it is not at one already.
+
+    A forked worker inherits the count of 1 that `run_sweep` holds and makes
+    no call: in a forked process the first call into OpenBLAS's thread API,
+    even a set to 1, starts a thread that busy-waits on another worker's
+    core. A spawned or forkserver worker starts at the default count and
+    sets it here, once. A worker never restores its count: it exits with
+    the pool.
+    """
+    for get, set_threads in _openblas_controls():
+        if get() != 1:
+            set_threads(1)
+
+
 def _point_task(args):
     cfg, sigma, index = args
     try:
-        with _one_blas_thread():
-            return compute_point(cfg, sigma, index)
+        return compute_point(cfg, sigma, index)
     except PhasecommError as exc:
         raise type(exc)(f"sigma={sigma:g}: {exc}") from exc
 
@@ -295,17 +319,20 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     """One result row per grid point, emitted in sigma order.
 
     `workers` above 1 spreads the points over a process pool of at most
-    one worker per point. Every point runs on one OpenBLAS thread.
+    one worker per point. The whole sweep, the pool's lifetime included,
+    runs with every loaded OpenBLAS at one thread; the caller's counts are
+    restored on return, also when a point raises.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [(cfg, s, i) for i, s in enumerate(cfg.sigma_grid())]
     workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_point_task, tasks))
-    else:
-        rows = [_point_task(t) for t in tasks]
+    with _one_blas_thread():
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_worker_one_blas_thread) as pool:
+                rows = list(pool.map(_point_task, tasks))
+        else:
+            rows = [_point_task(t) for t in tasks]
     rows.sort(key=lambda r: r["sigma"])
     return rows
 

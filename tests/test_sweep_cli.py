@@ -1,8 +1,11 @@
 import json
+import multiprocessing
 import os
 import pathlib
+import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -177,11 +180,24 @@ class TestComputePoint:
     def test_envelope_margins(self):
         # 1e-9 of p_helstrom (plus 1e-13) below it, 5e-6 bits above i_accessible
         row = {"p_helstrom": 0.1, "p_in": 0.1 - 0.9e-10, "i_accessible": 0.5, "i_in": 0.5 + 4e-6}
-        assert sweep._envelope_violations(row) == []
+        assert sweep._envelope_violations(row, 0.5) == []
         row.update(p_out=0.1 - 1.1e-10, i_out=0.5 + 6e-6)
-        assert [v.split("=")[0] for v in sweep._envelope_violations(row)] == ["p_out", "i_out"]
-        assert sweep._envelope_violations({"p_helstrom": 0.0, "p_x": -0.9e-13, "p_y": -1.1e-13}) == [
+        assert [v.split("=")[0] for v in sweep._envelope_violations(row, 0.5)] == ["p_out", "i_out"]
+        assert sweep._envelope_violations({"p_helstrom": 0.0, "p_x": -0.9e-13, "p_y": -1.1e-13}, 0.5) == [
             "p_y=-1.1e-13 below helstrom 0"
+        ]
+
+    @pytest.mark.parametrize("q1", [0.5, 0.3, 0.9])
+    def test_upper_envelope_margins(self, q1):
+        # every p_* at most min(q1, q2) and every i_* at most h2(q1), each to 1e-13
+        guess, entropy = min(q1, 1 - q1), phasecomm.binary_entropy(q1)
+        row = {"p_helstrom": guess, "p_in": guess + 0.9e-13, "i_accessible": entropy, "i_in": entropy + 0.9e-13}
+        assert sweep._envelope_violations(row, q1) == []
+        row.update(p_out=guess + 1.1e-13, i_out=entropy + 1.1e-13)
+        assert [v.split("=")[0] for v in sweep._envelope_violations(row, q1)] == ["p_out", "i_out"]
+        assert sweep._envelope_violations({"p_helstrom": 0.6, "i_accessible": 1.5}, q1) == [
+            f"p_helstrom=0.6 above guessing {guess:.6g}",
+            f"i_accessible=1.5 above prior entropy {entropy:.6g}",
         ]
 
 
@@ -202,7 +218,7 @@ class TestRunSweep:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -225,42 +241,86 @@ class TestRunSweep:
             run_sweep(SweepConfig.from_dict(base_config()), workers=workers)
 
 
+def _blas_counts() -> list:
+    return [get() for get, _ in sweep._openblas_controls()]
+
+
+def _pool(method: str, probe=None):
+    """A ProcessPoolExecutor with the start method `method`, built from the
+    arguments `run_sweep` passes; `probe` runs once per worker slot before
+    the pool's map and its results go to `Pool.probed`."""
+
+    class Pool(ProcessPoolExecutor):
+        probed = []
+
+        def __init__(self, max_workers, initializer=None):
+            super().__init__(max_workers, multiprocessing.get_context(method), initializer)
+            self.size = max_workers
+
+        def map(self, fn, tasks):
+            if probe is not None:
+                Pool.probed.extend(f.result() for f in [self.submit(probe) for _ in range(self.size)])
+            return super().map(fn, tasks)
+
+    return Pool
+
+
 class TestBlasThreads:
-    def test_point_runs_on_one_thread_and_restores_the_counts(self, monkeypatch):
+    def test_sweep_holds_one_thread_and_restores_the_counts(self, monkeypatch):
         controls = sweep._openblas_controls()
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         if "openblas" in blas.get("name", "").lower():
             assert controls
-        original = [get() for get, _ in controls]
-        seen = []
-
-        def counts():
-            return [get() for get, _ in controls]
+        tasks = pathlib.Path("/proc/self/task")
+        original = _blas_counts()
+        one = [1] * len(controls)
 
         def record(cfg, sigma, index):
-            seen.append(counts())
-            return {"sigma": sigma}
+            threads = len(list(tasks.iterdir())) if tasks.is_dir() else None
+            return {"sigma": sigma, "pid": os.getpid(), "counts": _blas_counts(), "threads": threads}
 
         def fail(cfg, sigma, index):
-            seen.append(counts())
-            raise PhasecommError("no convergence")
+            raise PhasecommError(f"counts {_blas_counts()}")
 
-        cfg = SweepConfig.from_dict(base_config())
+        cfg = SweepConfig.from_dict(base_config(sigma_grid={"start": 0.0, "stop": 1.2, "steps": 4}))
         try:
             # two threads before the call, so that a restore differs from the limit
             for _, set_threads in controls:
                 set_threads(2)
             monkeypatch.setattr(sweep, "compute_point", record)
-            assert sweep._point_task((cfg, 0.3, 0)) == {"sigma": 0.3}
-            assert counts() == [2] * len(controls)
+            # forked workers see the patched compute_point
+            monkeypatch.setattr(sweep, "ProcessPoolExecutor", _pool("fork"))
+            serial = run_sweep(cfg)
+            assert _blas_counts() == [2] * len(controls)
+            pooled = run_sweep(cfg, workers=2)
+            assert _blas_counts() == [2] * len(controls)
             monkeypatch.setattr(sweep, "compute_point", fail)
-            with pytest.raises(PhasecommError, match="sigma=0.3: no convergence"):
-                sweep._point_task((cfg, 0.3, 0))
-            assert counts() == [2] * len(controls)
+            for workers in (1, 2):
+                with pytest.raises(PhasecommError, match=re.escape(f"sigma=0: counts {one}")):
+                    run_sweep(cfg, workers=workers)
+                assert _blas_counts() == [2] * len(controls)
         finally:
             for (_, set_threads), n in zip(controls, original):
                 set_threads(n)
-        assert seen == [[1] * len(controls)] * 2
+        assert [row["counts"] for row in serial + pooled] == [one] * 8
+        assert {row["pid"] for row in serial} == {os.getpid()}
+        assert os.getpid() not in {row["pid"] for row in pooled}
+        if not controls or not tasks.is_dir():
+            pytest.skip("no OpenBLAS or no /proc: the worker thread count is not checked")
+        # a forked worker inherits the count of 1 and never calls OpenBLAS's
+        # thread API, whose first call would start a second, spinning thread
+        assert [row["threads"] for row in pooled] == [1] * 4
+
+    def test_spawned_workers_set_one_thread(self, monkeypatch):
+        pool = _pool("spawn", probe=_blas_counts)
+        cfg = SweepConfig.from_dict(base_config(receivers=[{"type": "helstrom"}, {"type": "pnr", "resolution": 2}]))
+        serial = csv_text(run_sweep(cfg))
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool)
+        assert csv_text(run_sweep(cfg, workers=2)) == serial
+        # a spawned worker loads numpy's OpenBLAS only, where this process may
+        # hold more (scipy's, once a test has imported it)
+        one = {1} if sweep._openblas_controls() else set()
+        assert [set(counts) for counts in pool.probed] == [one] * 2
 
 
 class TestCsvFormat:

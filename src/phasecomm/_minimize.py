@@ -6,7 +6,9 @@ the same point bit for bit. `lbfgs` is limited-memory BFGS (Liu and
 Nocedal, Math. Prog. 45, 503, 1989) with the direction in the compact
 form of Byrd, Nocedal and Schnabel (Math. Prog. 63, 129, 1994), an
 Armijo backtracking line search with weak-Wolfe expansion, and an
-optional box onto which every trial point is projected.
+optional box onto which every trial point is projected. With `dense`,
+`lbfgs` keeps the full inverse-BFGS matrix in place of the correction
+pairs (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 6).
 """
 
 import math
@@ -91,7 +93,7 @@ def bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple:
     return xf, fx
 
 
-def lbfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None) -> tuple:
+def lbfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None, dense=False) -> tuple:
     """Minimise `fun`, which returns (f(x), gradient), from `x0`; returns (x, f, iterations).
 
     A run ends after `max_iter` iterations or 2 `max_iter` evaluations,
@@ -100,14 +102,15 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None)
     step that decreases f enough (f is then at its rounding noise).
     `lower` and `upper` (arrays) make a box: a variable on a bound that
     the gradient pushes outward is held there, and every trial point is
-    projected into the box.
+    projected into the box. `dense` keeps the n x n inverse Hessian
+    (`_DenseInverse`) in place of the newest _MEMORY pairs.
     """
     box = None if lower is None and upper is None else (lower, upper)
     x = np.asarray(x0, dtype=float)
     x = x if box is None else np.clip(x, *box)
     f, g = fun(x)
     evals = 1
-    pairs = _Pairs(_MEMORY, x.size)
+    pairs = _DenseInverse(x.size) if dense else _Pairs(_MEMORY, x.size)
     for it in range(max_iter):
         held = None if box is None else ((x <= box[0]) & (g > 0)) | ((x >= box[1]) & (g < 0))
         g_free = g if held is None or not held.any() else np.where(held, 0.0, g)
@@ -189,6 +192,35 @@ class _Pairs:
         coeffs[order] = v
         coeffs[m + order] = -gamma * u
         return gamma * g + coeffs @ self.w
+
+
+class _DenseInverse:
+    """The full BFGS inverse Hessian H, with the interface of `_Pairs`.
+
+    H starts as gamma I with gamma = s^T y / y^T y of the first pair
+    (Nocedal and Wright, eq. 6.20). The update (eq. 6.17),
+    H + c s s^T - rho (s h^T + h s^T) with h = H y, rho = 1 / s^T y and
+    c = rho + rho^2 y^T h, is one (n, 2) @ (2, n) product.
+    """
+
+    def __init__(self, n: int):
+        self.count = 0
+        self.h = np.zeros((n, n))
+
+    def add(self, s: np.ndarray, y: np.ndarray) -> None:
+        s_y = float(s @ y)
+        if not s_y > _EPS * float(y @ y):  # curvature too weak to keep the update positive definite
+            return
+        if self.count == 0:
+            np.fill_diagonal(self.h, s_y / float(y @ y))
+        rho = 1.0 / s_y
+        h_y = self.h @ y
+        c = rho + rho * rho * float(y @ h_y)
+        self.h += np.stack((s, h_y), axis=1) @ np.stack((c * s - rho * h_y, -rho * s))
+        self.count += 1
+
+    def inverse_hessian_product(self, g: np.ndarray) -> np.ndarray:
+        return self.h @ g
 
 
 def _line_search(fun, x, f, g, d, slope, t, box, budget) -> tuple:

@@ -4,11 +4,13 @@ Error probability of a given POVM, the Helstrom bound and its
 measurement, Shannon mutual information, and accessible information.
 The Helstrom functions and the accessible information read one
 decomposition of the ensemble on its support (`_on_support`). The
-accessible information is maximised by L-BFGS over rank-one real POVMs
-M_y = phi_y phi_y^T on that support, so the ensemble must be real
+accessible information is maximised by quasi-Newton ascent over rank-one
+real POVMs M_y = phi_y phi_y^T on that support, projective ones up to
+support rank _PROJECTIVE_MAX_RANK, so the ensemble must be real
 symmetric (see `accessible_information`).
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -191,14 +193,16 @@ def binary_entropy(p: float) -> float:
 class AscentConfig:
     """Knobs for the quasi-Newton accessible-information ascent.
 
-    `lam_max` and `polish_max` tuned the steepest-ascent iteration this
-    ascent replaced; they are accepted and ignored.
+    `outcomes` acts only above support rank _PROJECTIVE_MAX_RANK: up to
+    it the measurement is projective, with r elements. `lam_max` and
+    `polish_max` tuned the steepest-ascent iteration this ascent replaced;
+    they are accepted and ignored.
     """
 
-    max_iter: int = 50_000  # L-BFGS iterations per run
-    restarts: int = 5  # most L-BFGS runs; each resumes where the last one stopped
+    max_iter: int = 50_000  # iterations per run
+    restarts: int = 5  # most runs; each resumes where the last one stopped
     seed: int = 0  # seeds the perturbation of the first start
-    outcomes: int = 2  # the ascent carries max(outcomes, 2 r) rank-one elements
+    outcomes: int = 2  # above rank _PROJECTIVE_MAX_RANK the ascent carries max(outcomes, 2 r) elements
     lam_max: float = 0.5  # ignored
     polish_max: int = 5000  # ignored
 
@@ -213,9 +217,11 @@ class AscentReport:
     restart_values: list = field(default_factory=list)
 
 
-# stationarity residual at which an L-BFGS run stops and the ascent converges
+# stationarity residual at which a run stops and the ascent converges
 RESIDUAL_TOL = 1e-6
-# iterations between two residual checks of an L-BFGS run
+# largest support rank at which the ascent runs over projective measurements
+_PROJECTIVE_MAX_RANK = 24
+# iterations between two residual checks of a run
 _CHECK_EVERY = 50
 # scale of the Gaussian perturbation of the first start
 _START_NOISE = 0.05
@@ -270,15 +276,54 @@ def _objective(x: np.ndarray, q: np.ndarray, taus: np.ndarray):
     return -info, -2.0 * grad.ravel()
 
 
-def _residual(x: np.ndarray, q: np.ndarray, taus: np.ndarray, support: np.ndarray) -> float:
-    """max_y ||M_y Gamma - M_y R_y||_max of the POVM of X lifted by `support` V.
+@functools.cache
+def _upper(r: int) -> tuple:
+    """Row and column indices of the strict upper triangle of an r x r matrix."""
+    return np.triu_indices(r, 1)
+
+
+def _cayley(a: np.ndarray, r: int) -> np.ndarray:
+    """B = (I - A)^{-1} for the skew r x r matrix A with upper triangle `a`.
+
+    The Cayley transform C(A) = (I - A)^{-1} (I + A) is 2 B - I, and
+    (I + A)^{-1} = B^T.
+    """
+    upper = _upper(r)
+    eye_minus_a = np.eye(r)
+    eye_minus_a[upper] = -a
+    eye_minus_a[upper[::-1]] = a
+    return np.linalg.inv(eye_minus_a)
+
+
+def _rotate(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """C(A) Phi_ref."""
+    return 2.0 * (_cayley(a, ref.shape[0]) @ ref) - ref
+
+
+def _cayley_objective(a: np.ndarray, ref: np.ndarray, q: np.ndarray, taus: np.ndarray):
+    """Minus the information of the projective POVM Phi = C(A) Phi_ref, and its
+    gradient in the upper triangle of A.
+
+    dPhi = (I - A)^{-1} dA (I + C) Phi_ref, so the gradient in the full A is
+    E = (I - A)^{-T} (2 G) Phi_ref^T (I + C)^T = 4 B^T G Phi_ref^T B^T, and
+    in each entry of the upper triangle E_ij - E_ji.
+    """
+    r = ref.shape[0]
+    b = _cayley(a, r)
+    b_ref = b @ ref
+    info, g = _information(2.0 * b_ref - ref, q, taus)
+    grad = b.T @ (g @ b_ref.T)
+    return -info, -4.0 * (grad - grad.T)[_upper(r)]
+
+
+def _residual(phi: np.ndarray, q: np.ndarray, taus: np.ndarray, support: np.ndarray) -> float:
+    """max_y ||M_y Gamma - M_y R_y||_max of the POVM of Phi lifted by `support` V.
 
     Gamma = sum_y R_y M_y. On the support each block is the outer product
     phi_y w_y^T, with w_y the rows of W = Phi G^T Phi - G, so its lift is
     (V phi_y)(V w_y)^T. Gamma and R_y vanish off the support, so the part
     (I - V V^T) / K of the lifted POVM adds nothing.
     """
-    phi = _polar(x.reshape(-1, taus.shape[1]))[0]
     g = _information(phi, q, taus)[1]
     w = phi @ g.T @ phi - g
     return float(np.max(np.abs(phi @ support.T).max(axis=1) * np.abs(w @ support.T).max(axis=1)))
@@ -290,40 +335,59 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
     Rank-one elements suffice (Davies 1978), and for real states so do
     real ones. On a real orthonormal basis V of the support of
     q1 tau1 + q2 tau2 (rank r), the POVM is M_y = phi_y phi_y^T with phi_y
-    the rows of Phi = X (X^T X)^{-1/2}, X real K x r and
-    K = max(outcomes, 2 r). L-BFGS (`_minimize.lbfgs`) maximises the
-    information over X; a run stops when the stationarity residual of the lifted POVM
-    V M_y V^T + (I - V V^T) / K reaches RESIDUAL_TOL (checked every 50
-    iterations, on the support) or after `max_iter` iterations. The first
-    run starts from the eigenbasis of the weighted difference on the
-    support, stacked, plus a seeded Gaussian perturbation; each further
-    run, up to `restarts` runs in all, resumes from the last end point
-    with fresh curvature memory. `restart_values` holds the value after
-    each run. The POVM is lifted once, for the report.
+    the K rows of Phi, Phi^T Phi = I. Up to rank _PROJECTIVE_MAX_RANK the
+    measurement is projective, K = r: each run takes the rotations
+    Phi = C(A) Phi_ref, with C(A) = (I - A)^{-1} (I + A) the Cayley
+    transform of a skew A and Phi_ref the last run's end point, and
+    BFGS with a dense inverse Hessian (`_minimize.lbfgs`, `dense`) maximises
+    the information over the upper triangle of A from A = 0. Above that
+    rank, Phi = X (X^T X)^{-1/2} with X real K x r, K = max(outcomes, 2 r),
+    and L-BFGS maximises the information over X. A run stops when the
+    stationarity residual of the lifted POVM V M_y V^T + (I - V V^T) / K
+    reaches RESIDUAL_TOL (checked every 50 iterations, on the support) or
+    after `max_iter` iterations. The first run starts from the eigenbasis
+    of the weighted difference on the support, stacked to K rows, plus a
+    seeded Gaussian perturbation; each further run, up to `restarts` runs
+    in all, resumes from the last end point with fresh curvature.
+    `restart_values` holds the value after each run. The POVM is lifted
+    once, for the report.
     """
     support, taus, _, e = _on_support(ens)
     if np.iscomplexobj(taus):
         raise ValueError("accessible_information needs real symmetric states")
     q = np.asarray(ens.priors, dtype=float)
     r = support.shape[1]
-    k = max(cfg.outcomes, 2 * r)
+    projective = r <= _PROJECTIVE_MAX_RANK
+    k = r if projective else max(cfg.outcomes, 2 * r)
 
-    def stationary(x):
-        return next(count) % _CHECK_EVERY == 0 and _residual(x, q, taus, support) <= RESIDUAL_TOL
+    def stationary(v):
+        return next(count) % _CHECK_EVERY == 0 and _residual(phi_of(v), q, taus, support) <= RESIDUAL_TOL
 
     x = np.tile(e.T, (-(-k // r), 1))[:k] * np.sqrt(r / k)
     x = x + _START_NOISE * np.random.default_rng(cfg.seed).standard_normal((k, r))
+    if projective:
+        phi = _polar(x)[0]  # Phi_ref of the first run
+    else:
+        v, objective = x.ravel(), functools.partial(_objective, q=q, taus=taus)
+
+        def phi_of(x):
+            return _polar(x.reshape(k, r))[0]
+
     iters, values = 0, []
     for _ in range(max(cfg.restarts, 1)):
         count = itertools.count(1)  # this run's iterations, read by `stationary`
-        x, fun, nit = lbfgs(lambda x: _objective(x, q, taus), x.ravel(), cfg.max_iter, stop=stationary)
+        if projective:  # rotations of the last end point, from A = 0
+            v, objective = np.zeros(r * (r - 1) // 2), functools.partial(_cayley_objective, ref=phi, q=q, taus=taus)
+            phi_of = functools.partial(_rotate, ref=phi)
+        v, fun, nit = lbfgs(objective, v, cfg.max_iter, stop=stationary, dense=projective)
+        phi = phi_of(v)
         iters += nit
         values.append(-float(fun))
-        res = _residual(x, q, taus, support)
+        res = _residual(phi, q, taus, support)
         if res <= RESIDUAL_TOL:
             break
-    phi = _polar(x.reshape(k, r))[0] @ support.T
-    povm = Povm(tuple(phi[:, :, None] * phi[:, None, :] + (np.eye(ens.size) - support @ support.T) / k))
+    lifted = phi @ support.T
+    povm = Povm(tuple(lifted[:, :, None] * lifted[:, None, :] + (np.eye(ens.size) - support @ support.T) / k))
     povm.validate()
     return AscentReport(
         povm=povm,

@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_residual, information, pure_state_error
+from oracles import dense_residual, holevo_chi, information, pure_state_error
 from phasecomm import (
     AscentConfig,
     BinaryEnsemble,
@@ -13,13 +15,23 @@ from phasecomm import (
     Povm,
     accessible_information,
     binary_entropy,
+    discrimination,
     error_probability,
     helstrom_bound,
     helstrom_measurement,
     mutual_information,
 )
 from phasecomm.config import POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOOR
-from phasecomm.discrimination import _objective, _on_support, _residual, mutual_information_from_joint
+from phasecomm.discrimination import (
+    _PROJECTIVE_MAX_RANK,
+    _cayley_objective,
+    _objective,
+    _on_support,
+    _polar,
+    _residual,
+    _rotate,
+    mutual_information_from_joint,
+)
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import bpsk, build_ensemble, ook
 
@@ -315,6 +327,26 @@ class TestQuasiNewtonAscent:
         ])
         assert np.linalg.norm(numeric - grad) <= 1e-6 * np.linalg.norm(grad)
 
+    def test_cayley_gradient_matches_central_difference(self):
+        # Phi = C(A) Phi_ref over the upper triangle of the skew A, at A != 0
+        ens = build_ensemble(bpsk(0.5, 0.6), DIM)
+        support, taus, _, e = _on_support(ens)
+        r = support.shape[1]
+        q = np.asarray(ens.priors)
+        rng = np.random.default_rng(11)
+        ref = _polar(e.T + 0.05 * rng.standard_normal((r, r)))[0]
+        a = 0.3 * rng.standard_normal(r * (r - 1) // 2)
+        _, grad = _cayley_objective(a, ref, q, taus)
+        h = 1e-5
+        numeric = np.array([
+            (_cayley_objective(a + h * e, ref, q, taus)[0]
+             - _cayley_objective(a - h * e, ref, q, taus)[0]) / (2 * h)
+            for e in np.eye(a.size)
+        ])
+        assert np.linalg.norm(numeric - grad) <= 1e-6 * np.linalg.norm(grad)
+        phi = _rotate(a, ref)
+        assert np.max(np.abs(phi.T @ phi - np.eye(r))) <= 1e-13
+
     def test_runs_resume_and_stop_at_the_first_converged_run(self):
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)
         short = AscentConfig(outcomes=4, max_iter=100, restarts=2)
@@ -347,16 +379,19 @@ class TestAscentOnSupport:
             assert all(rep.converged for rep in reports)
             assert reports[0].mutual_information == pytest.approx(reports[1].mutual_information, abs=1e-6)
 
-    def test_lifted_povm_is_full_and_carries_the_residual(self):
-        for params in (bpsk(0.5, 0.6), ook(0.5, 0.6)):
-            ens = build_ensemble(params, DIM)
-            rep = accessible_information(ens, AscentConfig(outcomes=4))
-            # K = max(outcomes, 2 r) rank-one elements on the support
-            assert len(rep.povm.elements) == 2 * _on_support(ens)[0].shape[1]
-            assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
-            rep.povm.validate()
-            assert rep.stationarity_residual == pytest.approx(dense_residual(ens, rep.povm, PROB_GUARD), abs=1e-12)
-            assert rep.mutual_information == pytest.approx(mutual_information(ens, rep.povm), abs=1e-13)
+    def test_lifted_povm_is_full_and_carries_the_residual(self, monkeypatch):
+        # r rank-one elements up to _PROJECTIVE_MAX_RANK, K = max(outcomes, 2 r) above it
+        # (rank 14 and 16 here, so a limit of 13 takes the polar path)
+        for max_rank, per_rank in ((_PROJECTIVE_MAX_RANK, 1), (13, 2)):
+            monkeypatch.setattr(discrimination, "_PROJECTIVE_MAX_RANK", max_rank)
+            for params in (bpsk(0.5, 0.6), ook(0.5, 0.6)):
+                ens = build_ensemble(params, DIM)
+                rep = accessible_information(ens, AscentConfig(outcomes=4))
+                assert len(rep.povm.elements) == per_rank * _on_support(ens)[0].shape[1]
+                assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
+                rep.povm.validate()
+                assert rep.stationarity_residual == pytest.approx(dense_residual(ens, rep.povm, PROB_GUARD), abs=1e-12)
+                assert rep.mutual_information == pytest.approx(mutual_information(ens, rep.povm), abs=1e-13)
 
     @pytest.mark.parametrize("signal", [bpsk, ook])
     def test_residual_on_the_support_matches_the_dense_definition(self, signal):
@@ -369,6 +404,36 @@ class TestAscentOnSupport:
         phi = (u @ wt) @ support.T
         rest = (np.eye(ens.size) - support @ support.T) / (2 * r)
         povm = Povm(tuple(np.outer(p, p) + rest for p in phi))
-        res = _residual(x.ravel(), np.asarray(ens.priors), taus, support)
+        res = _residual(u @ wt, np.asarray(ens.priors), taus, support)
         assert res > 1e-3
         assert res == pytest.approx(dense_residual(ens, povm, PROB_GUARD), abs=1e-12)
+
+
+class TestProjectiveAscent:
+    """Up to rank _PROJECTIVE_MAX_RANK the ascent runs over projective measurements."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ook_2_at_sigma_0_9_converges_at_every_seed(self, monkeypatch, seed):
+        # rank 28, above _PROJECTIVE_MAX_RANK: the polar path ends at residual
+        # 1.9e-6 and 2.5e-6 after 10,000 iterations at seeds 1 and 5, the
+        # projective one converges at every seed in 500-950 iterations
+        monkeypatch.setattr(discrimination, "_PROJECTIVE_MAX_RANK", 28)
+        ens = default_ensemble(ook(2.0, 0.9))
+        assert _on_support(ens)[0].shape[1] == 28
+        rep = accessible_information(ens, AscentConfig(restarts=4, outcomes=4, max_iter=2500, seed=seed))
+        assert len(rep.povm.elements) == 28
+        assert rep.converged, rep.stationarity_residual
+
+    @settings(derandomize=True, database=None, max_examples=8, deadline=None)
+    @given(
+        signal=st.sampled_from([bpsk, ook]),
+        mean_photons=st.floats(0.01, 3.0),
+        q1=st.floats(0.1, 0.9),
+        sigma=st.floats(0.0, 3.0),
+    )
+    def test_converges_between_helstrom_information_and_holevo(self, signal, mean_photons, q1, sigma):
+        ens = default_ensemble(signal(mean_photons, sigma, q1))
+        rep = accessible_information(ens, AscentConfig(restarts=4, outcomes=4, max_iter=2500))
+        assert rep.converged, rep.stationarity_residual
+        _, hel = helstrom_measurement(ens)
+        assert mutual_information(ens, hel) - 1e-6 <= rep.mutual_information <= holevo_chi(ens) + 1e-12

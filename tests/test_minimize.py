@@ -7,7 +7,7 @@ import pytest
 from scipy import optimize as sciopt
 from scipy import special
 
-from phasecomm._minimize import bounded_brent, lbfgs
+from phasecomm._minimize import _DenseInverse, bounded_brent, lbfgs
 from phasecomm.config import TAIL
 from phasecomm.fock import default_cutoff, poisson_tail
 
@@ -102,6 +102,51 @@ class TestLbfgs:
         x, _, _ = lbfgs(fun, np.array([0.0, 0.0]), 100, lower=np.array([-np.inf, -np.inf]), upper=np.array([1.0, np.inf]))
         assert x[0] == 1.0
         assert x[1] == pytest.approx(-1.5, abs=1e-8)  # the minimum over x1 at x0 = 1
+
+
+class TestDenseBfgs:
+    def test_convex_quadratic(self):
+        rng = np.random.default_rng(3)
+        q = rng.standard_normal((40, 40))
+        a = q @ q.T + 0.5 * np.eye(40)
+        x_min = rng.standard_normal(40)
+
+        def fun(x):
+            g = a @ (x - x_min)
+            return 0.5 * float((x - x_min) @ g), g
+
+        x, _, iterations = lbfgs(fun, np.zeros(40), 1000, dense=True)
+        assert iterations < 1000
+        assert np.max(np.abs(x - x_min)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_rosenbrock(self, n):
+        x0 = np.full(n, -1.2)
+        x0[1::2] = 1.0
+        x, _, iterations = lbfgs(rosenbrock, x0, 2000, dense=True)
+        assert iterations < 2000
+        assert np.max(np.abs(x - 1.0)) <= 1e-8
+
+    def test_each_update_meets_the_secant_condition(self):
+        # H y = s for the newest pair, and H stays symmetric positive definite
+        rng = np.random.default_rng(5)
+        n = 12
+        q = rng.standard_normal((n, n))
+        a = q @ q.T + np.eye(n)
+        store = _DenseInverse(n)
+        for _ in range(30):
+            s = rng.standard_normal(n)
+            y = a @ s
+            store.add(s, y)
+            assert np.linalg.norm(store.inverse_hessian_product(y) - s) <= 1e-10 * np.linalg.norm(s)
+            assert np.max(np.abs(store.h - store.h.T)) <= 1e-12 * np.max(np.abs(store.h))
+            assert np.linalg.eigvalsh(0.5 * (store.h + store.h.T)).min() > 0.0
+        assert store.count == 30
+
+    def test_skips_a_pair_without_curvature(self):
+        store = _DenseInverse(3)
+        store.add(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
+        assert store.count == 0 and not store.h.any()
 
 
 class TestPoissonTail:

@@ -4,10 +4,9 @@ Error probability of a given POVM, the Helstrom bound and its
 measurement, Shannon mutual information, and accessible information.
 The Helstrom functions and the accessible information read one
 decomposition of the ensemble on its support (`_on_support`). The
-accessible information is maximised by quasi-Newton ascent over rank-one
-real POVMs M_y = phi_y phi_y^T on that support, projective ones up to
-support rank _PROJECTIVE_MAX_RANK, so the ensemble must be real
-symmetric (see `accessible_information`).
+accessible information is maximised by quasi-Newton ascent over real
+projective measurements M_y = phi_y phi_y^T on that support, so the
+ensemble must be real symmetric (see `accessible_information`).
 """
 
 import functools
@@ -193,16 +192,16 @@ def binary_entropy(p: float) -> float:
 class AscentConfig:
     """Knobs for the quasi-Newton accessible-information ascent.
 
-    `outcomes` acts only above support rank _PROJECTIVE_MAX_RANK: up to
-    it the measurement is projective, with r elements. `lam_max` and
+    The measurement is projective, with r elements on the support of
+    rank r, so `outcomes` is accepted and ignored. `lam_max` and
     `polish_max` tuned the steepest-ascent iteration this ascent replaced;
-    they are accepted and ignored.
+    they are accepted and ignored too.
     """
 
     max_iter: int = 50_000  # iterations per run
     restarts: int = 5  # most runs; each resumes where the last one stopped
     seed: int = 0  # seeds the perturbation of the first start
-    outcomes: int = 2  # above rank _PROJECTIVE_MAX_RANK the ascent carries max(outcomes, 2 r) elements
+    outcomes: int = 2  # ignored
     lam_max: float = 0.5  # ignored
     polish_max: int = 5000  # ignored
 
@@ -219,8 +218,6 @@ class AscentReport:
 
 # stationarity residual at which a run stops and the ascent converges
 RESIDUAL_TOL = 1e-6
-# largest support rank at which the ascent runs over projective measurements
-_PROJECTIVE_MAX_RANK = 24
 # iterations between two residual checks of a run
 _CHECK_EVERY = 50
 # scale of the Gaussian perturbation of the first start
@@ -235,16 +232,10 @@ def _log_ratio(q: np.ndarray, joint: np.ndarray) -> np.ndarray:
     return np.log2(np.where(live, joint, 1.0) / np.where(live, q[:, None] * py, 1.0))
 
 
-def _polar(x: np.ndarray):
-    """Phi = X (X^T X)^{-1/2}, whose rows phi_y give M_y = phi_y phi_y^T summing to I.
-
-    Also returns (X^T X)^{-1/2} and the eigenvectors u and square-rooted
-    eigenvalues of X^T X, which the gradient's pull-back needs.
-    """
+def _polar(x: np.ndarray) -> np.ndarray:
+    """X (X^T X)^{-1/2}, the nearest matrix to X with orthonormal columns."""
     s, u = np.linalg.eigh(x.T @ x)
-    root = np.sqrt(s)
-    inv_root = (u / root) @ u.T
-    return x @ inv_root, inv_root, u, root
+    return x @ ((u / np.sqrt(s)) @ u.T)
 
 
 def _information(phi: np.ndarray, q: np.ndarray, taus: np.ndarray):
@@ -258,22 +249,6 @@ def _information(phi: np.ndarray, q: np.ndarray, taus: np.ndarray):
     log_ratio = _log_ratio(q, joint)
     g = np.einsum("xy,xiy->yi", q[:, None] * log_ratio, t)
     return float(np.sum(joint * log_ratio)), g
-
-
-def _objective(x: np.ndarray, q: np.ndarray, taus: np.ndarray):
-    """Minus the information of the rank-one POVM of X, and its gradient in X.
-
-    The gradient 2 g_y in phi_y is pulled back through the inverse square
-    root of S = X^T X with the Daleckii-Krein divided differences of
-    s^{-1/2} over the eigenvalues of S.
-    """
-    x = x.reshape(-1, taus.shape[1])
-    phi, inv_root, u, root = _polar(x)
-    info, g = _information(phi, q, taus)
-    a = u.T @ (x.T @ g) @ u
-    divided = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
-    grad = g @ inv_root + x @ (u @ ((a + a.T) * divided) @ u.T)
-    return -info, -2.0 * grad.ravel()
 
 
 @functools.cache
@@ -322,7 +297,7 @@ def _residual(phi: np.ndarray, q: np.ndarray, taus: np.ndarray, support: np.ndar
     Gamma = sum_y R_y M_y. On the support each block is the outer product
     phi_y w_y^T, with w_y the rows of W = Phi G^T Phi - G, so its lift is
     (V phi_y)(V w_y)^T. Gamma and R_y vanish off the support, so the part
-    (I - V V^T) / K of the lifted POVM adds nothing.
+    (I - V V^T) / r of the lifted POVM adds nothing.
     """
     g = _information(phi, q, taus)[1]
     w = phi @ g.T @ phi - g
@@ -334,60 +309,46 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
 
     Rank-one elements suffice (Davies 1978), and for real states so do
     real ones. On a real orthonormal basis V of the support of
-    q1 tau1 + q2 tau2 (rank r), the POVM is M_y = phi_y phi_y^T with phi_y
-    the K rows of Phi, Phi^T Phi = I. Up to rank _PROJECTIVE_MAX_RANK the
-    measurement is projective, K = r: each run takes the rotations
-    Phi = C(A) Phi_ref, with C(A) = (I - A)^{-1} (I + A) the Cayley
-    transform of a skew A and Phi_ref the last run's end point, and
-    BFGS with a dense inverse Hessian (`_minimize.lbfgs`, `dense`) maximises
-    the information over the upper triangle of A from A = 0. Above that
-    rank, Phi = X (X^T X)^{-1/2} with X real K x r, K = max(outcomes, 2 r),
-    and L-BFGS maximises the information over X. A run stops when the
-    stationarity residual of the lifted POVM V M_y V^T + (I - V V^T) / K
-    reaches RESIDUAL_TOL (checked every 50 iterations, on the support) or
-    after `max_iter` iterations. The first run starts from the eigenbasis
-    of the weighted difference on the support, stacked to K rows, plus a
-    seeded Gaussian perturbation; each further run, up to `restarts` runs
-    in all, resumes from the last end point with fresh curvature.
-    `restart_values` holds the value after each run. The POVM is lifted
-    once, for the report.
+    q1 tau1 + q2 tau2 (rank r), the measurement is projective,
+    M_y = phi_y phi_y^T with phi_y the r rows of an orthogonal Phi; that
+    projective measurements reach the maximum is a measured property of
+    these ensembles, not a theorem (see the README). Each run takes the
+    rotations Phi = C(A) Phi_ref, with C(A) = (I - A)^{-1} (I + A) the
+    Cayley transform of a skew A and Phi_ref the last run's end point, and
+    BFGS with a dense inverse Hessian (`_minimize.lbfgs`, `dense`)
+    maximises the information over the upper triangle of A from A = 0. A
+    run stops when the stationarity residual of the lifted POVM
+    V M_y V^T + (I - V V^T) / r reaches RESIDUAL_TOL (checked every 50
+    iterations, on the support) or after `max_iter` iterations. The first
+    Phi_ref is the polar factor of the eigenbasis of the weighted
+    difference on the support plus a seeded Gaussian perturbation; each
+    further run, up to `restarts` runs in all, resumes from the last end
+    point with fresh curvature. `restart_values` holds the value after
+    each run. The POVM is lifted once, for the report.
     """
     support, taus, _, e = _on_support(ens)
     if np.iscomplexobj(taus):
         raise ValueError("accessible_information needs real symmetric states")
     q = np.asarray(ens.priors, dtype=float)
     r = support.shape[1]
-    projective = r <= _PROJECTIVE_MAX_RANK
-    k = r if projective else max(cfg.outcomes, 2 * r)
 
-    def stationary(v):
-        return next(count) % _CHECK_EVERY == 0 and _residual(phi_of(v), q, taus, support) <= RESIDUAL_TOL
+    def stationary(a):
+        return next(count) % _CHECK_EVERY == 0 and _residual(_rotate(a, phi), q, taus, support) <= RESIDUAL_TOL
 
-    x = np.tile(e.T, (-(-k // r), 1))[:k] * np.sqrt(r / k)
-    x = x + _START_NOISE * np.random.default_rng(cfg.seed).standard_normal((k, r))
-    if projective:
-        phi = _polar(x)[0]  # Phi_ref of the first run
-    else:
-        v, objective = x.ravel(), functools.partial(_objective, q=q, taus=taus)
-
-        def phi_of(x):
-            return _polar(x.reshape(k, r))[0]
-
+    phi = _polar(e.T + _START_NOISE * np.random.default_rng(cfg.seed).standard_normal((r, r)))
     iters, values = 0, []
     for _ in range(max(cfg.restarts, 1)):
         count = itertools.count(1)  # this run's iterations, read by `stationary`
-        if projective:  # rotations of the last end point, from A = 0
-            v, objective = np.zeros(r * (r - 1) // 2), functools.partial(_cayley_objective, ref=phi, q=q, taus=taus)
-            phi_of = functools.partial(_rotate, ref=phi)
-        v, fun, nit = lbfgs(objective, v, cfg.max_iter, stop=stationary, dense=projective)
-        phi = phi_of(v)
+        objective = functools.partial(_cayley_objective, ref=phi, q=q, taus=taus)
+        a, fun, nit = lbfgs(objective, np.zeros(r * (r - 1) // 2), cfg.max_iter, stop=stationary, dense=True)
+        phi = _rotate(a, phi)  # the next run's Phi_ref
         iters += nit
         values.append(-float(fun))
         res = _residual(phi, q, taus, support)
         if res <= RESIDUAL_TOL:
             break
     lifted = phi @ support.T
-    povm = Povm(tuple(lifted[:, :, None] * lifted[:, None, :] + (np.eye(ens.size) - support @ support.T) / k))
+    povm = Povm(tuple(lifted[:, :, None] * lifted[:, None, :] + (np.eye(ens.size) - support @ support.T) / r))
     povm.validate()
     return AscentReport(
         povm=povm,

@@ -182,3 +182,65 @@ def quad_distribution(alpha, sigma, beta, visibility, m):
             epsabs=1e-16, epsrel=1e-14, norm="max", points=breaks if breaks.size else None,
         )
     return np.append(counts, max(1.0 - counts.sum(), 0.0))
+
+
+class _Elements:
+    """A POVM as `dense_residual` reads it: its `elements`."""
+
+    def __init__(self, elements):
+        self.elements = elements
+
+
+def povm_information(ens, guard: float, outcomes_per_rank: int = 2, seed: int = 0, runs: int = 8) -> tuple:
+    """Information of the best real rank-one POVM with K = outcomes_per_rank x r
+    elements that L-BFGS-B finds, and its stationarity residual (`dense_residual`
+    with `guard`).
+
+    On an orthonormal basis V of the support of q1 tau1 + q2 tau2 (rank r),
+    M_y = V phi_y phi_y^T V^T + (I - V V^T) / K with phi_y the rows of
+    Phi = X (X^T X)^{-1/2}, X real K x r; the gradient in X is pulled back
+    through the inverse square root with the Daleckii-Krein divided
+    differences of s^{-1/2} over the eigenvalues s of X^T X. Each run
+    restarts L-BFGS-B from the last X; the first X is Gaussian from `seed`.
+    """
+    q = np.asarray(ens.priors, dtype=float)
+    states = np.real(np.asarray(ens.states))
+    w, v = np.linalg.eigh(q[0] * states[0] + q[1] * states[1])
+    support = v[:, w > w.max() * ens.size * np.finfo(float).eps]
+    taus = support.T @ states @ support
+    r = support.shape[1]
+    k = outcomes_per_rank * r
+
+    def neg_information(flat):
+        x = flat.reshape(k, r)
+        s, u = np.linalg.eigh(x.T @ x)
+        root = np.sqrt(s)
+        inv_root = (u / root) @ u.T
+        phi = x @ inv_root
+        t = np.einsum("xij,yj->xyi", taus, phi)  # tau_x phi_y
+        joint = q[:, None] * np.einsum("yi,xyi->xy", phi, t)
+        py = joint.sum(axis=0)
+        live = (joint > 0) & (py > 0)
+        log_ratio = np.where(live, np.log2(np.where(live, joint, 1.0) / (q[:, None] * np.where(py > 0, py, 1.0))), 0.0)
+        g = 2.0 * np.einsum("xy,xyi->yi", q[:, None] * log_ratio, t)  # gradient in phi_y
+        a = u.T @ (x.T @ g) @ u
+        divided = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+        grad = g @ inv_root + x @ (u @ ((a + a.T) * divided) @ u.T)
+        return -float(np.sum(joint * log_ratio)), -grad.ravel()
+
+    def lifted(flat):
+        x = flat.reshape(k, r)
+        s, u = np.linalg.eigh(x.T @ x)
+        phi = (x @ ((u / np.sqrt(s)) @ u.T)) @ support.T
+        rest = (np.eye(ens.size) - support @ support.T) / k
+        return _Elements(tuple(np.outer(p, p) + rest for p in phi))
+
+    x = np.random.default_rng(seed).standard_normal(k * r)
+    for _ in range(runs):
+        res = sciopt.minimize(neg_information, x, jac=True, method="L-BFGS-B",
+                              options={"maxiter": 20_000, "ftol": 1e-16, "gtol": 1e-12})
+        x = res.x
+        residual = dense_residual(ens, lifted(x), guard)
+        if residual <= 1e-6:
+            break
+    return -float(res.fun), residual

@@ -1,14 +1,19 @@
 """The library's two minimisers, in numpy and `math` only.
 
-`bounded_brent` is Brent's bounded scalar minimisation, step for step
-as scipy's `minimize_scalar(method="bounded")` takes it, so it returns
-the same point bit for bit. `lbfgs` is limited-memory BFGS (Liu and
+Both are ask-and-tell searches: a generator that yields a trial point and
+is sent back its value. `drive` runs several searches in lock-step, so
+that one batched evaluation serves the trials of every running search in
+a round; `bounded_brent` and `lbfgs` run one search through it.
+
+`brent_search` is Brent's bounded scalar minimisation, step for step as
+scipy's `minimize_scalar(method="bounded")` takes it, so it returns the
+same point bit for bit. `lbfgs_search` is limited-memory BFGS (Liu and
 Nocedal, Math. Prog. 45, 503, 1989) with the direction in the compact
 form of Byrd, Nocedal and Schnabel (Math. Prog. 63, 129, 1994), an
 Armijo backtracking line search with weak-Wolfe expansion, and an
 optional box onto which every trial point is projected. With `dense`,
-`lbfgs` keeps the full inverse-BFGS matrix in place of the correction
-pairs (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 6).
+it keeps the full inverse-BFGS matrix in place of the correction pairs
+(Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 6).
 """
 
 import math
@@ -30,8 +35,50 @@ _MEMORY = 30
 _BRENT_EVALS = 500
 
 
+def drive(searches: list, evaluate) -> list:
+    """Run the generators `searches` in lock-step; returns the value each returns.
+
+    A round sends every running search the value of its pending trial
+    point, all of them from one call `evaluate(which, points)`: `which`
+    lists the running searches' indices in `searches`, `points` their
+    trials, and the call returns one value per point. A search leaves the
+    rounds when it returns, so the rounds number the evaluations of the
+    longest search. Each search sees the values it would see alone.
+    """
+    results = [None] * len(searches)
+    running = list(range(len(searches)))
+    points = [next(search) for search in searches]
+    while running:
+        values = evaluate(tuple(running), tuple(points))
+        # backwards, so that dropping a search that returns keeps the places ahead
+        for k in range(len(running) - 1, -1, -1):
+            try:
+                points[k] = searches[running[k]].send(values[k])
+            except StopIteration as done:
+                results[running[k]] = done.value
+                del running[k], points[k]
+    return results
+
+
+def _alone(search, func):
+    """What `search` returns when each trial's value is func(trial)."""
+    return drive([search], lambda _, points: [func(points[0])])[0]
+
+
 def bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple:
-    """(x, func(x)) at a minimum of the scalar `func` on [lo, hi], to `xatol`.
+    """(x, func(x)) at a minimum of the scalar `func` on [lo, hi], to `xatol`."""
+    return _alone(brent_search(lo, hi, xatol), func)
+
+
+def lbfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None, dense=False) -> tuple:
+    """Minimise `fun`, which returns (f(x), gradient), from `x0`; returns
+    (x, f, iterations). The settings are those of `lbfgs_search`."""
+    return _alone(lbfgs_search(x0, max_iter, stop, lower, upper, dense), fun)
+
+
+def brent_search(lo: float, hi: float, xatol: float):
+    """Search for a minimum on [lo, hi] to `xatol`, sent f at each trial;
+    returns (x, f(x)).
 
     Golden-section steps, and parabolic steps where the parabola through
     the three best points is acceptable; at most _BRENT_EVALS evaluations.
@@ -39,7 +86,7 @@ def bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple:
     a, b = lo, hi
     fulc = nfc = xf = a + _GOLDEN * (b - a)
     rat = e = 0.0
-    fx = ffulc = fnfc = func(xf)
+    fx = ffulc = fnfc = yield xf
     num = 1
     xm = 0.5 * (a + b)
     tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
@@ -65,7 +112,7 @@ def bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple:
             e = a - xf if xf >= xm else b - xf
             rat = _GOLDEN * e
         x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -93,8 +140,8 @@ def bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple:
     return xf, fx
 
 
-def lbfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None, dense=False) -> tuple:
-    """Minimise `fun`, which returns (f(x), gradient), from `x0`; returns (x, f, iterations).
+def lbfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None, dense=False):
+    """Minimise f from `x0`, sent (f, gradient) at each trial; returns (x, f, iterations).
 
     A run ends after `max_iter` iterations or 2 `max_iter` evaluations,
     when `stop(x)` is true after an iteration, when the step's predicted
@@ -108,7 +155,7 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None,
     box = None if lower is None and upper is None else (lower, upper)
     x = np.asarray(x0, dtype=float)
     x = x if box is None else np.clip(x, *box)
-    f, g = fun(x)
+    f, g = yield x
     evals = 1
     pairs = _DenseInverse(x.size) if dense else _Pairs(_MEMORY, x.size)
     for it in range(max_iter):
@@ -125,7 +172,7 @@ def lbfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None,
         slope = float(g @ d)
         if not -slope > _EPS * abs(f):  # no decrease that f could resolve
             return x, f, it
-        found, x_new, f_new, g_new, used = _line_search(fun, x, f, g, d, slope, t, box, 2 * max_iter - evals)
+        found, x_new, f_new, g_new, used = yield from _line_search(x, f, g, d, slope, t, box, 2 * max_iter - evals)
         evals += used
         if not found:
             return x, f, it
@@ -223,14 +270,15 @@ class _DenseInverse:
         return self.h @ g
 
 
-def _line_search(fun, x, f, g, d, slope, t, box, budget) -> tuple:
+def _line_search(x, f, g, d, slope, t, box, budget):
     """A step along d that satisfies Armijo's condition and, where the
     trials allow, the weak Wolfe curvature condition.
 
     Doubles the step while the decrease is sufficient and the slope stays
     steep; once a step has fallen short, backtracks (by safeguarded
     quadratic interpolation, or bisection after an expansion) to the first
-    step with sufficient decrease. Returns (found, x, f, g, evaluations).
+    step with sufficient decrease. Sent (f, gradient) at each trial; returns
+    (found, x, f, g, evaluations).
     """
     lo, hi = 0.0, math.inf
     best, used = None, 0
@@ -241,7 +289,7 @@ def _line_search(fun, x, f, g, d, slope, t, box, budget) -> tuple:
         else:
             x_t = np.clip(x_t, *box)
             decrease = float(g @ (x_t - x))
-        f_t, g_t = fun(x_t)
+        f_t, g_t = yield x_t
         used += 1
         if not (f_t < f and f_t <= f + _ARMIJO * decrease):
             hi = t

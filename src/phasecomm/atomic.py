@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimize import bounded_brent, lbfgs
+from ._minimize import brent_search, drive, lbfgs_search
 from .config import PROB_GUARD, SERIES_TAIL
 from .discrimination import BinaryPovm, _log_ratio, mutual_information_from_joint
 from .errors import SeriesTruncationError
@@ -70,7 +70,8 @@ class AtomicParams:
     phi_pulse: float
 
 
-def _series_length(amplitudes) -> int:
+@functools.lru_cache(maxsize=64)
+def _series_length(amplitudes: tuple) -> int:
     """The shortest series the truncation guard accepts at every setting.
 
     With Poisson weights p_n of mean alpha^2, the guard's last term is
@@ -78,7 +79,8 @@ def _series_length(amplitudes) -> int:
     (xi, theta, Phi), and its scale, half of diag + raised, is at least
     half of e^{alpha^2} sum_{n<=N} p_n. N is the smallest
     count past the Poisson mode for which the one bound stays below
-    SERIES_TAIL times the other, over all amplitudes.
+    SERIES_TAIL times the other, over all amplitudes. Every table of a
+    sigma point asks again, hence the cache.
     """
     n_terms = 1
     for alpha in amplitudes:
@@ -134,23 +136,26 @@ def _series_weights(alpha: float, n_terms: int) -> np.ndarray:
 
 
 def _series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> tuple:
-    """Diagonal, raised and cross sums of one amplitude at each coupling.
+    """Diagonal, raised and cross sums at each coupling, of one amplitude or
+    of a stack of them.
 
-    With the rows (w0, w1, wc) of `_series_weights`, over n = 0..n_terms:
+    With the rows (w0, w1, wc) of `_series_weights` (shape (3, n_terms + 1),
+    or (..., 3, n_terms + 1) for a stack), over n = 0..n_terms:
     diag = sum w0 cos^2(Phi sqrt n), raised = sum w1 sin^2(Phi sqrt(n+1)),
     cross = sum wc cos(Phi sqrt n) sin(Phi sqrt(n+1)).
-    Returns (sums, last), each of shape (3, len(phi)): the three sums and
+    Returns (sums, last), each of shape (..., 3, len(phi)): the three sums and
     their n = n_terms terms. With `slopes`, also their Phi derivatives:
     d diag = -sum w0 sqrt(n) sin(2 Phi sqrt n),
     d raised = sum w1 sqrt(n+1) sin(2 Phi sqrt(n+1)),
     d cross = sum wc [sqrt(n+1) cos(Phi sqrt n) cos(Phi sqrt(n+1))
                       - sqrt(n) sin(Phi sqrt n) sin(Phi sqrt(n+1))].
     """
-    root = np.sqrt(np.arange(weights.shape[1] + 1))
+    root = np.sqrt(np.arange(weights.shape[-1] + 1))
     arg = np.multiply.outer(phi, root)
     cos_n = np.cos(arg[:, :-1])
     sin_n1 = np.sin(arg[:, 1:])
-    terms = weights[:, None, :] * np.stack([cos_n**2, sin_n1**2, cos_n * sin_n1])
+    weights = weights[..., None, :]
+    terms = weights * np.stack([cos_n**2, sin_n1**2, cos_n * sin_n1])
     if not slopes:
         return terms.sum(axis=-1), terms[..., -1]
     sin_n, cos_n1 = np.sin(arg[:, :-1]), np.cos(arg[:, 1:])
@@ -160,7 +165,7 @@ def _series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> 
         2 * r1 * sin_n1 * cos_n1,
         r1 * cos_n * cos_n1 - r0 * sin_n * sin_n1,
     ])
-    return terms.sum(axis=-1), terms[..., -1], (weights[:, None, :] * derivatives).sum(axis=-1)
+    return terms.sum(axis=-1), terms[..., -1], (weights * derivatives).sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -179,57 +184,57 @@ def _grid_sums(alpha: float, n_terms: int) -> tuple:
 
 
 class _TableCoefficients:
-    """The joint table over couplings at xi = pi/2, as (a, b, c) of shape
-    (len(phi), 2, 2) with Pr(x, y) = a + b cos(2theta) + c sin(2theta).
+    """The joint table over couplings at xi = pi/2, as (mean, swing, inter),
+    each of shape (2, len(phi)) with a row per hypothesis x:
+    Pr(x, 0) = mean + swing cos(2theta) + inter sin(2theta) and
+    Pr(x, 1) = mean - swing cos(2theta) - inter sin(2theta).
 
-    At any xi the interference term c carries a factor sin(xi). The
+    At any xi the interference term inter carries a factor sin(xi). The
     truncation guard checks the series length at each Phi in its worst
     case over (xi, theta), so it holds at every angle; it runs on every
     call, on the grid too.
     """
 
     def __init__(self, params: SignalParams):
-        self.n_terms = _series_length([params.alpha1, params.alpha2])
+        self.alphas = (params.alpha1, params.alpha2)
+        self.n_terms = _series_length(self.alphas)
         self.damping = np.exp(-0.5 * params.sigma**2)
-        self.hypotheses = [
-            (q * np.exp(-alpha * alpha), alpha, _series_weights(alpha, self.n_terms))
-            for q, alpha in ((params.q1, params.alpha1), (params.q2, params.alpha2))
-        ]
+        self.scale = np.array([[q * np.exp(-alpha * alpha)] for q, alpha in zip((params.q1, params.q2), self.alphas)])
+        self.weights = np.stack([_series_weights(alpha, self.n_terms) for alpha in self.alphas])
 
     def __call__(self, phi: np.ndarray | None = None, slopes: bool = False) -> tuple:
-        """(a, b, c) at each coupling; with `slopes`, also their Phi derivatives.
-        Without `phi`, the table at every Phi of `_PHI_GRID`, from `_grid_sums`."""
-        sums, derivatives = [], []
-        for _, alpha, weights in self.hypotheses:
-            if phi is None:
-                (diag, raised, cross), (d, r, x_last) = _grid_sums(alpha, self.n_terms)
-            else:
-                (diag, raised, cross), (d, r, x_last), *slope = _series_sums(weights, phi, slopes)
-                derivatives += slope
-            # the last terms at their worst over (xi, theta), against half of the two
-            # outcome sums' total diag + raised, which the larger of them reaches
-            ratio = np.max((d + r + 2 * self.damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300))
-            if ratio > SERIES_TAIL:
-                raise SeriesTruncationError(
-                    f"last series term is {ratio:.3e} of the sum at {self.n_terms} terms, above {SERIES_TAIL:.0e}"
-                )
-            sums.append((diag, raised, cross))
+        """(mean, swing, inter) at each coupling; with `slopes`, also their Phi
+        derivatives. Without `phi`, the table at every Phi of `_PHI_GRID`, from
+        `_grid_sums`."""
+        if phi is None:
+            sums, last = (np.stack(part) for part in zip(*(_grid_sums(alpha, self.n_terms) for alpha in self.alphas)))
+        else:
+            sums, last, *derivatives = _series_sums(self.weights, phi, slopes)
+        (diag, raised, _), (d, r, x_last) = np.moveaxis(sums, 1, 0), np.moveaxis(last, 1, 0)
+        # the last terms at their worst over (xi, theta), against half of the two
+        # outcome sums' total diag + raised, which the larger of them reaches
+        ratio = np.max((d + r + 2 * self.damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300))
+        if ratio > SERIES_TAIL:
+            raise SeriesTruncationError(
+                f"last series term is {ratio:.3e} of the sum at {self.n_terms} terms, above {SERIES_TAIL:.0e}"
+            )
         table = self._table(sums)
-        return (table, self._table(derivatives)) if slopes else table
+        return (table, self._table(derivatives[0])) if slopes else table
 
-    def _table(self, sums: list) -> tuple:
-        """(a, b, c) from each hypothesis' (diag, raised, cross). The map is
-        linear, so it takes their Phi derivatives to the table's."""
-        a, b, c = (np.empty((len(sums[0][0]), 2, 2)) for _ in range(3))
-        for x, ((scale, _, _), (diag, raised, cross)) in enumerate(zip(self.hypotheses, sums)):
-            a[:, x, 0] = a[:, x, 1] = 0.5 * scale * (diag + raised)
-            b[:, x, 0] = 0.5 * scale * (diag - raised)
-            b[:, x, 1] = -b[:, x, 0]
-            # Gaussian phase average of the interference term: the minus sign follows
-            # from <n|K|n> real and <n-1|K|n> proportional to -i e^{-i xi}
-            c[:, x, 0] = -scale * self.damping * cross
-            c[:, x, 1] = -c[:, x, 0]
-        return a, b, c
+    def _table(self, sums: np.ndarray) -> tuple:
+        """(mean, swing, inter) from the hypotheses' (diag, raised, cross), shape
+        (2, 3, len(phi)). The map is linear, so it takes their Phi derivatives
+        to the table's."""
+        diag, raised, cross = np.moveaxis(sums, 1, 0)
+        # Gaussian phase average of the interference term: the minus sign follows
+        # from <n|K|n> real and <n-1|K|n> proportional to -i e^{-i xi}
+        half = 0.5 * self.scale
+        return half * (diag + raised), half * (diag - raised), -self.scale * self.damping * cross
+
+
+def _joint(mean, swing, inter, cos_t, sin_t) -> np.ndarray:
+    """The (x, y) table of one coupling from its (mean, swing, inter), rows (2,)."""
+    return np.stack([mean + swing * cos_t + inter * sin_t, mean - swing * cos_t - inter * sin_t], axis=-1)
 
 
 def joint_probabilities_series(params: SignalParams, p: AtomicParams) -> np.ndarray:
@@ -238,8 +243,8 @@ def joint_probabilities_series(params: SignalParams, p: AtomicParams) -> np.ndar
     The table at xi = pi/2 (`_TableCoefficients`) with its interference
     term scaled by sin(xi), which is how xi enters.
     """
-    a, b, c = _TableCoefficients(params)(np.array([p.phi_pulse]))
-    return a[0] + b[0] * np.cos(2 * p.theta) + np.sin(p.xi) * c[0] * np.sin(2 * p.theta)
+    mean, swing, inter = (v[:, 0] for v in _TableCoefficients(params)(np.array([p.phi_pulse])))
+    return _joint(mean, swing, np.sin(p.xi) * inter, np.cos(2 * p.theta), np.sin(2 * p.theta))
 
 
 def error_probability_series(params: SignalParams, p: AtomicParams) -> float:
@@ -255,29 +260,28 @@ def mutual_information_series(params: SignalParams, p: AtomicParams) -> float:
 
 def _min_error_over_theta(coeffs: tuple) -> tuple:
     """Minimum over theta of the error at each Phi, and the minimizing 2theta."""
-    a, b, c = coeffs
-    # error = 1 - P(1, 1) - P(2, 2) = e_a + e_b cos(2theta) + e_c sin(2theta)
-    e_a = 1.0 - a[:, 0, 0] - a[:, 1, 1]
-    e_b = -b[:, 0, 0] - b[:, 1, 1]
-    e_c = -c[:, 0, 0] - c[:, 1, 1]
+    mean, swing, inter = coeffs
+    # error = 1 - Pr(0, 0) - Pr(1, 1) = e_a + e_b cos(2theta) + e_c sin(2theta)
+    e_a = 1.0 - mean[0] - mean[1]
+    e_b = swing[1] - swing[0]
+    e_c = inter[1] - inter[0]
     return e_a - np.hypot(e_b, e_c), np.arctan2(-e_c, -e_b)
 
 
 def _information_grid(coeffs: tuple, two_theta: np.ndarray, priors) -> np.ndarray:
     """Mutual information in bits at each (Phi, 2theta), shape (len(phi), len(two_theta)).
 
-    Column y = 1 of the table is a - (b cos + c sin) of column 0, and
+    Column y = 1 of the table is mean - (swing cos + inter sin), and
     I = sum p log p - sum_y p_y log p_y - sum_x p_x log q_x. Entries below
     PROB_GUARD shift the value by less than 1e-13, which only the polish sees.
     """
     def plogp(p):
         return p * np.log2(np.maximum(p, PROB_GUARD))
 
-    a, b, c = (v[:, :, 0] for v in coeffs)
     info, p_y = 0.0, [0.0, 0.0]
-    for x in range(2):
-        mean = a[:, x, None]
-        swing = np.multiply.outer(b[:, x], np.cos(two_theta)) + np.multiply.outer(c[:, x], np.sin(two_theta))
+    for x, (mean, swing, inter) in enumerate(zip(*coeffs)):
+        mean = mean[:, None]
+        swing = np.multiply.outer(swing, np.cos(two_theta)) + np.multiply.outer(inter, np.sin(two_theta))
         col0, col1 = mean + swing, mean - swing
         info = info + plogp(col0) + plogp(col1) - 2 * mean * np.log2(max(priors[x], PROB_GUARD))
         p_y = [p_y[0] + col0, p_y[1] + col1]
@@ -306,47 +310,58 @@ def _grid_profile(coefficients: _TableCoefficients, over_theta) -> tuple:
     grid, evaluated in blocks of rows of the grid's table."""
     table = coefficients()
     parts = [
-        over_theta(tuple(v[i:i + _BLOCK_ROWS] for v in table))
+        over_theta(tuple(v[:, i:i + _BLOCK_ROWS] for v in table))
         for i in range(0, _PHI_GRID.size, _BLOCK_ROWS)
     ]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _search_min_error(params) -> list:
+    """Polishes the best grid minima by bounded Brent in Phi, in lock-step:
+    each round is one table call at every running polish's trial Phi."""
     coefficients = _TableCoefficients(params)
     grid = _PHI_GRID
     curve, _ = _grid_profile(coefficients, _min_error_over_theta)
-
-    def at(phi):
-        return _min_error_over_theta(coefficients(np.array([phi])))
-
-    found = []
-    for i in _best_local(curve, _POLISHED):
-        lo, hi = max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX)
-        phi, value = bounded_brent(lambda phi: at(phi)[0][0], lo, hi, 1e-10)
-        phi = phi if value < curve[i] else grid[i]
-        found.append(_canonical(phi, at(phi)[1][0]))
-    return found
+    starts = _best_local(curve, _POLISHED)
+    polishes = [
+        brent_search(max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX), 1e-10) for i in starts
+    ]
+    ends = drive(polishes, lambda _, phis: _min_error_over_theta(coefficients(np.array(phis)))[0])
+    phis = [phi if value < curve[i] else grid[i] for i, (phi, value) in zip(starts, ends)]
+    _, two_theta = _min_error_over_theta(coefficients(np.array(phis)))
+    return [_canonical(phi, t) for phi, t in zip(phis, two_theta)]
 
 
-def _neg_information(x: np.ndarray, coefficients: _TableCoefficients, q: np.ndarray) -> tuple:
-    """Minus the information at x = (Phi, 2theta), and its gradient.
+def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray) -> list:
+    """Minus the information at each x = (Phi, 2theta) of `xs`, and its
+    gradient, from one table call.
 
     dI/dPr(x, y) is the log ratio log2 Pr(x, y) / (q_x Pr(y)), and
-    Pr = a + b cos(2theta) + c sin(2theta), so dI/dPhi = sum log_ratio
-    (a' + b' cos + c' sin) with the slopes of `_TableCoefficients`, and
-    dI/d2theta = sum log_ratio (c cos - b sin).
+    Pr(x, 0) = mean + swing cos(2theta) + inter sin(2theta), so dI/dPhi =
+    sum log_ratio dPr/dPhi with the slopes of `_TableCoefficients`, and
+    dI/d2theta = sum log_ratio dPr/d2theta with dPr(x, 0)/d2theta =
+    inter cos - swing sin = -dPr(x, 1)/d2theta.
     """
-    ((a,), (b,), (c,)), ((da,), (db,), (dc,)) = coefficients(x[:1], slopes=True)
-    cos_t, sin_t = np.cos(x[1]), np.sin(x[1])
-    table = a + b * cos_t + c * sin_t
-    log_ratio = _log_ratio(q, table)
-    gradient = [np.sum(log_ratio * (da + db * cos_t + dc * sin_t)), np.sum(log_ratio * (c * cos_t - b * sin_t))]
-    return -np.sum(table * log_ratio), -np.array(gradient)
+    table, slopes = coefficients(np.array([x[0] for x in xs]), slopes=True)
+    out = []
+    for k, (_, two_theta) in enumerate(xs):
+        (mean, swing, inter), slope = (tuple(v[:, k] for v in part) for part in (table, slopes))
+        cos_t, sin_t = np.cos(two_theta), np.sin(two_theta)
+        joint = _joint(mean, swing, inter, cos_t, sin_t)
+        log_ratio = _log_ratio(q, joint)
+        turn = inter * cos_t - swing * sin_t
+        gradient = [
+            np.sum(log_ratio * _joint(*slope, cos_t, sin_t)), np.sum(log_ratio * np.stack([turn, -turn], axis=-1))
+        ]
+        out.append((-np.sum(joint * log_ratio), -np.array(gradient)))
+    return out
 
 
 def _search_max_information(params) -> list:
-    """Swapping the outcome labels leaves the information unchanged and maps
+    """Polishes the best grid maxima by L-BFGS in (Phi, 2theta), in lock-step:
+    each round is one table call at every running polish's trial point.
+
+    Swapping the outcome labels leaves the information unchanged and maps
     2theta to 2theta + pi, so 2theta runs over [0, pi) only."""
     coefficients = _TableCoefficients(params)
     grid, two_theta = _PHI_GRID, _TWO_THETA_GRID
@@ -359,12 +374,12 @@ def _search_max_information(params) -> list:
 
     profile, best_t = _grid_profile(coefficients, over_theta)
     q = np.asarray(priors)
+    starts = _best_local(profile, _POLISHED)
+    x0s = [np.array([grid[i], best_t[i]]) for i in starts]
+    polishes = [lbfgs_search(x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER) for x0 in x0s]
+    ends = drive(polishes, lambda _, xs: _neg_information(xs, coefficients, q))
     found = []
-    for i in _best_local(profile, _POLISHED):
-        x0 = np.array([grid[i], best_t[i]])
-        x, fun, _ = lbfgs(
-            lambda x: _neg_information(x, coefficients, q), x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER
-        )
+    for i, x0, (x, fun, _) in zip(starts, x0s, ends):
         phi, t = x if fun < profile[i] else x0
         found.append(_canonical(phi, t % np.pi))
     return found
@@ -398,8 +413,11 @@ def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = Optimiz
     (bounded Brent in Phi for the error; L-BFGS in (Phi, 2theta) with the
     exact gradient of the information, from the Phi derivatives of the
     series, projected onto Phi in [0, PHI_MAX], until a line search finds
-    no lower value). A polish that ends no better
-    than its grid point keeps the grid point. Each candidate is evaluated
+    no lower value). The three polishes run in lock-step rounds, each one
+    table call, as (mean, swing, inter), at the trial Phi of every polish
+    still running; each polish sees the values it would see alone, and
+    the rounds number the evaluations of the slowest. A polish that ends
+    no better than its grid point keeps the grid point. Each candidate is evaluated
     by the public series functions. The returned parameters have xi in
     {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
     the lexicographically smallest.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._minimize import bounded_brent
+from ._minimize import brent_search, drive
 from .discrimination import mutual_information_from_joint
 from .signals import SignalParams
 
@@ -32,6 +32,8 @@ __all__ = [
 
 # points of the coarse displacement grid of `optimize_displacement`
 _GRID_POINTS = 81
+# the displacement search minimises sign * objective
+_SIGNS = {"min-error": 1.0, "max-information": -1.0}
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,25 @@ def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarr
     return _outcome_table([alpha], sigma, [cfg.displacement], cfg)[0, 0]
 
 
-def _objective(params: SignalParams, betas, cfg: PnrConfig, objective: str) -> np.ndarray:
+def _table(params: SignalParams, betas, cfg: PnrConfig) -> np.ndarray:
+    """Both hypotheses' outcome distributions at every displacement of `betas`,
+    shape (2, B, m+1), from one kernel call."""
+    return _outcome_table([params.alpha1, params.alpha2], params.sigma, betas, cfg)
+
+
+def _value(params: SignalParams, table: np.ndarray, objective: str) -> np.ndarray:
     """The MAP error ('min-error') or the information in bits ('max-information')
-    at every displacement of `betas`, from one kernel call."""
-    if objective not in ("min-error", "max-information"):
-        raise ValueError(f"unknown objective {objective!r}")
+    at each displacement of a `_table`."""
     q = np.array([params.q1, params.q2])
-    table = _outcome_table([params.alpha1, params.alpha2], params.sigma, betas, cfg)
     joint = np.moveaxis(q[:, None, None] * table, 1, 0)  # (displacement, x, count)
     if objective == "min-error":
         return 1.0 - joint.max(axis=-2).sum(axis=-1)
     return mutual_information_from_joint(joint, q)
+
+
+def _objective(params: SignalParams, betas, cfg: PnrConfig, objective: str) -> np.ndarray:
+    """`objective` at every displacement of `betas`, from one kernel call."""
+    return _value(params, _table(params, betas, cfg), objective)
 
 
 def map_error_probability(params: SignalParams, cfg: PnrConfig) -> float:
@@ -141,25 +151,39 @@ def map_mutual_information(params: SignalParams, cfg: PnrConfig) -> float:
     return float(_objective(params, [cfg.displacement], cfg, "max-information")[0])
 
 
-def optimize_displacement(params: SignalParams, cfg: PnrConfig, objective: str = "min-error") -> tuple:
-    """Scalar search over the displacement; returns (best_cfg, best_value).
+def optimize_displacement(params: SignalParams, cfg: PnrConfig, objectives=("min-error", "max-information")) -> list:
+    """Scalar search over the displacement for each of `objectives`; returns
+    a (best_cfg, best_value) per objective, in their order.
 
-    Coarse grid over a symmetric range, evaluated in one kernel call, then
-    bounded refinement around the best cell. Deterministic.
+    A coarse grid over a symmetric range, evaluated in one kernel call that
+    every objective shares, then a bounded Brent refinement around each
+    objective's best cell. The refinements run in lock-step: each round is
+    one kernel call at the trial displacement of every running refinement.
+    Deterministic.
     """
-    # the search minimises sign * objective
-    sign = -1.0 if objective == "max-information" else 1.0
+    for objective in objectives:
+        if objective not in _SIGNS:
+            raise ValueError(f"unknown objective {objective!r}")
     span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
     grid = np.linspace(-span, span, _GRID_POINTS)
-    values = sign * _objective(params, grid, cfg, objective)
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, _GRID_POINTS - 1)]
-    beta, value = bounded_brent(lambda beta: sign * _objective(params, [beta], cfg, objective)[0], lo, hi, 1e-9)
-    best_beta = float(beta) if value <= values[i] else float(grid[i])
-    best_val = sign * min(float(value), float(values[i]))
-    if params.q1 == params.q2 and params.alpha2 == -params.alpha1 and best_beta < 0:
-        # BPSK with equal priors: the value is even in beta, so report the optimum at |beta|
-        best_beta = -best_beta
-        best_val = float(_objective(params, [best_beta], cfg, objective)[0])
-    return replace(cfg, displacement=best_beta), best_val
+    table = _table(params, grid, cfg)
+    values = [_SIGNS[objective] * _value(params, table, objective) for objective in objectives]
+    cells = [int(np.argmin(v)) for v in values]
+    refinements = [brent_search(grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)], 1e-9) for i in cells]
+
+    def evaluate(which, betas):
+        table = _table(params, betas, cfg)
+        return [
+            _SIGNS[objectives[j]] * _value(params, table[:, k:k + 1], objectives[j])[0] for k, j in enumerate(which)
+        ]
+
+    found = []
+    for objective, v, i, (beta, value) in zip(objectives, values, cells, drive(refinements, evaluate)):
+        best_beta = float(beta) if value <= v[i] else float(grid[i])
+        best_val = _SIGNS[objective] * min(float(value), float(v[i]))
+        if params.q1 == params.q2 and params.alpha2 == -params.alpha1 and best_beta < 0:
+            # BPSK with equal priors: the value is even in beta, so report the optimum at |beta|
+            best_beta = -best_beta
+            best_val = float(_objective(params, [best_beta], cfg, objective)[0])
+        found.append((replace(cfg, displacement=best_beta), best_val))
+    return found

@@ -122,6 +122,9 @@ class SweepConfig:
             steps = _integer("sigma_grid.steps", grid["steps"], 1)
             if start < 0 or stop < start:
                 raise ConfigError(f"bad sigma_grid {grid}")
+            # one step reaches start only: a wider grid would silently shrink to it
+            if steps == 1 and stop != start:
+                raise ConfigError(f"sigma_grid with 1 step needs stop == start, got {grid}")
             receivers = []
             for r in d["receivers"]:
                 kind = r.get("type") if isinstance(r, dict) else None
@@ -202,8 +205,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
             m = rec["resolution"]
             base = PnrConfig(resolution=m, visibility=float(rec["visibility"]), displacement=params.alpha1)
             if rec["beta_mode"] == "optimized":
-                err_cfg, p_err = optimize_displacement(params, base, "min-error")
-                info_cfg, i_val = optimize_displacement(params, base, "max-information")
+                (err_cfg, p_err), (info_cfg, i_val) = optimize_displacement(params, base)
             else:
                 err_cfg, p_err = base, map_error_probability(params, base)
                 info_cfg, i_val = base, map_mutual_information(params, base)

@@ -500,7 +500,7 @@ def test_criterion_7_figure_reproduction(
 
         def atomic_minus_pnr(sigma):
             params = bpsk(nbar, sigma)
-            _, pnr = optimize_displacement(params, PnrConfig(m, 0.998, displacement=params.alpha1), objective)
+            [(_, pnr)] = optimize_displacement(params, PnrConfig(m, 0.998, displacement=params.alpha1), [objective])
             return optimize(objective, params).value - pnr
 
         grid = series(rows, "sigma")

@@ -266,8 +266,11 @@ class TestInformationGrid:
         coeffs = atomic._TableCoefficients(params)(atomic._PHI_GRID[: atomic._BLOCK_ROWS])
         two_theta = atomic._TWO_THETA_GRID
         priors = (params.q1, params.q2)
-        a, b, c = (v[:, None] for v in coeffs)
-        tables = a + b * np.cos(two_theta)[:, None, None] + c * np.sin(two_theta)[:, None, None]
+        # Pr(x, 0) = mean + swing cos + inter sin and Pr(x, 1) = 2 mean - Pr(x, 0),
+        # stacked as (Phi, 2theta, x, y)
+        mean, swing, inter = (v[:, :, None] for v in coeffs)
+        col0 = mean + swing * np.cos(two_theta) + inter * np.sin(two_theta)
+        tables = np.stack([col0, 2 * mean - col0], axis=-1).transpose(1, 2, 0, 3)
         grid = atomic._information_grid(coeffs, two_theta, priors)
         assert grid.shape == tables.shape[:2]
         assert np.max(np.abs(grid - mutual_information_from_joint(tables, priors))) <= 1e-13
@@ -303,7 +306,8 @@ class TestPolish:
             return mutual_information_series(params, AtomicParams(np.pi / 2, two_theta / 2, phi))
 
         # the polish objective against central differences of the public series
-        value, gradient = atomic._neg_information(np.array([phi, two_theta]), coefficients, np.array([q1, 1 - q1]))
+        q = np.array([q1, 1 - q1])
+        [(value, gradient)] = atomic._neg_information([np.array([phi, two_theta])], coefficients, q)
         assert value == pytest.approx(-info(phi, two_theta), abs=1e-14)
         central = -np.array([
             (info(phi + h, two_theta) - info(phi - h, two_theta)) / (2 * h),
@@ -331,17 +335,18 @@ class TestPolish:
         res = optimize("max-information", params)
         # the grid's table in one call, from the cached grid series
         assert log[0] == atomic._PHI_GRID.size
-        segments = [[]]
-        for n in log[1:]:
-            if n is None:
-                segments.append([])
-            else:
-                segments[-1].append(n)
-        *starts, scoring = segments
-        assert len(starts) == len(scoring) == len(res.per_start) == atomic._POLISHED
-        for start in starts:
-            assert set(start) == {1}
-            assert len(start) <= 60
+        # then the polishes in lock-step, one call per round at every running
+        # polish's trial Phi, until they all close
+        rounds = log[1:log.index(None)]
+        closes, scoring = log[1 + len(rounds):][:atomic._POLISHED], log[1 + len(rounds) + atomic._POLISHED:]
+        assert closes == [None] * atomic._POLISHED
+        # each candidate scored by the public series at its own Phi
+        assert scoring == [1] * len(res.per_start)
+        assert len(res.per_start) == atomic._POLISHED
+        assert all(1 <= n <= atomic._POLISHED for n in rounds)
+        assert rounds == sorted(rounds, reverse=True)
+        assert rounds[0] == atomic._POLISHED
+        assert len(rounds) <= 60
 
 
 class TestGridCache:
@@ -349,7 +354,7 @@ class TestGridCache:
 
     def test_cached_sums_equal_the_kernel_and_are_read_only(self):
         alpha = -np.sqrt(0.75)
-        n_terms = atomic._series_length([alpha])
+        n_terms = atomic._series_length((alpha,))
         cached = atomic._grid_sums(alpha, n_terms)
         fresh = atomic._series_sums(atomic._series_weights(alpha, n_terms), atomic._PHI_GRID)
         for c, f in zip(cached, fresh):
@@ -363,7 +368,8 @@ class TestGridCache:
         kernel = atomic._series_sums
 
         def counted(weights, phi, slopes=False):
-            if len(phi) > 1:
+            # a polish round asks for at most _POLISHED Phis, and a grid block for more
+            if len(phi) > atomic._POLISHED:
                 grid_calls.append(len(phi))
             return kernel(weights, phi, slopes)
 
@@ -421,7 +427,7 @@ class TestOneGuard:
         ids=["bpsk", "ook-3", "asymmetric"],
     )
     def test_series_guard_is_the_worst_case_over_angles(self, monkeypatch, params):
-        longest = atomic._series_length([params.alpha1, params.alpha2])
+        longest = atomic._series_length((params.alpha1, params.alpha2))
         for n_terms in range(1, longest):
             monkeypatch.setattr(atomic, "_series_length", lambda amplitudes: n_terms)
             for phi in (0.7, 2.0, 9.3):
@@ -464,7 +470,7 @@ class TestOptimize:
 class TestSeriesLength:
     def test_guard_accepts_derived_length_everywhere(self, monkeypatch):
         params = ook(3.0, 0.6)
-        n_terms = atomic._series_length([params.alpha1, params.alpha2])
+        n_terms = atomic._series_length((params.alpha1, params.alpha2))
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = AtomicParams(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi / 2), rng.uniform(0, PHI_MAX))

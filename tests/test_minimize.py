@@ -7,7 +7,7 @@ import pytest
 from scipy import optimize as sciopt
 from scipy import special
 
-from phasecomm._minimize import _DenseInverse, bounded_brent, lbfgs
+from phasecomm._minimize import _DenseInverse, bounded_brent, brent_search, drive, lbfgs, lbfgs_search
 from phasecomm.config import TAIL
 from phasecomm.fock import default_cutoff, poisson_tail
 
@@ -43,6 +43,13 @@ def rosenbrock(x):
     g[:-1] = -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
     g[1:] += 200.0 * (b - a * a)
     return float(f), g
+
+
+def box_quadratic(x):
+    # the unconstrained minimum (2, -1) lies outside x0 <= 1
+    return float((x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2 + x[0] * x[1]), np.array(
+        [2.0 * (x[0] - 2.0) + x[1], 2.0 * (x[1] + 1.0) + x[0]]
+    )
 
 
 class TestLbfgs:
@@ -93,15 +100,58 @@ class TestLbfgs:
         assert np.array_equal(x, seen[-1])
 
     def test_box_holds_a_variable_on_its_bound(self):
-        # the unconstrained minimum (2, -1) lies outside x0 <= 1
-        def fun(x):
-            return float((x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2 + x[0] * x[1]), np.array(
-                [2.0 * (x[0] - 2.0) + x[1], 2.0 * (x[1] + 1.0) + x[0]]
-            )
-
-        x, _, _ = lbfgs(fun, np.array([0.0, 0.0]), 100, lower=np.array([-np.inf, -np.inf]), upper=np.array([1.0, np.inf]))
+        lower, upper = np.array([-np.inf, -np.inf]), np.array([1.0, np.inf])
+        x, _, _ = lbfgs(box_quadratic, np.array([0.0, 0.0]), 100, lower=lower, upper=upper)
         assert x[0] == 1.0
         assert x[1] == pytest.approx(-1.5, abs=1e-8)  # the minimum over x1 at x0 = 1
+
+
+def cosh_valley(x):
+    # steep enough that line searches backtrack: from (3, -2) a run with
+    # max_iter 5 spends its 2 max_iter evaluations in 2 iterations
+    return float(np.sum(np.cosh(10.0 * x))), 10.0 * np.sinh(10.0 * x)
+
+
+class TestDrive:
+    """Searches in lock-step see the values they see alone."""
+
+    # (a fresh search, its objective)
+    CASES = [
+        (lambda: brent_search(-1.0, 2.0, 1e-9), lambda x: (x - 0.3) ** 2),
+        (lambda: brent_search(0.0, 2.5, 1e-10), lambda x: math.cos(3.0 * x) + 0.1 * x),
+        (lambda: brent_search(0.0, 1.0, 1e-5), lambda x: abs(x - 1.0 / 3.0)),
+        (lambda: lbfgs_search(np.array([-1.2, 1.0]), 1000), rosenbrock),
+        (lambda: lbfgs_search(np.zeros(2), 100, lower=np.array([-np.inf, -np.inf]), upper=np.array([1.0, np.inf])),
+         box_quadratic),
+        (lambda: lbfgs_search(np.array([3.0, -2.0]), 5), cosh_valley),
+    ]
+    BUDGET_SPENT = 5
+
+    def test_lock_step_returns_what_each_search_returns_alone(self):
+        alone = [drive([search()], lambda _, points, f=f: [f(points[0])])[0] for search, f in self.CASES]
+        rounds = []
+
+        def evaluate(which, points):
+            rounds.append(list(which))
+            return [self.CASES[i][1](point) for i, point in zip(which, points)]
+
+        together = drive([search() for search, _ in self.CASES], evaluate)
+        for one, lock_step in zip(alone, together):
+            assert len(one) == len(lock_step)
+            for a, b in zip(one, lock_step):
+                assert np.array_equal(a, b)
+        # a search leaves the rounds when it returns, and the rounds number
+        # the evaluations of the longest search
+        for before, after in zip(rounds, rounds[1:]):
+            assert set(after) <= set(before)
+        evaluations = [sum(i in r for r in rounds) for i in range(len(self.CASES))]
+        assert len(rounds) == max(evaluations)
+        assert len(set(evaluations)) > 1
+        # the cosh start ends on its evaluation budget, well before max_iter
+        assert evaluations[self.BUDGET_SPENT] == 2 * 5
+        assert alone[self.BUDGET_SPENT][2] < 5
+        # the boxed start holds x0 on its bound
+        assert together[4][0][0] == 1.0
 
 
 class TestDenseBfgs:

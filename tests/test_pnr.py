@@ -127,26 +127,37 @@ class TestOptimizeDisplacement:
     def test_never_worse_than_null_first(self):
         params = bpsk(0.5, 0.6)
         base = PnrConfig(resolution=1, displacement=params.alpha1)
-        _, best = optimize_displacement(params, base, "min-error")
+        [(_, best)] = optimize_displacement(params, base, ["min-error"])
         assert best <= map_error_probability(params, base) + 1e-12
 
     def test_information_objective(self):
         params = bpsk(0.5, 0.6)
         base = PnrConfig(resolution=1, displacement=params.alpha1)
-        cfg, best = optimize_displacement(params, base, "max-information")
+        [(cfg, best)] = optimize_displacement(params, base, ["max-information"])
         assert best >= map_mutual_information(params, base) - 1e-12
         assert best == pytest.approx(map_mutual_information(params, cfg), abs=1e-12)
 
     def test_deterministic(self):
         params = bpsk(0.5, 0.9)
         base = PnrConfig(resolution=2, displacement=params.alpha1)
-        a = optimize_displacement(params, base, "min-error")
-        b = optimize_displacement(params, base, "min-error")
+        a = optimize_displacement(params, base, ["min-error"])
+        b = optimize_displacement(params, base, ["min-error"])
         assert a == b
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
-            optimize_displacement(bpsk(0.5, 0.0), PnrConfig(), "max-profit")
+            optimize_displacement(bpsk(0.5, 0.0), PnrConfig(), ["max-profit"])
+
+    @pytest.mark.parametrize(
+        "params", [bpsk(0.75, 0.0), bpsk(0.5, 0.9, 0.3), ook(1.5, 2.0)], ids=["bpsk", "bpsk-q0.3", "ook"]
+    )
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_both_objectives_in_one_call_equal_each_alone(self, params, m):
+        # the two refinements share the grid and run in lock-step
+        base = PnrConfig(resolution=m, displacement=params.alpha1)
+        both = optimize_displacement(params, base)
+        alone = [optimize_displacement(params, base, [objective])[0] for objective in ("min-error", "max-information")]
+        assert both == alone
 
     def test_bpsk_reports_the_optimum_at_nonnegative_beta(self):
         # with equal priors the BPSK value is even in beta: the report takes |beta|,

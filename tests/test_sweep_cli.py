@@ -12,7 +12,7 @@ import pytest
 
 import phasecomm
 from phasecomm import ConfigError, FockDim, GridMismatch, PhasecommError, helstrom_bound
-from phasecomm import sweep
+from phasecomm import _minimize, atomic, pnr, sweep
 from phasecomm.cli import main
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import bpsk, build_ensemble
@@ -92,6 +92,8 @@ class TestSweepConfig:
             {"sigma_grid": {"start": 0.0, "stop": 1.0, "steps": 2.9}},
             {"sigma_grid": {"start": 0.0, "stop": 1.0, "steps": True}},
             {"sigma_grid": {"start": 0.0, "stop": 1.0, "steps": 0}},
+            # one step computes start only, so a wider grid would shrink to it
+            {"sigma_grid": {"start": 0.0, "stop": 1.2, "steps": 1}},
             {"seed": 1.7},
             {"seed": -1},
             {"fock_cutoff": 30.7},
@@ -231,9 +233,36 @@ class TestRunSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
-        cfg = SweepConfig.from_dict(base_config(sigma_grid={"start": 0.0, "stop": 1.2, "steps": steps}))
+        # a one-step grid is a single sigma, start == stop
+        stop = 1.2 if steps > 1 else 0.0
+        cfg = SweepConfig.from_dict(base_config(sigma_grid={"start": 0.0, "stop": stop, "steps": steps}))
         assert len(run_sweep(cfg, workers=workers)) == steps
         assert sizes == ([] if pool_size is None else [pool_size])
+
+    @pytest.mark.parametrize("signal", ["BPSK", "OOK"])
+    @pytest.mark.parametrize("q1", [0.5, 0.3])
+    def test_lock_step_rows_equal_one_search_at_a_time(self, monkeypatch, signal, q1):
+        # the atomic polishes and the PNR refinements of a point run in
+        # lock-step; run one at a time instead, they give the same CSV
+        doc = base_config(
+            signal=signal,
+            priors=[q1, 1 - q1],
+            sigma_grid={"start": 0.0, "stop": 1.5, "steps": 3},
+            receivers=[{"type": "atomic"}]
+            + [{"type": "pnr", "resolution": m, "beta_mode": "optimized"} for m in (1, 2, 3)],
+        )
+        cfg = SweepConfig.from_dict(doc)
+        lock_step = csv_text(run_sweep(cfg))
+        drive = _minimize.drive
+
+        def one_at_a_time(searches, evaluate):
+            return [
+                drive([search], lambda _, points, i=i: evaluate([i], points))[0] for i, search in enumerate(searches)
+            ]
+
+        for module in (atomic, pnr):
+            monkeypatch.setattr(module, "drive", one_at_a_time)
+        assert csv_text(run_sweep(cfg)) == lock_step
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_fewer_than_one_worker(self, workers):

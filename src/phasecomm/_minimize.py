@@ -44,25 +44,29 @@ def drive(searches: list, evaluate) -> list:
     trials, and the call returns one value per point. A search leaves the
     rounds when it returns, so the rounds number the evaluations of the
     longest search. Each search sees the values it would see alone.
+    `evaluate` must not keep or change the two lists: a round refills them.
     """
     results = [None] * len(searches)
-    running = list(range(len(searches)))
+    running, live = list(range(len(searches))), list(searches)
     points = [next(search) for search in searches]
     while running:
-        values = evaluate(tuple(running), tuple(points))
-        # backwards, so that dropping a search that returns keeps the places ahead
-        for k in range(len(running) - 1, -1, -1):
+        values = evaluate(running, points)
+        ended = False
+        for k, search in enumerate(live):
             try:
-                points[k] = searches[running[k]].send(values[k])
+                points[k] = search.send(values[k])
             except StopIteration as done:
                 results[running[k]] = done.value
-                del running[k], points[k]
+                live[k], ended = None, True
+        if ended:
+            keep = [k for k, search in enumerate(live) if search is not None]
+            running, live, points = ([part[k] for k in keep] for part in (running, live, points))
     return results
 
 
 def _alone(search, func):
     """What `search` returns when each trial's value is func(trial)."""
-    return drive([search], lambda _, points: [func(points[0])])[0]
+    return drive([search], lambda _, points: [func(*points)])[0]
 
 
 def bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple:

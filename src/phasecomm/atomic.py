@@ -233,7 +233,8 @@ class _TableCoefficients:
 
 
 def _joint(mean, swing, inter, cos_t, sin_t) -> np.ndarray:
-    """The (x, y) table of one coupling from its (mean, swing, inter), rows (2,)."""
+    """The (x, y) table of one coupling from its (mean, swing, inter), rows (2,),
+    or a stack of them, (..., 2, 2) from rows (..., 2)."""
     return np.stack([mean + swing * cos_t + inter * sin_t, mean - swing * cos_t - inter * sin_t], axis=-1)
 
 
@@ -334,27 +335,30 @@ def _search_min_error(params) -> list:
 
 def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray) -> list:
     """Minus the information at each x = (Phi, 2theta) of `xs`, and its
-    gradient, from one table call.
+    gradient, from one table call; a round of the information polishes
+    asks it for every running polish's trial at once.
 
     dI/dPr(x, y) is the log ratio log2 Pr(x, y) / (q_x Pr(y)), and
     Pr(x, 0) = mean + swing cos(2theta) + inter sin(2theta), so dI/dPhi =
     sum log_ratio dPr/dPhi with the slopes of `_TableCoefficients`, and
     dI/d2theta = sum log_ratio dPr/d2theta with dPr(x, 0)/d2theta =
-    inter cos - swing sin = -dPr(x, 1)/d2theta.
+    inter cos - swing sin = -dPr(x, 1)/d2theta. The joint tables, log
+    ratios and both gradient components of all points are (k, 2, 2) arrays,
+    each point's entries computed as alone.
     """
-    table, slopes = coefficients(np.array([x[0] for x in xs]), slopes=True)
-    out = []
-    for k, (_, two_theta) in enumerate(xs):
-        (mean, swing, inter), slope = (tuple(v[:, k] for v in part) for part in (table, slopes))
-        cos_t, sin_t = np.cos(two_theta), np.sin(two_theta)
-        joint = _joint(mean, swing, inter, cos_t, sin_t)
-        log_ratio = _log_ratio(q, joint)
-        turn = inter * cos_t - swing * sin_t
-        gradient = [
-            np.sum(log_ratio * _joint(*slope, cos_t, sin_t)), np.sum(log_ratio * np.stack([turn, -turn], axis=-1))
-        ]
-        out.append((-np.sum(joint * log_ratio), -np.array(gradient)))
-    return out
+    phi, two_theta = np.array(xs).T
+    table, slopes = coefficients(phi, slopes=True)
+    # rows (point, x) of the table and its slopes, and each point's angle
+    (mean, swing, inter), slope = ([v.T for v in part] for part in (table, slopes))
+    cos_t, sin_t = np.cos(two_theta)[:, None], np.sin(two_theta)[:, None]
+    joint = _joint(mean, swing, inter, cos_t, sin_t)
+    log_ratio = _log_ratio(q, joint)
+    turn = inter * cos_t - swing * sin_t
+    gradient = np.stack([
+        (log_ratio * _joint(*slope, cos_t, sin_t)).sum(axis=(1, 2)),
+        (log_ratio * np.stack([turn, -turn], axis=-1)).sum(axis=(1, 2)),
+    ], axis=-1)
+    return list(zip(-(joint * log_ratio).sum(axis=(1, 2)), -gradient))
 
 
 def _search_max_information(params) -> list:

@@ -13,7 +13,7 @@ pair of a call.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "outcome_distribution",
     "map_error_probability",
     "map_mutual_information",
+    "evaluate_displacement",
     "optimize_displacement",
 ]
 
@@ -71,30 +72,36 @@ def _phase_rule(sigma: float, n: int) -> tuple:
     return rule
 
 
-def _outcome_table(alphas, sigma: float, betas, cfg: PnrConfig) -> np.ndarray:
-    """Outcome distributions for every amplitude and displacement, shape (A, B, m+1).
+def _outcome_table(alphas, sigma: float, betas, visibility: float, resolutions) -> list:
+    """Outcome distributions for every amplitude and displacement at each
+    resolution m of `resolutions`: a list of arrays of shape (A, B, m+1), in
+    the order of `resolutions`.
 
     `alphas` and `betas` are sequences of scalars. Entries are grouped by
-    their own node count, so each equals `outcome_distribution` at that
-    pair bit for bit.
+    their own node count. Within a group the Poisson pmf of the counts
+    0..max(m)-1 is computed once, and each resolution's counts are the phase
+    average of its own first m columns, copied contiguous: a column of a
+    wider product can differ in its last bit (column 0 of an m >= 2 product
+    from a one-column product by up to 3.3e-16, and BLAS blocks four or
+    more columns differently). So every table equals the one-resolution
+    call's, and each entry `outcome_distribution` at that pair, bit for bit.
     """
-    cfg.validate()
-    m = cfg.resolution
+    top = max(resolutions)
     a = np.array(alphas, dtype=float)[:, None]
     b = np.array(betas, dtype=float)[None, :]
-    cross = 2 * cfg.visibility * a * b
+    cross = 2 * visibility * a * b
     # the count mean a^2 + b^2 - 2 v a b cos(phi) as a sum of nonnegative terms,
     # (|a| - |b|)^2 + 2 |ab| (1 - v) + 4 v |ab| h(phi) with h = sin^2(phi / 2)
     # for ab >= 0 and cos^2(phi / 2) for ab < 0, which does not cancel near nulling
     ab = a * b
-    offset = (np.abs(a) - np.abs(b)) ** 2 + 2.0 * (1.0 - cfg.visibility) * np.abs(ab)
-    swing = 4.0 * cfg.visibility * np.abs(ab)
+    offset = (np.abs(a) - np.abs(b)) ** 2 + 2.0 * (1.0 - visibility) * np.abs(ab)
+    swing = 4.0 * visibility * np.abs(ab)
     # the smallest power of two N >= 64 with N/2 >= 9 sqrt(d) + 16, d = |cross|:
     # Fourier mode k of the count pmf falls off like exp(-k^2 / 2d)
     sizes = 2 ** np.ceil(np.log2(np.maximum(18.0 * np.sqrt(np.abs(cross)) + 32.0, 64.0))).astype(int)
-    k = np.arange(m)
-    log_factorial = np.array([math.log(math.factorial(j)) for j in range(m)])
-    probs = np.empty(sizes.shape + (m + 1,))
+    k = np.arange(top)
+    log_factorial = np.array([math.log(math.factorial(j)) for j in range(top)])
+    tables = {m: np.empty(sizes.shape + (m + 1,)) for m in resolutions}
     for n in sorted(set(sizes.ravel().tolist())):
         sel = sizes == n
         weights, sin2, cos2 = _phase_rule(sigma, n)
@@ -104,10 +111,12 @@ def _outcome_table(alphas, sigma: float, betas, cfg: PnrConfig) -> np.ndarray:
         log_pmf = -n_eff[..., None] + k * np.log(np.clip(n_eff, 1e-300, None))[..., None] - log_factorial
         pmf = np.exp(log_pmf)
         pmf[n_eff == 0.0] = np.where(k == 0, 1.0, 0.0)
-        # the weights oscillate at small sigma, so a vanishing average can round below 0
-        probs[sel, :m] = np.maximum(weights @ pmf, 0.0)
-    probs[..., m] = np.maximum(1.0 - probs[..., :m].sum(axis=-1), 0.0)
-    return probs
+        for m, probs in tables.items():
+            # the weights oscillate at small sigma, so a vanishing average can round below 0
+            probs[sel, :m] = np.maximum(weights @ (pmf if m == top else np.ascontiguousarray(pmf[..., :m])), 0.0)
+    for m, probs in tables.items():
+        probs[..., m] = np.maximum(1.0 - probs[..., :m].sum(axis=-1), 0.0)
+    return [tables[m] for m in resolutions]
 
 
 def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarray:
@@ -117,20 +126,22 @@ def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarr
     Poisson count at mean alpha^2 + beta^2 - 2 v alpha beta cos(phi),
     averaged over the Gaussian channel phase.
     """
-    return _outcome_table([alpha], sigma, [cfg.displacement], cfg)[0, 0]
+    cfg.validate()
+    [table] = _outcome_table([alpha], sigma, [cfg.displacement], cfg.visibility, [cfg.resolution])
+    return table[0, 0]
 
 
-def _table(params: SignalParams, betas, cfg: PnrConfig) -> np.ndarray:
+def _tables(params: SignalParams, betas, visibility: float, resolutions) -> list:
     """Both hypotheses' outcome distributions at every displacement of `betas`,
-    shape (2, B, m+1), from one kernel call."""
-    return _outcome_table([params.alpha1, params.alpha2], params.sigma, betas, cfg)
+    shape (2, B, m+1) for each m of `resolutions`, from one kernel call."""
+    return _outcome_table([params.alpha1, params.alpha2], params.sigma, betas, visibility, resolutions)
 
 
 def _value(params: SignalParams, table: np.ndarray, objective: str) -> np.ndarray:
     """The MAP error ('min-error') or the information in bits ('max-information')
-    at each displacement of a `_table`."""
+    at each displacement of a table of `_tables`."""
     q = np.array([params.q1, params.q2])
-    joint = np.moveaxis(q[:, None, None] * table, 1, 0)  # (displacement, x, count)
+    joint = (q[:, None, None] * table).transpose(1, 0, 2)  # (displacement, x, count)
     if objective == "min-error":
         return 1.0 - joint.max(axis=-2).sum(axis=-1)
     return mutual_information_from_joint(joint, q)
@@ -138,7 +149,9 @@ def _value(params: SignalParams, table: np.ndarray, objective: str) -> np.ndarra
 
 def _objective(params: SignalParams, betas, cfg: PnrConfig, objective: str) -> np.ndarray:
     """`objective` at every displacement of `betas`, from one kernel call."""
-    return _value(params, _table(params, betas, cfg), objective)
+    cfg.validate()
+    [table] = _tables(params, betas, cfg.visibility, [cfg.resolution])
+    return _value(params, table, objective)
 
 
 def map_error_probability(params: SignalParams, cfg: PnrConfig) -> float:
@@ -151,39 +164,82 @@ def map_mutual_information(params: SignalParams, cfg: PnrConfig) -> float:
     return float(_objective(params, [cfg.displacement], cfg, "max-information")[0])
 
 
-def optimize_displacement(params: SignalParams, cfg: PnrConfig, objectives=("min-error", "max-information")) -> list:
-    """Scalar search over the displacement for each of `objectives`; returns
-    a (best_cfg, best_value) per objective, in their order.
+def _scores(params: SignalParams, betas, visibility: float, keys: list) -> dict:
+    """sign * objective at every displacement of `betas` for each (m, objective)
+    of `keys`, from one kernel call; each key scores all displacements at once."""
+    resolutions = list(dict.fromkeys(m for m, _ in keys))
+    tables = dict(zip(resolutions, _tables(params, betas, visibility, resolutions)))
+    return {(m, objective): _SIGNS[objective] * _value(params, tables[m], objective) for m, objective in keys}
 
-    A coarse grid over a symmetric range, evaluated in one kernel call that
-    every objective shares, then a bounded Brent refinement around each
-    objective's best cell. The refinements run in lock-step: each round is
-    one kernel call at the trial displacement of every running refinement.
+
+def _distinct(visibility: float, resolutions) -> list:
+    """The distinct resolutions, in order, once each setting is valid."""
+    distinct = list(dict.fromkeys(resolutions))
+    for m in distinct:
+        PnrConfig(m, visibility).validate()
+    return distinct
+
+
+def evaluate_displacement(params: SignalParams, visibility: float, resolutions, beta: float) -> list:
+    """The MAP error and information at the displacement `beta` for each m
+    of `resolutions`, from one kernel call; returns, per m in the order of
+    `resolutions`, [(cfg, error), (cfg, information)]."""
+    distinct = _distinct(visibility, resolutions)
+    PnrConfig(displacement=beta).validate()
+    scores = _scores(params, [beta], visibility, [(m, objective) for m in distinct for objective in _SIGNS])
+    found = {
+        m: [(PnrConfig(m, visibility, beta), _SIGNS[o] * float(scores[m, o][0])) for o in _SIGNS] for m in distinct
+    }
+    return [found[m] for m in resolutions]
+
+
+def optimize_displacement(
+    params: SignalParams, visibility: float, resolutions, objectives=("min-error", "max-information")
+) -> list:
+    """Scalar search over the displacement for each m of `resolutions` and
+    each of `objectives`; returns, per m in the order of `resolutions`, a
+    (best_cfg, best_value) per objective in their order.
+
+    One search covers every resolution and every objective. A coarse grid
+    over a symmetric range is evaluated in one kernel call that all of them
+    share: one table at max(m), whose counts 0..m-1 serve each m. A bounded
+    Brent refinement then runs around each (m, objective)'s best cell. The
+    refinements run in lock-step: each round is one kernel call at the
+    trial displacement of every running refinement, and each (m, objective)
+    scores all of the round's displacements at once. Every value equals the
+    one a one-resolution, one-objective search finds, bit for bit.
     Deterministic.
     """
     for objective in objectives:
         if objective not in _SIGNS:
             raise ValueError(f"unknown objective {objective!r}")
+    distinct = _distinct(visibility, resolutions)
+    searches = [(m, objective) for m in distinct for objective in objectives]
     span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
     grid = np.linspace(-span, span, _GRID_POINTS)
-    table = _table(params, grid, cfg)
-    values = [_SIGNS[objective] * _value(params, table, objective) for objective in objectives]
-    cells = [int(np.argmin(v)) for v in values]
+    scores = _scores(params, grid, visibility, searches)
+    cells = [int(np.argmin(scores[key])) for key in searches]
     refinements = [brent_search(grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)], 1e-9) for i in cells]
 
     def evaluate(which, betas):
-        table = _table(params, betas, cfg)
-        return [
-            _SIGNS[objectives[j]] * _value(params, table[:, k:k + 1], objectives[j])[0] for k, j in enumerate(which)
-        ]
+        running = [searches[j] for j in which]
+        scores = _scores(params, betas, visibility, running)
+        return [scores[key][k] for k, key in enumerate(running)]
 
-    found = []
-    for objective, v, i, (beta, value) in zip(objectives, values, cells, drive(refinements, evaluate)):
-        best_beta = float(beta) if value <= v[i] else float(grid[i])
-        best_val = _SIGNS[objective] * min(float(value), float(v[i]))
-        if params.q1 == params.q2 and params.alpha2 == -params.alpha1 and best_beta < 0:
-            # BPSK with equal priors: the value is even in beta, so report the optimum at |beta|
-            best_beta = -best_beta
-            best_val = float(_objective(params, [best_beta], cfg, objective)[0])
-        found.append((replace(cfg, displacement=best_beta), best_val))
-    return found
+    best = {}
+    for key, i, (beta, value) in zip(searches, cells, drive(refinements, evaluate)):
+        grid_value = scores[key][i]
+        best[key] = (float(beta) if value <= grid_value else float(grid[i]), min(float(value), float(grid_value)))
+    if params.q1 == params.q2 and params.alpha2 == -params.alpha1:
+        # BPSK with equal priors: the value is even in beta, so report each
+        # optimum at |beta|, its value evaluated there, in one kernel call
+        flips = [key for key in searches if best[key][0] < 0]
+        if flips:
+            betas = [-best[key][0] for key in flips]
+            scores = _scores(params, betas, visibility, flips)
+            for k, key in enumerate(flips):
+                best[key] = (betas[k], float(scores[key][k]))
+    found = {
+        m: [(PnrConfig(m, visibility, best[m, o][0]), _SIGNS[o] * best[m, o][1]) for o in objectives] for m in distinct
+    }
+    return [found[m] for m in resolutions]

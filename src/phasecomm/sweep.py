@@ -23,7 +23,7 @@ from .config import PRIORS_SUM, TAIL
 from .discrimination import AscentConfig, accessible_information, binary_entropy, helstrom_bound
 from .errors import ConfigError, GridMismatch, PhasecommError
 from .fock import FockDim, default_cutoff, poisson_tail
-from .pnr import PnrConfig, map_error_probability, map_mutual_information, optimize_displacement
+from .pnr import PnrConfig, evaluate_displacement, optimize_displacement
 from .signals import bpsk, build_ensemble, ook
 
 __all__ = ["SweepConfig", "run_sweep", "find_crossing", "write_csv", "write_json", "csv_text"]
@@ -164,7 +164,15 @@ class SweepConfig:
 
 
 def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
-    """All configured figures of merit at one grid point."""
+    """All configured figures of merit at one grid point.
+
+    The PNR receivers make one call per (visibility, beta_mode): one
+    displacement search (`optimize_displacement`) covers every resolution
+    of an 'optimized' group and both objectives, and a 'null-first' group
+    reads every resolution from one kernel call at beta = alpha1
+    (`evaluate_displacement`). When two receivers share a resolution, the
+    later one's values fill its columns.
+    """
     params = _SIGNALS[cfg.signal](cfg.mean_photons, sigma, cfg.priors[0])
     cutoff = cfg.fock_cutoff or default_cutoff([params.alpha1, params.alpha2])
     dim = FockDim(cutoff)
@@ -177,6 +185,19 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
         if ens is None:
             ens = build_ensemble(params, dim)
         return ens
+
+    # one PNR call per (visibility, beta_mode) covers all its resolutions
+    groups: dict = {}
+    for rec in cfg.receivers:
+        if rec["type"] == "pnr":
+            groups.setdefault((float(rec["visibility"]), rec["beta_mode"]), []).append(rec["resolution"])
+    pnr_found = {}
+    for (visibility, mode), resolutions in groups.items():
+        if mode == "optimized":
+            found = optimize_displacement(params, visibility, resolutions)
+        else:
+            found = evaluate_displacement(params, visibility, resolutions, params.alpha1)
+        pnr_found.update(((visibility, mode, m), pair) for m, pair in zip(resolutions, found))
 
     for rec in cfg.receivers:
         kind = rec["type"]
@@ -203,12 +224,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
             row["accinfo_converged"] = int(rep.converged)
         elif kind == "pnr":
             m = rec["resolution"]
-            base = PnrConfig(resolution=m, visibility=float(rec["visibility"]), displacement=params.alpha1)
-            if rec["beta_mode"] == "optimized":
-                (err_cfg, p_err), (info_cfg, i_val) = optimize_displacement(params, base)
-            else:
-                err_cfg, p_err = base, map_error_probability(params, base)
-                info_cfg, i_val = base, map_mutual_information(params, base)
+            (err_cfg, p_err), (info_cfg, i_val) = pnr_found[float(rec["visibility"]), rec["beta_mode"], m]
             row[f"p_pnr_m{m}"] = p_err
             row[f"i_pnr_m{m}"] = i_val
             row[f"pnr_beta_err_m{m}"] = err_cfg.displacement

@@ -19,7 +19,6 @@ from phasecomm import (
     AtomicParams,
     FockDim,
     OptimizeConfig,
-    PnrConfig,
     accessible_information,
     binary_entropy,
     dephase,
@@ -483,8 +482,8 @@ def test_criterion_7_figure_reproduction(
     # crossings: find_crossing interpolates between grid points, so the
     # exact crossing lies within one grid step of its value. brentq (xtol
     # 1e-9) on the library's values, optimize() against optimize_displacement()
-    # from the program's displacement start alpha1, solves it there; the
-    # pinned values are those solves
+    # at the receiver's resolution, solves it there; the pinned values are
+    # those solves
     targets = [
         ("BPSK 0.75 error atomic/pnr m=3", sweep_bpsk_075, 0.75, "p", 3, 0.617031),
         ("BPSK 1.0 error atomic/pnr m=2", sweep_bpsk_10, 1.0, "p", 2, 0.336196),
@@ -500,7 +499,7 @@ def test_criterion_7_figure_reproduction(
 
         def atomic_minus_pnr(sigma):
             params = bpsk(nbar, sigma)
-            [(_, pnr)] = optimize_displacement(params, PnrConfig(m, 0.998, displacement=params.alpha1), [objective])
+            [[(_, pnr)]] = optimize_displacement(params, 0.998, [m], [objective])
             return optimize(objective, params).value - pnr
 
         grid = series(rows, "sigma")

@@ -25,7 +25,7 @@ from phasecomm import atomic
 from phasecomm.atomic import PHI_MAX
 from phasecomm.cli import main
 from phasecomm.config import SERIES_TAIL
-from phasecomm.discrimination import joint_distribution, mutual_information_from_joint
+from phasecomm.discrimination import _log_ratio, joint_distribution, mutual_information_from_joint
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
 from phasecomm.sweep import SweepConfig, compute_point, run_sweep
@@ -314,6 +314,35 @@ class TestPolish:
             (info(phi, two_theta + h) - info(phi, two_theta - h)) / (2 * h),
         ])
         assert np.all(np.abs(gradient - central) <= 1e-7 * (1 + np.abs(central)))
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(
+        signal=st.sampled_from([bpsk, ook]),
+        mean_photons=st.floats(0.01, 10.0),
+        q1=st.floats(0.05, 0.95),
+        sigma=st.floats(0.0, 3.0),
+        xs=st.lists(st.tuples(st.floats(0.0, PHI_MAX), st.floats(-1.0, 4.0)), min_size=2, max_size=3),
+    )
+    def test_points_of_a_round_equal_a_loop_over_them(self, signal, mean_photons, q1, sigma, xs):
+        # a round scores every running polish's trial in (k, 2, 2) arrays; the
+        # reference scores one point at a time with (2, 2) tables
+        coefficients = atomic._TableCoefficients(signal(mean_photons, sigma, q1))
+        q = np.array([q1, 1 - q1])
+        xs = [np.array(x) for x in xs]
+        together = atomic._neg_information(xs, coefficients, q)
+        assert len(together) == len(xs)
+        for x, (value, gradient) in zip(xs, together):
+            (mean, swing, inter), slope = (tuple(v[:, 0] for v in part) for part in coefficients(x[:1], slopes=True))
+            cos_t, sin_t = np.cos(x[1]), np.sin(x[1])
+            joint = atomic._joint(mean, swing, inter, cos_t, sin_t)
+            log_ratio = _log_ratio(q, joint)
+            turn = inter * cos_t - swing * sin_t
+            loop_gradient = [
+                np.sum(log_ratio * atomic._joint(*slope, cos_t, sin_t)),
+                np.sum(log_ratio * np.stack([turn, -turn], axis=-1)),
+            ]
+            assert value == -np.sum(joint * log_ratio)
+            assert np.array_equal(gradient, -np.array(loop_gradient))
 
     @pytest.mark.parametrize("params", [bpsk(0.75, 0.6), ook(1.5, 1.2)], ids=["bpsk-0.75-0.6", "ook-1.5-1.2"])
     def test_table_evaluations_per_start(self, monkeypatch, params):

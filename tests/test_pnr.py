@@ -16,6 +16,7 @@ from phasecomm import (
     optimize_displacement,
     outcome_distribution,
 )
+from phasecomm.pnr import evaluate_displacement
 from phasecomm import pnr
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
 from phasecomm.sweep import SweepConfig, run_sweep
@@ -127,26 +128,32 @@ class TestOptimizeDisplacement:
     def test_never_worse_than_null_first(self):
         params = bpsk(0.5, 0.6)
         base = PnrConfig(resolution=1, displacement=params.alpha1)
-        [(_, best)] = optimize_displacement(params, base, ["min-error"])
+        [[(_, best)]] = optimize_displacement(params, base.visibility, [1], ["min-error"])
         assert best <= map_error_probability(params, base) + 1e-12
 
     def test_information_objective(self):
         params = bpsk(0.5, 0.6)
         base = PnrConfig(resolution=1, displacement=params.alpha1)
-        [(cfg, best)] = optimize_displacement(params, base, ["max-information"])
+        [[(cfg, best)]] = optimize_displacement(params, base.visibility, [1], ["max-information"])
         assert best >= map_mutual_information(params, base) - 1e-12
         assert best == pytest.approx(map_mutual_information(params, cfg), abs=1e-12)
 
     def test_deterministic(self):
         params = bpsk(0.5, 0.9)
-        base = PnrConfig(resolution=2, displacement=params.alpha1)
-        a = optimize_displacement(params, base, ["min-error"])
-        b = optimize_displacement(params, base, ["min-error"])
+        a = optimize_displacement(params, 0.998, [2], ["min-error"])
+        b = optimize_displacement(params, 0.998, [2], ["min-error"])
         assert a == b
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
-            optimize_displacement(bpsk(0.5, 0.0), PnrConfig(), ["max-profit"])
+            optimize_displacement(bpsk(0.5, 0.0), 0.998, [1], ["max-profit"])
+
+    @pytest.mark.parametrize("visibility, resolutions", [(0.998, [0]), (0.998, [2, 0]), (1.5, [1])])
+    def test_invalid_settings(self, visibility, resolutions):
+        with pytest.raises(ValueError):
+            optimize_displacement(bpsk(0.5, 0.0), visibility, resolutions)
+        with pytest.raises(ValueError):
+            evaluate_displacement(bpsk(0.5, 0.0), visibility, resolutions, 0.3)
 
     @pytest.mark.parametrize(
         "params", [bpsk(0.75, 0.0), bpsk(0.5, 0.9, 0.3), ook(1.5, 2.0)], ids=["bpsk", "bpsk-q0.3", "ook"]
@@ -154,10 +161,28 @@ class TestOptimizeDisplacement:
     @pytest.mark.parametrize("m", [1, 3])
     def test_both_objectives_in_one_call_equal_each_alone(self, params, m):
         # the two refinements share the grid and run in lock-step
-        base = PnrConfig(resolution=m, displacement=params.alpha1)
-        both = optimize_displacement(params, base)
-        alone = [optimize_displacement(params, base, [objective])[0] for objective in ("min-error", "max-information")]
+        [both] = optimize_displacement(params, 0.998, [m])
+        alone = [optimize_displacement(params, 0.998, [m], [o])[0][0] for o in ("min-error", "max-information")]
         assert both == alone
+
+    @pytest.mark.parametrize(
+        "params", [bpsk(0.75, 0.0), bpsk(0.5, 0.9, 0.3), ook(1.5, 2.0), ook(5.0, 0.3)],
+        ids=["bpsk", "bpsk-q0.3", "ook", "ook-5"],
+    )
+    @pytest.mark.parametrize("visibility", [0.998, 0.9])
+    @pytest.mark.parametrize("resolutions", [[1, 2, 3], [1, 3], [2, 3], [3, 1], [2, 5], [1, 2, 1]])
+    def test_every_resolution_in_one_call_equals_each_alone(self, params, visibility, resolutions):
+        # one grid table at max(m) and one kernel call per round serve every resolution
+        together = optimize_displacement(params, visibility, resolutions)
+        assert together == [optimize_displacement(params, visibility, [m])[0] for m in resolutions]
+
+    @pytest.mark.parametrize("params", [bpsk(0.75, 0.6), ook(1.5, 2.0, 0.3)], ids=["bpsk", "ook-q0.3"])
+    @pytest.mark.parametrize("beta", [0.0, 0.9, -1.3])
+    def test_evaluate_displacement_equals_public_functions(self, params, beta):
+        found = evaluate_displacement(params, 0.9, [1, 2, 3], beta)
+        for m, pairs in zip([1, 2, 3], found):
+            cfg = PnrConfig(m, 0.9, beta)
+            assert pairs == [(cfg, map_error_probability(params, cfg)), (cfg, map_mutual_information(params, cfg))]
 
     def test_bpsk_reports_the_optimum_at_nonnegative_beta(self):
         # with equal priors the BPSK value is even in beta: the report takes |beta|,
@@ -196,13 +221,44 @@ class TestBatchedKernel:
         params = signal(0.75, sigma)
         cfg = PnrConfig(resolution=m)
         alphas = [params.alpha1, params.alpha2]
-        table = pnr._outcome_table(alphas, sigma, self.BETAS, cfg)
+        [table] = pnr._outcome_table(alphas, sigma, self.BETAS, cfg.visibility, [m])
         assert table.shape == (2, len(self.BETAS), m + 1)
         for i, alpha in enumerate(alphas):
             for j, beta in enumerate(self.BETAS):
                 one = replace(cfg, displacement=beta)
                 assert np.array_equal(table[i, j], outcome_distribution(alpha, sigma, one))
                 assert np.max(np.abs(table[i, j] - quad_distribution(alpha, sigma, beta, cfg.visibility, m))) <= 1e-13
+
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    @pytest.mark.parametrize("mean_photons", [0.75, 5.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.6])
+    @pytest.mark.parametrize(
+        "resolutions", [[1], [2], [1, 2, 3], [1, 3], [2, 3], [3, 2, 1], [2, 5], [1, 4, 6]], ids=str
+    )
+    def test_every_resolution_equals_its_one_resolution_call(
+        self, monkeypatch, signal, mean_photons, sigma, resolutions
+    ):
+        # a column of a wider product can differ in its last bit from a
+        # narrower one (m = 1 beside m >= 2, and m <= 3 beside m >= 4)
+        params = signal(mean_photons, sigma)
+        alphas = [params.alpha1, params.alpha2]
+        span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
+        betas = [f * span for f in np.linspace(-1.0, 1.0, 41)] + squares_round_apart(4)
+        node_counts = set()
+        rule = pnr._phase_rule
+
+        def recording(sigma, n):
+            node_counts.add(n)
+            return rule(sigma, n)
+
+        monkeypatch.setattr(pnr, "_phase_rule", recording)
+        tables = pnr._outcome_table(alphas, sigma, betas, 0.998, resolutions)
+        assert len(node_counts) >= 2
+        assert len(tables) == len(resolutions)
+        for m, table in zip(resolutions, tables):
+            [alone] = pnr._outcome_table(alphas, sigma, betas, 0.998, [m])
+            assert table.shape == (2, len(betas), m + 1)
+            assert np.array_equal(table, alone)
 
     @pytest.mark.parametrize("signal", [bpsk, ook])
     @pytest.mark.parametrize("sigma", [0.0, 0.6, 2.0])

@@ -9,6 +9,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasecomm
 from phasecomm import ConfigError, FockDim, GridMismatch, PhasecommError, helstrom_bound
@@ -37,6 +39,25 @@ def base_config(**overrides) -> dict:
     }
     doc.update(overrides)
     return doc
+
+
+def pnr_receiver(m: int, beta_mode: str = "optimized", visibility: float = 0.998) -> dict:
+    return {"type": "pnr", "resolution": m, "visibility": visibility, "beta_mode": beta_mode}
+
+
+# PNR receiver lists: a later receiver of the same m overwrites its columns
+PNR_LISTS = {
+    "m123": [pnr_receiver(m) for m in (1, 2, 3)],
+    "m2": [pnr_receiver(2)],
+    "m13": [pnr_receiver(1), pnr_receiver(3)],
+    "two-visibilities": [
+        pnr_receiver(1), pnr_receiver(3, visibility=0.9), pnr_receiver(2), pnr_receiver(1, visibility=0.9)
+    ],
+    "mixed-beta-modes": [
+        pnr_receiver(1, "null-first"), pnr_receiver(2), pnr_receiver(3, "null-first"), pnr_receiver(1)
+    ],
+    "listed-twice": [pnr_receiver(2), pnr_receiver(3), pnr_receiver(2)],
+}
 
 
 class TestSweepConfig:
@@ -203,6 +224,23 @@ class TestComputePoint:
         ]
 
 
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(mean_photons=st.floats(0.05, 5.0), q1=st.floats(0.1, 0.45), sigma=st.floats(0.0, 3.0))
+    def test_bpsk_values_do_not_depend_on_the_order_of_the_priors(self, mean_photons, q1, sigma):
+        # BPSK with priors (q2, q1) is BPSK with (q1, q2) and the amplitudes
+        # negated, which the receivers' searches take to their mirror images
+        receivers = [{"type": "helstrom"}, {"type": "atomic"}] + [pnr_receiver(m) for m in (1, 2, 3)]
+        docs = [
+            base_config(mean_photons=mean_photons, priors=priors, receivers=receivers)
+            for priors in ([q1, 1 - q1], [1 - q1, q1])
+        ]
+        rows = [compute_point(SweepConfig.from_dict(doc), sigma, 0) for doc in docs]
+        keys = [k for k in rows[0] if k.startswith(("p_", "i_"))]
+        assert len(keys) == 9
+        for key in keys:
+            assert abs(rows[0][key] - rows[1][key]) <= 1e-13, key
+
+
 class TestRunSweep:
     def test_pool_rows_equal_serial_rows(self):
         doc = base_config(
@@ -243,16 +281,9 @@ class TestRunSweep:
     @pytest.mark.parametrize("q1", [0.5, 0.3])
     def test_lock_step_rows_equal_one_search_at_a_time(self, monkeypatch, signal, q1):
         # the atomic polishes and the PNR refinements of a point run in
-        # lock-step; run one at a time instead, they give the same CSV
-        doc = base_config(
-            signal=signal,
-            priors=[q1, 1 - q1],
-            sigma_grid={"start": 0.0, "stop": 1.5, "steps": 3},
-            receivers=[{"type": "atomic"}]
-            + [{"type": "pnr", "resolution": m, "beta_mode": "optimized"} for m in (1, 2, 3)],
-        )
-        cfg = SweepConfig.from_dict(doc)
-        lock_step = csv_text(run_sweep(cfg))
+        # lock-step, and one PNR call serves all resolutions of a (visibility,
+        # beta_mode); run one search and one resolution at a time instead,
+        # they give the same CSV
         drive = _minimize.drive
 
         def one_at_a_time(searches, evaluate):
@@ -260,9 +291,62 @@ class TestRunSweep:
                 drive([search], lambda _, points, i=i: evaluate([i], points))[0] for i, search in enumerate(searches)
             ]
 
-        for module in (atomic, pnr):
-            monkeypatch.setattr(module, "drive", one_at_a_time)
-        assert csv_text(run_sweep(cfg)) == lock_step
+        def one_resolution_at_a_time(search):
+            return lambda params, visibility, resolutions, *args: [
+                search(params, visibility, [m], *args)[0] for m in resolutions
+            ]
+
+        for name, pnr_receivers in PNR_LISTS.items():
+            doc = base_config(
+                signal=signal,
+                priors=[q1, 1 - q1],
+                sigma_grid={"start": 0.0, "stop": 1.5, "steps": 3},
+                receivers=[{"type": "atomic"}] + pnr_receivers,
+            )
+            cfg = SweepConfig.from_dict(doc)
+            lock_step = csv_text(run_sweep(cfg))
+            with monkeypatch.context() as patch:
+                for module in (atomic, pnr):
+                    patch.setattr(module, "drive", one_at_a_time)
+                for search in ("optimize_displacement", "evaluate_displacement"):
+                    patch.setattr(sweep, search, one_resolution_at_a_time(getattr(pnr, search)))
+                assert csv_text(run_sweep(cfg)) == lock_step, name
+
+    def test_one_pnr_call_per_visibility_and_beta_mode(self, monkeypatch):
+        # four (visibility, beta_mode) groups, one of them listed twice
+        receivers = [
+            pnr_receiver(1), pnr_receiver(3, visibility=0.9), pnr_receiver(2, "null-first"), pnr_receiver(3),
+            pnr_receiver(1, "null-first", 0.9), pnr_receiver(2), pnr_receiver(3, "null-first"), pnr_receiver(1),
+        ]
+        cfg = SweepConfig.from_dict(base_config(receivers=receivers))
+        calls, tables = [], []
+        for name in ("optimize_displacement", "evaluate_displacement"):
+            search = getattr(pnr, name)
+
+            def counted(params, visibility, resolutions, *args, name=name, search=search):
+                before = len(tables)
+                found = search(params, visibility, resolutions, *args)
+                calls.append((params.sigma, name, visibility, list(resolutions), len(tables) - before))
+                return found
+
+            monkeypatch.setattr(sweep, name, counted)
+        kernel = pnr._outcome_table
+
+        def counted_kernel(*args):
+            tables.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(pnr, "_outcome_table", counted_kernel)
+        rows = run_sweep(cfg)
+        groups = [
+            ("optimize_displacement", 0.998, [1, 3, 2, 1]),
+            ("optimize_displacement", 0.9, [3]),
+            ("evaluate_displacement", 0.998, [2, 3]),
+            ("evaluate_displacement", 0.9, [1]),
+        ]
+        assert [call[:4] for call in calls] == [(row["sigma"], *group) for row in rows for group in groups]
+        # a null-first group reads all its resolutions from one kernel call
+        assert all(kernel_calls == 1 for *_, kernel_calls in calls[2::4] + calls[3::4])
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_fewer_than_one_worker(self, workers):

@@ -3,17 +3,14 @@
 Both are ask-and-tell searches: a generator that yields a trial point and
 is sent back its value. `drive` runs several searches in lock-step, so
 that one batched evaluation serves the trials of every running search in
-a round; `bounded_brent` and `lbfgs` run one search through it.
+a round; `bfgs` runs one search through it.
 
 `brent_search` is Brent's bounded scalar minimisation, step for step as
 scipy's `minimize_scalar(method="bounded")` takes it, so it returns the
-same point bit for bit. `lbfgs_search` is limited-memory BFGS (Liu and
-Nocedal, Math. Prog. 45, 503, 1989) with the direction in the compact
-form of Byrd, Nocedal and Schnabel (Math. Prog. 63, 129, 1994), an
+same point bit for bit. `bfgs_search` is BFGS with the full inverse
+Hessian (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 6), an
 Armijo backtracking line search with weak-Wolfe expansion, and an
-optional box onto which every trial point is projected. With `dense`,
-it keeps the full inverse-BFGS matrix in place of the correction pairs
-(Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 6).
+optional box onto which every trial point is projected.
 """
 
 import math
@@ -29,8 +26,6 @@ _ARMIJO = 1e-4
 _WOLFE = 0.9
 # trial steps per line search
 _MAX_TRIALS = 20
-# L-BFGS correction pairs
-_MEMORY = 30
 # evaluations of one bounded Brent search, scipy's default
 _BRENT_EVALS = 500
 
@@ -64,20 +59,10 @@ def drive(searches: list, evaluate) -> list:
     return results
 
 
-def _alone(search, func):
-    """What `search` returns when each trial's value is func(trial)."""
-    return drive([search], lambda _, points: [func(*points)])[0]
-
-
-def bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple:
-    """(x, func(x)) at a minimum of the scalar `func` on [lo, hi], to `xatol`."""
-    return _alone(brent_search(lo, hi, xatol), func)
-
-
-def lbfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None, dense=False) -> tuple:
+def bfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None) -> tuple:
     """Minimise `fun`, which returns (f(x), gradient), from `x0`; returns
-    (x, f, iterations). The settings are those of `lbfgs_search`."""
-    return _alone(lbfgs_search(x0, max_iter, stop, lower, upper, dense), fun)
+    (x, f, iterations). The settings are those of `bfgs_search`."""
+    return drive([bfgs_search(x0, max_iter, stop, lower, upper)], lambda _, points: [fun(*points)])[0]
 
 
 def brent_search(lo: float, hi: float, xatol: float):
@@ -144,32 +129,31 @@ def brent_search(lo: float, hi: float, xatol: float):
     return xf, fx
 
 
-def lbfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None, dense=False):
+def bfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None):
     """Minimise f from `x0`, sent (f, gradient) at each trial; returns (x, f, iterations).
 
     A run ends after `max_iter` iterations or 2 `max_iter` evaluations,
-    when `stop(x)` is true after an iteration, when the step's predicted
-    decrease is below the rounding of f, or when a line search finds no
-    step that decreases f enough (f is then at its rounding noise).
+    when `stop(x, iterations)` is true after an iteration, when the step's
+    predicted decrease is below the rounding of f, or when a line search
+    finds no step that decreases f enough (f is then at its rounding noise).
     `lower` and `upper` (arrays) make a box: a variable on a bound that
     the gradient pushes outward is held there, and every trial point is
-    projected into the box. `dense` keeps the n x n inverse Hessian
-    (`_DenseInverse`) in place of the newest _MEMORY pairs.
+    projected into the box.
     """
     box = None if lower is None and upper is None else (lower, upper)
     x = np.asarray(x0, dtype=float)
     x = x if box is None else np.clip(x, *box)
     f, g = yield x
     evals = 1
-    pairs = _DenseInverse(x.size) if dense else _Pairs(_MEMORY, x.size)
+    h = None  # the inverse Hessian, from the first pair with curvature on
     for it in range(max_iter):
         held = None if box is None else ((x <= box[0]) & (g > 0)) | ((x >= box[1]) & (g < 0))
         g_free = g if held is None or not held.any() else np.where(held, 0.0, g)
-        if pairs.count == 0:
+        if h is None:
             d = -g_free
             t = 1.0 / max(float(np.linalg.norm(d)), 1e-300)
         else:
-            d = -pairs.inverse_hessian_product(g_free)
+            d = -(h @ g_free)
             t = 1.0
         if held is not None:
             d[held] = 0.0
@@ -180,98 +164,33 @@ def lbfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=Non
         evals += used
         if not found:
             return x, f, it
-        pairs.add(x_new - x, g_new - g)
+        h = _bfgs_update(h, x_new - x, g_new - g)
         x, f, g = x_new, f_new, g_new
-        if (stop is not None and stop(x)) or evals >= 2 * max_iter:
+        if (stop is not None and stop(x, it + 1)) or evals >= 2 * max_iter:
             return x, f, it + 1
     return x, f, max_iter
 
 
-class _Pairs:
-    """The newest `memory` correction pairs (s_i, y_i) and the small matrices
-    of the compact form, kept up to date one pair at a time.
+def _bfgs_update(h, s: np.ndarray, y: np.ndarray):
+    """The inverse Hessian after the step `s` changed the gradient by `y`,
+    updated in place.
 
-    The pairs sit in the rows of `w` = [S; Y] in a ring; `order` lists the
-    ring slots oldest first, the order of the small matrices: the inverse of
-    R, the upper triangle of S^T Y, the diagonal D of S^T Y, and Y^T Y.
-    Dropping the oldest pair leaves the trailing block of R^-1, which is the
-    inverse of R's trailing block because R is triangular.
+    `h` is None before the first pair; H then starts as gamma I with
+    gamma = s^T y / y^T y (Nocedal and Wright, eq. 6.20). The update
+    (eq. 6.17), H + c s s^T - rho (s h^T + h s^T) with h = H y,
+    rho = 1 / s^T y and c = rho + rho^2 y^T h, is one (n, 2) @ (2, n)
+    product.
     """
-
-    def __init__(self, memory: int, n: int):
-        self.memory, self.count = memory, 0
-        self.w = np.zeros((2 * memory, n))
-        self.order = np.zeros(memory, dtype=int)
-        self.r_inv, self.yy = np.zeros((memory, memory)), np.zeros((memory, memory))
-        self.d = np.zeros(memory)
-
-    def add(self, s: np.ndarray, y: np.ndarray) -> None:
-        s_y = float(s @ y)
-        if not s_y > _EPS * float(y @ y):  # curvature too weak to keep the update positive definite
-            return
-        m, k = self.memory, self.count
-        if k == m:  # drop the oldest pair and reuse its slot
-            slot = self.order[0]
-            for a in (self.r_inv, self.yy):
-                a[:-1, :-1] = a[1:, 1:]
-                a[-1], a[:, -1] = 0.0, 0.0
-            self.order[:-1], self.d[:-1] = self.order[1:], self.d[1:]
-            k -= 1
-        else:
-            slot = k
-        self.w[slot], self.w[m + slot] = s, y
-        self.order[k], self.d[k] = slot, s_y
-        order = self.order[: k + 1]
-        with_y = self.w @ y
-        self.r_inv[:k, k] = -(self.r_inv[:k, :k] @ with_y[order[:k]]) / s_y  # column s_i^T y of R
-        self.r_inv[k, k] = 1.0 / s_y
-        self.yy[k, : k + 1] = self.yy[: k + 1, k] = with_y[m + order]
-        self.count = k + 1
-
-    def inverse_hessian_product(self, g: np.ndarray) -> np.ndarray:
-        """H g in the compact form (Byrd, Nocedal and Schnabel 1994, eq. 3.1):
-        H = gamma I + [S gamma Y] M [S gamma Y]^T with
-        M = [[R^-T (D + gamma Y^T Y) R^-1, -R^-T], [-R^-1, 0]] and
-        gamma = s^T y / y^T y of the newest pair."""
-        m, k = self.memory, self.count
-        order, r_inv, yy, d = self.order[:k], self.r_inv[:k, :k], self.yy[:k, :k], self.d[:k]
-        gamma = d[-1] / yy[-1, -1]
-        with_g = self.w @ g
-        u = r_inv @ with_g[order]
-        v = (d * u + gamma * (yy @ u - with_g[m + order])) @ r_inv
-        coeffs = np.zeros(2 * m)
-        coeffs[order] = v
-        coeffs[m + order] = -gamma * u
-        return gamma * g + coeffs @ self.w
-
-
-class _DenseInverse:
-    """The full BFGS inverse Hessian H, with the interface of `_Pairs`.
-
-    H starts as gamma I with gamma = s^T y / y^T y of the first pair
-    (Nocedal and Wright, eq. 6.20). The update (eq. 6.17),
-    H + c s s^T - rho (s h^T + h s^T) with h = H y, rho = 1 / s^T y and
-    c = rho + rho^2 y^T h, is one (n, 2) @ (2, n) product.
-    """
-
-    def __init__(self, n: int):
-        self.count = 0
-        self.h = np.zeros((n, n))
-
-    def add(self, s: np.ndarray, y: np.ndarray) -> None:
-        s_y = float(s @ y)
-        if not s_y > _EPS * float(y @ y):  # curvature too weak to keep the update positive definite
-            return
-        if self.count == 0:
-            np.fill_diagonal(self.h, s_y / float(y @ y))
-        rho = 1.0 / s_y
-        h_y = self.h @ y
-        c = rho + rho * rho * float(y @ h_y)
-        self.h += np.stack((s, h_y), axis=1) @ np.stack((c * s - rho * h_y, -rho * s))
-        self.count += 1
-
-    def inverse_hessian_product(self, g: np.ndarray) -> np.ndarray:
-        return self.h @ g
+    s_y = float(s @ y)
+    if not s_y > _EPS * float(y @ y):  # curvature too weak to keep the update positive definite
+        return h
+    if h is None:
+        h = np.diag(np.full(s.size, s_y / float(y @ y)))
+    rho = 1.0 / s_y
+    h_y = h @ y
+    c = rho + rho * rho * float(y @ h_y)
+    h += np.stack((s, h_y), axis=1) @ np.stack((c * s - rho * h_y, -rho * s))
+    return h
 
 
 def _line_search(x, f, g, d, slope, t, box, budget):
@@ -281,7 +200,8 @@ def _line_search(x, f, g, d, slope, t, box, budget):
     Doubles the step while the decrease is sufficient and the slope stays
     steep; once a step has fallen short, backtracks (by safeguarded
     quadratic interpolation, or bisection after an expansion) to the first
-    step with sufficient decrease. Sent (f, gradient) at each trial; returns
+    step with sufficient decrease, and gives up at the first trial point
+    that rounds to x. Sent (f, gradient) at each trial; returns
     (found, x, f, g, evaluations).
     """
     lo, hi = 0.0, math.inf
@@ -293,6 +213,10 @@ def _line_search(x, f, g, d, slope, t, box, budget):
         else:
             x_t = np.clip(x_t, *box)
             decrease = float(g @ (x_t - x))
+        # x bit for bit (compared as bytes, the cheapest test): every
+        # shorter step rounds to x too, so no decrease is left
+        if x_t.tobytes() == x.tobytes():
+            break
         f_t, g_t = yield x_t
         used += 1
         if not (f_t < f and f_t <= f + _ARMIJO * decrease):

@@ -16,7 +16,7 @@ optima lie at |sin xi| = 1. There the joint table is affine in
 theta has a closed form, and only Phi (and 2theta, for the information)
 remains to be searched. The table's Phi derivatives are series of the same
 form (`_series_sums`), so the information has an exact gradient in
-(Phi, 2theta), which its polish by L-BFGS follows.
+(Phi, 2theta), which its polish by BFGS follows.
 """
 
 import functools
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimize import brent_search, drive, lbfgs_search
+from ._minimize import bfgs_search, brent_search, drive
 from .config import PROB_GUARD, SERIES_TAIL
 from .discrimination import BinaryPovm, _log_ratio, mutual_information_from_joint
 from .errors import SeriesTruncationError
@@ -362,7 +362,7 @@ def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray) 
 
 
 def _search_max_information(params) -> list:
-    """Polishes the best grid maxima by L-BFGS in (Phi, 2theta), in lock-step:
+    """Polishes the best grid maxima by BFGS in (Phi, 2theta), in lock-step:
     each round is one table call at every running polish's trial point.
 
     Swapping the outcome labels leaves the information unchanged and maps
@@ -380,7 +380,7 @@ def _search_max_information(params) -> list:
     q = np.asarray(priors)
     starts = _best_local(profile, _POLISHED)
     x0s = [np.array([grid[i], best_t[i]]) for i in starts]
-    polishes = [lbfgs_search(x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER) for x0 in x0s]
+    polishes = [bfgs_search(x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER) for x0 in x0s]
     ends = drive(polishes, lambda _, xs: _neg_information(xs, coefficients, q))
     found = []
     for i, x0, (x, fun, _) in zip(starts, x0s, ends):
@@ -414,7 +414,7 @@ def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = Optimiz
     the minimum over theta at each Phi is closed-form; for the information,
     2theta runs over a grid of 32 points in [0, pi), which only ranks the
     Phi basins. The best three local optima of the grid are polished
-    (bounded Brent in Phi for the error; L-BFGS in (Phi, 2theta) with the
+    (bounded Brent in Phi for the error; BFGS in (Phi, 2theta) with the
     exact gradient of the information, from the Phi derivatives of the
     series, projected onto Phi in [0, PHI_MAX], until a line search finds
     no lower value). The three polishes run in lock-step rounds, each one

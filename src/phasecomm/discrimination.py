@@ -4,18 +4,17 @@ Error probability of a given POVM, the Helstrom bound and its
 measurement, Shannon mutual information, and accessible information.
 The Helstrom functions and the accessible information read one
 decomposition of the ensemble on its support (`_on_support`). The
-accessible information is maximised by quasi-Newton ascent over real
-projective measurements M_y = phi_y phi_y^T on that support, so the
-ensemble must be real symmetric (see `accessible_information`).
+accessible information is maximised by BFGS (`_minimize.bfgs`) over
+real projective measurements M_y = phi_y phi_y^T on that support, so
+the ensemble must be real symmetric (see `accessible_information`).
 """
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._minimize import lbfgs
+from ._minimize import bfgs
 from .config import HERMITICITY, POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOOR
 from .errors import DimensionMismatch
 from .fock import check_hermitian, hermitian_eig
@@ -315,16 +314,15 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
     these ensembles, not a theorem (see the README). Each run takes the
     rotations Phi = C(A) Phi_ref, with C(A) = (I - A)^{-1} (I + A) the
     Cayley transform of a skew A and Phi_ref the last run's end point, and
-    BFGS with a dense inverse Hessian (`_minimize.lbfgs`, `dense`)
-    maximises the information over the upper triangle of A from A = 0. A
-    run stops when the stationarity residual of the lifted POVM
-    V M_y V^T + (I - V V^T) / r reaches RESIDUAL_TOL (checked every 50
-    iterations, on the support) or after `max_iter` iterations. The first
-    Phi_ref is the polar factor of the eigenbasis of the weighted
-    difference on the support plus a seeded Gaussian perturbation; each
-    further run, up to `restarts` runs in all, resumes from the last end
-    point with fresh curvature. `restart_values` holds the value after
-    each run. The POVM is lifted once, for the report.
+    BFGS (`_minimize.bfgs`) maximises the information over the upper
+    triangle of A from A = 0. A run stops when the stationarity residual
+    of the lifted POVM V M_y V^T + (I - V V^T) / r reaches RESIDUAL_TOL
+    (checked every 50 iterations, on the support) or after `max_iter`
+    iterations. The first Phi_ref is the polar factor of the eigenbasis
+    of the weighted difference on the support plus a seeded Gaussian
+    perturbation; each further run, up to `restarts` runs in all, resumes
+    from the last end point with fresh curvature. `restart_values` holds
+    the value after each run. The POVM is lifted once, for the report.
     """
     support, taus, _, e = _on_support(ens)
     if np.iscomplexobj(taus):
@@ -332,15 +330,14 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
     q = np.asarray(ens.priors, dtype=float)
     r = support.shape[1]
 
-    def stationary(a):
-        return next(count) % _CHECK_EVERY == 0 and _residual(_rotate(a, phi), q, taus, support) <= RESIDUAL_TOL
+    def stationary(a, iterations):
+        return iterations % _CHECK_EVERY == 0 and _residual(_rotate(a, phi), q, taus, support) <= RESIDUAL_TOL
 
     phi = _polar(e.T + _START_NOISE * np.random.default_rng(cfg.seed).standard_normal((r, r)))
     iters, values = 0, []
     for _ in range(max(cfg.restarts, 1)):
-        count = itertools.count(1)  # this run's iterations, read by `stationary`
         objective = functools.partial(_cayley_objective, ref=phi, q=q, taus=taus)
-        a, fun, nit = lbfgs(objective, np.zeros(r * (r - 1) // 2), cfg.max_iter, stop=stationary, dense=True)
+        a, fun, nit = bfgs(objective, np.zeros(r * (r - 1) // 2), cfg.max_iter, stop=stationary)
         phi = _rotate(a, phi)  # the next run's Phi_ref
         iters += nit
         values.append(-float(fun))

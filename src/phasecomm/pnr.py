@@ -44,8 +44,8 @@ class PnrConfig:
     displacement: float = 0.0
 
     def validate(self) -> None:
-        if self.resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
+        if type(self.resolution) is not int or self.resolution < 1:
+            raise ValueError(f"resolution must be an integer >= 1, got {self.resolution!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
         if not math.isfinite(self.displacement):

@@ -7,7 +7,7 @@ import pytest
 from scipy import optimize as sciopt
 from scipy import special
 
-from phasecomm._minimize import _DenseInverse, bounded_brent, brent_search, drive, lbfgs, lbfgs_search
+from phasecomm._minimize import _bfgs_update, _line_search, bfgs, bfgs_search, brent_search, drive
 from phasecomm.config import TAIL
 from phasecomm.fock import default_cutoff, poisson_tail
 
@@ -31,7 +31,7 @@ class TestBoundedBrent:
     )
     @pytest.mark.parametrize("xatol", [1e-5, 1e-9, 1e-10])
     def test_matches_scipy_bit_for_bit(self, func, lo, hi, xatol):
-        x, fun = bounded_brent(func, lo, hi, xatol)
+        [(x, fun)] = drive([brent_search(lo, hi, xatol)], lambda _, points: [func(points[0])])
         ref_x, ref_fun = scipy_bounded(func, lo, hi, xatol)
         assert x == ref_x and fun == ref_fun
 
@@ -52,7 +52,7 @@ def box_quadratic(x):
     )
 
 
-class TestLbfgs:
+class TestBfgs:
     def test_convex_quadratic(self):
         # written about its minimiser, so that f keeps its relative precision there
         rng = np.random.default_rng(3)
@@ -64,7 +64,7 @@ class TestLbfgs:
             g = a @ (x - x_min)
             return 0.5 * float((x - x_min) @ g), g
 
-        x, _, iterations = lbfgs(fun, np.zeros(40), 1000)
+        x, _, iterations = bfgs(fun, np.zeros(40), 1000)
         assert iterations < 1000
         assert np.max(np.abs(x - x_min)) <= 1e-8
 
@@ -72,7 +72,7 @@ class TestLbfgs:
     def test_rosenbrock(self, n):
         x0 = np.full(n, -1.2)
         x0[1::2] = 1.0
-        x, f, iterations = lbfgs(rosenbrock, x0, 2000)
+        x, f, iterations = bfgs(rosenbrock, x0, 2000)
         assert iterations < 2000
         assert np.max(np.abs(x - 1.0)) <= 1e-8
 
@@ -83,7 +83,7 @@ class TestLbfgs:
             calls.append(x)
             return rosenbrock(x)
 
-        x, f, iterations = lbfgs(counted, np.array([-1.2, 1.0]), 7)
+        x, f, iterations = bfgs(counted, np.array([-1.2, 1.0]), 7)
         assert iterations == 7
         assert len(calls) <= 2 * 7
         assert f == rosenbrock(x)[0]
@@ -91,25 +91,54 @@ class TestLbfgs:
     def test_stops_when_stop_is_true(self):
         seen = []
 
-        def stop(x):
-            seen.append(x.copy())
-            return len(seen) == 4
+        def stop(x, iterations):
+            seen.append((x.copy(), iterations))
+            return iterations == 4
 
-        x, _, iterations = lbfgs(rosenbrock, np.array([-1.2, 1.0]), 1000, stop=stop)
-        assert iterations == 4 and len(seen) == 4
-        assert np.array_equal(x, seen[-1])
+        x, _, iterations = bfgs(rosenbrock, np.array([-1.2, 1.0]), 1000, stop=stop)
+        assert iterations == 4
+        assert [i for _, i in seen] == [1, 2, 3, 4]
+        assert np.array_equal(x, seen[-1][0])
 
     def test_box_holds_a_variable_on_its_bound(self):
         lower, upper = np.array([-np.inf, -np.inf]), np.array([1.0, np.inf])
-        x, _, _ = lbfgs(box_quadratic, np.array([0.0, 0.0]), 100, lower=lower, upper=upper)
+        x, _, _ = bfgs(box_quadratic, np.array([0.0, 0.0]), 100, lower=lower, upper=upper)
         assert x[0] == 1.0
         assert x[1] == pytest.approx(-1.5, abs=1e-8)  # the minimum over x1 at x0 = 1
+
+    def test_each_update_meets_the_secant_condition(self):
+        # H y = s for the newest pair, and H stays symmetric positive definite
+        rng = np.random.default_rng(5)
+        n = 12
+        q = rng.standard_normal((n, n))
+        a = q @ q.T + np.eye(n)
+        h = None
+        for _ in range(30):
+            s = rng.standard_normal(n)
+            y = a @ s
+            h = _bfgs_update(h, s, y)
+            assert np.linalg.norm(h @ y - s) <= 1e-10 * np.linalg.norm(s)
+            assert np.max(np.abs(h - h.T)) <= 1e-12 * np.max(np.abs(h))
+            assert np.linalg.eigvalsh(0.5 * (h + h.T)).min() > 0.0
+
+    def test_skips_a_pair_without_curvature(self):
+        s, y = np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])
+        assert _bfgs_update(None, s, y) is None
+        h = np.eye(3)
+        assert _bfgs_update(h, s, y) is h
 
 
 def cosh_valley(x):
     # steep enough that line searches backtrack: from (3, -2) a run with
     # max_iter 5 spends its 2 max_iter evaluations in 2 iterations
     return float(np.sum(np.cosh(10.0 * x))), 10.0 * np.sinh(10.0 * x)
+
+
+def flat_line_search(box=None):
+    # f is flat along d = 1e-13 from x = 1; from the 11th halving of the
+    # unit step on, every trial rounds back to x
+    x, g, d = np.array([1.0]), np.array([-1.0]), np.array([1e-13])
+    return _line_search(x, 0.0, g, d, float(g @ d), 1.0, box, 100)
 
 
 class TestDrive:
@@ -120,10 +149,11 @@ class TestDrive:
         (lambda: brent_search(-1.0, 2.0, 1e-9), lambda x: (x - 0.3) ** 2),
         (lambda: brent_search(0.0, 2.5, 1e-10), lambda x: math.cos(3.0 * x) + 0.1 * x),
         (lambda: brent_search(0.0, 1.0, 1e-5), lambda x: abs(x - 1.0 / 3.0)),
-        (lambda: lbfgs_search(np.array([-1.2, 1.0]), 1000), rosenbrock),
-        (lambda: lbfgs_search(np.zeros(2), 100, lower=np.array([-np.inf, -np.inf]), upper=np.array([1.0, np.inf])),
+        (lambda: bfgs_search(np.array([-1.2, 1.0]), 1000), rosenbrock),
+        (lambda: bfgs_search(np.zeros(2), 100, lower=np.array([-np.inf, -np.inf]), upper=np.array([1.0, np.inf])),
          box_quadratic),
-        (lambda: lbfgs_search(np.array([3.0, -2.0]), 5), cosh_valley),
+        (lambda: bfgs_search(np.array([3.0, -2.0]), 5), cosh_valley),
+        (flat_line_search, lambda x: (0.0, np.array([-1.0]))),
     ]
     BUDGET_SPENT = 5
 
@@ -154,49 +184,19 @@ class TestDrive:
         assert together[4][0][0] == 1.0
 
 
-class TestDenseBfgs:
-    def test_convex_quadratic(self):
-        rng = np.random.default_rng(3)
-        q = rng.standard_normal((40, 40))
-        a = q @ q.T + 0.5 * np.eye(40)
-        x_min = rng.standard_normal(40)
+class TestLineSearch:
+    @pytest.mark.parametrize("box", [None, (np.array([-np.inf]), np.array([np.inf]))], ids=["free", "boxed"])
+    def test_gives_up_at_the_first_trial_that_rounds_to_x(self, box):
+        trials = []
 
-        def fun(x):
-            g = a @ (x - x_min)
-            return 0.5 * float((x - x_min) @ g), g
+        def evaluate(_, points):
+            trials.append(points[0])
+            return [(0.0, np.array([-1.0]))]
 
-        x, _, iterations = lbfgs(fun, np.zeros(40), 1000, dense=True)
-        assert iterations < 1000
-        assert np.max(np.abs(x - x_min)) <= 1e-8
-
-    @pytest.mark.parametrize("n", [2, 10])
-    def test_rosenbrock(self, n):
-        x0 = np.full(n, -1.2)
-        x0[1::2] = 1.0
-        x, _, iterations = lbfgs(rosenbrock, x0, 2000, dense=True)
-        assert iterations < 2000
-        assert np.max(np.abs(x - 1.0)) <= 1e-8
-
-    def test_each_update_meets_the_secant_condition(self):
-        # H y = s for the newest pair, and H stays symmetric positive definite
-        rng = np.random.default_rng(5)
-        n = 12
-        q = rng.standard_normal((n, n))
-        a = q @ q.T + np.eye(n)
-        store = _DenseInverse(n)
-        for _ in range(30):
-            s = rng.standard_normal(n)
-            y = a @ s
-            store.add(s, y)
-            assert np.linalg.norm(store.inverse_hessian_product(y) - s) <= 1e-10 * np.linalg.norm(s)
-            assert np.max(np.abs(store.h - store.h.T)) <= 1e-12 * np.max(np.abs(store.h))
-            assert np.linalg.eigvalsh(0.5 * (store.h + store.h.T)).min() > 0.0
-        assert store.count == 30
-
-    def test_skips_a_pair_without_curvature(self):
-        store = _DenseInverse(3)
-        store.add(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
-        assert store.count == 0 and not store.h.any()
+        [(found, *_)] = drive([flat_line_search(box)], evaluate)
+        assert not found
+        assert len(trials) == 10
+        assert not any(np.array_equal(t, [1.0]) for t in trials)
 
 
 class TestPoissonTail:

@@ -64,6 +64,8 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError):
             outcome_distribution(0.5, 0.0, PnrConfig(resolution=0))
         with pytest.raises(ValueError):
+            outcome_distribution(0.5, 0.0, PnrConfig(resolution=2.5))
+        with pytest.raises(ValueError):
             outcome_distribution(0.5, 0.0, PnrConfig(visibility=1.5))
         for beta in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError):
@@ -148,7 +150,9 @@ class TestOptimizeDisplacement:
         with pytest.raises(ValueError):
             optimize_displacement(bpsk(0.5, 0.0), 0.998, [1], ["max-profit"])
 
-    @pytest.mark.parametrize("visibility, resolutions", [(0.998, [0]), (0.998, [2, 0]), (1.5, [1])])
+    @pytest.mark.parametrize(
+        "visibility, resolutions", [(0.998, [0]), (0.998, [2, 0]), (1.5, [1]), (0.998, [1, 2.5]), (0.998, [True])]
+    )
     def test_invalid_settings(self, visibility, resolutions):
         with pytest.raises(ValueError):
             optimize_displacement(bpsk(0.5, 0.0), visibility, resolutions)

@@ -59,10 +59,10 @@ def drive(searches: list, evaluate) -> list:
     return results
 
 
-def bfgs(fun, x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None) -> tuple:
-    """Minimise `fun`, which returns (f(x), gradient), from `x0`; returns
-    (x, f, iterations). The settings are those of `bfgs_search`."""
-    return drive([bfgs_search(x0, max_iter, stop, lower, upper)], lambda _, points: [fun(*points)])[0]
+def bfgs(fun, x0: np.ndarray, max_iter: int, stop=None) -> tuple:
+    """Minimise `fun`, which returns (f(x), gradient), from `x0` without a
+    box; returns (x, f, iterations). The settings are those of `bfgs_search`."""
+    return drive([bfgs_search(x0, max_iter, stop)], lambda _, points: [fun(*points)])[0]
 
 
 def brent_search(lo: float, hi: float, xatol: float):

@@ -125,9 +125,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PhasecommError, OSError, json.JSONDecodeError) as exc:
+    except (PhasecommError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
+        # only the input file is decoded and parsed: name it
+        print(f"error: {args.csv if args.command == 'crossings' else args.config}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -131,15 +131,9 @@ def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarr
     return table[0, 0]
 
 
-def _tables(params: SignalParams, betas, visibility: float, resolutions) -> list:
-    """Both hypotheses' outcome distributions at every displacement of `betas`,
-    shape (2, B, m+1) for each m of `resolutions`, from one kernel call."""
-    return _outcome_table([params.alpha1, params.alpha2], params.sigma, betas, visibility, resolutions)
-
-
 def _value(params: SignalParams, table: np.ndarray, objective: str) -> np.ndarray:
     """The MAP error ('min-error') or the information in bits ('max-information')
-    at each displacement of a table of `_tables`."""
+    at each displacement of one resolution's table of `_outcome_table`."""
     q = np.array([params.q1, params.q2])
     joint = (q[:, None, None] * table).transpose(1, 0, 2)  # (displacement, x, count)
     if objective == "min-error":
@@ -147,28 +141,24 @@ def _value(params: SignalParams, table: np.ndarray, objective: str) -> np.ndarra
     return mutual_information_from_joint(joint, q)
 
 
-def _objective(params: SignalParams, betas, cfg: PnrConfig, objective: str) -> np.ndarray:
-    """`objective` at every displacement of `betas`, from one kernel call."""
-    cfg.validate()
-    [table] = _tables(params, betas, cfg.visibility, [cfg.resolution])
-    return _value(params, table, objective)
-
-
 def map_error_probability(params: SignalParams, cfg: PnrConfig) -> float:
     """Error of the maximum-a-posteriori decision over the count outcomes."""
-    return float(_objective(params, [cfg.displacement], cfg, "min-error")[0])
+    [[(_, error), _]] = evaluate_displacement(params, cfg.visibility, [cfg.resolution], cfg.displacement)
+    return error
 
 
 def map_mutual_information(params: SignalParams, cfg: PnrConfig) -> float:
     """Mutual information of the full (m+1)-outcome channel, in bits."""
-    return float(_objective(params, [cfg.displacement], cfg, "max-information")[0])
+    [[_, (_, information)]] = evaluate_displacement(params, cfg.visibility, [cfg.resolution], cfg.displacement)
+    return information
 
 
 def _scores(params: SignalParams, betas, visibility: float, keys: list) -> dict:
     """sign * objective at every displacement of `betas` for each (m, objective)
     of `keys`, from one kernel call; each key scores all displacements at once."""
     resolutions = list(dict.fromkeys(m for m, _ in keys))
-    tables = dict(zip(resolutions, _tables(params, betas, visibility, resolutions)))
+    alphas = [params.alpha1, params.alpha2]
+    tables = dict(zip(resolutions, _outcome_table(alphas, params.sigma, betas, visibility, resolutions)))
     return {(m, objective): _SIGNS[objective] * _value(params, tables[m], objective) for m, objective in keys}
 
 
@@ -183,38 +173,31 @@ def _distinct(visibility: float, resolutions) -> list:
 def evaluate_displacement(params: SignalParams, visibility: float, resolutions, beta: float) -> list:
     """The MAP error and information at the displacement `beta` for each m
     of `resolutions`, from one kernel call; returns, per m in the order of
-    `resolutions`, [(cfg, error), (cfg, information)]."""
+    `resolutions`, [(beta, error), (beta, information)]."""
     distinct = _distinct(visibility, resolutions)
     PnrConfig(displacement=beta).validate()
     scores = _scores(params, [beta], visibility, [(m, objective) for m in distinct for objective in _SIGNS])
-    found = {
-        m: [(PnrConfig(m, visibility, beta), _SIGNS[o] * float(scores[m, o][0])) for o in _SIGNS] for m in distinct
-    }
-    return [found[m] for m in resolutions]
+    return [[(float(beta), _SIGNS[o] * float(scores[m, o][0])) for o in _SIGNS] for m in resolutions]
 
 
-def optimize_displacement(
-    params: SignalParams, visibility: float, resolutions, objectives=("min-error", "max-information")
-) -> list:
-    """Scalar search over the displacement for each m of `resolutions` and
-    each of `objectives`; returns, per m in the order of `resolutions`, a
-    (best_cfg, best_value) per objective in their order.
+def optimize_displacement(params: SignalParams, visibility: float, resolutions) -> list:
+    """Scalar search over the displacement for each m of `resolutions`, once
+    for the MAP error and once for the information; returns, per m in the
+    order of `resolutions`, [(beta, error), (beta, information)] at the
+    displacement each search found.
 
-    One search covers every resolution and every objective. A coarse grid
+    One search covers every resolution and both quantities. A coarse grid
     over a symmetric range is evaluated in one kernel call that all of them
     share: one table at max(m), whose counts 0..m-1 serve each m. A bounded
     Brent refinement then runs around each (m, objective)'s best cell. The
     refinements run in lock-step: each round is one kernel call at the
     trial displacement of every running refinement, and each (m, objective)
-    scores all of the round's displacements at once. Every value equals the
-    one a one-resolution, one-objective search finds, bit for bit.
+    scores all of the round's displacements at once. Every value equals
+    the one `evaluate_displacement` gives at its beta, bit for bit.
     Deterministic.
     """
-    for objective in objectives:
-        if objective not in _SIGNS:
-            raise ValueError(f"unknown objective {objective!r}")
     distinct = _distinct(visibility, resolutions)
-    searches = [(m, objective) for m in distinct for objective in objectives]
+    searches = [(m, objective) for m in distinct for objective in _SIGNS]
     span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
     grid = np.linspace(-span, span, _GRID_POINTS)
     scores = _scores(params, grid, visibility, searches)
@@ -239,7 +222,4 @@ def optimize_displacement(
             scores = _scores(params, betas, visibility, flips)
             for k, key in enumerate(flips):
                 best[key] = (betas[k], float(scores[key][k]))
-    found = {
-        m: [(PnrConfig(m, visibility, best[m, o][0]), _SIGNS[o] * best[m, o][1]) for o in objectives] for m in distinct
-    }
-    return [found[m] for m in resolutions]
+    return [[(best[m, o][0], _SIGNS[o] * best[m, o][1]) for o in _SIGNS] for m in resolutions]

@@ -24,10 +24,6 @@ class SignalParams:
     def q2(self) -> float:
         return 1.0 - self.q1
 
-    @property
-    def mean_photons(self) -> float:
-        return self.q1 * self.alpha1**2 + self.q2 * self.alpha2**2
-
 
 def bpsk(mean_photons: float, sigma: float, q1: float = 0.5) -> SignalParams:
     """Antipodal amplitudes +/- sqrt(n_bar)."""

@@ -224,11 +224,11 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
             row["accinfo_converged"] = int(rep.converged)
         elif kind == "pnr":
             m = rec["resolution"]
-            (err_cfg, p_err), (info_cfg, i_val) = pnr_found[float(rec["visibility"]), rec["beta_mode"], m]
+            (beta_err, p_err), (beta_info, i_val) = pnr_found[float(rec["visibility"]), rec["beta_mode"], m]
             row[f"p_pnr_m{m}"] = p_err
             row[f"i_pnr_m{m}"] = i_val
-            row[f"pnr_beta_err_m{m}"] = err_cfg.displacement
-            row[f"pnr_beta_info_m{m}"] = info_cfg.displacement
+            row[f"pnr_beta_err_m{m}"] = beta_err
+            row[f"pnr_beta_info_m{m}"] = beta_info
     row["violations"] = "|".join(_envelope_violations(row, params.q1))
     return row
 

@@ -495,12 +495,12 @@ def test_criterion_7_figure_reproduction(
     ]
     crossing_lines = []
     for label, rows, nbar, prefix, m, pin in targets:
-        objective = {"p": "min-error", "i": "max-information"}[prefix]
+        objective, index = {"p": ("min-error", 0), "i": ("max-information", 1)}[prefix]
 
         def atomic_minus_pnr(sigma):
             params = bpsk(nbar, sigma)
-            [[(_, pnr)]] = optimize_displacement(params, 0.998, [m], [objective])
-            return optimize(objective, params).value - pnr
+            [answer] = optimize_displacement(params, 0.998, [m])
+            return optimize(objective, params).value - answer[index][1]
 
         grid = series(rows, "sigma")
         sigma_star = find_crossing(grid, series(rows, f"{prefix}_atomic"), series(rows, f"{prefix}_pnr_m{m}"))

@@ -102,7 +102,9 @@ class TestBfgs:
 
     def test_box_holds_a_variable_on_its_bound(self):
         lower, upper = np.array([-np.inf, -np.inf]), np.array([1.0, np.inf])
-        x, _, _ = bfgs(box_quadratic, np.array([0.0, 0.0]), 100, lower=lower, upper=upper)
+        [(x, _, _)] = drive(
+            [bfgs_search(np.array([0.0, 0.0]), 100, lower=lower, upper=upper)], lambda _, points: [box_quadratic(*points)]
+        )
         assert x[0] == 1.0
         assert x[1] == pytest.approx(-1.5, abs=1e-8)  # the minimum over x1 at x0 = 1
 

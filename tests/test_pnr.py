@@ -130,25 +130,58 @@ class TestOptimizeDisplacement:
     def test_never_worse_than_null_first(self):
         params = bpsk(0.5, 0.6)
         base = PnrConfig(resolution=1, displacement=params.alpha1)
-        [[(_, best)]] = optimize_displacement(params, base.visibility, [1], ["min-error"])
+        [[(_, best), _]] = optimize_displacement(params, base.visibility, [1])
         assert best <= map_error_probability(params, base) + 1e-12
 
     def test_information_objective(self):
         params = bpsk(0.5, 0.6)
         base = PnrConfig(resolution=1, displacement=params.alpha1)
-        [[(cfg, best)]] = optimize_displacement(params, base.visibility, [1], ["max-information"])
+        [[_, (beta, best)]] = optimize_displacement(params, base.visibility, [1])
         assert best >= map_mutual_information(params, base) - 1e-12
-        assert best == pytest.approx(map_mutual_information(params, cfg), abs=1e-12)
+        assert best == map_mutual_information(params, replace(base, displacement=beta))
 
     def test_deterministic(self):
         params = bpsk(0.5, 0.9)
-        a = optimize_displacement(params, 0.998, [2], ["min-error"])
-        b = optimize_displacement(params, 0.998, [2], ["min-error"])
+        a = optimize_displacement(params, 0.998, [2])
+        b = optimize_displacement(params, 0.998, [2])
         assert a == b
 
-    def test_unknown_objective(self):
-        with pytest.raises(ValueError):
-            optimize_displacement(bpsk(0.5, 0.0), 0.998, [1], ["max-profit"])
+    @pytest.mark.parametrize(
+        "params, visibility, resolutions, path",
+        [
+            (bpsk(0.75, 0.6), 0.998, [1, 2, 3], "absolute beta"),
+            (bpsk(0.5, 2.0, 0.3), 0.998, [2], "grid cell"),
+            (ook(1.5, 1.2, 0.3), 0.9, [3, 1, 3], None),
+        ],
+        ids=["bpsk", "bpsk-q0.3", "ook-q0.3"],
+    )
+    def test_every_reported_value_is_the_public_functions_at_its_beta(
+        self, monkeypatch, params, visibility, resolutions, path
+    ):
+        refined = []
+        lock_step = pnr.drive
+
+        def recording(searches, evaluate):
+            results = lock_step(searches, evaluate)
+            refined.extend(results)
+            return results
+
+        monkeypatch.setattr(pnr, "drive", recording)
+        optimized = optimize_displacement(params, visibility, resolutions)
+        if path == "absolute beta":
+            # a refinement ends at a negative beta, so the optimum is re-evaluated at |beta|
+            assert any(beta < 0 for beta, _ in refined)
+        elif path == "grid cell":
+            # the grid cell beats its refinement, and the answer keeps the cell
+            span = 2.0 * abs(params.alpha1) + 1.0
+            assert optimized[0][0][0] == np.linspace(-span, span, 81)[10] == pytest.approx(-1.8107, abs=1e-4)
+        null_first = evaluate_displacement(params, visibility, resolutions, params.alpha1)
+        for answer in (optimized, null_first):
+            assert len(answer) == len(resolutions)
+            for m, [(beta_err, err), (beta_info, info)] in zip(resolutions, answer):
+                assert all(type(x) is float for x in (beta_err, err, beta_info, info))
+                assert err == map_error_probability(params, PnrConfig(m, visibility, beta_err))
+                assert info == map_mutual_information(params, PnrConfig(m, visibility, beta_info))
 
     @pytest.mark.parametrize(
         "visibility, resolutions", [(0.998, [0]), (0.998, [2, 0]), (1.5, [1]), (0.998, [1, 2.5]), (0.998, [True])]
@@ -158,16 +191,6 @@ class TestOptimizeDisplacement:
             optimize_displacement(bpsk(0.5, 0.0), visibility, resolutions)
         with pytest.raises(ValueError):
             evaluate_displacement(bpsk(0.5, 0.0), visibility, resolutions, 0.3)
-
-    @pytest.mark.parametrize(
-        "params", [bpsk(0.75, 0.0), bpsk(0.5, 0.9, 0.3), ook(1.5, 2.0)], ids=["bpsk", "bpsk-q0.3", "ook"]
-    )
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_both_objectives_in_one_call_equal_each_alone(self, params, m):
-        # the two refinements share the grid and run in lock-step
-        [both] = optimize_displacement(params, 0.998, [m])
-        alone = [optimize_displacement(params, 0.998, [m], [o])[0][0] for o in ("min-error", "max-information")]
-        assert both == alone
 
     @pytest.mark.parametrize(
         "params", [bpsk(0.75, 0.0), bpsk(0.5, 0.9, 0.3), ook(1.5, 2.0), ook(5.0, 0.3)],
@@ -186,7 +209,7 @@ class TestOptimizeDisplacement:
         found = evaluate_displacement(params, 0.9, [1, 2, 3], beta)
         for m, pairs in zip([1, 2, 3], found):
             cfg = PnrConfig(m, 0.9, beta)
-            assert pairs == [(cfg, map_error_probability(params, cfg)), (cfg, map_mutual_information(params, cfg))]
+            assert pairs == [(beta, map_error_probability(params, cfg)), (beta, map_mutual_information(params, cfg))]
 
     def test_bpsk_reports_the_optimum_at_nonnegative_beta(self):
         # with equal priors the BPSK value is even in beta: the report takes |beta|,
@@ -269,12 +292,11 @@ class TestBatchedKernel:
     def test_grid_values_equal_public_functions(self, signal, sigma):
         params = signal(0.75, sigma)
         cfg = PnrConfig(resolution=3)
-        errs = pnr._objective(params, self.BETAS, cfg, "min-error")
-        infos = pnr._objective(params, self.BETAS, cfg, "max-information")
-        for beta, err, info in zip(self.BETAS, errs, infos):
+        scores = pnr._scores(params, self.BETAS, cfg.visibility, [(3, "min-error"), (3, "max-information")])
+        for k, beta in enumerate(self.BETAS):
             one = replace(cfg, displacement=beta)
-            assert err == map_error_probability(params, one)
-            assert info == map_mutual_information(params, one)
+            assert scores[3, "min-error"][k] == map_error_probability(params, one)
+            assert -scores[3, "max-information"][k] == map_mutual_information(params, one)
 
 
 class TestExactPhaseAverage:

@@ -646,6 +646,26 @@ class TestCli:
         assert "column 'b'" in captured.err or "column 'sigma'" in captured.err
         assert "no crossing" not in captured.out
 
+    @pytest.mark.parametrize("command", [["sweep"], ["point", "--sigma", "0.3"]], ids=["sweep", "point"])
+    def test_config_that_is_not_utf8_exit_code(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"signal": "BPSK\xff"}')
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and "codec can't decode" in err
+
+    def test_crossings_rejects_a_csv_that_is_not_utf8(self, tmp_path, capsys):
+        csv_path = tmp_path / "curves.csv"
+        csv_path.write_bytes(b"sigma,a,b\n0,-1,0\n1,\xff,0\n")
+        assert main(["crossings", "--csv", str(csv_path), "--col-a", "a", "--col-b", "b"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}: ") and "codec can't decode" in err
+
+    def test_crossings_rejects_a_field_over_the_csv_limit(self, tmp_path, capsys):
+        assert self.crossings(tmp_path, "sigma,a,b\n0,-1," + "0" * 200_000 + "\n") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'curves.csv'}: ") and "field larger than field limit" in err
+
     def test_crossings_of_a_header_only_csv(self, tmp_path, capsys):
         assert self.crossings(tmp_path, "sigma,a,b\n") == 0
         assert capsys.readouterr().out.strip() == "no crossing"

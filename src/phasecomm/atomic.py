@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minimize import bfgs_search, brent_search, drive
-from .config import PROB_GUARD, SERIES_TAIL
+from .config import SERIES_TAIL
 from .discrimination import BinaryPovm, _log_ratio, mutual_information_from_joint
 from .errors import SeriesTruncationError
 from .fock import FockDim
@@ -51,8 +51,8 @@ PHI_MAX = 25.0
 # only rank the Phi basins of the information; its polish refines 2theta.
 _PHI_GRID = np.linspace(0.0, PHI_MAX, 2501)
 _TWO_THETA_GRID = np.linspace(0.0, np.pi, 32, endpoint=False)
-# Phi rows per block of the grid: each (Phi, 2theta) information temporary is
-# 32 kB, and each (Phi, n) series temporary n + 1 kB.
+# Phi rows per block of the grid: each (Phi, 2theta, x, y) information
+# temporary is 128 kB, and each (Phi, n) series temporary n + 1 kB.
 _BLOCK_ROWS = 128
 # Local optima of the grid that are polished.
 _POLISHED = 3
@@ -269,26 +269,6 @@ def _min_error_over_theta(coeffs: tuple) -> tuple:
     return e_a - np.hypot(e_b, e_c), np.arctan2(-e_c, -e_b)
 
 
-def _information_grid(coeffs: tuple, two_theta: np.ndarray, priors) -> np.ndarray:
-    """Mutual information in bits at each (Phi, 2theta), shape (len(phi), len(two_theta)).
-
-    Column y = 1 of the table is mean - (swing cos + inter sin), and
-    I = sum p log p - sum_y p_y log p_y - sum_x p_x log q_x. Entries below
-    PROB_GUARD shift the value by less than 1e-13, which only the polish sees.
-    """
-    def plogp(p):
-        return p * np.log2(np.maximum(p, PROB_GUARD))
-
-    info, p_y = 0.0, [0.0, 0.0]
-    for x, (mean, swing, inter) in enumerate(zip(*coeffs)):
-        mean = mean[:, None]
-        swing = np.multiply.outer(swing, np.cos(two_theta)) + np.multiply.outer(inter, np.sin(two_theta))
-        col0, col1 = mean + swing, mean - swing
-        info = info + plogp(col0) + plogp(col1) - 2 * mean * np.log2(max(priors[x], PROB_GUARD))
-        p_y = [p_y[0] + col0, p_y[1] + col1]
-    return info - plogp(p_y[0]) - plogp(p_y[1])
-
-
 def _best_local(values: np.ndarray, count: int) -> np.ndarray:
     """Indices of the `count` lowest local minima of a sampled curve."""
     padded = np.concatenate([[np.inf], values, [np.inf]])
@@ -318,8 +298,9 @@ def _grid_profile(coefficients: _TableCoefficients, over_theta) -> tuple:
 
 
 def _search_min_error(params) -> list:
-    """Polishes the best grid minima by bounded Brent in Phi, in lock-step:
-    each round is one table call at every running polish's trial Phi."""
+    """(error, params) of each of the best grid minima, polished by bounded
+    Brent in Phi, in lock-step: each round is one table call at every running
+    polish's trial Phi."""
     coefficients = _TableCoefficients(params)
     grid = _PHI_GRID
     curve, _ = _grid_profile(coefficients, _min_error_over_theta)
@@ -329,8 +310,8 @@ def _search_min_error(params) -> list:
     ]
     ends = drive(polishes, lambda _, phis: _min_error_over_theta(coefficients(np.array(phis)))[0])
     phis = [phi if value < curve[i] else grid[i] for i, (phi, value) in zip(starts, ends)]
-    _, two_theta = _min_error_over_theta(coefficients(np.array(phis)))
-    return [_canonical(phi, t) for phi, t in zip(phis, two_theta)]
+    values, two_theta = _min_error_over_theta(coefficients(np.array(phis)))
+    return [(float(value), _canonical(phi, t)) for value, phi, t in zip(values, phis, two_theta)]
 
 
 def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray) -> list:
@@ -362,30 +343,39 @@ def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray) 
 
 
 def _search_max_information(params) -> list:
-    """Polishes the best grid maxima by BFGS in (Phi, 2theta), in lock-step:
-    each round is one table call at every running polish's trial point.
+    """(information, params) of each of the best grid maxima, polished by
+    BFGS in (Phi, 2theta), in lock-step: each round is one table call at every
+    running polish's trial point.
+
+    The grid's tables follow `_joint`'s arithmetic and are scored by the
+    polish's kernel, `mutual_information_from_joint`. They are stacked as
+    (y, x, Phi, 2theta) and read as (Phi, 2theta, x, y), which keeps the
+    angles innermost in memory.
 
     Swapping the outcome labels leaves the information unchanged and maps
     2theta to 2theta + pi, so 2theta runs over [0, pi) only."""
     coefficients = _TableCoefficients(params)
     grid, two_theta = _PHI_GRID, _TWO_THETA_GRID
-    priors = (params.q1, params.q2)
+    q = np.array([params.q1, params.q2])
+    cos_t, sin_t = np.cos(two_theta), np.sin(two_theta)
 
     def over_theta(coeffs):
-        info = _information_grid(coeffs, two_theta, priors)
+        mean, swing, inter = (v[:, :, None] for v in coeffs)
+        along, across = swing * cos_t, inter * sin_t
+        joint = np.stack([mean + along + across, mean - along - across]).transpose(2, 3, 1, 0)
+        info = mutual_information_from_joint(joint, q)
         j = info.argmax(axis=1)
         return -info[np.arange(len(j)), j], two_theta[j]
 
     profile, best_t = _grid_profile(coefficients, over_theta)
-    q = np.asarray(priors)
     starts = _best_local(profile, _POLISHED)
     x0s = [np.array([grid[i], best_t[i]]) for i in starts]
     polishes = [bfgs_search(x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER) for x0 in x0s]
     ends = drive(polishes, lambda _, xs: _neg_information(xs, coefficients, q))
     found = []
     for i, x0, (x, fun, _) in zip(starts, x0s, ends):
-        phi, t = x if fun < profile[i] else x0
-        found.append(_canonical(phi, t % np.pi))
+        (phi, t), value = (x, -fun) if fun < profile[i] else (x0, -profile[i])
+        found.append((float(value), _canonical(phi, t % np.pi)))
     return found
 
 
@@ -421,24 +411,20 @@ def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = Optimiz
     table call, as (mean, swing, inter), at the trial Phi of every polish
     still running; each polish sees the values it would see alone, and
     the rounds number the evaluations of the slowest. A polish that ends
-    no better than its grid point keeps the grid point. Each candidate is evaluated
-    by the public series functions. The returned parameters have xi in
-    {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
-    the lexicographically smallest.
+    no better than its grid point keeps the grid point. Each candidate's
+    value is the search's own: the closed-form minimum over theta at its
+    Phi, or the information the polish or the grid found there. It equals
+    `error_probability_series` / `mutual_information_series` at its
+    parameters to a few units in the last place. The returned parameters
+    have xi in {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX];
+    ties go to the lexicographically smallest.
     """
     if objective == "min-error":
-        candidates = _search_min_error(params)
-        sign, value_at = 1.0, error_probability_series
+        runs, sign = _search_min_error(params), 1.0
     elif objective == "max-information":
-        candidates = _search_max_information(params)
-        sign, value_at = -1.0, mutual_information_series
+        runs, sign = _search_max_information(params), -1.0
     else:
         raise ValueError(f"unknown objective {objective!r}")
-
-    runs = sorted(
-        (sign * value_at(params, p), (p.xi, p.theta, p.phi_pulse))
-        for p in candidates
-    )
-    per_start = [(sign * f, AtomicParams(*x)) for f, x in runs]
+    per_start = sorted(runs, key=lambda run: (sign * run[0], run[1].xi, run[1].theta, run[1].phi_pulse))
     best_value, best_params = per_start[0]
     return OptimizeResult(params=best_params, value=best_value, per_start=per_start)

@@ -19,7 +19,11 @@ from .sweep import SweepConfig, find_crossing, run_sweep, write_csv, write_json
 
 def _load_config(args) -> SweepConfig:
     with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            # nesting deeper than the interpreter's recursion limit
+            raise ConfigError(f"{args.config}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("a sweep config is a JSON object")
     # overrides pass the same checks as the config's own keys

@@ -46,10 +46,10 @@ _KEYS = {
     "receivers": {
         "helstrom": {},
         "atomic": {"objectives": ["error", "information"]},
-        # lam_max and polish_max tuned the steepest ascent that L-BFGS replaced: accepted and ignored
+        # outcomes, lam_max and polish_max set ascents the projective one replaced: accepted and ignored
         "accinfo": {
             "restarts": AscentConfig.restarts, "outcomes": 4, "max_iter": AscentConfig.max_iter,
-            "lam_max": AscentConfig.lam_max, "polish_max": AscentConfig.polish_max,
+            "lam_max": 0.5, "polish_max": 5000,
         },
         "pnr": {"resolution": PnrConfig.resolution, "visibility": PnrConfig.visibility, "beta_mode": "null-first"},
     },
@@ -214,9 +214,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
                 res = optimize("max-information", params)
                 row["i_atomic"] = res.value
         elif kind == "accinfo":
-            acfg = AscentConfig(
-                restarts=rec["restarts"], outcomes=rec["outcomes"], max_iter=rec["max_iter"], seed=point_seed
-            )
+            acfg = AscentConfig(restarts=rec["restarts"], max_iter=rec["max_iter"], seed=point_seed)
             rep = accessible_information(ensemble(), acfg)
             row["i_accessible"] = rep.mutual_information
             row["accinfo_residual"] = rep.stationarity_residual

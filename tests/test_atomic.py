@@ -25,7 +25,7 @@ from phasecomm import atomic
 from phasecomm.atomic import PHI_MAX
 from phasecomm.cli import main
 from phasecomm.config import SERIES_TAIL
-from phasecomm.discrimination import _log_ratio, joint_distribution, mutual_information_from_joint
+from phasecomm.discrimination import _log_ratio, joint_distribution
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
 from phasecomm.sweep import SweepConfig, compute_point, run_sweep
@@ -258,26 +258,31 @@ class TestReduction:
 
 class TestInformationGrid:
     @pytest.mark.parametrize(
-        "params", [bpsk(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 0.0)], ids=["bpsk", "ook", "ook-noiseless"]
+        "params", [bpsk(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 0.0), ook(0.01, 1.5, 0.1)],
+        ids=["bpsk", "ook", "ook-noiseless", "ook-0.01-q0.1"],
     )
-    def test_grid_form_matches_the_shared_kernel(self, params):
-        # the search keeps its own form of the information; on one block of
-        # the grid it agrees with the kernel up to the guard's effect
-        coeffs = atomic._TableCoefficients(params)(atomic._PHI_GRID[: atomic._BLOCK_ROWS])
-        two_theta = atomic._TWO_THETA_GRID
-        priors = (params.q1, params.q2)
-        # Pr(x, 0) = mean + swing cos + inter sin and Pr(x, 1) = 2 mean - Pr(x, 0),
-        # stacked as (Phi, 2theta, x, y)
-        mean, swing, inter = (v[:, :, None] for v in coeffs)
-        col0 = mean + swing * np.cos(two_theta) + inter * np.sin(two_theta)
-        tables = np.stack([col0, 2 * mean - col0], axis=-1).transpose(1, 2, 0, 3)
-        grid = atomic._information_grid(coeffs, two_theta, priors)
-        assert grid.shape == tables.shape[:2]
-        assert np.max(np.abs(grid - mutual_information_from_joint(tables, priors))) <= 1e-13
+    def test_profile_equals_the_polish_objective_at_grid_points(self, monkeypatch, params):
+        # the grid ranks the information with the polish's kernel: at a grid
+        # point and its best angle, the profile is minus the polish's value
+        profiles = []
+        grid_profile = atomic._grid_profile
+
+        def recorded(coefficients, over_theta):
+            profiles.append(grid_profile(coefficients, over_theta))
+            return profiles[-1]
+
+        monkeypatch.setattr(atomic, "_grid_profile", recorded)
+        optimize("max-information", params)
+        [(profile, best_t)] = profiles
+        coefficients = atomic._TableCoefficients(params)
+        q = np.array([params.q1, params.q2])
+        for i in range(0, atomic._PHI_GRID.size, 50):
+            [(value, _)] = atomic._neg_information([np.array([atomic._PHI_GRID[i], best_t[i]])], coefficients, q)
+            assert value == pytest.approx(profile[i], abs=1e-16)
 
 
 class TestPolish:
-    """The max-information polish: L-BFGS-B on (Phi, 2theta) with the exact gradient."""
+    """The max-information polish: BFGS on (Phi, 2theta) with the exact gradient."""
 
     STEP = 1e-6
 
@@ -365,12 +370,9 @@ class TestPolish:
         # the grid's table in one call, from the cached grid series
         assert log[0] == atomic._PHI_GRID.size
         # then the polishes in lock-step, one call per round at every running
-        # polish's trial Phi, until they all close
+        # polish's trial Phi, until they all close; no call scores them again
         rounds = log[1:log.index(None)]
-        closes, scoring = log[1 + len(rounds):][:atomic._POLISHED], log[1 + len(rounds) + atomic._POLISHED:]
-        assert closes == [None] * atomic._POLISHED
-        # each candidate scored by the public series at its own Phi
-        assert scoring == [1] * len(res.per_start)
+        assert log[1 + len(rounds):] == [None] * atomic._POLISHED
         assert len(res.per_start) == atomic._POLISHED
         assert all(1 <= n <= atomic._POLISHED for n in rounds)
         assert rounds == sorted(rounds, reverse=True)
@@ -490,6 +492,23 @@ class TestOptimize:
         params = bpsk(0.5, 0.4)
         res = optimize("max-information", params, OptimizeConfig())
         assert 0.0 < res.value < 1.0
+
+    @pytest.mark.parametrize(
+        "params",
+        [bpsk(0.5, 0.6), bpsk(0.75, 2.0, 0.3), ook(0.5, 0.0), ook(1.5, 1.2), ook(0.1, 1.5), ook(0.01, 1.5, 0.1)],
+        ids=["bpsk-0.5-0.6", "bpsk-0.75-2.0-q0.3", "ook-0.5-0.0", "ook-1.5-1.2", "ook-0.1-1.5", "ook-0.01-1.5-q0.1"],
+    )
+    @pytest.mark.parametrize(
+        "objective, value_at",
+        [("min-error", error_probability_series), ("max-information", mutual_information_series)],
+        ids=["error", "information"],
+    )
+    def test_reported_values_equal_the_public_series(self, params, objective, value_at):
+        # each value is the search's own, from the table it ranked and polished with
+        res = optimize(objective, params)
+        assert (res.value, res.params) == res.per_start[0]
+        for value, p in res.per_start:
+            assert value == pytest.approx(value_at(params, p), abs=1e-15)
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):

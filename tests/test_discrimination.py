@@ -332,7 +332,7 @@ class TestQuasiNewtonAscent:
 
     def test_runs_resume_and_stop_at_the_first_converged_run(self):
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)
-        short = AscentConfig(outcomes=4, max_iter=100, restarts=2)
+        short = AscentConfig(max_iter=100, restarts=2)
         two = accessible_information(ens, short)
         assert not two.converged
         assert two.iterations == 200
@@ -356,7 +356,7 @@ class TestAscentOnSupport:
         # sigma 0.6, 2e-8 at 1.2)
         for sigma in (0.6, 1.2):
             reports = [
-                accessible_information(build_ensemble(bpsk(0.5, sigma), FockDim(c)), AscentConfig(outcomes=4))
+                accessible_information(build_ensemble(bpsk(0.5, sigma), FockDim(c)), AscentConfig())
                 for c in (30, 45)
             ]
             assert all(rep.converged for rep in reports)
@@ -399,7 +399,7 @@ class TestProjectiveAscent:
         # at every seed in 500-950 iterations
         ens = default_ensemble(ook(2.0, 0.9))
         assert _on_support(ens)[0].shape[1] == 28
-        rep = accessible_information(ens, AscentConfig(restarts=4, outcomes=4, max_iter=2500, seed=seed))
+        rep = accessible_information(ens, AscentConfig(restarts=4, max_iter=2500, seed=seed))
         assert len(rep.povm.elements) == 28
         assert rep.converged, rep.stationarity_residual
 
@@ -412,7 +412,7 @@ class TestProjectiveAscent:
         ens = default_ensemble(params)
         povm_value, povm_residual = povm_information(ens, PROB_GUARD)
         assert povm_residual <= discrimination.RESIDUAL_TOL
-        rep = accessible_information(ens, AscentConfig(restarts=4, outcomes=4, max_iter=2500))
+        rep = accessible_information(ens, AscentConfig(restarts=4, max_iter=2500))
         assert rep.converged
         assert povm_value == pytest.approx(rep.mutual_information, abs=3e-6)
         monkeypatch.setattr(discrimination, "RESIDUAL_TOL", 1e-9)
@@ -429,7 +429,7 @@ class TestProjectiveAscent:
     )
     def test_converges_between_helstrom_information_and_holevo(self, signal, mean_photons, q1, sigma):
         ens = default_ensemble(signal(mean_photons, sigma, q1))
-        rep = accessible_information(ens, AscentConfig(restarts=4, outcomes=4, max_iter=2500))
+        rep = accessible_information(ens, AscentConfig(restarts=4, max_iter=2500))
         assert rep.converged, rep.stationarity_residual
         _, hel = helstrom_measurement(ens)
         assert mutual_information(ens, hel) - 1e-6 <= rep.mutual_information <= holevo_chi(ens) + 1e-12

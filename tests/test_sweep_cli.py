@@ -654,6 +654,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: ") and "codec can't decode" in err
 
+    @pytest.mark.parametrize("command", [["sweep"], ["point", "--sigma", "0.3"]], ids=["sweep", "point"])
+    def test_config_nested_past_the_recursion_limit_exit_code(self, tmp_path, capsys, command):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and "recursion" in err
+
     def test_crossings_rejects_a_csv_that_is_not_utf8(self, tmp_path, capsys):
         csv_path = tmp_path / "curves.csv"
         csv_path.write_bytes(b"sigma,a,b\n0,-1,0\n1,\xff,0\n")

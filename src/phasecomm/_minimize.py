@@ -10,7 +10,8 @@ scipy's `minimize_scalar(method="bounded")` takes it, so it returns the
 same point bit for bit. `bfgs_search` is BFGS with the full inverse
 Hessian (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 6), an
 Armijo backtracking line search with weak-Wolfe expansion, and an
-optional box onto which every trial point is projected.
+optional box onto which every trial point is projected; in place of a
+gradient tolerance, it stops at the rounding noise of f.
 """
 
 import math
@@ -24,6 +25,8 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 # sufficient decrease and curvature constants of the line search
 _ARMIJO = 1e-4
 _WOLFE = 0.9
+# units in the last place of f that a step's predicted decrease must reach
+_NOISE_ULPS = 4
 # trial steps per line search
 _MAX_TRIALS = 20
 # evaluations of one bounded Brent search, scipy's default
@@ -134,8 +137,9 @@ def bfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None
 
     A run ends after `max_iter` iterations or 2 `max_iter` evaluations,
     when `stop(x, iterations)` is true after an iteration, when the step's
-    predicted decrease is below the rounding of f, or when a line search
-    finds no step that decreases f enough (f is then at its rounding noise).
+    predicted decrease, -slope / 2, is below `_NOISE_ULPS` units in the last
+    place of f, or when a line search finds no step that decreases f
+    enough (f is then at its rounding noise).
     `lower` and `upper` (arrays) make a box: a variable on a bound that
     the gradient pushes outward is held there, and every trial point is
     projected into the box.
@@ -158,7 +162,9 @@ def bfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None
         if held is not None:
             d[held] = 0.0
         slope = float(g @ d)
-        if not -slope > _EPS * abs(f):  # no decrease that f could resolve
+        # the decrease the quadratic model predicts for the step, against the
+        # rounding noise of f: below it, a line search only chases noise
+        if not -0.5 * slope > _NOISE_ULPS * _EPS * abs(f):
             return x, f, it
         found, x_new, f_new, g_new, used = yield from _line_search(x, f, g, d, slope, t, box, 2 * max_iter - evals)
         evals += used

@@ -47,12 +47,14 @@ __all__ = [
 
 # The receiver family's coupling range: `optimize` searches Phi in [0, PHI_MAX].
 PHI_MAX = 25.0
-# Grid of the search: Phi step 0.01, 2theta step 5.625 degrees. The 32 angles
-# only rank the Phi basins of the information; its polish refines 2theta.
+# Grid of the search: Phi step 0.01 for the error. The information ranks its
+# Phi basins on every second row (step 0.02) and 8 angles (2theta step 22.5
+# degrees); its polish refines both.
 _PHI_GRID = np.linspace(0.0, PHI_MAX, 2501)
-_TWO_THETA_GRID = np.linspace(0.0, np.pi, 32, endpoint=False)
+_INFORMATION_STRIDE = 2
+_TWO_THETA_GRID = np.linspace(0.0, np.pi, 8, endpoint=False)
 # Phi rows per block of the grid: each (Phi, 2theta, x, y) information
-# temporary is 128 kB, and each (Phi, n) series temporary n + 1 kB.
+# temporary is 32 kB, and each (Phi, n) series temporary n + 1 kB.
 _BLOCK_ROWS = 128
 # Local optima of the grid that are polished.
 _POLISHED = 3
@@ -286,13 +288,12 @@ def _canonical(phi: float, two_theta: float) -> AtomicParams:
     return AtomicParams(xi=3 * np.pi / 2, theta=np.pi - t / 2, phi_pulse=float(phi))
 
 
-def _grid_profile(coefficients: _TableCoefficients, over_theta) -> tuple:
-    """`over_theta` (best value to minimize, its 2theta) at each Phi of the
-    grid, evaluated in blocks of rows of the grid's table."""
-    table = coefficients()
+def _grid_profile(table: tuple, over_theta) -> tuple:
+    """`over_theta` (best value to minimize, its 2theta) at each Phi of a
+    grid's table, evaluated in blocks of its rows."""
     parts = [
         over_theta(tuple(v[:, i:i + _BLOCK_ROWS] for v in table))
-        for i in range(0, _PHI_GRID.size, _BLOCK_ROWS)
+        for i in range(0, table[0].shape[1], _BLOCK_ROWS)
     ]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
@@ -303,7 +304,7 @@ def _search_min_error(params) -> list:
     polish's trial Phi."""
     coefficients = _TableCoefficients(params)
     grid = _PHI_GRID
-    curve, _ = _grid_profile(coefficients, _min_error_over_theta)
+    curve, _ = _grid_profile(coefficients(), _min_error_over_theta)
     starts = _best_local(curve, _POLISHED)
     polishes = [
         brent_search(max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX), 1e-10) for i in starts
@@ -355,7 +356,7 @@ def _search_max_information(params) -> list:
     Swapping the outcome labels leaves the information unchanged and maps
     2theta to 2theta + pi, so 2theta runs over [0, pi) only."""
     coefficients = _TableCoefficients(params)
-    grid, two_theta = _PHI_GRID, _TWO_THETA_GRID
+    grid, two_theta = _PHI_GRID[::_INFORMATION_STRIDE], _TWO_THETA_GRID
     q = np.array([params.q1, params.q2])
     cos_t, sin_t = np.cos(two_theta), np.sin(two_theta)
 
@@ -367,7 +368,7 @@ def _search_max_information(params) -> list:
         j = info.argmax(axis=1)
         return -info[np.arange(len(j)), j], two_theta[j]
 
-    profile, best_t = _grid_profile(coefficients, over_theta)
+    profile, best_t = _grid_profile(tuple(v[:, ::_INFORMATION_STRIDE] for v in coefficients()), over_theta)
     starts = _best_local(profile, _POLISHED)
     x0s = [np.array([grid[i], best_t[i]]) for i in starts]
     polishes = [bfgs_search(x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER) for x0 in x0s]
@@ -401,13 +402,15 @@ def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = Optimiz
     The search runs at |sin xi| = 1 over Phi in [0, PHI_MAX], on a grid of
     step 0.01, whose series are computed once per amplitude in a process
     and shared by both objectives and every sigma and prior. For the error,
-    the minimum over theta at each Phi is closed-form; for the information,
-    2theta runs over a grid of 32 points in [0, pi), which only ranks the
-    Phi basins. The best three local optima of the grid are polished
-    (bounded Brent in Phi for the error; BFGS in (Phi, 2theta) with the
-    exact gradient of the information, from the Phi derivatives of the
-    series, projected onto Phi in [0, PHI_MAX], until a line search finds
-    no lower value). The three polishes run in lock-step rounds, each one
+    the minimum over theta at each Phi is closed-form; the information is
+    ranked on every second row of the same table (step 0.02) and 8 values
+    of 2theta in [0, pi), which only rank the Phi basins. The best three
+    local optima of the grid are polished (bounded Brent in Phi for the
+    error; BFGS in (Phi, 2theta) with the exact gradient of the
+    information, from the Phi derivatives of the series, projected onto
+    Phi in [0, PHI_MAX], until a line search finds no lower value or the
+    step's predicted gain is below a few units in the last place of the
+    value). The three polishes run in lock-step rounds, each one
     table call, as (mean, swing, inter), at the trial Phi of every polish
     still running; each polish sees the values it would see alone, and
     the rounds number the evaluations of the slowest. A polish that ends

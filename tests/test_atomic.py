@@ -267,17 +267,20 @@ class TestInformationGrid:
         profiles = []
         grid_profile = atomic._grid_profile
 
-        def recorded(coefficients, over_theta):
-            profiles.append(grid_profile(coefficients, over_theta))
+        def recorded(table, over_theta):
+            profiles.append(grid_profile(table, over_theta))
             return profiles[-1]
 
         monkeypatch.setattr(atomic, "_grid_profile", recorded)
         optimize("max-information", params)
         [(profile, best_t)] = profiles
+        # the information's grid is every second row of the error's
+        grid = atomic._PHI_GRID[::atomic._INFORMATION_STRIDE]
+        assert profile.size == grid.size
         coefficients = atomic._TableCoefficients(params)
         q = np.array([params.q1, params.q2])
-        for i in range(0, atomic._PHI_GRID.size, 50):
-            [(value, _)] = atomic._neg_information([np.array([atomic._PHI_GRID[i], best_t[i]])], coefficients, q)
+        for i in range(0, grid.size, 25):
+            [(value, _)] = atomic._neg_information([np.array([grid[i], best_t[i]])], coefficients, q)
             assert value == pytest.approx(profile[i], abs=1e-16)
 
 
@@ -349,6 +352,24 @@ class TestPolish:
             assert value == -np.sum(joint * log_ratio)
             assert np.array_equal(gradient, -np.array(loop_gradient))
 
+    def test_polish_ends_at_the_rounding_noise_of_the_value(self, monkeypatch):
+        # here the polish is converged after about 20 rounds; a stop at one
+        # unit in the last place of the value let it line-search on to 111
+        rounds = []
+        drive = atomic.drive
+
+        def counted(searches, evaluate):
+            def evaluate_counted(which, points):
+                rounds.append(len(which))
+                return evaluate(which, points)
+
+            return drive(searches, evaluate_counted)
+
+        monkeypatch.setattr(atomic, "drive", counted)
+        res = optimize("max-information", ook(0.01, 1.5, 0.5))
+        assert len(rounds) <= 40
+        assert res.value >= 0.010090044001812726 - 1e-15
+
     @pytest.mark.parametrize("params", [bpsk(0.75, 0.6), ook(1.5, 1.2)], ids=["bpsk-0.75-0.6", "ook-1.5-1.2"])
     def test_table_evaluations_per_start(self, monkeypatch, params):
         # the Phi count of each table evaluation, with None where `_canonical`
@@ -417,6 +438,26 @@ class TestGridCache:
         # the two amplitudes +-sqrt(0.42), each over the grid in blocks of rows
         assert sum(grid_calls) == 2 * atomic._PHI_GRID.size
         assert len(grid_calls) == 2 * len(range(0, atomic._PHI_GRID.size, atomic._BLOCK_ROWS))
+
+    def test_information_grid_shares_the_error_grid_cache(self, monkeypatch):
+        profiles = []
+        grid_profile = atomic._grid_profile
+
+        def recorded(table, over_theta):
+            profiles.append(grid_profile(table, over_theta))
+            return profiles[-1]
+
+        monkeypatch.setattr(atomic, "_grid_profile", recorded)
+        params = ook(0.8, 0.9, 0.4)
+        optimize("min-error", params)
+        cached = atomic._grid_sums.cache_info()
+        optimize("max-information", params)
+        # the information's rows are a view of the cached table: no new entry, no new series
+        assert atomic._grid_sums.cache_info().misses == cached.misses
+        assert atomic._grid_sums.cache_info().currsize == cached.currsize
+        (error_profile, _), (information_profile, _) = profiles
+        assert error_profile.size == atomic._PHI_GRID.size == 2501
+        assert information_profile.size == atomic._PHI_GRID[::atomic._INFORMATION_STRIDE].size == 1251
 
     def test_guard_runs_on_a_cache_hit(self, monkeypatch):
         params = SignalParams(q1=0.5, alpha1=1.5, alpha2=-1.5, sigma=0.2)

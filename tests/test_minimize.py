@@ -7,7 +7,7 @@ import pytest
 from scipy import optimize as sciopt
 from scipy import special
 
-from phasecomm._minimize import _bfgs_update, _line_search, bfgs, bfgs_search, brent_search, drive
+from phasecomm._minimize import _EPS, _NOISE_ULPS, _bfgs_update, _line_search, bfgs, bfgs_search, brent_search, drive
 from phasecomm.config import TAIL
 from phasecomm.fock import default_cutoff, poisson_tail
 
@@ -122,6 +122,32 @@ class TestBfgs:
             assert np.linalg.norm(h @ y - s) <= 1e-10 * np.linalg.norm(s)
             assert np.max(np.abs(h - h.T)) <= 1e-12 * np.max(np.abs(h))
             assert np.linalg.eigvalsh(0.5 * (h + h.T)).min() > 0.0
+
+    @pytest.mark.parametrize("ratio", [0.9, 1.1])
+    def test_stops_when_the_predicted_decrease_is_below_the_noise_of_f(self, ratio):
+        # f = 1 + 1e-9 |x|^2: the first step is steepest descent, whose model
+        # predicts a decrease of -slope / 2 = |g|^2 / 2 = 2e-18 x^2; the start
+        # puts it at `ratio` times _NOISE_ULPS units in the last place of f
+        def fun(x):
+            return 1.0 + 1e-9 * float(x @ x), 2e-9 * x
+
+        x0 = np.array([math.sqrt(ratio * _NOISE_ULPS * _EPS / 2e-18)])
+        f0, g0 = fun(x0)
+        assert float(g0 @ g0) > _EPS * f0  # -slope is above one unit in the last place
+        trials = []
+
+        def evaluate(_, points):
+            trials.append(points[0])
+            return [fun(points[0])]
+
+        [(x, f, iterations)] = drive([bfgs_search(x0, 100)], evaluate)
+        if ratio < 1.0:
+            # no line search: the start is returned after its one evaluation
+            assert len(trials) == 1 and iterations == 0
+            assert np.array_equal(x, x0) and f == f0
+        else:
+            assert len(trials) > 1 and iterations >= 1
+            assert f < f0
 
     def test_skips_a_pair_without_curvature(self):
         s, y = np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])

@@ -43,6 +43,7 @@ __all__ = [
     "joint_probabilities_series",
     "mutual_information_series",
     "optimize",
+    "optimize_block",
 ]
 
 # The receiver family's coupling range: `optimize` searches Phi in [0, PHI_MAX].
@@ -54,7 +55,7 @@ _PHI_GRID = np.linspace(0.0, PHI_MAX, 2501)
 _INFORMATION_STRIDE = 2
 _TWO_THETA_GRID = np.linspace(0.0, np.pi, 8, endpoint=False)
 # Phi rows per block of the grid: each (Phi, 2theta, x, y) information
-# temporary is 32 kB, and each (Phi, n) series temporary n + 1 kB.
+# temporary is 32 kB, and each (x, Phi, n) series temporary 2 (n + 1) kB.
 _BLOCK_ROWS = 128
 # Local optima of the grid that are polished.
 _POLISHED = 3
@@ -171,67 +172,86 @@ def _series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> 
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_sums(alpha: float, n_terms: int) -> tuple:
-    """`_series_sums` of one amplitude at every Phi of `_PHI_GRID`, as read-only
-    (sums, last), evaluated in blocks of rows.
+def _grid_sums(amplitudes: tuple, n_terms: int) -> tuple:
+    """`_series_sums` of an amplitude pair at every Phi of `_PHI_GRID`, as
+    read-only (sums, last) of shape (2, 3, len(_PHI_GRID)), evaluated in
+    blocks of rows, each one stacked call that shares the trigonometry
+    between the amplitudes.
 
     They depend on nothing else, so every sigma point and prior of a sweep,
-    and both searches, share one evaluation per amplitude.
+    and both searches, share one evaluation per amplitude pair.
     """
-    weights = _series_weights(alpha, n_terms)
-    blocks = [_series_sums(weights, _PHI_GRID[i:i + _BLOCK_ROWS]) for i in range(0, _PHI_GRID.size, _BLOCK_ROWS)]
-    sums, last = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+    weights = np.stack([_series_weights(alpha, n_terms) for alpha in amplitudes])
+    sums, last = np.empty((2, 2, 3, _PHI_GRID.size))
+    for i in range(0, _PHI_GRID.size, _BLOCK_ROWS):
+        # copied out, since a block's `last` is a view of all its terms
+        sums[..., i:i + _BLOCK_ROWS], last[..., i:i + _BLOCK_ROWS] = _series_sums(weights, _PHI_GRID[i:i + _BLOCK_ROWS])
     sums.flags.writeable = last.flags.writeable = False
     return sums, last
 
 
 class _TableCoefficients:
-    """The joint table over couplings at xi = pi/2, as (mean, swing, inter),
-    each of shape (2, len(phi)) with a row per hypothesis x:
+    """The joint tables over couplings at xi = pi/2 of a block of sigma points,
+    as (mean, swing, inter), each of shape (2, len(phi)) with a row per
+    hypothesis x:
     Pr(x, 0) = mean + swing cos(2theta) + inter sin(2theta) and
     Pr(x, 1) = mean - swing cos(2theta) - inter sin(2theta).
 
-    At any xi the interference term inter carries a factor sin(xi). The
-    truncation guard checks the series length at each Phi in its worst
-    case over (xi, theta), so it holds at every angle; it runs on every
-    call, on the grid too.
+    The points share their amplitudes and priors and differ in sigma only,
+    which enters through the damping of inter; so one series evaluation
+    serves the couplings of every point, each damped by its own point's
+    factor. At any xi the interference term inter carries a factor
+    sin(xi). The truncation guard checks the series length at each Phi in
+    its worst case over (xi, theta), so it holds at every angle; it runs on
+    every call, on the grid too, and its error names the sigma of the point
+    that fails.
     """
 
-    def __init__(self, params: SignalParams):
-        self.alphas = (params.alpha1, params.alpha2)
+    def __init__(self, *points: SignalParams):
+        self.alphas = (points[0].alpha1, points[0].alpha2)
         self.n_terms = _series_length(self.alphas)
-        self.damping = np.exp(-0.5 * params.sigma**2)
-        self.scale = np.array([[q * np.exp(-alpha * alpha)] for q, alpha in zip((params.q1, params.q2), self.alphas)])
+        self.sigmas = [p.sigma for p in points]
+        # each point's factor as a lone point computes it, scalar by scalar
+        self.damping = np.array([np.exp(-0.5 * sigma**2) for sigma in self.sigmas])
+        q = (points[0].q1, points[0].q2)
+        self.scale = np.array([[q_x * np.exp(-alpha * alpha)] for q_x, alpha in zip(q, self.alphas)])
         self.weights = np.stack([_series_weights(alpha, self.n_terms) for alpha in self.alphas])
 
-    def __call__(self, phi: np.ndarray | None = None, slopes: bool = False) -> tuple:
+    def __call__(self, phi: np.ndarray | None = None, point=0, slopes: bool = False) -> tuple:
         """(mean, swing, inter) at each coupling; with `slopes`, also their Phi
-        derivatives. Without `phi`, the table at every Phi of `_PHI_GRID`, from
+        derivatives. `point` is the index in the block of the point the
+        couplings belong to, or an array with the point of each coupling.
+        Without `phi`, the table at every Phi of `_PHI_GRID`, from
         `_grid_sums`."""
+        damping = self.damping[point]
         if phi is None:
-            sums, last = (np.stack(part) for part in zip(*(_grid_sums(alpha, self.n_terms) for alpha in self.alphas)))
+            sums, last = _grid_sums(self.alphas, self.n_terms)
         else:
             sums, last, *derivatives = _series_sums(self.weights, phi, slopes)
         (diag, raised, _), (d, r, x_last) = np.moveaxis(sums, 1, 0), np.moveaxis(last, 1, 0)
         # the last terms at their worst over (xi, theta), against half of the two
         # outcome sums' total diag + raised, which the larger of them reaches
-        ratio = np.max((d + r + 2 * self.damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300))
-        if ratio > SERIES_TAIL:
+        ratio = np.max((d + r + 2 * damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300), axis=0)
+        failed = ratio > SERIES_TAIL
+        if failed.any():
+            owner = np.broadcast_to(point, ratio.shape)
+            first = owner[failed].min()
             raise SeriesTruncationError(
-                f"last series term is {ratio:.3e} of the sum at {self.n_terms} terms, above {SERIES_TAIL:.0e}"
+                f"sigma={self.sigmas[first]:g}: last series term is {ratio[owner == first].max():.3e} of the sum "
+                f"at {self.n_terms} terms, above {SERIES_TAIL:.0e}"
             )
-        table = self._table(sums)
-        return (table, self._table(derivatives[0])) if slopes else table
+        table = self._table(sums, damping)
+        return (table, self._table(derivatives[0], damping)) if slopes else table
 
-    def _table(self, sums: np.ndarray) -> tuple:
+    def _table(self, sums: np.ndarray, damping) -> tuple:
         """(mean, swing, inter) from the hypotheses' (diag, raised, cross), shape
-        (2, 3, len(phi)). The map is linear, so it takes their Phi derivatives
-        to the table's."""
+        (2, 3, len(phi)), at the damping of each coupling's point. The map is
+        linear, so it takes their Phi derivatives to the table's."""
         diag, raised, cross = np.moveaxis(sums, 1, 0)
         # Gaussian phase average of the interference term: the minus sign follows
         # from <n|K|n> real and <n-1|K|n> proportional to -i e^{-i xi}
         half = 0.5 * self.scale
-        return half * (diag + raised), half * (diag - raised), -self.scale * self.damping * cross
+        return half * (diag + raised), half * (diag - raised), -self.scale * damping * cross
 
 
 def _joint(mean, swing, inter, cos_t, sin_t) -> np.ndarray:
@@ -298,27 +318,33 @@ def _grid_profile(table: tuple, over_theta) -> tuple:
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _search_min_error(params) -> list:
-    """(error, params) of each of the best grid minima, polished by bounded
-    Brent in Phi, in lock-step: each round is one table call at every running
-    polish's trial Phi."""
-    coefficients = _TableCoefficients(params)
+def _search_min_error(coefficients: _TableCoefficients) -> list:
+    """Per point of the block, (error, params) of each of its best grid
+    minima, polished by bounded Brent in Phi. The polishes of every point run
+    in lock-step: each round is one table call at every running polish's
+    trial Phi."""
     grid = _PHI_GRID
-    curve, _ = _grid_profile(coefficients(), _min_error_over_theta)
-    starts = _best_local(curve, _POLISHED)
-    polishes = [
-        brent_search(max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX), 1e-10) for i in starts
-    ]
-    ends = drive(polishes, lambda _, phis: _min_error_over_theta(coefficients(np.array(phis)))[0])
-    phis = [phi if value < curve[i] else grid[i] for i, (phi, value) in zip(starts, ends)]
-    values, two_theta = _min_error_over_theta(coefficients(np.array(phis)))
-    return [(float(value), _canonical(phi, t)) for value, phi, t in zip(values, phis, two_theta)]
+    starts, polishes = [], []
+    for k in range(len(coefficients.sigmas)):
+        curve, _ = _min_error_over_theta(coefficients(point=k))
+        for i in _best_local(curve, _POLISHED):
+            starts.append((k, i, curve[i]))
+            polishes.append(brent_search(max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX), 1e-10))
+    owner = np.array([k for k, _, _ in starts])
+    ends = drive(polishes, lambda which, phis: _min_error_over_theta(coefficients(np.array(phis), owner[which]))[0])
+    phis = [phi if value < at_grid else grid[i] for (_, i, at_grid), (phi, value) in zip(starts, ends)]
+    values, two_theta = _min_error_over_theta(coefficients(np.array(phis), owner))
+    found = [[] for _ in coefficients.sigmas]
+    for k, value, phi, t in zip(owner, values, phis, two_theta):
+        found[k].append((float(value), _canonical(phi, t)))
+    return found
 
 
-def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray) -> list:
+def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray, point=0) -> list:
     """Minus the information at each x = (Phi, 2theta) of `xs`, and its
-    gradient, from one table call; a round of the information polishes
-    asks it for every running polish's trial at once.
+    gradient, from one table call; `point` is the point in the block of
+    each x, or one point for all. A round of the information polishes asks it
+    for every running polish's trial at once.
 
     dI/dPr(x, y) is the log ratio log2 Pr(x, y) / (q_x Pr(y)), and
     Pr(x, 0) = mean + swing cos(2theta) + inter sin(2theta), so dI/dPhi =
@@ -329,7 +355,7 @@ def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray) 
     each point's entries computed as alone.
     """
     phi, two_theta = np.array(xs).T
-    table, slopes = coefficients(phi, slopes=True)
+    table, slopes = coefficients(phi, point, slopes=True)
     # rows (point, x) of the table and its slopes, and each point's angle
     (mean, swing, inter), slope = ([v.T for v in part] for part in (table, slopes))
     cos_t, sin_t = np.cos(two_theta)[:, None], np.sin(two_theta)[:, None]
@@ -343,10 +369,11 @@ def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray) 
     return list(zip(-(joint * log_ratio).sum(axis=(1, 2)), -gradient))
 
 
-def _search_max_information(params) -> list:
-    """(information, params) of each of the best grid maxima, polished by
-    BFGS in (Phi, 2theta), in lock-step: each round is one table call at every
-    running polish's trial point.
+def _search_max_information(coefficients: _TableCoefficients, q: np.ndarray) -> list:
+    """Per point of the block, (information, params) of each of its best grid
+    maxima, polished by BFGS in (Phi, 2theta). The polishes of every point
+    run in lock-step: each round is one table call at every running polish's
+    trial point.
 
     The grid's tables follow `_joint`'s arithmetic and are scored by the
     polish's kernel, `mutual_information_from_joint`. They are stacked as
@@ -355,9 +382,7 @@ def _search_max_information(params) -> list:
 
     Swapping the outcome labels leaves the information unchanged and maps
     2theta to 2theta + pi, so 2theta runs over [0, pi) only."""
-    coefficients = _TableCoefficients(params)
     grid, two_theta = _PHI_GRID[::_INFORMATION_STRIDE], _TWO_THETA_GRID
-    q = np.array([params.q1, params.q2])
     cos_t, sin_t = np.cos(two_theta), np.sin(two_theta)
 
     def over_theta(coeffs):
@@ -368,15 +393,19 @@ def _search_max_information(params) -> list:
         j = info.argmax(axis=1)
         return -info[np.arange(len(j)), j], two_theta[j]
 
-    profile, best_t = _grid_profile(tuple(v[:, ::_INFORMATION_STRIDE] for v in coefficients()), over_theta)
-    starts = _best_local(profile, _POLISHED)
-    x0s = [np.array([grid[i], best_t[i]]) for i in starts]
-    polishes = [bfgs_search(x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER) for x0 in x0s]
-    ends = drive(polishes, lambda _, xs: _neg_information(xs, coefficients, q))
-    found = []
-    for i, x0, (x, fun, _) in zip(starts, x0s, ends):
-        (phi, t), value = (x, -fun) if fun < profile[i] else (x0, -profile[i])
-        found.append((float(value), _canonical(phi, t % np.pi)))
+    starts, polishes = [], []
+    for k in range(len(coefficients.sigmas)):
+        profile, best_t = _grid_profile(tuple(v[:, ::_INFORMATION_STRIDE] for v in coefficients(point=k)), over_theta)
+        for i in _best_local(profile, _POLISHED):
+            x0 = np.array([grid[i], best_t[i]])
+            starts.append((k, x0, profile[i]))
+            polishes.append(bfgs_search(x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER))
+    owner = np.array([k for k, _, _ in starts])
+    ends = drive(polishes, lambda which, xs: _neg_information(xs, coefficients, q, owner[which]))
+    found = [[] for _ in coefficients.sigmas]
+    for (k, x0, at_grid), (x, fun, _) in zip(starts, ends):
+        (phi, t), value = (x, -fun) if fun < at_grid else (x0, -at_grid)
+        found[k].append((float(value), _canonical(phi, t % np.pi)))
     return found
 
 
@@ -397,22 +426,33 @@ class OptimizeResult:
 
 
 def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = OptimizeConfig()) -> OptimizeResult:
-    """Best receiver setting for 'min-error' or 'max-information'.
+    """Best receiver setting for 'min-error' or 'max-information': the
+    search of `optimize_block` over a block of this one point."""
+    [result] = optimize_block(objective, [params])
+    return result
+
+
+def optimize_block(objective: str, points: list) -> list:
+    """Best receiver setting for 'min-error' or 'max-information' at each
+    point of a block: sigma points (`SignalParams`) that share their
+    amplitudes and priors; returns one `OptimizeResult` per point, in order.
 
     The search runs at |sin xi| = 1 over Phi in [0, PHI_MAX], on a grid of
-    step 0.01, whose series are computed once per amplitude in a process
-    and shared by both objectives and every sigma and prior. For the error,
-    the minimum over theta at each Phi is closed-form; the information is
-    ranked on every second row of the same table (step 0.02) and 8 values
-    of 2theta in [0, pi), which only rank the Phi basins. The best three
-    local optima of the grid are polished (bounded Brent in Phi for the
-    error; BFGS in (Phi, 2theta) with the exact gradient of the
-    information, from the Phi derivatives of the series, projected onto
-    Phi in [0, PHI_MAX], until a line search finds no lower value or the
-    step's predicted gain is below a few units in the last place of the
-    value). The three polishes run in lock-step rounds, each one
-    table call, as (mean, swing, inter), at the trial Phi of every polish
-    still running; each polish sees the values it would see alone, and
+    step 0.01, whose series are computed once per amplitude pair in a
+    process and shared by both objectives and every sigma and prior. For
+    the error, the minimum over theta at each Phi is closed-form; the
+    information is ranked on every second row of the same table (step
+    0.02) and 8 values of 2theta in [0, pi), which only rank the Phi
+    basins. Each point's best three local optima of the grid are polished
+    (bounded Brent in Phi for the error; BFGS in (Phi, 2theta) with the
+    exact gradient of the information, from the Phi derivatives of the
+    series, projected onto Phi in [0, PHI_MAX], until a line search finds
+    no lower value or the step's predicted gain is below a few units in
+    the last place of the value). The polishes of every point of the block
+    run in lock-step rounds, each one series evaluation, as (mean, swing,
+    inter), at the trial Phi of every polish still running, damped by its
+    own point's sigma; each polish sees the values it would see alone, so
+    a point's result does not depend on the block it is searched in, and
     the rounds number the evaluations of the slowest. A polish that ends
     no better than its grid point keeps the grid point. Each candidate's
     value is the search's own: the closed-form minimum over theta at its
@@ -422,12 +462,19 @@ def optimize(objective: str, params: SignalParams, cfg: OptimizeConfig = Optimiz
     have xi in {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX];
     ties go to the lexicographically smallest.
     """
-    if objective == "min-error":
-        runs, sign = _search_min_error(params), 1.0
-    elif objective == "max-information":
-        runs, sign = _search_max_information(params), -1.0
-    else:
+    if objective not in ("min-error", "max-information"):
         raise ValueError(f"unknown objective {objective!r}")
-    per_start = sorted(runs, key=lambda run: (sign * run[0], run[1].xi, run[1].theta, run[1].phi_pulse))
-    best_value, best_params = per_start[0]
-    return OptimizeResult(params=best_params, value=best_value, per_start=per_start)
+    first = points[0]
+    if any((p.q1, p.alpha1, p.alpha2) != (first.q1, first.alpha1, first.alpha2) for p in points):
+        raise ValueError("the points of a block must differ in sigma only")
+    coefficients = _TableCoefficients(*points)
+    if objective == "min-error":
+        runs, sign = _search_min_error(coefficients), 1.0
+    else:
+        runs, sign = _search_max_information(coefficients, np.array([first.q1, first.q2])), -1.0
+    results = []
+    for found in runs:
+        per_start = sorted(found, key=lambda run: (sign * run[0], run[1].xi, run[1].theta, run[1].phi_pulse))
+        best_value, best_params = per_start[0]
+        results.append(OptimizeResult(params=best_params, value=best_value, per_start=per_start))
+    return results

@@ -28,6 +28,7 @@ __all__ = [
     "map_mutual_information",
     "evaluate_displacement",
     "optimize_displacement",
+    "optimize_displacement_block",
 ]
 
 
@@ -72,19 +73,22 @@ def _phase_rule(sigma: float, n: int) -> tuple:
     return rule
 
 
-def _outcome_table(alphas, sigma: float, betas, visibility: float, resolutions) -> list:
+def _outcome_table(alphas, sigma, betas, visibility: float, resolutions) -> list:
     """Outcome distributions for every amplitude and displacement at each
     resolution m of `resolutions`: a list of arrays of shape (A, B, m+1), in
     the order of `resolutions`.
 
-    `alphas` and `betas` are sequences of scalars. Entries are grouped by
-    their own node count. Within a group the Poisson pmf of the counts
-    0..max(m)-1 is computed once, and each resolution's counts are the phase
-    average of its own first m columns, copied contiguous: a column of a
-    wider product can differ in its last bit (column 0 of an m >= 2 product
-    from a one-column product by up to 3.3e-16, and BLAS blocks four or
-    more columns differently). So every table equals the one-resolution
-    call's, and each entry `outcome_distribution` at that pair, bit for bit.
+    `alphas` and `betas` are sequences of scalars; `sigma` is one phase
+    width, or a sequence with the width of each displacement. Entries are
+    grouped by their own node count, and the Poisson pmf of a group's
+    counts 0..max(m)-1 is computed once. Each resolution's counts are the
+    phase average of its own first m columns, copied contiguous, in one
+    product per width: a column of a wider product can differ in its last
+    bit (column 0 of an m >= 2 product from a one-column product by up to
+    3.3e-16, and BLAS blocks four or more columns differently), and so
+    could the entries of a product over several widths' weights. So every
+    table equals the one-resolution, one-width call's, and each entry
+    `outcome_distribution` at that pair, bit for bit.
     """
     top = max(resolutions)
     a = np.array(alphas, dtype=float)[:, None]
@@ -99,21 +103,35 @@ def _outcome_table(alphas, sigma: float, betas, visibility: float, resolutions) 
     # the smallest power of two N >= 64 with N/2 >= 9 sqrt(d) + 16, d = |cross|:
     # Fourier mode k of the count pmf falls off like exp(-k^2 / 2d)
     sizes = 2 ** np.ceil(np.log2(np.maximum(18.0 * np.sqrt(np.abs(cross)) + 32.0, 64.0))).astype(int)
+    # each width with the mask of the displacements it averages, None for all
+    widths = np.array(sigma, dtype=float).ravel()
+    levels = sorted(set(widths.tolist()))
+    columns = [(levels[0], None)] if len(levels) == 1 else [(width, widths == width) for width in levels]
     k = np.arange(top)
     log_factorial = np.array([math.log(math.factorial(j)) for j in range(top)])
     tables = {m: np.empty(sizes.shape + (m + 1,)) for m in resolutions}
     for n in sorted(set(sizes.ravel().tolist())):
         sel = sizes == n
-        weights, sin2, cos2 = _phase_rule(sigma, n)
+        # the half node angles depend on n alone, so any width's rule has them
+        _, sin2, cos2 = _phase_rule(columns[0][0], n)
         h = np.where((ab >= 0)[sel][:, None], sin2, cos2)
         n_eff = offset[sel][:, None] + swing[sel][:, None] * h
-        # Poisson pmf per node, averaged with the phase weights
+        # Poisson pmf per node, averaged with each width's phase weights
         log_pmf = -n_eff[..., None] + k * np.log(np.clip(n_eff, 1e-300, None))[..., None] - log_factorial
         pmf = np.exp(log_pmf)
         pmf[n_eff == 0.0] = np.where(k == 0, 1.0, 0.0)
-        for m, probs in tables.items():
-            # the weights oscillate at small sigma, so a vanishing average can round below 0
-            probs[sel, :m] = np.maximum(weights @ (pmf if m == top else np.ascontiguousarray(pmf[..., :m])), 0.0)
+        for width, column in columns:
+            if column is None:
+                at, part = sel, pmf
+            else:
+                at = sel & column
+                part = pmf[at[sel]]
+            if not len(part):
+                continue
+            weights = _phase_rule(width, n)[0]
+            for m, probs in tables.items():
+                # the weights oscillate at small sigma, so a vanishing average can round below 0
+                probs[at, :m] = np.maximum(weights @ (part if m == top else np.ascontiguousarray(part[..., :m])), 0.0)
     for m, probs in tables.items():
         probs[..., m] = np.maximum(1.0 - probs[..., :m].sum(axis=-1), 0.0)
     return [tables[m] for m in resolutions]
@@ -153,12 +171,16 @@ def map_mutual_information(params: SignalParams, cfg: PnrConfig) -> float:
     return information
 
 
-def _scores(params: SignalParams, betas, visibility: float, keys: list) -> dict:
+def _scores(params: SignalParams, betas, visibility: float, keys: list, sigma=None) -> dict:
     """sign * objective at every displacement of `betas` for each (m, objective)
-    of `keys`, from one kernel call; each key scores all displacements at once."""
+    of `keys`, from one kernel call; each key scores all displacements at once.
+    `sigma` gives the phase width of each displacement where they differ
+    (a block's points share amplitudes and priors); by default it is
+    `params.sigma`."""
     resolutions = list(dict.fromkeys(m for m, _ in keys))
     alphas = [params.alpha1, params.alpha2]
-    tables = dict(zip(resolutions, _outcome_table(alphas, params.sigma, betas, visibility, resolutions)))
+    sigma = params.sigma if sigma is None else sigma
+    tables = dict(zip(resolutions, _outcome_table(alphas, sigma, betas, visibility, resolutions)))
     return {(m, objective): _SIGNS[objective] * _value(params, tables[m], objective) for m, objective in keys}
 
 
@@ -182,44 +204,68 @@ def evaluate_displacement(params: SignalParams, visibility: float, resolutions, 
 
 def optimize_displacement(params: SignalParams, visibility: float, resolutions) -> list:
     """Scalar search over the displacement for each m of `resolutions`, once
-    for the MAP error and once for the information; returns, per m in the
-    order of `resolutions`, [(beta, error), (beta, information)] at the
-    displacement each search found.
+    for the MAP error and once for the information: the search of
+    `optimize_displacement_block` over a block of this one point. Returns,
+    per m in the order of `resolutions`, [(beta, error), (beta, information)]
+    at the displacement each search found."""
+    [found] = optimize_displacement_block([params], visibility, resolutions)
+    return found
 
-    One search covers every resolution and both quantities. A coarse grid
-    over a symmetric range is evaluated in one kernel call that all of them
-    share: one table at max(m), whose counts 0..m-1 serve each m. A bounded
-    Brent refinement then runs around each (m, objective)'s best cell. The
-    refinements run in lock-step: each round is one kernel call at the
-    trial displacement of every running refinement, and each (m, objective)
-    scores all of the round's displacements at once. Every value equals
-    the one `evaluate_displacement` gives at its beta, bit for bit.
-    Deterministic.
+
+def optimize_displacement_block(points: list, visibility: float, resolutions) -> list:
+    """Scalar search over the displacement at each point of a block, sigma
+    points (`SignalParams`) that share their amplitudes and priors, for each
+    m of `resolutions`, once for the MAP error and once for the information;
+    returns, per point in order and per m in the order of `resolutions`,
+    [(beta, error), (beta, information)] at the displacement each search
+    found.
+
+    A point's search covers every resolution and both quantities. A coarse
+    grid over a symmetric range is evaluated per point in one kernel call
+    that all of them share: one table at max(m), whose counts 0..m-1 serve
+    each m. A bounded Brent refinement then runs around each (m,
+    objective)'s best cell. The refinements of every point of the block run
+    in lock-step: each round is one kernel call at the trial displacement of
+    every running refinement, with one phase average per point's sigma, and
+    each (m, objective) scores all of the round's displacements at once.
+    Every value equals the one `evaluate_displacement` gives at its beta,
+    bit for bit, whatever the block. Deterministic.
     """
     distinct = _distinct(visibility, resolutions)
+    params = points[0]
+    if any((p.q1, p.alpha1, p.alpha2) != (params.q1, params.alpha1, params.alpha2) for p in points):
+        raise ValueError("the points of a block must differ in sigma only")
     searches = [(m, objective) for m in distinct for objective in _SIGNS]
     span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
     grid = np.linspace(-span, span, _GRID_POINTS)
-    scores = _scores(params, grid, visibility, searches)
-    cells = [int(np.argmin(scores[key])) for key in searches]
-    refinements = [brent_search(grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)], 1e-9) for i in cells]
+    # (point, key, best cell, its value) of each refinement
+    starts, refinements = [], []
+    for k, point in enumerate(points):
+        scores = _scores(point, grid, visibility, searches)
+        for key in searches:
+            i = int(np.argmin(scores[key]))
+            starts.append((k, key, i, scores[key][i]))
+            refinements.append(brent_search(grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)], 1e-9))
 
-    def evaluate(which, betas):
-        running = [searches[j] for j in which]
-        scores = _scores(params, betas, visibility, running)
-        return [scores[key][k] for k, key in enumerate(running)]
+    def score(trials, betas):
+        """sign * objective of each (point, key) of `trials` at its displacement."""
+        keys = list(dict.fromkeys(key for _, key in trials))
+        scores = _scores(params, betas, visibility, keys, [points[k].sigma for k, _ in trials])
+        return [scores[key][r] for r, (_, key) in enumerate(trials)]
 
     best = {}
-    for key, i, (beta, value) in zip(searches, cells, drive(refinements, evaluate)):
-        grid_value = scores[key][i]
-        best[key] = (float(beta) if value <= grid_value else float(grid[i]), min(float(value), float(grid_value)))
+    ends = drive(refinements, lambda which, betas: score([starts[j][:2] for j in which], betas))
+    for (k, key, i, grid_value), (beta, value) in zip(starts, ends):
+        best[k, key] = (float(beta) if value <= grid_value else float(grid[i]), min(float(value), float(grid_value)))
     if params.q1 == params.q2 and params.alpha2 == -params.alpha1:
         # BPSK with equal priors: the value is even in beta, so report each
         # optimum at |beta|, its value evaluated there, in one kernel call
-        flips = [key for key in searches if best[key][0] < 0]
+        flips = [trial for trial, (beta, _) in best.items() if beta < 0]
         if flips:
-            betas = [-best[key][0] for key in flips]
-            scores = _scores(params, betas, visibility, flips)
-            for k, key in enumerate(flips):
-                best[key] = (betas[k], float(scores[key][k]))
-    return [[(best[m, o][0], _SIGNS[o] * best[m, o][1]) for o in _SIGNS] for m in resolutions]
+            betas = [-best[trial][0] for trial in flips]
+            for trial, beta, value in zip(flips, betas, score(flips, betas)):
+                best[trial] = (beta, float(value))
+    return [
+        [[(best[k, (m, o)][0], _SIGNS[o] * best[k, (m, o)][1]) for o in _SIGNS] for m in resolutions]
+        for k in range(len(points))
+    ]

@@ -18,18 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import optimize
+from .atomic import optimize_block
 from .config import PRIORS_SUM, TAIL
 from .discrimination import AscentConfig, accessible_information, binary_entropy, helstrom_bound
 from .errors import ConfigError, GridMismatch, PhasecommError
 from .fock import FockDim, default_cutoff, poisson_tail
-from .pnr import PnrConfig, evaluate_displacement, optimize_displacement
+from .pnr import PnrConfig, evaluate_displacement, optimize_displacement_block
 from .signals import bpsk, build_ensemble, ook
 
 __all__ = ["SweepConfig", "run_sweep", "find_crossing", "write_csv", "write_json", "csv_text"]
 
 _SIGNALS = {"BPSK": bpsk, "OOK": ook}
 _BETA_MODES = ("null-first", "optimized")
+_OBJECTIVES = {"error": "min-error", "information": "max-information"}
 # Largest Fock cutoff a config may set or need: within it the Poisson tail of
 # the largest amplitude must fall below the tail tolerance. BPSK at 10 mean
 # photons needs 39; one dense operator at this cutoff takes 2.6 MB.
@@ -163,17 +164,55 @@ class SweepConfig:
         return np.linspace(self.sigma_start, self.sigma_stop, self.sigma_steps)
 
 
-def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
+def _point_params(cfg: SweepConfig, sigma: float):
+    return _SIGNALS[cfg.signal](cfg.mean_photons, sigma, cfg.priors[0])
+
+
+def _search_block(cfg: SweepConfig, points: list) -> list:
+    """The atomic and PNR results of a block of a sweep's points (their
+    `SignalParams`, which differ in sigma only), one dict per point.
+
+    Each configured atomic objective is one `optimize_block` over the
+    block, keyed 'error' or 'information'. The PNR receivers make one call
+    per (visibility, beta_mode), keyed (visibility, beta_mode, m): one
+    displacement search (`optimize_displacement_block`) covers every point,
+    every resolution of an 'optimized' group and both objectives, and a
+    'null-first' group reads every resolution of a point from one kernel
+    call at beta = alpha1 (`evaluate_displacement`). A point's results do
+    not depend on the block it is searched in. An error raised in a shared
+    round names the sigma of its point.
+    """
+    found = [{} for _ in points]
+    objectives = {o for rec in cfg.receivers if rec["type"] == "atomic" for o in rec["objectives"]}
+    for name, objective in _OBJECTIVES.items():
+        if name in objectives:
+            for row, result in zip(found, optimize_block(objective, points)):
+                row[name] = result
+    groups: dict = {}
+    for rec in cfg.receivers:
+        if rec["type"] == "pnr":
+            groups.setdefault((float(rec["visibility"]), rec["beta_mode"]), []).append(rec["resolution"])
+    for (visibility, mode), resolutions in groups.items():
+        if mode == "optimized":
+            per_point = optimize_displacement_block(points, visibility, resolutions)
+        else:
+            per_point = [evaluate_displacement(p, visibility, resolutions, p.alpha1) for p in points]
+        for row, pairs in zip(found, per_point):
+            row.update(((visibility, mode, m), pair) for m, pair in zip(resolutions, pairs))
+    return found
+
+
+def compute_point(cfg: SweepConfig, sigma: float, index: int, searched: dict | None = None) -> dict:
     """All configured figures of merit at one grid point.
 
-    The PNR receivers make one call per (visibility, beta_mode): one
-    displacement search (`optimize_displacement`) covers every resolution
-    of an 'optimized' group and both objectives, and a 'null-first' group
-    reads every resolution from one kernel call at beta = alpha1
-    (`evaluate_displacement`). When two receivers share a resolution, the
-    later one's values fill its columns.
+    `searched` holds the point's atomic and PNR results from the search of
+    its block (`_search_block`); without it, the point is searched as a
+    block of one. When two receivers share a PNR resolution, the later
+    one's values fill its columns.
     """
-    params = _SIGNALS[cfg.signal](cfg.mean_photons, sigma, cfg.priors[0])
+    params = _point_params(cfg, sigma)
+    if searched is None:
+        [searched] = _search_block(cfg, [params])
     cutoff = cfg.fock_cutoff or default_cutoff([params.alpha1, params.alpha2])
     dim = FockDim(cutoff)
     point_seed = cfg.seed * 100_003 + index
@@ -186,33 +225,19 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
             ens = build_ensemble(params, dim)
         return ens
 
-    # one PNR call per (visibility, beta_mode) covers all its resolutions
-    groups: dict = {}
-    for rec in cfg.receivers:
-        if rec["type"] == "pnr":
-            groups.setdefault((float(rec["visibility"]), rec["beta_mode"]), []).append(rec["resolution"])
-    pnr_found = {}
-    for (visibility, mode), resolutions in groups.items():
-        if mode == "optimized":
-            found = optimize_displacement(params, visibility, resolutions)
-        else:
-            found = evaluate_displacement(params, visibility, resolutions, params.alpha1)
-        pnr_found.update(((visibility, mode, m), pair) for m, pair in zip(resolutions, found))
-
     for rec in cfg.receivers:
         kind = rec["type"]
         if kind == "helstrom":
             row["p_helstrom"] = helstrom_bound(ensemble())
         elif kind == "atomic":
             if "error" in rec["objectives"]:
-                res = optimize("min-error", params)
+                res = searched["error"]
                 row["p_atomic"] = res.value
                 row["atomic_xi"] = res.params.xi
                 row["atomic_theta"] = res.params.theta
                 row["atomic_phi"] = res.params.phi_pulse
             if "information" in rec["objectives"]:
-                res = optimize("max-information", params)
-                row["i_atomic"] = res.value
+                row["i_atomic"] = searched["information"].value
         elif kind == "accinfo":
             acfg = AscentConfig(restarts=rec["restarts"], max_iter=rec["max_iter"], seed=point_seed)
             rep = accessible_information(ensemble(), acfg)
@@ -222,7 +247,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int) -> dict:
             row["accinfo_converged"] = int(rep.converged)
         elif kind == "pnr":
             m = rec["resolution"]
-            (beta_err, p_err), (beta_info, i_val) = pnr_found[float(rec["visibility"]), rec["beta_mode"], m]
+            (beta_err, p_err), (beta_info, i_val) = searched[float(rec["visibility"]), rec["beta_mode"], m]
             row[f"p_pnr_m{m}"] = p_err
             row[f"i_pnr_m{m}"] = i_val
             row[f"pnr_beta_err_m{m}"] = beta_err
@@ -323,32 +348,42 @@ def _worker_one_blas_thread():
             set_threads(1)
 
 
-def _point_task(args):
-    cfg, sigma, index = args
-    try:
-        return compute_point(cfg, sigma, index)
-    except PhasecommError as exc:
-        raise type(exc)(f"sigma={sigma:g}: {exc}") from exc
+def _block_task(args):
+    """The rows of one block of grid points: the block's shared searches, then
+    `compute_point` once per point, looked up here at each call."""
+    cfg, block = args
+    searched = _search_block(cfg, [_point_params(cfg, sigma) for _, sigma in block])
+    rows = []
+    for (index, sigma), found in zip(block, searched):
+        try:
+            rows.append(compute_point(cfg, sigma, index, found))
+        except PhasecommError as exc:
+            raise type(exc)(f"sigma={sigma:g}: {exc}") from exc
+    return rows
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     """One result row per grid point, emitted in sigma order.
 
-    `workers` above 1 spreads the points over a process pool of at most
-    one worker per point. The whole sweep, the pool's lifetime included,
-    runs with every loaded OpenBLAS at one thread; the caller's counts are
-    restored on return, also when a point raises.
+    The grid is split into at most `workers` contiguous blocks of points,
+    one per worker of a process pool when `workers` is above 1; a block's
+    atomic and PNR searches run together (`_search_block`), so the rows do
+    not depend on the worker count. The whole sweep, the pool's lifetime
+    included, runs with every loaded OpenBLAS at one thread; the caller's
+    counts are restored on return, also when a point raises.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    tasks = [(cfg, s, i) for i, s in enumerate(cfg.sigma_grid())]
-    workers = min(workers, len(tasks))
+    points = list(enumerate(cfg.sigma_grid()))
+    workers = min(workers, len(points))
+    tasks = [(cfg, points[i * len(points) // workers:(i + 1) * len(points) // workers]) for i in range(workers)]
     with _one_blas_thread():
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers, initializer=_worker_one_blas_thread) as pool:
-                rows = list(pool.map(_point_task, tasks))
+                blocks = list(pool.map(_block_task, tasks))
         else:
-            rows = [_point_task(t) for t in tasks]
+            blocks = [_block_task(t) for t in tasks]
+    rows = [row for block in blocks for row in block]
     rows.sort(key=lambda r: r["sigma"])
     return rows
 

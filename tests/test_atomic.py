@@ -377,9 +377,9 @@ class TestPolish:
         log = []
         call, canonical = atomic._TableCoefficients.__call__, atomic._canonical
 
-        def counted(self, phi=None, slopes=False):
+        def counted(self, phi=None, point=0, slopes=False):
             log.append(atomic._PHI_GRID.size if phi is None else len(phi))
-            return call(self, phi, slopes)
+            return call(self, phi, point, slopes)
 
         def closing(*args):
             log.append(None)
@@ -404,25 +404,30 @@ class TestPolish:
 class TestGridCache:
     """The grid series of one amplitude, computed once and shared by every search."""
 
-    def test_cached_sums_equal_the_kernel_and_are_read_only(self):
-        alpha = -np.sqrt(0.75)
-        n_terms = atomic._series_length((alpha,))
-        cached = atomic._grid_sums(alpha, n_terms)
-        fresh = atomic._series_sums(atomic._series_weights(alpha, n_terms), atomic._PHI_GRID)
-        for c, f in zip(cached, fresh):
-            assert np.array_equal(c, f)
+    @pytest.mark.parametrize("amplitudes", [(np.sqrt(0.75), -np.sqrt(0.75)), (0.0, np.sqrt(3.0))], ids=["bpsk", "ook"])
+    def test_cached_sums_equal_the_kernel_and_are_read_only(self, amplitudes):
+        # the pair's stacked call gives each amplitude's own call bit for bit,
+        # signed zeros included
+        n_terms = atomic._series_length(amplitudes)
+        cached = atomic._grid_sums(amplitudes, n_terms)
+        for k, alpha in enumerate(amplitudes):
+            fresh = atomic._series_sums(atomic._series_weights(alpha, n_terms), atomic._PHI_GRID)
+            for c, f in zip(cached, fresh):
+                assert c[k].tobytes() == f.tobytes()
+        for c in cached:
             assert not c.flags.writeable
             with pytest.raises(ValueError):
-                c[0, 0] = 1.0
+                c[0, 0, 0] = 1.0
 
     def test_sweep_evaluates_the_grid_series_once_per_amplitude(self, monkeypatch):
         grid_calls = []
         kernel = atomic._series_sums
 
         def counted(weights, phi, slopes=False):
-            # a polish round asks for at most _POLISHED Phis, and a grid block for more
-            if len(phi) > atomic._POLISHED:
-                grid_calls.append(len(phi))
+            # a round of a block's polishes asks for up to _POLISHED Phis per
+            # point, in an array of its own, and the grid for slices of _PHI_GRID
+            if np.shares_memory(phi, atomic._PHI_GRID):
+                grid_calls.append((weights.shape[:-1], len(phi)))
             return kernel(weights, phi, slopes)
 
         monkeypatch.setattr(atomic, "_series_sums", counted)
@@ -435,37 +440,46 @@ class TestGridCache:
         }
         rows = run_sweep(SweepConfig.from_dict(doc))
         assert len(rows) == 3
-        # the two amplitudes +-sqrt(0.42), each over the grid in blocks of rows
-        assert sum(grid_calls) == 2 * atomic._PHI_GRID.size
-        assert len(grid_calls) == 2 * len(range(0, atomic._PHI_GRID.size, atomic._BLOCK_ROWS))
+        # the two amplitudes +-sqrt(0.42), stacked, over the grid in blocks of rows
+        assert sum(rows for _, rows in grid_calls) == atomic._PHI_GRID.size
+        assert len(grid_calls) == len(range(0, atomic._PHI_GRID.size, atomic._BLOCK_ROWS))
+        assert {shape for shape, _ in grid_calls} == {(2, 3)}
 
     def test_information_grid_shares_the_error_grid_cache(self, monkeypatch):
         profiles = []
-        grid_profile = atomic._grid_profile
+        grid_profile, min_error_over_theta = atomic._grid_profile, atomic._min_error_over_theta
 
         def recorded(table, over_theta):
             profiles.append(grid_profile(table, over_theta))
             return profiles[-1]
 
+        def error_recorded(coeffs):
+            profiles.append(min_error_over_theta(coeffs))
+            return profiles[-1]
+
         monkeypatch.setattr(atomic, "_grid_profile", recorded)
+        monkeypatch.setattr(atomic, "_min_error_over_theta", error_recorded)
         params = ook(0.8, 0.9, 0.4)
         optimize("min-error", params)
+        # the error's grid is scored in one call over all its rows
+        error_profile, _ = profiles[0]
+        profiles.clear()
         cached = atomic._grid_sums.cache_info()
         optimize("max-information", params)
         # the information's rows are a view of the cached table: no new entry, no new series
         assert atomic._grid_sums.cache_info().misses == cached.misses
         assert atomic._grid_sums.cache_info().currsize == cached.currsize
-        (error_profile, _), (information_profile, _) = profiles
+        [(information_profile, _)] = profiles
         assert error_profile.size == atomic._PHI_GRID.size == 2501
         assert information_profile.size == atomic._PHI_GRID[::atomic._INFORMATION_STRIDE].size == 1251
 
     def test_guard_runs_on_a_cache_hit(self, monkeypatch):
         params = SignalParams(q1=0.5, alpha1=1.5, alpha2=-1.5, sigma=0.2)
         monkeypatch.setattr(atomic, "_series_length", lambda amplitudes: 4)
-        atomic._grid_sums(1.5, 4)
+        atomic._grid_sums((1.5, -1.5), 4)
         hits = atomic._grid_sums.cache_info().hits
         # the grid's table alone, before any polish evaluates an off-grid Phi
-        with pytest.raises(SeriesTruncationError, match="at 4 terms"):
+        with pytest.raises(SeriesTruncationError, match="^sigma=0.2: .* at 4 terms"):
             atomic._TableCoefficients(params)()
         assert atomic._grid_sums.cache_info().hits == hits + 1
 
@@ -554,6 +568,56 @@ class TestOptimize:
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
             optimize("maximize-profit", bpsk(0.5, 0.0))
+
+
+class TestBlocks:
+    """The polishes of a block of sigma points share their rounds; each point
+    gets what it gets searched alone."""
+
+    SIGMAS = np.linspace(0.0, 3.0, 7)
+
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    @pytest.mark.parametrize("objective", ["min-error", "max-information"])
+    def test_a_block_equals_blocks_of_one(self, signal, objective):
+        for mean_photons in (0.01, 0.1, 0.5, 1.5, 5.0):
+            for q1 in (0.5, 0.3, 0.1):
+                points = [signal(mean_photons, sigma, q1) for sigma in self.SIGMAS]
+                # repr tells every float apart, signed zeros included
+                alone = [optimize(objective, p) for p in points]
+                assert repr(atomic.optimize_block(objective, points)) == repr(alone), (mean_photons, q1)
+
+    def test_points_must_differ_in_sigma_only(self):
+        for other in (bpsk(0.6, 1.0), bpsk(0.5, 1.0, 0.3), ook(0.5, 1.0)):
+            with pytest.raises(ValueError, match="sigma only"):
+                atomic.optimize_block("min-error", [bpsk(0.5, 0.0), other])
+
+    @pytest.mark.parametrize("objective", ["min-error", "max-information"])
+    def test_an_error_in_a_shared_round_names_its_points_sigma(self, monkeypatch, objective):
+        # every off-grid evaluation gets cross last terms that fail the guard
+        # undamped (sigma 0) but pass it damped by e^-4.5 (sigma 3); the grid
+        # keeps its true sums, so the first shared round raises
+        kernel = atomic._series_sums
+
+        def heavy_tail(weights, phi, slopes=False):
+            sums, last, *slope = kernel(weights, phi, slopes)
+            if not np.shares_memory(phi, atomic._PHI_GRID):
+                last = np.zeros_like(last)
+                last[:, 2] = SERIES_TAIL * 0.5 * (sums[:, 0] + sums[:, 1])
+            return (sums, last, *slope)
+
+        monkeypatch.setattr(atomic, "_series_sums", heavy_tail)
+        with pytest.raises(SeriesTruncationError, match="^sigma=0: last series term"):
+            atomic.optimize_block(objective, [bpsk(0.5, 3.0), bpsk(0.5, 0.0)])
+        atomic.optimize_block(objective, [bpsk(0.5, 3.0)])
+        doc = {
+            "signal": "BPSK",
+            "mean_photons": 0.5,
+            "sigma_grid": {"start": 0.0, "stop": 3.0, "steps": 2},
+            "receivers": [{"type": "atomic", "objectives": [objective.split("-")[-1]]}],
+        }
+        for workers in (1, 2):
+            with pytest.raises(SeriesTruncationError, match="^sigma=0: last series term"):
+                run_sweep(SweepConfig.from_dict(doc), workers=workers)
 
 
 class TestSeriesLength:

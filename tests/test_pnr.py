@@ -211,6 +211,24 @@ class TestOptimizeDisplacement:
             cfg = PnrConfig(m, 0.9, beta)
             assert pairs == [(beta, map_error_probability(params, cfg)), (beta, map_mutual_information(params, cfg))]
 
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    @pytest.mark.parametrize("visibility", [0.998, 0.9])
+    def test_a_block_equals_blocks_of_one(self, signal, visibility):
+        # the refinements of a block's points share their rounds
+        sigmas = np.linspace(0.0, 3.0, 7)
+        for mean_photons in (0.01, 0.1, 0.5, 1.5, 5.0):
+            for q1 in (0.5, 0.3, 0.1):
+                points = [signal(mean_photons, sigma, q1) for sigma in sigmas]
+                alone = [optimize_displacement(p, visibility, [1, 2, 3]) for p in points]
+                # repr tells every float apart, signed zeros included
+                together = pnr.optimize_displacement_block(points, visibility, [1, 2, 3])
+                assert repr(together) == repr(alone), (mean_photons, q1)
+
+    def test_points_of_a_block_must_differ_in_sigma_only(self):
+        for other in (bpsk(0.6, 1.0), bpsk(0.5, 1.0, 0.3), ook(0.5, 1.0)):
+            with pytest.raises(ValueError, match="sigma only"):
+                pnr.optimize_displacement_block([bpsk(0.5, 0.0), other], 0.998, [1])
+
     def test_bpsk_reports_the_optimum_at_nonnegative_beta(self):
         # with equal priors the BPSK value is even in beta: the report takes |beta|,
         # and the value is the public function's at the reported beta
@@ -286,6 +304,22 @@ class TestBatchedKernel:
             [alone] = pnr._outcome_table(alphas, sigma, betas, 0.998, [m])
             assert table.shape == (2, len(betas), m + 1)
             assert np.array_equal(table, alone)
+
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    @pytest.mark.parametrize("resolutions", [[1], [1, 2, 3], [2, 5]], ids=str)
+    def test_a_width_per_displacement_equals_one_call_per_width(self, signal, resolutions):
+        # one pmf per node count serves every width; each width averages it
+        # in a product of its own
+        params = signal(1.5, 0.0)
+        alphas = [params.alpha1, params.alpha2]
+        sigmas = [0.0, 0.6, 2.0]
+        widths = [sigmas[j % 3] for j in range(len(self.BETAS))]
+        tables = pnr._outcome_table(alphas, widths, self.BETAS, 0.998, resolutions)
+        for sigma in sigmas:
+            at = [j for j, width in enumerate(widths) if width == sigma]
+            alone = pnr._outcome_table(alphas, sigma, [self.BETAS[j] for j in at], 0.998, resolutions)
+            for table, one in zip(tables, alone):
+                assert table[:, at].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("signal", [bpsk, ook])
     @pytest.mark.parametrize("sigma", [0.0, 0.6, 2.0])

@@ -242,16 +242,22 @@ class TestComputePoint:
 
 
 class TestRunSweep:
-    def test_pool_rows_equal_serial_rows(self):
+    @pytest.mark.parametrize("method, workers", [("fork", 2), ("fork", 3), ("spawn", 3)])
+    def test_pool_rows_equal_serial_rows(self, monkeypatch, method, workers):
+        # the blocks of 7 points: 3 + 4, or 2 + 2 + 3
         doc = base_config(
+            sigma_grid={"start": 0.0, "stop": 1.8, "steps": 7},
             receivers=[
                 {"type": "helstrom"},
                 {"type": "atomic"},
                 {"type": "pnr", "resolution": 2},
-            ]
+                pnr_receiver(3),
+            ],
         )
         cfg = SweepConfig.from_dict(doc)
-        assert csv_text(run_sweep(cfg, workers=2)) == csv_text(run_sweep(cfg, workers=1))
+        serial = csv_text(run_sweep(cfg, workers=1))
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _pool(method))
+        assert csv_text(run_sweep(cfg, workers=workers)) == serial
 
     @pytest.mark.parametrize("steps, workers, pool_size", [(1, 4, None), (2, 4, 2), (3, 2, 2), (3, 1, None)])
     def test_at_most_one_worker_per_point(self, monkeypatch, steps, workers, pool_size):
@@ -280,10 +286,10 @@ class TestRunSweep:
     @pytest.mark.parametrize("signal", ["BPSK", "OOK"])
     @pytest.mark.parametrize("q1", [0.5, 0.3])
     def test_lock_step_rows_equal_one_search_at_a_time(self, monkeypatch, signal, q1):
-        # the atomic polishes and the PNR refinements of a point run in
-        # lock-step, and one PNR call serves all resolutions of a (visibility,
-        # beta_mode); run one search and one resolution at a time instead,
-        # they give the same CSV
+        # the atomic polishes and the PNR refinements of a block of points run
+        # in lock-step, and one PNR call serves all resolutions of a
+        # (visibility, beta_mode); run one search, one point and one
+        # resolution at a time instead, they give the same CSV
         drive = _minimize.drive
 
         def one_at_a_time(searches, evaluate):
@@ -291,10 +297,14 @@ class TestRunSweep:
                 drive([search], lambda _, points, i=i: evaluate([i], points))[0] for i, search in enumerate(searches)
             ]
 
-        def one_resolution_at_a_time(search):
-            return lambda params, visibility, resolutions, *args: [
-                search(params, visibility, [m], *args)[0] for m in resolutions
-            ]
+        def one_point_at_a_time(objective, points):
+            return [atomic.optimize_block(objective, [p])[0] for p in points]
+
+        def one_point_and_resolution_at_a_time(points, visibility, resolutions):
+            return [[pnr.optimize_displacement_block([p], visibility, [m])[0][0] for m in resolutions] for p in points]
+
+        def one_resolution_at_a_time(params, visibility, resolutions, beta):
+            return [pnr.evaluate_displacement(params, visibility, [m], beta)[0] for m in resolutions]
 
         for name, pnr_receivers in PNR_LISTS.items():
             doc = base_config(
@@ -308,8 +318,9 @@ class TestRunSweep:
             with monkeypatch.context() as patch:
                 for module in (atomic, pnr):
                     patch.setattr(module, "drive", one_at_a_time)
-                for search in ("optimize_displacement", "evaluate_displacement"):
-                    patch.setattr(sweep, search, one_resolution_at_a_time(getattr(pnr, search)))
+                patch.setattr(sweep, "optimize_block", one_point_at_a_time)
+                patch.setattr(sweep, "optimize_displacement_block", one_point_and_resolution_at_a_time)
+                patch.setattr(sweep, "evaluate_displacement", one_resolution_at_a_time)
                 assert csv_text(run_sweep(cfg)) == lock_step, name
 
     def test_one_pnr_call_per_visibility_and_beta_mode(self, monkeypatch):
@@ -320,33 +331,46 @@ class TestRunSweep:
         ]
         cfg = SweepConfig.from_dict(base_config(receivers=receivers))
         calls, tables = [], []
-        for name in ("optimize_displacement", "evaluate_displacement"):
-            search = getattr(pnr, name)
+        block, evaluate = sweep.optimize_displacement_block, sweep.evaluate_displacement
 
-            def counted(params, visibility, resolutions, *args, name=name, search=search):
-                before = len(tables)
-                found = search(params, visibility, resolutions, *args)
-                calls.append((params.sigma, name, visibility, list(resolutions), len(tables) - before))
-                return found
+        def counted_block(points, visibility, resolutions):
+            before = len(tables)
+            found = block(points, visibility, resolutions)
+            calls.append(([p.sigma for p in points], visibility, list(resolutions), tables[before:]))
+            return found
 
-            monkeypatch.setattr(sweep, name, counted)
+        def counted_evaluate(params, visibility, resolutions, beta):
+            before = len(tables)
+            found = evaluate(params, visibility, resolutions, beta)
+            calls.append((params.sigma, visibility, list(resolutions), tables[before:]))
+            return found
+
+        monkeypatch.setattr(sweep, "optimize_displacement_block", counted_block)
+        monkeypatch.setattr(sweep, "evaluate_displacement", counted_evaluate)
         kernel = pnr._outcome_table
 
-        def counted_kernel(*args):
-            tables.append(args[-1])
-            return kernel(*args)
+        def counted_kernel(alphas, sigma, *args):
+            tables.append(np.unique(sigma).tolist())
+            return kernel(alphas, sigma, *args)
 
         monkeypatch.setattr(pnr, "_outcome_table", counted_kernel)
         rows = run_sweep(cfg)
-        groups = [
-            ("optimize_displacement", 0.998, [1, 3, 2, 1]),
-            ("optimize_displacement", 0.9, [3]),
-            ("evaluate_displacement", 0.998, [2, 3]),
-            ("evaluate_displacement", 0.9, [1]),
+        sigmas = [row["sigma"] for row in rows]
+        # a serial sweep is one block: one search per 'optimized' group for
+        # all its points, then a 'null-first' group's call per point
+        assert [call[:3] for call in calls] == [
+            (sigmas, 0.998, [1, 3, 2, 1]),
+            (sigmas, 0.9, [3]),
+            *[(sigma, 0.998, [2, 3]) for sigma in sigmas],
+            *[(sigma, 0.9, [1]) for sigma in sigmas],
         ]
-        assert [call[:4] for call in calls] == [(row["sigma"], *group) for row in rows for group in groups]
-        # a null-first group reads all its resolutions from one kernel call
-        assert all(kernel_calls == 1 for *_, kernel_calls in calls[2::4] + calls[3::4])
+        for _, _, _, kernel_calls in calls[:2]:
+            # a grid call per point, then one call per round for every point
+            # still refining
+            assert kernel_calls[:3] == [[sigma] for sigma in sigmas]
+            assert kernel_calls[3] == sigmas
+        # a null-first group reads all its resolutions of a point from one kernel call
+        assert all(len(kernel_calls) == 1 for *_, kernel_calls in calls[2:])
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_fewer_than_one_worker(self, workers):
@@ -388,11 +412,11 @@ class TestBlasThreads:
         original = _blas_counts()
         one = [1] * len(controls)
 
-        def record(cfg, sigma, index):
+        def record(cfg, sigma, index, searched):
             threads = len(list(tasks.iterdir())) if tasks.is_dir() else None
             return {"sigma": sigma, "pid": os.getpid(), "counts": _blas_counts(), "threads": threads}
 
-        def fail(cfg, sigma, index):
+        def fail(cfg, sigma, index, searched):
             raise PhasecommError(f"counts {_blas_counts()}")
 
         cfg = SweepConfig.from_dict(base_config(sigma_grid={"start": 0.0, "stop": 1.2, "steps": 4}))

@@ -148,7 +148,7 @@ def bfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None
     x = np.asarray(x0, dtype=float)
     x = x if box is None else np.clip(x, *box)
     f, g = yield x
-    evals = 1
+    evals, budget = 1, 2 * max_iter
     h = None  # the inverse Hessian, from the first pair with curvature on
     for it in range(max_iter):
         held = None if box is None else ((x <= box[0]) & (g > 0)) | ((x >= box[1]) & (g < 0))
@@ -166,13 +166,13 @@ def bfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None
         # rounding noise of f: below it, a line search only chases noise
         if not -0.5 * slope > _NOISE_ULPS * _EPS * abs(f):
             return x, f, it
-        found, x_new, f_new, g_new, used = yield from _line_search(x, f, g, d, slope, t, box, 2 * max_iter - evals)
+        found, x_new, f_new, g_new, used = yield from _line_search(x, f, g, d, slope, t, box, budget - evals)
         evals += used
         if not found:
             return x, f, it
         h = _bfgs_update(h, x_new - x, g_new - g)
         x, f, g = x_new, f_new, g_new
-        if (stop is not None and stop(x, it + 1)) or evals >= 2 * max_iter:
+        if (stop is not None and stop(x, it + 1)) or evals >= budget:
             return x, f, it + 1
     return x, f, max_iter
 
@@ -185,17 +185,21 @@ def _bfgs_update(h, s: np.ndarray, y: np.ndarray):
     gamma = s^T y / y^T y (Nocedal and Wright, eq. 6.20). The update
     (eq. 6.17), H + c s s^T - rho (s h^T + h s^T) with h = H y,
     rho = 1 / s^T y and c = rho + rho^2 y^T h, is one (n, 2) @ (2, n)
-    product.
+    product of two C-ordered `np.empty` buffers, filled with the columns
+    s and h and the rows c s - rho h and -rho s.
     """
-    s_y = float(s @ y)
-    if not s_y > _EPS * float(y @ y):  # curvature too weak to keep the update positive definite
+    s_y, y_y = float(s @ y), float(y @ y)
+    if not s_y > _EPS * y_y:  # curvature too weak to keep the update positive definite
         return h
     if h is None:
-        h = np.diag(np.full(s.size, s_y / float(y @ y)))
+        h = np.diag(np.full(s.size, s_y / y_y))
     rho = 1.0 / s_y
     h_y = h @ y
     c = rho + rho * rho * float(y @ h_y)
-    h += np.stack((s, h_y), axis=1) @ np.stack((c * s - rho * h_y, -rho * s))
+    left, right = np.empty((s.size, 2)), np.empty((2, s.size))
+    left[:, 0], left[:, 1] = s, h_y
+    right[0], right[1] = c * s - rho * h_y, -rho * s
+    h += left @ right
     return h
 
 
@@ -212,8 +216,9 @@ def _line_search(x, f, g, d, slope, t, box, budget):
     """
     lo, hi = 0.0, math.inf
     best, used = None, 0
+    x_bytes = x.tobytes()
     for _ in range(min(_MAX_TRIALS, budget)):
-        x_t = x + t * d
+        x_t = x + (d if t == 1.0 else t * d)  # 1.0 d is d bit for bit
         if box is None:
             decrease = t * slope
         else:
@@ -221,7 +226,7 @@ def _line_search(x, f, g, d, slope, t, box, budget):
             decrease = float(g @ (x_t - x))
         # x bit for bit (compared as bytes, the cheapest test): every
         # shorter step rounds to x too, so no decrease is left
-        if x_t.tobytes() == x.tobytes():
+        if x_t.tobytes() == x_bytes:
             break
         f_t, g_t = yield x_t
         used += 1

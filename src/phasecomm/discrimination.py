@@ -244,28 +244,35 @@ def _information(phi: np.ndarray, q: np.ndarray, taus: np.ndarray):
     information in phi_y is 2 g_y.
     """
     t = taus @ phi.T  # t[x, :, y] = tau_x phi_y
-    joint = q[:, None] * np.einsum("yi,xiy->xy", phi, t)
+    q_x = q[:, None]
+    joint = q_x * np.einsum("yi,xiy->xy", phi, t)
     log_ratio = _log_ratio(q, joint)
-    g = np.einsum("xy,xiy->yi", q[:, None] * log_ratio, t)
-    return float(np.sum(joint * log_ratio)), g
+    g = np.einsum("xy,xiy->yi", q_x * log_ratio, t)
+    return float((joint * log_ratio).sum()), g
 
 
 @functools.cache
-def _upper(r: int) -> tuple:
-    """Row and column indices of the strict upper triangle of an r x r matrix."""
-    return np.triu_indices(r, 1)
+def _skew(r: int) -> tuple:
+    """The r x r identity and the flat positions of the strict upper triangle
+    (row-major) and of its transpose, all three read-only."""
+    rows, cols = np.triu_indices(r, 1)
+    parts = np.eye(r), rows * r + cols, cols * r + rows
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def _cayley(a: np.ndarray, r: int) -> np.ndarray:
     """B = (I - A)^{-1} for the skew r x r matrix A with upper triangle `a`.
 
-    The Cayley transform C(A) = (I - A)^{-1} (I + A) is 2 B - I, and
-    (I + A)^{-1} = B^T.
+    I - A is a copy of the cached identity with -a put at the upper
+    triangle's flat positions and a at their transposes. The Cayley
+    transform C(A) = (I - A)^{-1} (I + A) is 2 B - I, and (I + A)^{-1} = B^T.
     """
-    upper = _upper(r)
-    eye_minus_a = np.eye(r)
-    eye_minus_a[upper] = -a
-    eye_minus_a[upper[::-1]] = a
+    eye, upper, lower = _skew(r)
+    eye_minus_a = eye.copy()
+    eye_minus_a.put(upper, -a)
+    eye_minus_a.put(lower, a)
     return np.linalg.inv(eye_minus_a)
 
 
@@ -280,14 +287,16 @@ def _cayley_objective(a: np.ndarray, ref: np.ndarray, q: np.ndarray, taus: np.nd
 
     dPhi = (I - A)^{-1} dA (I + C) Phi_ref, so the gradient in the full A is
     E = (I - A)^{-T} (2 G) Phi_ref^T (I + C)^T = 4 B^T G Phi_ref^T B^T, and
-    in each entry of the upper triangle E_ij - E_ji.
+    in each entry of the upper triangle E_ij - E_ji, read from E by `take`
+    at `_skew`'s flat positions.
     """
     r = ref.shape[0]
     b = _cayley(a, r)
     b_ref = b @ ref
     info, g = _information(2.0 * b_ref - ref, q, taus)
     grad = b.T @ (g @ b_ref.T)
-    return -info, -4.0 * (grad - grad.T)[_upper(r)]
+    _, upper, lower = _skew(r)
+    return -info, -4.0 * (grad.take(upper) - grad.take(lower))
 
 
 def _residual(phi: np.ndarray, q: np.ndarray, taus: np.ndarray, support: np.ndarray) -> float:

@@ -244,3 +244,37 @@ def povm_information(ens, guard: float, outcomes_per_rank: int = 2, seed: int = 
         if residual <= 1e-6:
             break
     return -float(res.fun), residual
+
+
+def cayley_inverse(a: np.ndarray, r: int) -> np.ndarray:
+    """inv(I - A) for the skew r x r matrix A with strict upper triangle `a`
+    (row-major), A written by fancy indexing at np.triu_indices(r, 1)."""
+    upper = np.triu_indices(r, 1)
+    eye_minus_a = np.eye(r)
+    eye_minus_a[upper] = -a
+    eye_minus_a[upper[::-1]] = a
+    return np.linalg.inv(eye_minus_a)
+
+
+def skew_gradient(e: np.ndarray) -> np.ndarray:
+    """-4 (E - E^T) on the strict upper triangle (row-major): the gradient in
+    the upper triangle of A from the gradient E in the full A."""
+    return -4.0 * (e - e.T)[np.triu_indices(e.shape[0], 1)]
+
+
+def bfgs_update(h, s: np.ndarray, y: np.ndarray):
+    """The BFGS inverse Hessian after the pair (s, y), as a new array: None
+    becomes gamma I, and a pair without curvature returns `h` unchanged.
+
+    H + c s s^T - rho (s h^T + h s^T), h = H y, as one product of two
+    `np.stack`ed factors (Nocedal and Wright, eqs. 6.17 and 6.20).
+    """
+    s_y = float(s @ y)
+    if not s_y > np.finfo(float).eps * float(y @ y):
+        return h
+    if h is None:
+        h = np.diag(np.full(s.size, s_y / float(y @ y)))
+    rho = 1.0 / s_y
+    h_y = h @ y
+    c = rho + rho * rho * float(y @ h_y)
+    return h + np.stack((s, h_y), axis=1) @ np.stack((c * s - rho * h_y, -rho * s))

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_residual, holevo_chi, information, povm_information, pure_state_error
+from oracles import (
+    cayley_inverse,
+    dense_residual,
+    holevo_chi,
+    information,
+    povm_information,
+    pure_state_error,
+    skew_gradient,
+)
 from phasecomm import (
     AscentConfig,
     BinaryEnsemble,
@@ -23,11 +31,14 @@ from phasecomm import (
 )
 from phasecomm.config import POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOOR
 from phasecomm.discrimination import (
+    _cayley,
     _cayley_objective,
+    _information,
     _on_support,
     _polar,
     _residual,
     _rotate,
+    _skew,
     mutual_information_from_joint,
 )
 from phasecomm.fock import default_cutoff
@@ -329,6 +340,47 @@ class TestQuasiNewtonAscent:
         assert np.linalg.norm(numeric - grad) <= 1e-6 * np.linalg.norm(grad)
         phi = _rotate(a, ref)
         assert np.max(np.abs(phi.T @ phi - np.eye(r))) <= 1e-13
+
+    @pytest.mark.parametrize("r", [2, 3, 14, 31])
+    def test_kernels_equal_their_textbook_forms_bit_for_bit(self, r):
+        # B = inv(I - A) with A written by fancy indexing, and the gradient
+        # -4 (E - E^T) on the upper triangle, on random states of rank r
+        rng = np.random.default_rng(r)
+        m = rng.standard_normal((2, r, r))
+        taus = m @ m.transpose(0, 2, 1)
+        taus /= np.trace(taus, axis1=1, axis2=2)[:, None, None]
+        q = np.array([0.3, 0.7])
+        ref = _polar(rng.standard_normal((r, r)))
+        a = 0.3 * rng.standard_normal(r * (r - 1) // 2)
+        b = cayley_inverse(a, r)
+        assert np.array_equal(_cayley(a, r), b)
+        b_ref = b @ ref
+        info, g = _information(2.0 * b_ref - ref, q, taus)
+        value, grad = _cayley_objective(a, ref, q, taus)
+        assert value == -info
+        assert np.array_equal(grad, skew_gradient(b.T @ (g @ b_ref.T)))
+
+    def test_the_skew_cache_is_read_only_and_keeps_no_state_between_ascents(self):
+        for part in _skew(14):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0
+        cfg = AscentConfig(restarts=4, max_iter=2500)
+
+        def report(params, rank):
+            ens = build_ensemble(params, DIM)
+            assert _on_support(ens)[0].shape[1] == rank
+            rep = accessible_information(ens, cfg)
+            return (
+                rep.mutual_information.hex(),
+                rep.iterations,
+                rep.stationarity_residual.hex(),
+                [value.hex() for value in rep.restart_values],
+            )
+
+        _skew.cache_clear()
+        first = report(bpsk(0.5, 0.6), 14)
+        report(ook(0.5, 0.6), 16)
+        assert report(bpsk(0.5, 0.6), 14) == first
 
     def test_runs_resume_and_stop_at_the_first_converged_run(self):
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)

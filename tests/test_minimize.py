@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize as sciopt
 from scipy import special
 
+from oracles import bfgs_update
 from phasecomm._minimize import _EPS, _NOISE_ULPS, _bfgs_update, _line_search, bfgs, bfgs_search, brent_search, drive
 from phasecomm.config import TAIL
 from phasecomm.fock import default_cutoff, poisson_tail
@@ -122,6 +123,20 @@ class TestBfgs:
             assert np.linalg.norm(h @ y - s) <= 1e-10 * np.linalg.norm(s)
             assert np.max(np.abs(h - h.T)) <= 1e-12 * np.max(np.abs(h))
             assert np.linalg.eigvalsh(0.5 * (h + h.T)).min() > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 91, 465])
+    def test_update_equals_its_stacked_form_bit_for_bit(self, n):
+        # the first pair starts H as gamma I; the fourth has no curvature and is skipped
+        rng = np.random.default_rng(n)
+        q = rng.standard_normal((n, n))
+        a = q @ q.T / n + np.eye(n)
+        h = expected = None
+        for k in range(6):
+            s = rng.standard_normal(n)
+            y = -s if k == 3 else a @ s
+            expected = bfgs_update(expected, s, y)
+            h = _bfgs_update(h, s, y)
+            assert np.array_equal(h, expected)
 
     @pytest.mark.parametrize("ratio", [0.9, 1.1])
     def test_stops_when_the_predicted_decrease_is_below_the_noise_of_f(self, ratio):

@@ -199,7 +199,7 @@ class AscentConfig:
 
     max_iter: int = 50_000  # iterations per run
     restarts: int = 5  # most runs; each resumes where the last one stopped
-    seed: int = 0  # seeds the perturbation of the first start
+    seed: int = 0  # seeds the perturbation of the cold start
     outcomes: int = 2  # ignored
     lam_max: float = 0.5  # ignored
     polish_max: int = 5000  # ignored
@@ -207,7 +207,10 @@ class AscentConfig:
 
 @dataclass
 class AscentReport:
-    povm: Povm
+    """The end measurement M_y = phi_y phi_y^T, phi_y the rows of `phi`, on the support V."""
+
+    phi: np.ndarray
+    support: np.ndarray
     mutual_information: float
     iterations: int
     stationarity_residual: float
@@ -312,7 +315,33 @@ def _residual(phi: np.ndarray, q: np.ndarray, taus: np.ndarray, support: np.ndar
     return float(np.max(np.abs(phi @ support.T).max(axis=1) * np.abs(w @ support.T).max(axis=1)))
 
 
-def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig()) -> AscentReport:
+def _check_lift(phi: np.ndarray, support: np.ndarray) -> None:
+    """ValueError unless the lift V M_y V^T + (I - V V^T) / r is a POVM.
+
+    Its elements sum to I + V (Phi^T Phi - I) V^T, entries at most
+    ||Phi^T Phi - I||_F max_i ||v_i||^2 (v_i the rows of V), and have
+    eigenvalues of at least -||V^T V - I||_F / r.
+    """
+    eye = np.eye(phi.shape[0])
+    w_min = -np.linalg.norm(support.T @ support - eye) / phi.shape[0]
+    if w_min < -PSD_FLOOR:
+        raise ValueError(f"POVM element eigenvalues reach down to {w_min:.3e}")
+    dev = np.linalg.norm(phi.T @ phi - eye) * np.max(np.einsum("ij,ij->i", support, support))
+    if dev > POVM_COMPLETENESS:
+        raise ValueError(f"POVM completeness violated by up to {dev:.3e}")
+
+
+def _warm_start(cold: np.ndarray, support: np.ndarray, phi_prev: np.ndarray, support_prev: np.ndarray) -> np.ndarray:
+    """The first r rows of Phi_prev V_prev^T V stacked above the cold start,
+    orthonormalised in order; cold where the neighbour's rank is above r or
+    its Fock dimension differs."""
+    if phi_prev.shape[0] > cold.shape[0] or support_prev.shape[0] != support.shape[0]:
+        return cold
+    stack = np.vstack([phi_prev @ (support_prev.T @ support), cold])
+    return np.linalg.qr(stack.T)[0].T
+
+
+def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig(), start=None) -> AscentReport:
     """Quasi-Newton estimate of the accessible information.
 
     Rank-one elements suffice (Davies 1978), and for real states so do
@@ -329,9 +358,10 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
     (checked every 50 iterations, on the support) or after `max_iter`
     iterations. The first Phi_ref is the polar factor of the eigenbasis
     of the weighted difference on the support plus a seeded Gaussian
-    perturbation; each further run, up to `restarts` runs in all, resumes
-    from the last end point with fresh curvature. `restart_values` holds
-    the value after each run. The POVM is lifted once, for the report.
+    perturbation (the cold start), or, given a neighbour's end measurement
+    `start = (phi, support)`, `_warm_start`; each further run, up to
+    `restarts` runs in all, resumes from the last end point with fresh
+    curvature. `restart_values` holds the value after each run.
     """
     support, taus, _, e = _on_support(ens)
     if np.iscomplexobj(taus):
@@ -343,6 +373,8 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
         return iterations % _CHECK_EVERY == 0 and _residual(_rotate(a, phi), q, taus, support) <= RESIDUAL_TOL
 
     phi = _polar(e.T + _START_NOISE * np.random.default_rng(cfg.seed).standard_normal((r, r)))
+    if start is not None:
+        phi = _warm_start(phi, support, *start)
     iters, values = 0, []
     for _ in range(max(cfg.restarts, 1)):
         objective = functools.partial(_cayley_objective, ref=phi, q=q, taus=taus)
@@ -353,11 +385,10 @@ def accessible_information(ens: BinaryEnsemble, cfg: AscentConfig = AscentConfig
         res = _residual(phi, q, taus, support)
         if res <= RESIDUAL_TOL:
             break
-    lifted = phi @ support.T
-    povm = Povm(tuple(lifted[:, :, None] * lifted[:, None, :] + (np.eye(ens.size) - support @ support.T) / r))
-    povm.validate()
+    _check_lift(phi, support)
     return AscentReport(
-        povm=povm,
+        phi=phi,
+        support=support,
         mutual_information=values[-1],
         iterations=iters,
         stationarity_residual=res,

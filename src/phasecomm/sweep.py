@@ -35,6 +35,8 @@ _OBJECTIVES = {"error": "min-error", "information": "max-information"}
 # the largest amplitude must fall below the tail tolerance. BPSK at 10 mean
 # photons needs 39; one dense operator at this cutoff takes 2.6 MB.
 MAX_FOCK_CUTOFF = 400
+# grid points per chain of accinfo ascents, each started from the last one's end
+CHAIN_LENGTH = 12
 _REQUIRED = object()  # a key without a default, which a config must give
 # Every key a sweep config accepts, with its default: the top level, the
 # sigma grid and each receiver type. Any other key is a ConfigError.
@@ -202,15 +204,20 @@ def _search_block(cfg: SweepConfig, points: list) -> list:
     return found
 
 
-def compute_point(cfg: SweepConfig, sigma: float, index: int, searched: dict | None = None) -> dict:
+def compute_point(
+    cfg: SweepConfig, sigma: float, index: int, searched: dict | None = None, chain: dict | None = None
+) -> dict:
     """All configured figures of merit at one grid point.
 
     `searched` holds the point's atomic and PNR results from the search of
     its block (`_search_block`); without it, the point is searched as a
-    block of one. When two receivers share a PNR resolution, the later
-    one's values fill its columns.
+    block of one. `chain` maps an accinfo receiver's position to the end
+    measurement its ascent starts from and is replaced by; without one the
+    ascent starts cold. When two receivers share a PNR resolution, the
+    later one's values fill its columns.
     """
     params = _point_params(cfg, sigma)
+    chain = {} if chain is None else chain
     if searched is None:
         [searched] = _search_block(cfg, [params])
     cutoff = cfg.fock_cutoff or default_cutoff([params.alpha1, params.alpha2])
@@ -225,7 +232,7 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int, searched: dict | N
             ens = build_ensemble(params, dim)
         return ens
 
-    for rec in cfg.receivers:
+    for position, rec in enumerate(cfg.receivers):
         kind = rec["type"]
         if kind == "helstrom":
             row["p_helstrom"] = helstrom_bound(ensemble())
@@ -240,7 +247,8 @@ def compute_point(cfg: SweepConfig, sigma: float, index: int, searched: dict | N
                 row["i_atomic"] = searched["information"].value
         elif kind == "accinfo":
             acfg = AscentConfig(restarts=rec["restarts"], max_iter=rec["max_iter"], seed=point_seed)
-            rep = accessible_information(ensemble(), acfg)
+            rep = accessible_information(ensemble(), acfg, chain.get(position))
+            chain[position] = rep.phi, rep.support
             row["i_accessible"] = rep.mutual_information
             row["accinfo_residual"] = rep.stationarity_residual
             row["accinfo_spread"] = float(max(rep.restart_values) - min(rep.restart_values))
@@ -350,13 +358,16 @@ def _worker_one_blas_thread():
 
 def _block_task(args):
     """The rows of one block of grid points: the block's shared searches, then
-    `compute_point` once per point, looked up here at each call."""
+    `compute_point` once per point, looked up here at each call, along chains."""
     cfg, block = args
     searched = _search_block(cfg, [_point_params(cfg, sigma) for _, sigma in block])
     rows = []
+    chain: dict = {}
     for (index, sigma), found in zip(block, searched):
+        if index % CHAIN_LENGTH == 0:
+            chain = {}
         try:
-            rows.append(compute_point(cfg, sigma, index, found))
+            rows.append(compute_point(cfg, sigma, index, found, chain))
         except PhasecommError as exc:
             raise type(exc)(f"sigma={sigma:g}: {exc}") from exc
     return rows
@@ -365,9 +376,11 @@ def _block_task(args):
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     """One result row per grid point, emitted in sigma order.
 
-    The grid is split into at most `workers` contiguous blocks of points,
-    one per worker of a process pool when `workers` is above 1; a block's
-    atomic and PNR searches run together (`_search_block`), so the rows do
+    The grid is split into at most `workers` contiguous blocks, one per
+    worker of a process pool when `workers` is above 1; a block's atomic
+    and PNR searches run together (`_search_block`). With an accinfo
+    receiver a block is whole chains of CHAIN_LENGTH points, in which each
+    ascent after the first starts from the last one's end, so the rows do
     not depend on the worker count. The whole sweep, the pool's lifetime
     included, runs with every loaded OpenBLAS at one thread; the caller's
     counts are restored on return, also when a point raises.
@@ -375,8 +388,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     points = list(enumerate(cfg.sigma_grid()))
-    workers = min(workers, len(points))
-    tasks = [(cfg, points[i * len(points) // workers:(i + 1) * len(points) // workers]) for i in range(workers)]
+    unit = CHAIN_LENGTH if any(rec["type"] == "accinfo" for rec in cfg.receivers) else 1
+    units = -(-len(points) // unit)
+    workers = min(workers, units)
+    tasks = [(cfg, points[i * units // workers * unit:(i + 1) * units // workers * unit]) for i in range(workers)]
     with _one_blas_thread():
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers, initializer=_worker_one_blas_thread) as pool:

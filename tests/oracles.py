@@ -139,6 +139,14 @@ def holevo_chi(ens) -> float:
     return von_neumann_bits(q1 * t1 + q2 * t2) - q1 * von_neumann_bits(t1) - q2 * von_neumann_bits(t2)
 
 
+def lifted_elements(phi: np.ndarray, support: np.ndarray) -> tuple:
+    """The projective measurement M_y = phi_y phi_y^T on the support V, lifted
+    to the full space: V M_y V^T + (I - V V^T) / r, one element per row of Phi."""
+    lifted = phi @ support.T
+    rest = (np.eye(support.shape[0]) - support @ support.T) / phi.shape[0]
+    return tuple(np.outer(v, v) + rest for v in lifted)
+
+
 def dense_residual(ens, povm, guard: float) -> float:
     """max_y ||M_y Gamma - M_y R_y||_max on the full space, Gamma = sum_y R_y M_y.
 

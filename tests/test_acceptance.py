@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from scipy import optimize as sciopt
 
-from oracles import KrausOracle, holevo_chi, pure_state_error
+from oracles import KrausOracle, holevo_chi, lifted_elements, pure_state_error
 from phasecomm import (
     AscentConfig,
     AtomicParams,
     FockDim,
     OptimizeConfig,
+    Povm,
     accessible_information,
     binary_entropy,
     dephase,
@@ -388,7 +389,7 @@ def test_criterion_5_steepest_ascent_correctness():
     rep = accessible_information(ens, AscentConfig())
     expected = 1.0 - binary_entropy(pure_state_error(0.5, np.sqrt(0.5), -np.sqrt(0.5)))
     dev = abs(rep.mutual_information - expected)
-    rep.povm.validate()  # rank-one elements on the support: valid by construction
+    Povm(lifted_elements(rep.phi, rep.support)).validate()  # rank-one elements on the support: valid by construction
     ok = dev <= 1e-4 and rep.stationarity_residual <= 1e-6
     report(
         5,

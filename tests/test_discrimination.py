@@ -10,6 +10,7 @@ from oracles import (
     dense_residual,
     holevo_chi,
     information,
+    lifted_elements,
     povm_information,
     pure_state_error,
     skew_gradient,
@@ -33,6 +34,7 @@ from phasecomm.config import POVM_COMPLETENESS, PRIORS_SUM, PROB_GUARD, PSD_FLOO
 from phasecomm.discrimination import (
     _cayley,
     _cayley_objective,
+    _check_lift,
     _information,
     _on_support,
     _polar,
@@ -307,7 +309,46 @@ class TestAccessibleInformation:
     def test_povm_invariants_at_output(self):
         ens = build_ensemble(bpsk(0.5, 0.6), DIM)
         rep = accessible_information(ens, AscentConfig(restarts=1))
-        rep.povm.validate()
+        Povm(lifted_elements(rep.phi, rep.support)).validate()
+
+    def test_lift_check_rejects_every_measurement_whose_lift_fails_validation(self):
+        ens = build_ensemble(bpsk(0.5, 0.6), DIM)
+        rep = accessible_information(ens, AscentConfig(restarts=1))
+        _check_lift(rep.phi, rep.support)
+        rejected = 0
+        for eps in (3e-11, 3e-10, 3e-9, 3e-8):
+            for phi, support in ((rep.phi * (1 + eps), rep.support), (rep.phi, rep.support * (1 + eps))):
+                try:
+                    Povm(lifted_elements(phi, support)).validate()
+                except ValueError:
+                    rejected += 1
+                    with pytest.raises(ValueError):
+                        _check_lift(phi, support)
+        assert rejected == 4
+
+    def test_neighbour_of_higher_rank_or_other_dimension_gives_the_cold_start(self):
+        cfg = AscentConfig(restarts=1, max_iter=100)
+        ens = build_ensemble(bpsk(0.5, 0.0), DIM)  # rank 2
+        cold = accessible_information(ens, cfg)
+        for neighbour in (build_ensemble(bpsk(0.5, 0.3), DIM), build_ensemble(bpsk(0.5, 0.0), FockDim(45))):
+            end = accessible_information(neighbour, cfg)
+            warm = accessible_information(ens, cfg, (end.phi, end.support))
+            assert warm.mutual_information.hex() == cold.mutual_information.hex()
+            assert warm.iterations == cold.iterations
+            np.testing.assert_array_equal(warm.phi, cold.phi)
+
+    @pytest.mark.parametrize("sigma_prev", [0.0, 0.55], ids=["rank-2", "rank-14"])
+    def test_warm_start_from_a_neighbour_converges_near_the_cold_value(self, sigma_prev):
+        # the neighbour's rows mapped into this support (rank 14) come first,
+        # the cold start fills the rest of the basis
+        cfg = AscentConfig(restarts=4, max_iter=2500)
+        ens = build_ensemble(bpsk(0.5, 0.6), DIM)
+        end = accessible_information(build_ensemble(bpsk(0.5, sigma_prev), DIM), cfg)
+        cold = accessible_information(ens, cfg)
+        warm = accessible_information(ens, cfg, (end.phi, end.support))
+        assert warm.converged
+        assert warm.iterations < cold.iterations
+        assert warm.mutual_information == pytest.approx(cold.mutual_information, abs=3e-6)
 
     def test_rejects_complex_states(self):
         ens = fock_projector_ensemble()
@@ -418,12 +459,13 @@ class TestAscentOnSupport:
         for params in (bpsk(0.5, 0.6), ook(0.5, 0.6)):
             ens = build_ensemble(params, DIM)
             rep = accessible_information(ens, AscentConfig(outcomes=4))
+            povm = Povm(lifted_elements(rep.phi, rep.support))
             # r rank-one elements on the support, whatever `outcomes` says
-            assert len(rep.povm.elements) == _on_support(ens)[0].shape[1]
-            assert all(m.shape == (DIM.size, DIM.size) for m in rep.povm.elements)
-            rep.povm.validate()
-            assert rep.stationarity_residual == pytest.approx(dense_residual(ens, rep.povm, PROB_GUARD), abs=1e-12)
-            assert rep.mutual_information == pytest.approx(mutual_information(ens, rep.povm), abs=1e-13)
+            assert len(povm.elements) == _on_support(ens)[0].shape[1]
+            assert all(m.shape == (DIM.size, DIM.size) for m in povm.elements)
+            povm.validate()
+            assert rep.stationarity_residual == pytest.approx(dense_residual(ens, povm, PROB_GUARD), abs=1e-12)
+            assert rep.mutual_information == pytest.approx(mutual_information(ens, povm), abs=1e-13)
 
     @pytest.mark.parametrize("signal", [bpsk, ook])
     def test_residual_on_the_support_matches_the_dense_definition(self, signal):
@@ -452,7 +494,7 @@ class TestProjectiveAscent:
         ens = default_ensemble(ook(2.0, 0.9))
         assert _on_support(ens)[0].shape[1] == 28
         rep = accessible_information(ens, AscentConfig(restarts=4, max_iter=2500, seed=seed))
-        assert len(rep.povm.elements) == 28
+        assert len(lifted_elements(rep.phi, rep.support)) == 28
         assert rep.converged, rep.stationarity_residual
 
     @pytest.mark.parametrize("params", [bpsk(0.1, 0.9), ook(0.1, 0.9, 0.25)], ids=["bpsk-0.1-0.9", "ook-0.1-0.9-q0.25"])

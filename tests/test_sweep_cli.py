@@ -1,3 +1,4 @@
+import contextlib
 import json
 import multiprocessing
 import os
@@ -5,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -13,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasecomm
-from phasecomm import ConfigError, FockDim, GridMismatch, PhasecommError, helstrom_bound
+from phasecomm import (
+    AscentConfig,
+    ConfigError,
+    FockDim,
+    GridMismatch,
+    PhasecommError,
+    accessible_information,
+    helstrom_bound,
+)
 from phasecomm import _minimize, atomic, pnr, sweep
 from phasecomm.cli import main
 from phasecomm.fock import default_cutoff
@@ -241,10 +251,18 @@ class TestComputePoint:
             assert abs(rows[0][key] - rows[1][key]) <= 1e-13, key
 
 
+# an accinfo sweep of three chains, the last of one point
+CHAINED = base_config(
+    sigma_grid={"start": 0.0, "stop": 1.8, "steps": 2 * sweep.CHAIN_LENGTH + 1},
+    receivers=[{"type": "helstrom"}, {"type": "accinfo", "restarts": 1, "max_iter": 50}],
+)
+
+
 class TestRunSweep:
     @pytest.mark.parametrize("method, workers", [("fork", 2), ("fork", 3), ("spawn", 3)])
     def test_pool_rows_equal_serial_rows(self, monkeypatch, method, workers):
-        # the blocks of 7 points: 3 + 4, or 2 + 2 + 3
+        # the blocks of 7 points: 3 + 4, or 2 + 2 + 3; of three accinfo
+        # chains: 1 + 2 chains, or one each
         doc = base_config(
             sigma_grid={"start": 0.0, "stop": 1.8, "steps": 7},
             receivers=[
@@ -254,10 +272,11 @@ class TestRunSweep:
                 pnr_receiver(3),
             ],
         )
-        cfg = SweepConfig.from_dict(doc)
-        serial = csv_text(run_sweep(cfg, workers=1))
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _pool(method))
-        assert csv_text(run_sweep(cfg, workers=workers)) == serial
+        for cfg in (SweepConfig.from_dict(doc), SweepConfig.from_dict(CHAINED)):
+            serial = csv_text(run_sweep(cfg, workers=1))
+            with monkeypatch.context() as patch:
+                patch.setattr(sweep, "ProcessPoolExecutor", _pool(method))
+                assert csv_text(run_sweep(cfg, workers=workers)) == serial
 
     @pytest.mark.parametrize("steps, workers, pool_size", [(1, 4, None), (2, 4, 2), (3, 2, 2), (3, 1, None)])
     def test_at_most_one_worker_per_point(self, monkeypatch, steps, workers, pool_size):
@@ -282,6 +301,28 @@ class TestRunSweep:
         cfg = SweepConfig.from_dict(base_config(sigma_grid={"start": 0.0, "stop": stop, "steps": steps}))
         assert len(run_sweep(cfg, workers=workers)) == steps
         assert sizes == ([] if pool_size is None else [pool_size])
+
+    @pytest.mark.parametrize("steps, workers, blocks", [(13, 4, [12, 1]), (12, 2, [12]), (25, 2, [12, 13])])
+    def test_accinfo_blocks_are_whole_chains(self, monkeypatch, steps, workers, blocks):
+        sizes = []
+
+        def record(args):
+            sizes.append(len(args[1]))
+            return []
+
+        # a pool that maps in this process
+        pool = contextlib.nullcontext(types.SimpleNamespace(map=map))
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", lambda max_workers, initializer: pool)
+        monkeypatch.setattr(sweep, "_block_task", record)
+        monkeypatch.setattr(sweep, "CHAIN_LENGTH", 12)
+        cfg = SweepConfig.from_dict(
+            base_config(sigma_grid={"start": 0.0, "stop": 1.2, "steps": steps}, receivers=[{"type": "accinfo"}])
+        )
+        run_sweep(cfg)
+        assert sizes == [steps]
+        sizes.clear()
+        run_sweep(cfg, workers=workers)
+        assert sizes == blocks
 
     @pytest.mark.parametrize("signal", ["BPSK", "OOK"])
     @pytest.mark.parametrize("q1", [0.5, 0.3])
@@ -378,6 +419,46 @@ class TestRunSweep:
             run_sweep(SweepConfig.from_dict(base_config()), workers=workers)
 
 
+class TestAccessibleInformationChains:
+    """Each ascent after a chain's first starts from its predecessor's end measurement."""
+
+    def cold(self, cfg, index):
+        # the ascent of grid point `index` started cold from its point seed
+        sigma = cfg.sigma_grid()[index]
+        params = bpsk(cfg.mean_photons, sigma)
+        [rec] = [r for r in cfg.receivers if r["type"] == "accinfo"]
+        acfg = AscentConfig(restarts=rec["restarts"], max_iter=rec["max_iter"], seed=cfg.seed * 100_003 + index)
+        ens = build_ensemble(params, FockDim(default_cutoff([params.alpha1, params.alpha2])))
+        return accessible_information(ens, acfg)
+
+    def test_chain_starts_are_cold(self):
+        cfg = SweepConfig.from_dict(CHAINED)
+        rows = run_sweep(cfg)
+        for index in range(0, len(rows), sweep.CHAIN_LENGTH):
+            rep = self.cold(cfg, index)
+            assert rows[index]["i_accessible"].hex() == rep.mutual_information.hex()
+            assert rows[index]["accinfo_residual"].hex() == rep.stationarity_residual.hex()
+        # a warm row differs from its cold ascent
+        assert rows[1]["i_accessible"] != self.cold(cfg, 1).mutual_information
+
+    def test_point_equals_the_chain_start_row(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(CHAINED), encoding="utf-8")
+        row = run_sweep(SweepConfig.from_dict(CHAINED))[0]
+        assert main(["point", "--config", str(path), "--sigma", "0.0"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(row))
+
+    def test_warm_rows_converge_near_their_cold_values(self):
+        # acceptance settings; a chain may carry a lower stationary point
+        # forward, by at most 3e-6 bits on this grid
+        accinfo = {"type": "accinfo", "restarts": 4, "max_iter": 2500}
+        doc = base_config(sigma_grid={"start": 0.0, "stop": 1.2, "steps": 9}, receivers=[accinfo])
+        cfg = SweepConfig.from_dict(doc)
+        for index, row in enumerate(run_sweep(cfg)):
+            assert row["accinfo_converged"] == 1, row
+            assert row["i_accessible"] >= self.cold(cfg, index).mutual_information - 3e-6, row
+
+
 def _blas_counts() -> list:
     return [get() for get, _ in sweep._openblas_controls()]
 
@@ -412,11 +493,11 @@ class TestBlasThreads:
         original = _blas_counts()
         one = [1] * len(controls)
 
-        def record(cfg, sigma, index, searched):
+        def record(cfg, sigma, index, searched, chain):
             threads = len(list(tasks.iterdir())) if tasks.is_dir() else None
             return {"sigma": sigma, "pid": os.getpid(), "counts": _blas_counts(), "threads": threads}
 
-        def fail(cfg, sigma, index, searched):
+        def fail(cfg, sigma, index, searched, chain):
             raise PhasecommError(f"counts {_blas_counts()}")
 
         cfg = SweepConfig.from_dict(base_config(sigma_grid={"start": 0.0, "stop": 1.2, "steps": 4}))

@@ -146,7 +146,8 @@ def bfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None
     """
     box = None if lower is None and upper is None else (lower, upper)
     x = np.asarray(x0, dtype=float)
-    x = x if box is None else np.clip(x, *box)
+    # np.clip's own arithmetic, a maximum then a minimum, in two plain calls
+    x = x if box is None else np.minimum(np.maximum(x, lower), upper)
     f, g = yield x
     evals, budget = 1, 2 * max_iter
     h = None  # the inverse Hessian, from the first pair with curvature on
@@ -222,7 +223,7 @@ def _line_search(x, f, g, d, slope, t, box, budget):
         if box is None:
             decrease = t * slope
         else:
-            x_t = np.clip(x_t, *box)
+            x_t = np.minimum(np.maximum(x_t, box[0]), box[1])
             decrease = float(g @ (x_t - x))
         # x bit for bit (compared as bytes, the cheapest test): every
         # shorter step rounds to x too, so no decrease is left

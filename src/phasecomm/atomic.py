@@ -158,12 +158,12 @@ def _series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> 
     cos_n = np.cos(arg[:, :-1])
     sin_n1 = np.sin(arg[:, 1:])
     weights = weights[..., None, :]
-    terms = weights * np.stack([cos_n**2, sin_n1**2, cos_n * sin_n1])
+    terms = weights * np.array([cos_n**2, sin_n1**2, cos_n * sin_n1])
     if not slopes:
         return terms.sum(axis=-1), terms[..., -1]
     sin_n, cos_n1 = np.sin(arg[:, :-1]), np.cos(arg[:, 1:])
     r0, r1 = root[:-1], root[1:]
-    derivatives = np.stack([
+    derivatives = np.array([
         -2 * r0 * sin_n * cos_n,
         2 * r1 * sin_n1 * cos_n1,
         r1 * cos_n * cos_n1 - r0 * sin_n * sin_n1,
@@ -214,7 +214,8 @@ class _TableCoefficients:
         # each point's factor as a lone point computes it, scalar by scalar
         self.damping = np.array([np.exp(-0.5 * sigma**2) for sigma in self.sigmas])
         q = (points[0].q1, points[0].q2)
-        self.scale = np.array([[q_x * np.exp(-alpha * alpha)] for q_x, alpha in zip(q, self.alphas)])
+        scale = np.array([[q_x * np.exp(-alpha * alpha)] for q_x, alpha in zip(q, self.alphas)])
+        self.half, self.neg_scale = 0.5 * scale, -scale
         self.weights = np.stack([_series_weights(alpha, self.n_terms) for alpha in self.alphas])
 
     def __call__(self, phi: np.ndarray | None = None, point=0, slopes: bool = False) -> tuple:
@@ -228,7 +229,7 @@ class _TableCoefficients:
             sums, last = _grid_sums(self.alphas, self.n_terms)
         else:
             sums, last, *derivatives = _series_sums(self.weights, phi, slopes)
-        (diag, raised, _), (d, r, x_last) = np.moveaxis(sums, 1, 0), np.moveaxis(last, 1, 0)
+        diag, raised, d, r, x_last = sums[:, 0], sums[:, 1], last[:, 0], last[:, 1], last[:, 2]
         # the last terms at their worst over (xi, theta), against half of the two
         # outcome sums' total diag + raised, which the larger of them reaches
         ratio = np.max((d + r + 2 * damping * np.abs(x_last)) / np.maximum(0.5 * (diag + raised), 1e-300), axis=0)
@@ -247,17 +248,19 @@ class _TableCoefficients:
         """(mean, swing, inter) from the hypotheses' (diag, raised, cross), shape
         (2, 3, len(phi)), at the damping of each coupling's point. The map is
         linear, so it takes their Phi derivatives to the table's."""
-        diag, raised, cross = np.moveaxis(sums, 1, 0)
+        diag, raised, cross = sums[:, 0], sums[:, 1], sums[:, 2]
         # Gaussian phase average of the interference term: the minus sign follows
         # from <n|K|n> real and <n-1|K|n> proportional to -i e^{-i xi}
-        half = 0.5 * self.scale
-        return half * (diag + raised), half * (diag - raised), -self.scale * damping * cross
+        return self.half * (diag + raised), self.half * (diag - raised), self.neg_scale * damping * cross
 
 
 def _joint(mean, swing, inter, cos_t, sin_t) -> np.ndarray:
     """The (x, y) table of one coupling from its (mean, swing, inter), rows (2,),
     or a stack of them, (..., 2, 2) from rows (..., 2)."""
-    return np.stack([mean + swing * cos_t + inter * sin_t, mean - swing * cos_t - inter * sin_t], axis=-1)
+    along, across = swing * cos_t, inter * sin_t
+    joint = np.empty(along.shape + (2,))
+    joint[..., 0], joint[..., 1] = mean + along + across, mean - along - across
+    return joint
 
 
 def joint_probabilities_series(params: SignalParams, p: AtomicParams) -> np.ndarray:
@@ -361,11 +364,11 @@ def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray, 
     cos_t, sin_t = np.cos(two_theta)[:, None], np.sin(two_theta)[:, None]
     joint = _joint(mean, swing, inter, cos_t, sin_t)
     log_ratio = _log_ratio(q, joint)
-    turn = inter * cos_t - swing * sin_t
-    gradient = np.stack([
-        (log_ratio * _joint(*slope, cos_t, sin_t)).sum(axis=(1, 2)),
-        (log_ratio * np.stack([turn, -turn], axis=-1)).sum(axis=(1, 2)),
-    ], axis=-1)
+    # (turn, -turn) as turn times (1, -1), which is exact
+    turn = np.multiply.outer(inter * cos_t - swing * sin_t, (1.0, -1.0))
+    gradient = np.empty((len(phi), 2))
+    gradient[:, 0] = (log_ratio * _joint(*slope, cos_t, sin_t)).sum(axis=(1, 2))
+    gradient[:, 1] = (log_ratio * turn).sum(axis=(1, 2))
     return list(zip(-(joint * log_ratio).sum(axis=(1, 2)), -gradient))
 
 

@@ -73,6 +73,16 @@ def _phase_rule(sigma: float, n: int) -> tuple:
     return rule
 
 
+@functools.lru_cache(maxsize=8)
+def _counts(top: int) -> tuple:
+    """Counts k = 0..top-1, log(k!) and the pmf of a zero count mean, read-only."""
+    k = np.arange(top)
+    rows = (k, np.array([math.log(math.factorial(j)) for j in range(top)]), np.where(k == 0, 1.0, 0.0))
+    for part in rows:
+        part.flags.writeable = False
+    return rows
+
+
 def _outcome_table(alphas, sigma, betas, visibility: float, resolutions) -> list:
     """Outcome distributions for every amplitude and displacement at each
     resolution m of `resolutions`: a list of arrays of shape (A, B, m+1), in
@@ -80,10 +90,11 @@ def _outcome_table(alphas, sigma, betas, visibility: float, resolutions) -> list
 
     `alphas` and `betas` are sequences of scalars; `sigma` is one phase
     width, or a sequence with the width of each displacement. Entries are
-    grouped by their own node count, and the Poisson pmf of a group's
-    counts 0..max(m)-1 is computed once. Each resolution's counts are the
-    phase average of its own first m columns, copied contiguous, in one
-    product per width: a column of a wider product can differ in its last
+    grouped by their own node count, all of them in place when they share
+    one, and the Poisson pmf of a group's counts 0..max(m)-1 is computed
+    once. Each resolution's counts are the phase average of its own first
+    m columns, copied contiguous, in one product per width: a column of a
+    wider product can differ in its last
     bit (column 0 of an m >= 2 product from a one-column product by up to
     3.3e-16, and BLAS blocks four or more columns differently), and so
     could the entries of a product over several widths' weights. So every
@@ -103,28 +114,30 @@ def _outcome_table(alphas, sigma, betas, visibility: float, resolutions) -> list
     # the smallest power of two N >= 64 with N/2 >= 9 sqrt(d) + 16, d = |cross|:
     # Fourier mode k of the count pmf falls off like exp(-k^2 / 2d)
     sizes = 2 ** np.ceil(np.log2(np.maximum(18.0 * np.sqrt(np.abs(cross)) + 32.0, 64.0))).astype(int)
-    # each width with the mask of the displacements it averages, None for all
-    widths = np.array(sigma, dtype=float).ravel()
-    levels = sorted(set(widths.tolist()))
+    # each width with the mask of the entries it averages, None for all
+    widths = np.empty(sizes.shape)
+    widths[...] = sigma
+    levels = sorted(set(widths.ravel().tolist()))
     columns = [(levels[0], None)] if len(levels) == 1 else [(width, widths == width) for width in levels]
-    k = np.arange(top)
-    log_factorial = np.array([math.log(math.factorial(j)) for j in range(top)])
+    k, log_factorial, zero_mean = _counts(top)
     tables = {m: np.empty(sizes.shape + (m + 1,)) for m in resolutions}
-    for n in sorted(set(sizes.ravel().tolist())):
-        sel = sizes == n
+    nodes = sorted(set(sizes.ravel().tolist()))
+    for n in nodes:
+        # one node count takes every entry in place, with no mask to apply
+        sel = ... if len(nodes) == 1 else sizes == n
         # the half node angles depend on n alone, so any width's rule has them
         _, sin2, cos2 = _phase_rule(columns[0][0], n)
-        h = np.where((ab >= 0)[sel][:, None], sin2, cos2)
-        n_eff = offset[sel][:, None] + swing[sel][:, None] * h
+        h = np.where((ab >= 0)[sel][..., None], sin2, cos2)
+        n_eff = offset[sel][..., None] + swing[sel][..., None] * h
         # Poisson pmf per node, averaged with each width's phase weights
-        log_pmf = -n_eff[..., None] + k * np.log(np.clip(n_eff, 1e-300, None))[..., None] - log_factorial
+        log_pmf = -n_eff[..., None] + k * np.log(np.maximum(n_eff, 1e-300))[..., None] - log_factorial
         pmf = np.exp(log_pmf)
-        pmf[n_eff == 0.0] = np.where(k == 0, 1.0, 0.0)
+        pmf[n_eff == 0.0] = zero_mean
         for width, column in columns:
             if column is None:
                 at, part = sel, pmf
             else:
-                at = sel & column
+                at = column if sel is ... else sel & column
                 part = pmf[at[sel]]
             if not len(part):
                 continue
@@ -149,16 +162,6 @@ def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarr
     return table[0, 0]
 
 
-def _value(params: SignalParams, table: np.ndarray, objective: str) -> np.ndarray:
-    """The MAP error ('min-error') or the information in bits ('max-information')
-    at each displacement of one resolution's table of `_outcome_table`."""
-    q = np.array([params.q1, params.q2])
-    joint = (q[:, None, None] * table).transpose(1, 0, 2)  # (displacement, x, count)
-    if objective == "min-error":
-        return 1.0 - joint.max(axis=-2).sum(axis=-1)
-    return mutual_information_from_joint(joint, q)
-
-
 def map_error_probability(params: SignalParams, cfg: PnrConfig) -> float:
     """Error of the maximum-a-posteriori decision over the count outcomes."""
     [[(_, error), _]] = evaluate_displacement(params, cfg.visibility, [cfg.resolution], cfg.displacement)
@@ -173,15 +176,21 @@ def map_mutual_information(params: SignalParams, cfg: PnrConfig) -> float:
 
 def _scores(params: SignalParams, betas, visibility: float, keys: list, sigma=None) -> dict:
     """sign * objective at every displacement of `betas` for each (m, objective)
-    of `keys`, from one kernel call; each key scores all displacements at once.
-    `sigma` gives the phase width of each displacement where they differ
-    (a block's points share amplitudes and priors); by default it is
-    `params.sigma`."""
+    of `keys`, from one kernel call: the MAP error ('min-error') or minus the
+    information in bits ('max-information'); each key scores all
+    displacements at once. `sigma` gives the phase width of each
+    displacement where they differ (a block's points share amplitudes and
+    priors); by default it is `params.sigma`."""
     resolutions = list(dict.fromkeys(m for m, _ in keys))
-    alphas = [params.alpha1, params.alpha2]
-    sigma = params.sigma if sigma is None else sigma
-    tables = dict(zip(resolutions, _outcome_table(alphas, sigma, betas, visibility, resolutions)))
-    return {(m, objective): _SIGNS[objective] * _value(params, tables[m], objective) for m, objective in keys}
+    alphas, q = [params.alpha1, params.alpha2], np.array([params.q1, params.q2])
+    tables = _outcome_table(alphas, params.sigma if sigma is None else sigma, betas, visibility, resolutions)
+    # (displacement, x, count) joint tables, one per resolution
+    joints = {m: (q[:, None, None] * table).transpose(1, 0, 2) for m, table in zip(resolutions, tables)}
+    return {
+        (m, o): 1.0 - joints[m].max(axis=-2).sum(axis=-1) if o == "min-error"
+        else -mutual_information_from_joint(joints[m], q)
+        for m, o in keys
+    }
 
 
 def _distinct(visibility: float, resolutions) -> list:
@@ -250,7 +259,9 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
     def score(trials, betas):
         """sign * objective of each (point, key) of `trials` at its displacement."""
         keys = list(dict.fromkeys(key for _, key in trials))
-        scores = _scores(params, betas, visibility, keys, [points[k].sigma for k, _ in trials])
+        # a lone point's trials all take its width, `_scores`' default
+        sigma = None if len(points) == 1 else [points[k].sigma for k, _ in trials]
+        scores = _scores(params, betas, visibility, keys, sigma)
         return [scores[key][r] for r, (_, key) in enumerate(trials)]
 
     best = {}

@@ -286,3 +286,85 @@ def bfgs_update(h, s: np.ndarray, y: np.ndarray):
     h_y = h @ y
     c = rho + rho * rho * float(y @ h_y)
     return h + np.stack((s, h_y), axis=1) @ np.stack((c * s - rho * h_y, -rho * s))
+
+
+def series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> tuple:
+    """(sums, last) of the diagonal, raised and cross series of amplitude rows
+    (w0, w1, wc), shape (..., 3, n + 1), at each coupling, and with `slopes`
+    also the sums' Phi derivatives, each (..., 3, len(phi)): the closed forms
+    of `phasecomm.atomic._series_sums`, with each row's factors `np.stack`ed."""
+    root = np.sqrt(np.arange(weights.shape[-1] + 1))
+    arg = np.multiply.outer(phi, root)
+    cos_n, sin_n1 = np.cos(arg[:, :-1]), np.sin(arg[:, 1:])
+    weights = weights[..., None, :]
+    terms = weights * np.stack([cos_n**2, sin_n1**2, cos_n * sin_n1])
+    if not slopes:
+        return terms.sum(axis=-1), terms[..., -1]
+    sin_n, cos_n1 = np.sin(arg[:, :-1]), np.cos(arg[:, 1:])
+    r0, r1 = root[:-1], root[1:]
+    derivatives = np.stack([
+        -2 * r0 * sin_n * cos_n,
+        2 * r1 * sin_n1 * cos_n1,
+        r1 * cos_n * cos_n1 - r0 * sin_n * sin_n1,
+    ])
+    return terms.sum(axis=-1), terms[..., -1], (weights * derivatives).sum(axis=-1)
+
+
+def table_coefficients(sums: np.ndarray, priors, alphas, damping) -> tuple:
+    """(mean, swing, inter) of the joint tables from the hypotheses' (diag,
+    raised, cross) sums, shape (2, 3, len(phi)), read through `np.moveaxis`:
+    q_x e^{-alpha^2} times (diag + raised) / 2, (diag - raised) / 2 and
+    -damping cross."""
+    diag, raised, cross = np.moveaxis(sums, 1, 0)
+    scale = np.array([[q_x * np.exp(-alpha * alpha)] for q_x, alpha in zip(priors, alphas)])
+    half = 0.5 * scale
+    return half * (diag + raised), half * (diag - raised), -scale * damping * cross
+
+
+def joint_rows(mean, swing, inter, cos_t, sin_t) -> np.ndarray:
+    """Tables (..., 2, 2) with Pr(x, 0) = mean + swing cos + inter sin and
+    Pr(x, 1) = mean - swing cos - inter sin, `np.stack`ed on the last axis."""
+    return np.stack([mean + swing * cos_t + inter * sin_t, mean - swing * cos_t - inter * sin_t], axis=-1)
+
+
+def information_gradient(log_ratio, slope, swing, inter, cos_t, sin_t) -> np.ndarray:
+    """(dI/dPhi, dI/d2theta) of (k, 2, 2) tables as `np.stack`s: the log
+    ratios summed against the tables of the slopes (mean', swing', inter'),
+    and against (turn, -turn), turn = inter cos - swing sin."""
+    turn = inter * cos_t - swing * sin_t
+    return np.stack([
+        (log_ratio * joint_rows(*slope, cos_t, sin_t)).sum(axis=(1, 2)),
+        (log_ratio * np.stack([turn, -turn], axis=-1)).sum(axis=(1, 2)),
+    ], axis=-1)
+
+
+def map_scores(table: np.ndarray, priors, information) -> dict:
+    """Per objective, sign * objective at each displacement of one resolution's
+    (x, displacement, count) table: 1.0 times the MAP error and -1.0 times
+    `information` of the (displacement, x, count) joint tables."""
+    q = np.array(priors, dtype=float)
+    joint = (q[:, None, None] * table).transpose(1, 0, 2)
+    return {"min-error": 1.0 * (1.0 - joint.max(axis=-2).sum(axis=-1)), "max-information": -1.0 * information(joint, q)}
+
+
+class ClipNumpy:
+    """numpy, in which np.minimum(np.maximum(x, lower), upper) evaluates
+    np.clip(x, lower, upper): set as a module's `np`, it turns each box
+    projection written as those two calls back into its np.clip form. It
+    counts them in `clips`, and in `moved` those that changed an entry."""
+
+    def __init__(self):
+        self.clips = self.moved = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def maximum(x, lower):
+        return x, lower
+
+    def minimum(self, pending, upper):
+        clipped = np.clip(*pending, upper)
+        self.clips += 1
+        self.moved += clipped.tobytes() != np.asarray(pending[0], dtype=float).tobytes()
+        return clipped

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from oracles import KrausOracle
+from oracles import KrausOracle, information_gradient, joint_rows, series_sums, table_coefficients
 from phasecomm import (
     AtomicParams,
     FockDim,
@@ -399,6 +399,55 @@ class TestPolish:
         assert rounds == sorted(rounds, reverse=True)
         assert rounds[0] == atomic._POLISHED
         assert len(rounds) <= 60
+
+
+def same_bits(got, expected) -> bool:
+    """Equal shapes and equal bytes: every entry bit for bit, signed zeros too."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestRoundKernels:
+    """The kernels of a polish round against their `np.stack` / `np.moveaxis`
+    forms in `oracles`, bit for bit."""
+
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    @pytest.mark.parametrize("mean_photons", [0.01, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("count", [1, 9, 36])
+    @pytest.mark.parametrize("widths", [1, 3])
+    def test_kernels_equal_their_textbook_forms_bit_for_bit(self, signal, mean_photons, count, widths):
+        # a round of `count` trials over a block of `widths` sigma points
+        points = [signal(mean_photons, sigma, 0.3) for sigma in (0.6, 0.0, 3.0)[:widths]]
+        coefficients = atomic._TableCoefficients(*points)
+        rng = np.random.default_rng(count)
+        phi, two_theta = rng.uniform(0.0, PHI_MAX, count), rng.uniform(-1.0, 4.0, count)
+        owner = np.arange(count) % widths
+        for weights in (coefficients.weights, coefficients.weights[1]):
+            for slopes in (False, True):
+                for got, expected in zip(atomic._series_sums(weights, phi, slopes), series_sums(weights, phi, slopes)):
+                    assert same_bits(got, expected)
+        # the tables and their slopes at each trial's own damping
+        q = np.array([points[0].q1, points[0].q2])
+        sums, _, derivatives = series_sums(coefficients.weights, phi, slopes=True)
+        damping = coefficients.damping[owner]
+        expected = [table_coefficients(part, q, coefficients.alphas, damping) for part in (sums, derivatives)]
+        got = coefficients(phi, owner, slopes=True)
+        assert all(same_bits(g, e) for got_part, part in zip(got, expected) for g, e in zip(got_part, part))
+        assert all(same_bits(g, e) for g, e in zip(coefficients._table(sums, damping), expected[0]))
+        # the joint tables, a (2,) row's as its public series uses it, and the polish objective
+        (mean, swing, inter), slope = ([v.T for v in part] for part in expected)
+        cos_t, sin_t = np.cos(two_theta)[:, None], np.sin(two_theta)[:, None]
+        joint = joint_rows(mean, swing, inter, cos_t, sin_t)
+        assert same_bits(atomic._joint(mean, swing, inter, cos_t, sin_t), joint)
+        row = (mean[0], swing[0], inter[0], np.cos(two_theta[0]), np.sin(two_theta[0]))
+        assert same_bits(atomic._joint(*row), joint_rows(*row))
+        log_ratio = _log_ratio(q, joint)
+        gradient = information_gradient(log_ratio, slope, swing, inter, cos_t, sin_t)
+        value = (joint * log_ratio).sum(axis=(1, 2))
+        rounds = atomic._neg_information(list(np.column_stack([phi, two_theta])), coefficients, q, owner)
+        assert len(rounds) == count
+        for (v, g), v_ref, g_ref in zip(rounds, -value, -gradient):
+            assert same_bits(v, v_ref) and same_bits(g, g_ref)
 
 
 class TestGridCache:

@@ -7,7 +7,8 @@ import pytest
 from scipy import optimize as sciopt
 from scipy import special
 
-from oracles import bfgs_update
+from oracles import ClipNumpy, bfgs_update
+from phasecomm import _minimize
 from phasecomm._minimize import _EPS, _NOISE_ULPS, _bfgs_update, _line_search, bfgs, bfgs_search, brent_search, drive
 from phasecomm.config import TAIL
 from phasecomm.fock import default_cutoff, poisson_tail
@@ -108,6 +109,41 @@ class TestBfgs:
         )
         assert x[0] == 1.0
         assert x[1] == pytest.approx(-1.5, abs=1e-8)  # the minimum over x1 at x0 = 1
+
+    def test_box_search_equals_its_clip_form_step_for_step(self, monkeypatch):
+        # x0 starts at -0.0 against its bound 0.0 and is held there while the
+        # gradient pushes it outward, then steps off once x1 passes 2; x2 stays
+        # on its upper bound; x1 has infinite bounds; steps carry x3 past its
+        # upper bound 4, where the projection puts it
+        lower, upper = np.array([0.0, -np.inf, -np.inf, 0.0]), np.array([np.inf, np.inf, 1.0, 4.0])
+
+        def fun(x):
+            pull = x[0] - x[1] + 2.0
+            return float(pull**2 + (x[1] - 3.0) ** 2 + (x[2] - 2.0) ** 2 + (x[3] - 6.0) ** 2), np.array(
+                [2.0 * pull, -2.0 * pull + 2.0 * (x[1] - 3.0), 2.0 * (x[2] - 2.0), 2.0 * (x[3] - 6.0)]
+            )
+
+        def trials():
+            seen = []
+
+            def evaluate(_, points):
+                seen.append([float(v).hex() for v in points[0]])
+                return [fun(points[0])]
+
+            drive([bfgs_search(np.array([-0.0, 0.0, 1.0, 0.0]), 100, lower=lower, upper=upper)], evaluate)
+            return seen
+
+        boxed = trials()
+        clip = ClipNumpy()
+        monkeypatch.setattr(_minimize, "np", clip)
+        assert trials() == boxed
+        assert clip.clips == len(boxed) and clip.moved >= 2
+        assert boxed[0] == ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
+        x0 = [float.fromhex(t[0]) for t in boxed]
+        held = next(i for i, v in enumerate(x0) if v > 0.0)
+        assert held > 1 and x0[-1] == pytest.approx(1.0, abs=1e-8)
+        assert all(float.fromhex(t[2]) == 1.0 for t in boxed)
+        assert float.fromhex(boxed[-1][3]) == 4.0
 
     def test_each_update_meets_the_secant_condition(self):
         # H y = s for the newest pair, and H stays symmetric positive definite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import quad_distribution
+from oracles import map_scores, quad_distribution
 from phasecomm import (
     FockDim,
     PnrConfig,
@@ -16,6 +16,7 @@ from phasecomm import (
     optimize_displacement,
     outcome_distribution,
 )
+from phasecomm.discrimination import mutual_information_from_joint
 from phasecomm.pnr import evaluate_displacement
 from phasecomm import pnr
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
@@ -320,6 +321,47 @@ class TestBatchedKernel:
             alone = pnr._outcome_table(alphas, sigma, [self.BETAS[j] for j in at], 0.998, resolutions)
             for table, one in zip(tables, alone):
                 assert table[:, at].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    @pytest.mark.parametrize("widths", [[0.6], [0.0, 0.6, 2.0]], ids=["1-width", "3-widths"])
+    def test_one_node_count_equals_its_entries_among_several(self, monkeypatch, signal, widths):
+        # a call whose entries share one node count takes them all in place;
+        # the same entries beside larger displacements are gathered by mask
+        params = signal(0.75, 0.0)
+        alphas = [params.alpha1, params.alpha2]
+        near = np.linspace(0.1, 0.3, 3 * len(widths)).tolist()
+        sigma = [width for width in widths for _ in range(3)]
+        node_counts = set()
+        rule = pnr._phase_rule
+
+        def recording(sigma, n):
+            node_counts.add(n)
+            return rule(sigma, n)
+
+        monkeypatch.setattr(pnr, "_phase_rule", recording)
+        alone = pnr._outcome_table(alphas, sigma, near, 0.998, [1, 2, 3])
+        assert len(node_counts) == 1
+        among = pnr._outcome_table(alphas, sigma + [widths[0]] * 2, near + [-4.0, 4.0], 0.998, [1, 2, 3])
+        assert len(node_counts) >= 2
+        for one, many in zip(alone, among):
+            assert one.tobytes() == many[:, :len(near)].tobytes()
+
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    @pytest.mark.parametrize("mean_photons", [0.01, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("widths", [[0.6], [0.0, 0.6, 2.0]], ids=["1-width", "3-widths"])
+    def test_scores_equal_their_textbook_form_bit_for_bit(self, signal, mean_photons, widths):
+        # a round's displacements ordered by point, six per point of its width
+        params = signal(mean_photons, widths[0], 0.3)
+        span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
+        betas = np.linspace(-span, span, 6 * len(widths)).tolist()
+        sigma = widths[0] if len(widths) == 1 else [width for width in widths for _ in range(6)]
+        keys = [(m, objective) for m in (1, 2, 3) for objective in ("min-error", "max-information")]
+        scores = pnr._scores(params, betas, 0.998, keys, None if len(widths) == 1 else sigma)
+        for m in (1, 2, 3):
+            [table] = pnr._outcome_table([params.alpha1, params.alpha2], sigma, betas, 0.998, [m])
+            expected = map_scores(table, (params.q1, params.q2), mutual_information_from_joint)
+            for objective, values in expected.items():
+                assert scores[m, objective].tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("signal", [bpsk, ook])
     @pytest.mark.parametrize("sigma", [0.0, 0.6, 2.0])

@@ -75,9 +75,10 @@ def _phase_rule(sigma: float, n: int) -> tuple:
 
 @functools.lru_cache(maxsize=8)
 def _counts(top: int) -> tuple:
-    """Counts k = 0..top-1, log(k!) and the pmf of a zero count mean, read-only."""
+    """Counts k = 0..top-1 and log(k!) as columns, and the pmf of a zero count
+    mean as a row, read-only."""
     k = np.arange(top)
-    rows = (k, np.array([math.log(math.factorial(j)) for j in range(top)]), np.where(k == 0, 1.0, 0.0))
+    rows = (k[:, None], np.array([[math.log(math.factorial(j))] for j in range(top)]), np.where(k == 0, 1.0, 0.0))
     for part in rows:
         part.flags.writeable = False
     return rows
@@ -90,16 +91,12 @@ def _outcome_table(alphas, sigma, betas, visibility: float, resolutions) -> list
 
     `alphas` and `betas` are sequences of scalars; `sigma` is one phase
     width, or a sequence with the width of each displacement. Entries are
-    grouped by their own node count, all of them in place when they share
-    one, and the Poisson pmf of a group's counts 0..max(m)-1 is computed
-    once. Each resolution's counts are the phase average of its own first
-    m columns, copied contiguous, in one product per width: a column of a
-    wider product can differ in its last
-    bit (column 0 of an m >= 2 product from a one-column product by up to
-    3.3e-16, and BLAS blocks four or more columns differently), and so
-    could the entries of a product over several widths' weights. So every
-    table equals the one-resolution, one-width call's, and each entry
-    `outcome_distribution` at that pair, bit for bit.
+    grouped by their own node count, and the Poisson pmf of a group's counts
+    0..max(m)-1 is laid out as (entry, count, node). Each entry's phase
+    average is its own sum over its nodes, weighted by its own width's rule,
+    which no other entry of the call enters, and each m takes the first m
+    of those averages. So every entry equals `outcome_distribution` at that
+    pair, bit for bit, whatever else the call holds.
     """
     top = max(resolutions)
     a = np.array(alphas, dtype=float)[:, None]
@@ -114,40 +111,32 @@ def _outcome_table(alphas, sigma, betas, visibility: float, resolutions) -> list
     # the smallest power of two N >= 64 with N/2 >= 9 sqrt(d) + 16, d = |cross|:
     # Fourier mode k of the count pmf falls off like exp(-k^2 / 2d)
     sizes = 2 ** np.ceil(np.log2(np.maximum(18.0 * np.sqrt(np.abs(cross)) + 32.0, 64.0))).astype(int)
-    # each width with the mask of the entries it averages, None for all
     widths = np.empty(sizes.shape)
     widths[...] = sigma
-    levels = sorted(set(widths.ravel().tolist()))
-    columns = [(levels[0], None)] if len(levels) == 1 else [(width, widths == width) for width in levels]
     k, log_factorial, zero_mean = _counts(top)
-    tables = {m: np.empty(sizes.shape + (m + 1,)) for m in resolutions}
-    nodes = sorted(set(sizes.ravel().tolist()))
-    for n in nodes:
-        # one node count takes every entry in place, with no mask to apply
-        sel = ... if len(nodes) == 1 else sizes == n
+    average = np.empty(sizes.shape + (top,))
+    for n in set(sizes.ravel().tolist()):
+        sel = sizes == n
+        at = widths[sel]
+        levels = sorted(set(at.tolist()))
+        rules = [_phase_rule(width, n) for width in levels]
         # the half node angles depend on n alone, so any width's rule has them
-        _, sin2, cos2 = _phase_rule(columns[0][0], n)
-        h = np.where((ab >= 0)[sel][..., None], sin2, cos2)
-        n_eff = offset[sel][..., None] + swing[sel][..., None] * h
-        # Poisson pmf per node, averaged with each width's phase weights
-        log_pmf = -n_eff[..., None] + k * np.log(np.maximum(n_eff, 1e-300))[..., None] - log_factorial
-        pmf = np.exp(log_pmf)
-        pmf[n_eff == 0.0] = zero_mean
-        for width, column in columns:
-            if column is None:
-                at, part = sel, pmf
-            else:
-                at = column if sel is ... else sel & column
-                part = pmf[at[sel]]
-            if not len(part):
-                continue
-            weights = _phase_rule(width, n)[0]
-            for m, probs in tables.items():
-                # the weights oscillate at small sigma, so a vanishing average can round below 0
-                probs[at, :m] = np.maximum(weights @ (part if m == top else np.ascontiguousarray(part[..., :m])), 0.0)
-    for m, probs in tables.items():
-        probs[..., m] = np.maximum(1.0 - probs[..., :m].sum(axis=-1), 0.0)
-    return [tables[m] for m in resolutions]
+        _, sin2, cos2 = rules[0]
+        h = np.where((ab >= 0)[sel][:, None], sin2, cos2)
+        n_eff = offset[sel][:, None] + swing[sel][:, None] * h
+        # Poisson pmf as (entry, count, node), times the weights of each entry's own width
+        log_pmf = -n_eff[:, None] + k * np.log(np.maximum(n_eff, 1e-300))[:, None] - log_factorial
+        pmf = np.exp(log_pmf, out=log_pmf)
+        pmf.transpose(0, 2, 1)[n_eff == 0.0] = zero_mean
+        weights = np.array([rule[0] for rule in rules]).take(np.array(levels).searchsorted(at), axis=0)
+        pmf *= weights[:, None]
+        # the weights oscillate at small sigma, so a vanishing average can round below 0
+        average[sel] = np.maximum(pmf.sum(axis=-1), 0.0)
+    tables = [np.empty(sizes.shape + (m + 1,)) for m in resolutions]
+    for m, probs in zip(resolutions, tables):
+        probs[..., :m] = average[..., :m]
+        np.maximum(1.0 - probs[..., :m].sum(axis=-1), 0.0, out=probs[..., m])
+    return tables
 
 
 def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarray:
@@ -179,8 +168,9 @@ def _scores(params: SignalParams, betas, visibility: float, keys: list, sigma=No
     of `keys`, from one kernel call: the MAP error ('min-error') or minus the
     information in bits ('max-information'); each key scores all
     displacements at once. `sigma` gives the phase width of each
-    displacement where they differ (a block's points share amplitudes and
-    priors); by default it is `params.sigma`."""
+    displacement (a block's points share amplitudes and priors); by default
+    every displacement takes `params.sigma`. Each displacement's scores are
+    those of its lone call, bit for bit."""
     resolutions = list(dict.fromkeys(m for m, _ in keys))
     alphas, q = [params.alpha1, params.alpha2], np.array([params.q1, params.q2])
     tables = _outcome_table(alphas, params.sigma if sigma is None else sigma, betas, visibility, resolutions)
@@ -235,7 +225,7 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
     each m. A bounded Brent refinement then runs around each (m,
     objective)'s best cell. The refinements of every point of the block run
     in lock-step: each round is one kernel call at the trial displacement of
-    every running refinement, with one phase average per point's sigma, and
+    every running refinement, each averaged over its own point's sigma, and
     each (m, objective) scores all of the round's displacements at once.
     Every value equals the one `evaluate_displacement` gives at its beta,
     bit for bit, whatever the block. Deterministic.
@@ -259,9 +249,7 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
     def score(trials, betas):
         """sign * objective of each (point, key) of `trials` at its displacement."""
         keys = list(dict.fromkeys(key for _, key in trials))
-        # a lone point's trials all take its width, `_scores`' default
-        sigma = None if len(points) == 1 else [points[k].sigma for k, _ in trials]
-        scores = _scores(params, betas, visibility, keys, sigma)
+        scores = _scores(params, betas, visibility, keys, [points[k].sigma for k, _ in trials])
         return [scores[key][r] for r, (_, key) in enumerate(trials)]
 
     best = {}

@@ -20,6 +20,10 @@ class SignalParams:
     alpha2: float
     sigma: float
 
+    def __post_init__(self) -> None:
+        if self.sigma < 0 or not np.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+
     @property
     def q2(self) -> float:
         return 1.0 - self.q1

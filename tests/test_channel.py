@@ -9,7 +9,7 @@ from phasecomm import (
     phase_diffused_coherent,
 )
 from phasecomm.channel import dephasing_kernel
-from phasecomm.signals import bpsk, build_ensemble, ook
+from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
 
 
 DIM = FockDim(30)
@@ -112,3 +112,11 @@ class TestMeanPhotonNumber:
         vac[0, 0] = 1.0
         ens = BinaryEnsemble(priors=(0.5, 0.5), states=(vac, vac))
         assert mean_photon_number(ens) == 0.0
+
+
+class TestSignalParams:
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.3])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        for make in (lambda: bpsk(0.5, sigma), lambda: ook(0.5, sigma), lambda: SignalParams(0.5, 1.0, -1.0, sigma)):
+            with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+                make()

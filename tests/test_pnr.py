@@ -151,7 +151,7 @@ class TestOptimizeDisplacement:
         "params, visibility, resolutions, path",
         [
             (bpsk(0.75, 0.6), 0.998, [1, 2, 3], "absolute beta"),
-            (bpsk(0.5, 2.0, 0.3), 0.998, [2], "grid cell"),
+            (bpsk(1.5, 2.5, 0.3), 0.998, [2], "grid cell"),
             (ook(1.5, 1.2, 0.3), 0.9, [3, 1, 3], None),
         ],
         ids=["bpsk", "bpsk-q0.3", "ook-q0.3"],
@@ -175,7 +175,7 @@ class TestOptimizeDisplacement:
         elif path == "grid cell":
             # the grid cell beats its refinement, and the answer keeps the cell
             span = 2.0 * abs(params.alpha1) + 1.0
-            assert optimized[0][0][0] == np.linspace(-span, span, 81)[10] == pytest.approx(-1.8107, abs=1e-4)
+            assert optimized[0][0][0] == np.linspace(-span, span, 81)[72] == pytest.approx(2.7596, abs=1e-4)
         null_first = evaluate_displacement(params, visibility, resolutions, params.alpha1)
         for answer in (optimized, null_first):
             assert len(answer) == len(resolutions)
@@ -284,8 +284,8 @@ class TestBatchedKernel:
     def test_every_resolution_equals_its_one_resolution_call(
         self, monkeypatch, signal, mean_photons, sigma, resolutions
     ):
-        # a column of a wider product can differ in its last bit from a
-        # narrower one (m = 1 beside m >= 2, and m <= 3 beside m >= 4)
+        # each m takes the first m of one set of per-entry phase averages, so
+        # a resolution asked beside others gives its lone call's table
         params = signal(mean_photons, sigma)
         alphas = [params.alpha1, params.alpha2]
         span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
@@ -309,8 +309,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("signal", [bpsk, ook])
     @pytest.mark.parametrize("resolutions", [[1], [1, 2, 3], [2, 5]], ids=str)
     def test_a_width_per_displacement_equals_one_call_per_width(self, signal, resolutions):
-        # one pmf per node count serves every width; each width averages it
-        # in a product of its own
+        # one pmf per node count serves every width; each entry sums it over
+        # its nodes against its own width's weights
         params = signal(1.5, 0.0)
         alphas = [params.alpha1, params.alpha2]
         sigmas = [0.0, 0.6, 2.0]
@@ -325,8 +325,8 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("signal", [bpsk, ook])
     @pytest.mark.parametrize("widths", [[0.6], [0.0, 0.6, 2.0]], ids=["1-width", "3-widths"])
     def test_one_node_count_equals_its_entries_among_several(self, monkeypatch, signal, widths):
-        # a call whose entries share one node count takes them all in place;
-        # the same entries beside larger displacements are gathered by mask
+        # the same entries alone, where one node count takes them all, and
+        # beside larger displacements, which bring a second node count
         params = signal(0.75, 0.0)
         alphas = [params.alpha1, params.alpha2]
         near = np.linspace(0.1, 0.3, 3 * len(widths)).tolist()
@@ -345,6 +345,30 @@ class TestBatchedKernel:
         assert len(node_counts) >= 2
         for one, many in zip(alone, among):
             assert one.tobytes() == many[:, :len(near)].tobytes()
+
+    @pytest.mark.parametrize("count", [1, 9, 40])
+    @pytest.mark.parametrize("resolutions", [[1, 3, 5], [5, 2]], ids=str)
+    def test_a_mixed_call_equals_each_entry_alone(self, monkeypatch, count, resolutions):
+        # several widths, node counts and resolutions in one call; each entry
+        # is its own sum over its nodes, so none of the others can reach it
+        alphas = [0.0, 0.7, -2.2]
+        betas = [5.5] + np.random.default_rng(count).uniform(-5.5, 5.5, count - 1).tolist()
+        widths = [(0.0, 0.6, 2.0, 3.0)[j % 4] for j in range(count)]
+        node_counts = set()
+        rule = pnr._phase_rule
+
+        def recording(sigma, n):
+            node_counts.add(n)
+            return rule(sigma, n)
+
+        monkeypatch.setattr(pnr, "_phase_rule", recording)
+        tables = pnr._outcome_table(alphas, widths, betas, 0.998, resolutions)
+        assert len(node_counts) >= 2
+        for m, table in zip(resolutions, tables):
+            for i, alpha in enumerate(alphas):
+                for j, (beta, width) in enumerate(zip(betas, widths)):
+                    alone = outcome_distribution(alpha, width, PnrConfig(m, 0.998, beta))
+                    assert table[i, j].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("signal", [bpsk, ook])
     @pytest.mark.parametrize("mean_photons", [0.01, 0.5, 2.0, 5.0])

@@ -1,17 +1,13 @@
-"""The library's two minimisers, in numpy and `math` only.
+"""The library's three minimisers, in numpy and `math` only: ask-and-tell
+generators that yield a trial point and are sent back its value. `drive`
+runs several in lock-step, one batched evaluation per round; `bfgs` runs one.
 
-Both are ask-and-tell searches: a generator that yields a trial point and
-is sent back its value. `drive` runs several searches in lock-step, so
-that one batched evaluation serves the trials of every running search in
-a round; `bfgs` runs one search through it.
-
-`brent_search` is Brent's bounded scalar minimisation, step for step as
-scipy's `minimize_scalar(method="bounded")` takes it, so it returns the
-same point bit for bit. `bfgs_search` is BFGS with the full inverse
-Hessian (Nocedal and Wright, Numerical Optimization, 2nd ed., ch. 6), an
-Armijo backtracking line search with weak-Wolfe expansion, and an
-optional box onto which every trial point is projected; in place of a
-gradient tolerance, it stops at the rounding noise of f.
+`brent_search` is scipy's `minimize_scalar(method="bounded")` step for step,
+bit for bit. `bfgs_search` is BFGS with the full inverse Hessian (Nocedal
+and Wright, Numerical Optimization, 2nd ed., ch. 6) and an Armijo line
+search with weak-Wolfe expansion; `newton_search` is Newton's method in two
+variables with a modified exact Hessian (ibid., section 3.4) on a box. In
+place of a gradient tolerance, both stop at the rounding noise of f.
 """
 
 import math
@@ -35,15 +31,12 @@ _BRENT_EVALS = 500
 
 def drive(searches: list, evaluate) -> list:
     """Run the generators `searches` in lock-step; returns the value each returns.
-
-    A round sends every running search the value of its pending trial
-    point, all of them from one call `evaluate(which, points)`: `which`
-    lists the running searches' indices in `searches`, `points` their
-    trials, and the call returns one value per point. A search leaves the
-    rounds when it returns, so the rounds number the evaluations of the
-    longest search. Each search sees the values it would see alone.
-    `evaluate` must not keep or change the two lists: a round refills them.
-    """
+    A round sends every running search the value of its pending trial from
+    one call `evaluate(which, points)`, `which` the running searches' indices
+    and `points` their trials, one value per point. A search leaves when it
+    returns, so the rounds number the evaluations of the longest, and each
+    sees the values it would see alone. `evaluate` must not keep or change
+    the two lists: a round refills them."""
     results = [None] * len(searches)
     running, live = list(range(len(searches))), list(searches)
     points = [next(search) for search in searches]
@@ -63,18 +56,16 @@ def drive(searches: list, evaluate) -> list:
 
 
 def bfgs(fun, x0: np.ndarray, max_iter: int, stop=None) -> tuple:
-    """Minimise `fun`, which returns (f(x), gradient), from `x0` without a
-    box; returns (x, f, iterations). The settings are those of `bfgs_search`."""
+    """Minimise `fun`, which returns (f(x), gradient), from `x0`; returns
+    (x, f, iterations). The settings are those of `bfgs_search`."""
     return drive([bfgs_search(x0, max_iter, stop)], lambda _, points: [fun(*points)])[0]
 
 
 def brent_search(lo: float, hi: float, xatol: float):
     """Search for a minimum on [lo, hi] to `xatol`, sent f at each trial;
-    returns (x, f(x)).
-
-    Golden-section steps, and parabolic steps where the parabola through
-    the three best points is acceptable; at most _BRENT_EVALS evaluations.
-    """
+    returns (x, f(x)). Golden-section steps, and parabolic steps where the
+    parabola through the three best points is acceptable; at most
+    _BRENT_EVALS evaluations."""
     a, b = lo, hi
     fulc = nfc = xf = a + _GOLDEN * (b - a)
     rat = e = 0.0
@@ -132,42 +123,31 @@ def brent_search(lo: float, hi: float, xatol: float):
     return xf, fx
 
 
-def bfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None):
+def bfgs_search(x0: np.ndarray, max_iter: int, stop=None):
     """Minimise f from `x0`, sent (f, gradient) at each trial; returns (x, f, iterations).
 
-    A run ends after `max_iter` iterations or 2 `max_iter` evaluations,
-    when `stop(x, iterations)` is true after an iteration, when the step's
+    A run ends after `max_iter` iterations or 2 `max_iter` evaluations, when
+    `stop(x, iterations)` is true after an iteration, when the step's
     predicted decrease, -slope / 2, is below `_NOISE_ULPS` units in the last
-    place of f, or when a line search finds no step that decreases f
-    enough (f is then at its rounding noise).
-    `lower` and `upper` (arrays) make a box: a variable on a bound that
-    the gradient pushes outward is held there, and every trial point is
-    projected into the box.
+    place of f, or when a line search fails (f is then at its rounding noise).
     """
-    box = None if lower is None and upper is None else (lower, upper)
     x = np.asarray(x0, dtype=float)
-    # np.clip's own arithmetic, a maximum then a minimum, in two plain calls
-    x = x if box is None else np.minimum(np.maximum(x, lower), upper)
     f, g = yield x
     evals, budget = 1, 2 * max_iter
     h = None  # the inverse Hessian, from the first pair with curvature on
     for it in range(max_iter):
-        held = None if box is None else ((x <= box[0]) & (g > 0)) | ((x >= box[1]) & (g < 0))
-        g_free = g if held is None or not held.any() else np.where(held, 0.0, g)
         if h is None:
-            d = -g_free
+            d = -g
             t = 1.0 / max(float(np.linalg.norm(d)), 1e-300)
         else:
-            d = -(h @ g_free)
+            d = -(h @ g)
             t = 1.0
-        if held is not None:
-            d[held] = 0.0
         slope = float(g @ d)
         # the decrease the quadratic model predicts for the step, against the
         # rounding noise of f: below it, a line search only chases noise
         if not -0.5 * slope > _NOISE_ULPS * _EPS * abs(f):
             return x, f, it
-        found, x_new, f_new, g_new, used = yield from _line_search(x, f, g, d, slope, t, box, budget - evals)
+        found, x_new, f_new, g_new, used = yield from _line_search(x, f, g, d, slope, t, budget - evals)
         evals += used
         if not found:
             return x, f, it
@@ -180,15 +160,11 @@ def bfgs_search(x0: np.ndarray, max_iter: int, stop=None, lower=None, upper=None
 
 def _bfgs_update(h, s: np.ndarray, y: np.ndarray):
     """The inverse Hessian after the step `s` changed the gradient by `y`,
-    updated in place.
-
-    `h` is None before the first pair; H then starts as gamma I with
-    gamma = s^T y / y^T y (Nocedal and Wright, eq. 6.20). The update
-    (eq. 6.17), H + c s s^T - rho (s h^T + h s^T) with h = H y,
-    rho = 1 / s^T y and c = rho + rho^2 y^T h, is one (n, 2) @ (2, n)
-    product of two C-ordered `np.empty` buffers, filled with the columns
-    s and h and the rows c s - rho h and -rho s.
-    """
+    updated in place; `h` is None before the first pair, and H then starts
+    as gamma I, gamma = s^T y / y^T y (Nocedal and Wright, eq. 6.20). The
+    update (eq. 6.17), H + c s s^T - rho (s h^T + h s^T) with h = H y,
+    rho = 1 / s^T y and c = rho + rho^2 y^T h, is one (n, 2) @ (2, n) product
+    of C-ordered `np.empty` buffers: columns s, h; rows c s - rho h, -rho s."""
     s_y, y_y = float(s @ y), float(y @ y)
     if not s_y > _EPS * y_y:  # curvature too weak to keep the update positive definite
         return h
@@ -204,41 +180,27 @@ def _bfgs_update(h, s: np.ndarray, y: np.ndarray):
     return h
 
 
-def _line_search(x, f, g, d, slope, t, box, budget):
-    """A step along d that satisfies Armijo's condition and, where the
-    trials allow, the weak Wolfe curvature condition.
-
-    Doubles the step while the decrease is sufficient and the slope stays
-    steep; once a step has fallen short, backtracks (by safeguarded
-    quadratic interpolation, or bisection after an expansion) to the first
-    step with sufficient decrease, and gives up at the first trial point
-    that rounds to x. Sent (f, gradient) at each trial; returns
-    (found, x, f, g, evaluations).
-    """
+def _line_search(x, f, g, d, slope, t, budget):
+    """A step along d with Armijo's decrease and, where the trials allow,
+    the weak Wolfe curvature; sent (f, gradient) at each trial, returns
+    (found, x, f, g, evaluations). Doubles the step while the decrease is
+    sufficient and the slope steep; after a step falls short, backtracks
+    (`_backtrack`, or bisection after an expansion) to the first with
+    sufficient decrease, and gives up at the first trial that rounds to x."""
     lo, hi = 0.0, math.inf
     best, used = None, 0
     x_bytes = x.tobytes()
     for _ in range(min(_MAX_TRIALS, budget)):
         x_t = x + (d if t == 1.0 else t * d)  # 1.0 d is d bit for bit
-        if box is None:
-            decrease = t * slope
-        else:
-            x_t = np.minimum(np.maximum(x_t, box[0]), box[1])
-            decrease = float(g @ (x_t - x))
         # x bit for bit (compared as bytes, the cheapest test): every
         # shorter step rounds to x too, so no decrease is left
         if x_t.tobytes() == x_bytes:
             break
         f_t, g_t = yield x_t
         used += 1
-        if not (f_t < f and f_t <= f + _ARMIJO * decrease):
+        if not (f_t < f and f_t <= f + _ARMIJO * (t * slope)):
             hi = t
-            if lo > 0.0:
-                t = 0.5 * (lo + hi)
-            else:
-                excess = f_t - f - slope * t
-                guess = -0.5 * slope * t * t / excess if excess > 0.0 and math.isfinite(excess) else 0.5 * t
-                t = min(max(guess, 0.1 * t), 0.5 * t)
+            t = 0.5 * (lo + hi) if lo > 0.0 else _backtrack(f_t - f, slope, t)
             continue
         best = (x_t, f_t, g_t)
         if hi < math.inf or float(g_t @ d) >= _WOLFE * slope:
@@ -247,3 +209,57 @@ def _line_search(x, f, g, d, slope, t, box, budget):
     if best is None:
         return False, x, f, g, used
     return (True, *best, used)
+
+
+def _backtrack(rise: float, slope: float, t: float) -> float:
+    """The step after t raised f by `rise` along `slope`: the quadratic's
+    minimum, within [0.1 t, 0.5 t]."""
+    excess = rise - slope * t
+    guess = -0.5 * slope * t * t / excess if excess > 0.0 and math.isfinite(excess) else 0.5 * t
+    return min(max(guess, 0.1 * t), 0.5 * t)
+
+
+def newton_search(x0: tuple, max_iter: int, box: tuple):
+    """Minimise f(x0, x1) on `box`, ((lo0, hi0), (lo1, hi1)), from `x0`, sent
+    floats (f, (g0, g1), (h00, h01, h11)) at each trial; returns (x, f, iterations).
+    The step d is `_newton_step`'s, a variable on a bound that the gradient
+    pushes outward held there; it is backtracked by safeguarded quadratic
+    interpolation to the first trial with Armijo's decrease, each trial
+    projected into the box. A run ends after `max_iter` iterations, at a
+    trial that rounds to x, after `_MAX_TRIALS` trials without the decrease,
+    or when the model's decrease for the trial t d, -slope t (1 - t/2), is
+    below `_NOISE_ULPS` units in the last place of f."""
+    x = tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(x0, box))
+    f, g, h = yield x
+    for it in range(max_iter):
+        held = [(v <= lo and gv > 0.0) or (v >= hi and gv < 0.0) for v, gv, (lo, hi) in zip(x, g, box)]
+        d = _newton_step(g, h, held)
+        slope, noise, t = g[0] * d[0] + g[1] * d[1], _NOISE_ULPS * _EPS * abs(f), 1.0
+        for _ in range(_MAX_TRIALS):
+            x_t = tuple(min(max(v + t * dv, lo), hi) for v, dv, (lo, hi) in zip(x, d, box))
+            # below the rounding noise of f, a trial only chases noise
+            if x_t == x or not -slope * t * (1.0 - 0.5 * t) > noise:
+                return x, f, it
+            f_t, g_t, h_t = yield x_t
+            if f_t < f and f_t <= f + _ARMIJO * (g[0] * (x_t[0] - x[0]) + g[1] * (x_t[1] - x[1])):
+                break
+            t = _backtrack(f_t - f, slope, t)
+        else:
+            return x, f, it
+        x, f, g, h = x_t, f_t, g_t, h_t
+    return x, f, max_iter
+
+
+def _newton_step(g: tuple, h: tuple, held: list) -> tuple:
+    """-|H|^+ g over the variables not `held`, |H| with the eigenvalues of
+    H = ((h00, h01), (h01, h11)) made absolute, ^+ its pseudo-inverse (an
+    eigenvalue 0 divides as inf): the Newton step where H is positive definite."""
+    a, b, c = h
+    if held[0] or held[1]:
+        return 0.0 if held[0] else -g[0] / (abs(a) or math.inf), 0.0 if held[1] else -g[1] / (abs(c) or math.inf)
+    # the eigenpairs (m + r, (cos u, sin u)) and (m - r, (-sin u, cos u))
+    m, r, u = 0.5 * (a + c), math.hypot(0.5 * (a - c), b), 0.5 * math.atan2(2.0 * b, a - c)
+    cos_u, sin_u = math.cos(u), math.sin(u)
+    along = (cos_u * g[0] + sin_u * g[1]) / (abs(m + r) or math.inf)
+    across = (cos_u * g[1] - sin_u * g[0]) / (abs(m - r) or math.inf)
+    return sin_u * across - cos_u * along, -sin_u * along - cos_u * across

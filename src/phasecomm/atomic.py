@@ -1,22 +1,17 @@
 """Atomic indirect receiver: a two-level probe coupled to the light mode.
 
-The measurement is parameterized by a projection angle pair (xi, theta) on
-the probe and the accumulated coupling Phi of the interaction. Its action
-on the light mode is a pair of Kraus operators that are tridiagonal in the
-number basis (diagonal plus one superdiagonal), which gives closed-form
-photon-number series for the error probability and the joint outcome
-probabilities; their length is derived from the amplitudes, never set.
-The matrix path through the Kraus POVM is kept as an independent
-cross-check.
+The measurement has a projection angle pair (xi, theta) on the probe and
+the coupling Phi of the interaction. Its Kraus pair is tridiagonal in the
+number basis, which gives closed-form photon-number series for the joint
+outcome table, their length derived from the amplitudes; the matrix path
+through the Kraus POVM is kept as an independent cross-check.
 
-Every outcome probability depends on xi only through sin(xi). The error is
-linear in it and the mutual information is convex in the channel, so both
-optima lie at |sin xi| = 1. There the joint table is affine in
-(cos 2theta, sin 2theta), which `optimize` exploits: the minimum error over
-theta has a closed form, and only Phi (and 2theta, for the information)
-remains to be searched. The table's Phi derivatives are series of the same
-form (`_series_sums`), so the information has an exact gradient in
-(Phi, 2theta), which its polish by BFGS follows.
+Every outcome probability depends on xi only through sin(xi); the error is
+linear in it and the information convex in the channel, so both optima lie
+at |sin xi| = 1. There the table is affine in (cos 2theta, sin 2theta): the
+error's minimum over theta is closed-form, and the information is polished
+by Newton's method in (Phi, 2theta) with the exact gradient and Hessian,
+from the series' Phi derivatives (`_series_sums`).
 """
 
 import functools
@@ -25,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimize import bfgs_search, brent_search, drive
-from .config import SERIES_TAIL
+from ._minimize import brent_search, drive, newton_search
+from .config import PROB_GUARD, SERIES_TAIL
 from .discrimination import BinaryPovm, _log_ratio, mutual_information_from_joint
 from .errors import SeriesTruncationError
 from .fock import FockDim
@@ -49,19 +44,18 @@ __all__ = [
 # The receiver family's coupling range: `optimize` searches Phi in [0, PHI_MAX].
 PHI_MAX = 25.0
 # Grid of the search: Phi step 0.01 for the error. The information ranks its
-# Phi basins on every second row (step 0.02) and 8 angles (2theta step 22.5
+# Phi basins on every fourth row (step 0.04) and 8 angles (2theta step 22.5
 # degrees); its polish refines both.
 _PHI_GRID = np.linspace(0.0, PHI_MAX, 2501)
-_INFORMATION_STRIDE = 2
+_INFORMATION_STRIDE = 4
 _TWO_THETA_GRID = np.linspace(0.0, np.pi, 8, endpoint=False)
 # Phi rows per block of the grid: each (Phi, 2theta, x, y) information
 # temporary is 32 kB, and each (x, Phi, n) series temporary 2 (n + 1) kB.
 _BLOCK_ROWS = 128
 # Local optima of the grid that are polished.
 _POLISHED = 3
-# Iterations of one polish of the information, and its box in (Phi, 2theta).
+# Iterations of one polish of the information.
 _POLISH_ITER = 200
-_POLISH_LOWER, _POLISH_UPPER = np.array([0.0, -np.inf]), np.array([PHI_MAX, np.inf])
 
 
 @dataclass(frozen=True)
@@ -77,13 +71,12 @@ class AtomicParams:
 def _series_length(amplitudes: tuple) -> int:
     """The shortest series the truncation guard accepts at every setting.
 
-    With Poisson weights p_n of mean alpha^2, the guard's last term is
-    at most e^{alpha^2} (sqrt(p_N) + sqrt(p_{N+1}))^2 whatever
-    (xi, theta, Phi), and its scale, half of diag + raised, is at least
-    half of e^{alpha^2} sum_{n<=N} p_n. N is the smallest
-    count past the Poisson mode for which the one bound stays below
-    SERIES_TAIL times the other, over all amplitudes. Every table of a
-    sigma point asks again, hence the cache.
+    With Poisson weights p_n of mean alpha^2, the guard's last term is at
+    most e^{alpha^2} (sqrt(p_N) + sqrt(p_{N+1}))^2 whatever (xi, theta, Phi),
+    and its scale, half of diag + raised, at least half of e^{alpha^2}
+    sum_{n<=N} p_n; N is the smallest count past the Poisson mode where the
+    one stays below SERIES_TAIL times the other, over all amplitudes. Every
+    table asks again, hence the cache.
     """
     n_terms = 1
     for alpha in amplitudes:
@@ -101,9 +94,8 @@ def _series_length(amplitudes: tuple) -> int:
 
 
 def kraus_operators(p: AtomicParams, dim: FockDim) -> tuple:
-    """Kraus pair of the probe measurement, entrywise in the number basis.
-
-    Only the diagonal and first superdiagonal are nonzero:
+    """Kraus pair of the probe measurement, entrywise in the number basis;
+    only the diagonal and first superdiagonal are nonzero:
     <n|K1|n> = cos(theta) cos(Phi sqrt(n)),
     <n-1|K1|n> = -i e^{-i xi} sin(theta) sin(Phi sqrt(n)),
     and K2 with sin(theta)/+i e^{-i xi} cos(theta) in their place.
@@ -147,11 +139,12 @@ def _series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> 
     diag = sum w0 cos^2(Phi sqrt n), raised = sum w1 sin^2(Phi sqrt(n+1)),
     cross = sum wc cos(Phi sqrt n) sin(Phi sqrt(n+1)).
     Returns (sums, last), each of shape (..., 3, len(phi)): the three sums and
-    their n = n_terms terms. With `slopes`, also their Phi derivatives:
-    d diag = -sum w0 sqrt(n) sin(2 Phi sqrt n),
-    d raised = sum w1 sqrt(n+1) sin(2 Phi sqrt(n+1)),
-    d cross = sum wc [sqrt(n+1) cos(Phi sqrt n) cos(Phi sqrt(n+1))
-                      - sqrt(n) sin(Phi sqrt n) sin(Phi sqrt(n+1))].
+    their n = n_terms terms. With `slopes`, also their first and second Phi
+    derivatives; with c_n = cos(Phi sqrt n) and s_n = sin(Phi sqrt n):
+    d diag = -sum w0 sqrt(n) sin(2 Phi sqrt n), d2 diag = -2 sum w0 n cos(2 Phi sqrt n),
+    d raised = sum w1 sqrt(n+1) sin(2 Phi sqrt(n+1)), d2 raised = 2 sum w1 (n+1) cos(2 Phi sqrt(n+1)),
+    d cross = sum wc [sqrt(n+1) c_n c_{n+1} - sqrt(n) s_n s_{n+1}],
+    d2 cross = -sum wc [(2n+1) c_n s_{n+1} + 2 sqrt(n(n+1)) s_n c_{n+1}].
     """
     root = np.sqrt(np.arange(weights.shape[-1] + 1))
     arg = np.multiply.outer(phi, root)
@@ -168,19 +161,23 @@ def _series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> 
         2 * r1 * sin_n1 * cos_n1,
         r1 * cos_n * cos_n1 - r0 * sin_n * sin_n1,
     ])
-    return terms.sum(axis=-1), terms[..., -1], (weights * derivatives).sum(axis=-1)
+    n = np.arange(weights.shape[-1])
+    double = np.cos(2 * arg)
+    curvatures = np.array([
+        -2 * n * double[:, :-1],
+        2 * (n + 1) * double[:, 1:],
+        -((2 * n + 1) * cos_n * sin_n1 + 2 * r0 * r1 * sin_n * cos_n1),
+    ])
+    return terms.sum(axis=-1), terms[..., -1], (weights * derivatives).sum(axis=-1), (weights * curvatures).sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=8)
 def _grid_sums(amplitudes: tuple, n_terms: int) -> tuple:
     """`_series_sums` of an amplitude pair at every Phi of `_PHI_GRID`, as
-    read-only (sums, last) of shape (2, 3, len(_PHI_GRID)), evaluated in
-    blocks of rows, each one stacked call that shares the trigonometry
-    between the amplitudes.
-
+    read-only (sums, last) of shape (2, 3, len(_PHI_GRID)), in blocks of rows,
+    each one stacked call sharing the trigonometry between the amplitudes.
     They depend on nothing else, so every sigma point and prior of a sweep,
-    and both searches, share one evaluation per amplitude pair.
-    """
+    and both searches, share one evaluation per amplitude pair."""
     weights = np.stack([_series_weights(alpha, n_terms) for alpha in amplitudes])
     sums, last = np.empty((2, 2, 3, _PHI_GRID.size))
     for i in range(0, _PHI_GRID.size, _BLOCK_ROWS):
@@ -192,19 +189,14 @@ def _grid_sums(amplitudes: tuple, n_terms: int) -> tuple:
 
 class _TableCoefficients:
     """The joint tables over couplings at xi = pi/2 of a block of sigma points,
-    as (mean, swing, inter), each of shape (2, len(phi)) with a row per
-    hypothesis x:
+    as (mean, swing, inter), each (2, len(phi)), a row per hypothesis x:
     Pr(x, 0) = mean + swing cos(2theta) + inter sin(2theta) and
-    Pr(x, 1) = mean - swing cos(2theta) - inter sin(2theta).
-
-    The points share their amplitudes and priors and differ in sigma only,
-    which enters through the damping of inter; so one series evaluation
-    serves the couplings of every point, each damped by its own point's
-    factor. At any xi the interference term inter carries a factor
-    sin(xi). The truncation guard checks the series length at each Phi in
-    its worst case over (xi, theta), so it holds at every angle; it runs on
-    every call, on the grid too, and its error names the sigma of the point
-    that fails.
+    Pr(x, 1) = mean - swing cos(2theta) - inter sin(2theta); at any xi, inter
+    carries a factor sin(xi). The points differ in sigma only, which damps
+    inter, so one series evaluation serves every point's couplings, each
+    damped by its own point's factor. The truncation guard checks the series
+    at each Phi in its worst case over (xi, theta), on every call, the grid's
+    too, and its error names the sigma of the point that fails.
     """
 
     def __init__(self, *points: SignalParams):
@@ -219,11 +211,9 @@ class _TableCoefficients:
         self.weights = np.stack([_series_weights(alpha, self.n_terms) for alpha in self.alphas])
 
     def __call__(self, phi: np.ndarray | None = None, point=0, slopes: bool = False) -> tuple:
-        """(mean, swing, inter) at each coupling; with `slopes`, also their Phi
-        derivatives. `point` is the index in the block of the point the
-        couplings belong to, or an array with the point of each coupling.
-        Without `phi`, the table at every Phi of `_PHI_GRID`, from
-        `_grid_sums`."""
+        """(mean, swing, inter) at each coupling, with `slopes` also their first and
+        second Phi derivatives, of the point `point` in the block or of each one's
+        point (an array); without `phi`, at every Phi of `_PHI_GRID` (`_grid_sums`)."""
         damping = self.damping[point]
         if phi is None:
             sums, last = _grid_sums(self.alphas, self.n_terms)
@@ -242,7 +232,7 @@ class _TableCoefficients:
                 f"at {self.n_terms} terms, above {SERIES_TAIL:.0e}"
             )
         table = self._table(sums, damping)
-        return (table, self._table(derivatives[0], damping)) if slopes else table
+        return (table, *(self._table(part, damping) for part in derivatives)) if slopes else table
 
     def _table(self, sums: np.ndarray, damping) -> tuple:
         """(mean, swing, inter) from the hypotheses' (diag, raised, cross), shape
@@ -264,11 +254,8 @@ def _joint(mean, swing, inter, cos_t, sin_t) -> np.ndarray:
 
 
 def joint_probabilities_series(params: SignalParams, p: AtomicParams) -> np.ndarray:
-    """2x2 table Pr(x, y) from the closed-form series.
-
-    The table at xi = pi/2 (`_TableCoefficients`) with its interference
-    term scaled by sin(xi), which is how xi enters.
-    """
+    """2x2 table Pr(x, y) from the closed-form series: the table at xi = pi/2
+    (`_TableCoefficients`), its interference term scaled by sin(xi)."""
     mean, swing, inter = (v[:, 0] for v in _TableCoefficients(params)(np.array([p.phi_pulse])))
     return _joint(mean, swing, np.sin(p.xi) * inter, np.cos(2 * p.theta), np.sin(2 * p.theta))
 
@@ -294,12 +281,12 @@ def _min_error_over_theta(coeffs: tuple) -> tuple:
     return e_a - np.hypot(e_b, e_c), np.arctan2(-e_c, -e_b)
 
 
-def _best_local(values: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the `count` lowest local minima of a sampled curve."""
+def _best_local(values: np.ndarray, count: int, rank=None) -> np.ndarray:
+    """Indices of the `count` local minima of a sampled curve lowest in `rank` (default: the curve)."""
     padded = np.concatenate([[np.inf], values, [np.inf]])
     is_min = (values <= padded[:-2]) & (values <= padded[2:])
     idx = np.flatnonzero(is_min)
-    return idx[np.argsort(values[idx], kind="stable")][:count]
+    return idx[np.argsort((values if rank is None else rank)[idx], kind="stable")][:count]
 
 
 def _canonical(phi: float, two_theta: float) -> AtomicParams:
@@ -312,7 +299,7 @@ def _canonical(phi: float, two_theta: float) -> AtomicParams:
 
 
 def _grid_profile(table: tuple, over_theta) -> tuple:
-    """`over_theta` (best value to minimize, its 2theta) at each Phi of a
+    """`over_theta`'s outputs (first the value to minimize) at each Phi of a
     grid's table, evaluated in blocks of its rows."""
     parts = [
         over_theta(tuple(v[:, i:i + _BLOCK_ROWS] for v in table))
@@ -323,9 +310,8 @@ def _grid_profile(table: tuple, over_theta) -> tuple:
 
 def _search_min_error(coefficients: _TableCoefficients) -> list:
     """Per point of the block, (error, params) of each of its best grid
-    minima, polished by bounded Brent in Phi. The polishes of every point run
-    in lock-step: each round is one table call at every running polish's
-    trial Phi."""
+    minima, polished by bounded Brent in Phi in lock-step: each round is one
+    table call at every running polish's trial Phi."""
     grid = _PHI_GRID
     starts, polishes = [], []
     for k in range(len(coefficients.sigmas)):
@@ -343,81 +329,89 @@ def _search_min_error(coefficients: _TableCoefficients) -> list:
     return found
 
 
-def _neg_information(xs: list, coefficients: _TableCoefficients, q: np.ndarray, point=0) -> list:
-    """Minus the information at each x = (Phi, 2theta) of `xs`, and its
-    gradient, from one table call; `point` is the point in the block of
-    each x, or one point for all. A round of the information polishes asks it
-    for every running polish's trial at once.
-
-    dI/dPr(x, y) is the log ratio log2 Pr(x, y) / (q_x Pr(y)), and
-    Pr(x, 0) = mean + swing cos(2theta) + inter sin(2theta), so dI/dPhi =
-    sum log_ratio dPr/dPhi with the slopes of `_TableCoefficients`, and
-    dI/d2theta = sum log_ratio dPr/d2theta with dPr(x, 0)/d2theta =
-    inter cos - swing sin = -dPr(x, 1)/d2theta. The joint tables, log
-    ratios and both gradient components of all points are (k, 2, 2) arrays,
-    each point's entries computed as alone.
-    """
+def _information_round(xs: list, coefficients: _TableCoefficients, q: np.ndarray, point=0) -> list:
+    """Minus the information at each x = (Phi, 2theta) of `xs`, its gradient
+    and Hessian, as floats (f, (g0, g1), (h00, h01, h11)), from one table call;
+    `point` is the point in the block of each x, or one for all. With dP, d2P
+    the table's derivatives and dI/dP the log ratio, I_ab = sum log_ratio d2P_ab
+    + (sum_xy dP_a dP_b / P - sum_y dP(y)_a dP(y)_b / P(y)) / ln 2, entries and
+    columns below PROB_GUARD left out. In 2theta, P(x, 0)' = inter cos - swing
+    sin, P(x, 0)'' = -swing cos - inter sin, and P(x, 1)'s are minus P(x, 0)'s.
+    Elementwise products and sums over fixed axes only: each trial's numbers
+    are those it gets alone."""
     phi, two_theta = np.array(xs).T
-    table, slopes = coefficients(phi, point, slopes=True)
-    # rows (point, x) of the table and its slopes, and each point's angle
-    (mean, swing, inter), slope = ([v.T for v in part] for part in (table, slopes))
+    table, slopes, curvatures = coefficients(phi, point, slopes=True)
+    # rows (point, x) of the table and its derivatives, and each point's angle
+    (mean, swing, inter), slope, curve = ([v.T for v in part] for part in (table, slopes, curvatures))
     cos_t, sin_t = np.cos(two_theta)[:, None], np.sin(two_theta)[:, None]
     joint = _joint(mean, swing, inter, cos_t, sin_t)
     log_ratio = _log_ratio(q, joint)
-    # (turn, -turn) as turn times (1, -1), which is exact
-    turn = np.multiply.outer(inter * cos_t - swing * sin_t, (1.0, -1.0))
-    gradient = np.empty((len(phi), 2))
-    gradient[:, 0] = (log_ratio * _joint(*slope, cos_t, sin_t)).sum(axis=(1, 2))
-    gradient[:, 1] = (log_ratio * turn).sum(axis=(1, 2))
-    return list(zip(-(joint * log_ratio).sum(axis=(1, 2)), -gradient))
+    # dP in (Phi, 2theta) and d2P in (Phi Phi, Phi 2theta, 2theta 2theta), each
+    # (., k, x, y), with (v, -v) as v times (1, -1), which is exact
+    sign = (1.0, -1.0)
+    first = np.array([_joint(*slope, cos_t, sin_t), np.multiply.outer(inter * cos_t - swing * sin_t, sign)])
+    second = np.array([_joint(*curve, cos_t, sin_t), np.multiply.outer(slope[2] * cos_t - slope[1] * sin_t, sign),
+                       np.multiply.outer(-(swing * cos_t + inter * sin_t), sign)])
+    inverse, p_y = 1.0 / np.where(joint >= PROB_GUARD, joint, np.inf), joint.sum(axis=1)
+    column = first.sum(axis=2)
+    fisher = (first[:, None] * first * inverse).sum(axis=(3, 4))
+    fisher -= (column[:, None] * column / np.where(p_y >= PROB_GUARD, p_y, np.inf)).sum(axis=-1)
+    fisher /= np.log(2.0)
+    out = np.empty((6, len(phi)))
+    out[0] = (joint * log_ratio).sum(axis=(1, 2))
+    out[1:3] = (log_ratio * first).sum(axis=(2, 3))
+    out[3:] = (log_ratio * second).sum(axis=(2, 3)) + fisher.reshape(4, -1)[[0, 1, 3]]
+    return [(f, (g0, g1), (h00, h01, h11)) for f, g0, g1, h00, h01, h11 in zip(*(-out).tolist())]
 
 
 def _search_max_information(coefficients: _TableCoefficients, q: np.ndarray) -> list:
     """Per point of the block, (information, params) of each of its best grid
-    maxima, polished by BFGS in (Phi, 2theta). The polishes of every point
-    run in lock-step: each round is one table call at every running polish's
-    trial point.
-
-    The grid's tables follow `_joint`'s arithmetic and are scored by the
-    polish's kernel, `mutual_information_from_joint`. They are stacked as
-    (y, x, Phi, 2theta) and read as (Phi, 2theta, x, y), which keeps the
-    angles innermost in memory.
-
-    Swapping the outcome labels leaves the information unchanged and maps
-    2theta to 2theta + pi, so 2theta runs over [0, pi) only."""
-    grid, two_theta = _PHI_GRID[::_INFORMATION_STRIDE], _TWO_THETA_GRID
-    cos_t, sin_t = np.cos(two_theta), np.sin(two_theta)
+    maxima, polished by Newton's method in (Phi, 2theta) in lock-step: each
+    round is one table call at every running polish's trial point. The grid's
+    tables follow `_joint`'s arithmetic, stacked (y, x, Phi, 2theta) and read
+    (Phi, 2theta, x, y), scored by `mutual_information_from_joint`. A polish
+    starts at its row's best angle moved to the vertex of the parabola through
+    its neighbours on the ring of angles, 2theta in [0, pi) (swapping the
+    outcome labels adds pi); one that ends no better keeps the grid point."""
+    grid, two_theta = _PHI_GRID[::_INFORMATION_STRIDE].tolist(), _TWO_THETA_GRID
+    cos_t, sin_t, angles = np.cos(two_theta), np.sin(two_theta), two_theta.tolist()
 
     def over_theta(coeffs):
         mean, swing, inter = (v[:, :, None] for v in coeffs)
         along, across = swing * cos_t, inter * sin_t
         joint = np.stack([mean + along + across, mean - along - across]).transpose(2, 3, 1, 0)
         info = mutual_information_from_joint(joint, q)
-        j = info.argmax(axis=1)
-        return -info[np.arange(len(j)), j], two_theta[j]
+        return -info.max(axis=1), info
 
     starts, polishes = [], []
     for k in range(len(coefficients.sigmas)):
-        profile, best_t = _grid_profile(tuple(v[:, ::_INFORMATION_STRIDE] for v in coefficients(point=k)), over_theta)
-        for i in _best_local(profile, _POLISHED):
-            x0 = np.array([grid[i], best_t[i]])
-            starts.append((k, x0, profile[i]))
-            polishes.append(bfgs_search(x0, _POLISH_ITER, lower=_POLISH_LOWER, upper=_POLISH_UPPER))
+        profile, info = _grid_profile(tuple(v[:, ::_INFORMATION_STRIDE] for v in coefficients(point=k)), over_theta)
+        # basins ranked at the vertex of the parabola through each row and its
+        # neighbours: near-equal peaks can be narrower than the Phi step
+        below, above = profile[:-2], profile[2:]
+        bend = np.maximum(below - 2.0 * profile[1:-1] + above, 0.0)
+        vertex = np.divide((below - above) ** 2, 8.0 * bend, out=np.zeros_like(bend), where=bend > 0.0)
+        for i in _best_local(profile, _POLISHED, profile - np.pad(vertex, 1)):
+            row = info[i].tolist()
+            j = row.index(max(row))
+            before, after = row[j - 1], row[(j + 1) % len(row)]
+            curvature = before - 2.0 * row[j] + after
+            t0 = angles[j] + (0.5 * angles[1] * (before - after) / curvature if curvature < 0.0 else 0.0)
+            starts.append((k, (grid[i], angles[j]), profile[i]))
+            polishes.append(newton_search((grid[i], t0), _POLISH_ITER, ((0.0, PHI_MAX), (-math.inf, math.inf))))
     owner = np.array([k for k, _, _ in starts])
-    ends = drive(polishes, lambda which, xs: _neg_information(xs, coefficients, q, owner[which]))
+    ends = drive(polishes, lambda which, xs: _information_round(xs, coefficients, q, owner[which]))
     found = [[] for _ in coefficients.sigmas]
-    for (k, x0, at_grid), (x, fun, _) in zip(starts, ends):
-        (phi, t), value = (x, -fun) if fun < at_grid else (x0, -at_grid)
+    for (k, at, at_grid), (x, fun, _) in zip(starts, ends):
+        (phi, t), value = (x, -fun) if fun < at_grid else (at, -at_grid)
         found[k].append((float(value), _canonical(phi, t % np.pi)))
     return found
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Settings of the atomic search; the search has none left to set.
-
-    Its series length is derived from the amplitudes (`_series_length`).
-    """
+    """Settings of the atomic search: none left; the series length is derived
+    from the amplitudes (`_series_length`)."""
 
 
 @dataclass
@@ -440,30 +434,19 @@ def optimize_block(objective: str, points: list) -> list:
     point of a block: sigma points (`SignalParams`) that share their
     amplitudes and priors; returns one `OptimizeResult` per point, in order.
 
-    The search runs at |sin xi| = 1 over Phi in [0, PHI_MAX], on a grid of
-    step 0.01, whose series are computed once per amplitude pair in a
-    process and shared by both objectives and every sigma and prior. For
-    the error, the minimum over theta at each Phi is closed-form; the
-    information is ranked on every second row of the same table (step
-    0.02) and 8 values of 2theta in [0, pi), which only rank the Phi
-    basins. Each point's best three local optima of the grid are polished
-    (bounded Brent in Phi for the error; BFGS in (Phi, 2theta) with the
-    exact gradient of the information, from the Phi derivatives of the
-    series, projected onto Phi in [0, PHI_MAX], until a line search finds
-    no lower value or the step's predicted gain is below a few units in
-    the last place of the value). The polishes of every point of the block
-    run in lock-step rounds, each one series evaluation, as (mean, swing,
-    inter), at the trial Phi of every polish still running, damped by its
-    own point's sigma; each polish sees the values it would see alone, so
-    a point's result does not depend on the block it is searched in, and
-    the rounds number the evaluations of the slowest. A polish that ends
-    no better than its grid point keeps the grid point. Each candidate's
-    value is the search's own: the closed-form minimum over theta at its
-    Phi, or the information the polish or the grid found there. It equals
+    The search runs at |sin xi| = 1 on a Phi grid of step 0.01 whose series
+    are computed once per amplitude pair in a process: the error's minimum
+    over theta is closed-form at each Phi, and the information ranks Phi
+    basins on every fourth row (step 0.04) at 8 angles 2theta. Each point's
+    best three grid optima are polished (bounded Brent in Phi; Newton in
+    (Phi, 2theta) with the exact Hessian), all of a block's in lock-step
+    rounds of one series evaluation; each sees the values it would see alone,
+    so a point's result does not depend on its block. A polish that ends no
+    better keeps its grid point. Each value is the search's own and equals
     `error_probability_series` / `mutual_information_series` at its
-    parameters to a few units in the last place. The returned parameters
-    have xi in {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX];
-    ties go to the lexicographically smallest.
+    parameters to a few units in the last place. The parameters have xi in
+    {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
+    the lexicographically smallest.
     """
     if objective not in ("min-error", "max-information"):
         raise ValueError(f"unknown objective {objective!r}")

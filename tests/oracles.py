@@ -291,8 +291,12 @@ def bfgs_update(h, s: np.ndarray, y: np.ndarray):
 def series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> tuple:
     """(sums, last) of the diagonal, raised and cross series of amplitude rows
     (w0, w1, wc), shape (..., 3, n + 1), at each coupling, and with `slopes`
-    also the sums' Phi derivatives, each (..., 3, len(phi)): the closed forms
-    of `phasecomm.atomic._series_sums`, with each row's factors `np.stack`ed."""
+    also the sums' first and second Phi derivatives, each (..., 3, len(phi)):
+    the closed forms of `phasecomm.atomic._series_sums`, with each row's
+    factors `np.stack`ed. The second derivatives are the textbook series
+    -2 sum w0 n cos(2 Phi sqrt n), 2 sum w1 (n+1) cos(2 Phi sqrt(n+1)) and
+    -sum wc [(2n+1) cos(Phi sqrt n) sin(Phi sqrt(n+1))
+    + 2 sqrt(n(n+1)) sin(Phi sqrt n) cos(Phi sqrt(n+1))]."""
     root = np.sqrt(np.arange(weights.shape[-1] + 1))
     arg = np.multiply.outer(phi, root)
     cos_n, sin_n1 = np.cos(arg[:, :-1]), np.sin(arg[:, 1:])
@@ -307,7 +311,14 @@ def series_sums(weights: np.ndarray, phi: np.ndarray, slopes: bool = False) -> t
         2 * r1 * sin_n1 * cos_n1,
         r1 * cos_n * cos_n1 - r0 * sin_n * sin_n1,
     ])
-    return terms.sum(axis=-1), terms[..., -1], (weights * derivatives).sum(axis=-1)
+    n = np.arange(weights.shape[-1])
+    double = np.cos(2 * arg)
+    curvatures = np.stack([
+        -2 * n * double[:, :-1],
+        2 * (n + 1) * double[:, 1:],
+        -((2 * n + 1) * cos_n * sin_n1 + 2 * r0 * r1 * sin_n * cos_n1),
+    ])
+    return terms.sum(axis=-1), terms[..., -1], (weights * derivatives).sum(axis=-1), (weights * curvatures).sum(axis=-1)
 
 
 def table_coefficients(sums: np.ndarray, priors, alphas, damping) -> tuple:
@@ -338,6 +349,57 @@ def information_gradient(log_ratio, slope, swing, inter, cos_t, sin_t) -> np.nda
     ], axis=-1)
 
 
+def neg_information(table, slope, two_theta, log_ratio) -> list:
+    """(minus the information, minus its gradient in (Phi, 2theta)) at each
+    trial, in the arithmetic of the information polish's first round kernel:
+    `table` and `slope` are (mean, swing, inter) and their Phi derivatives,
+    each of shape (2, k), `two_theta` has shape (k,), and `log_ratio` maps
+    (k, 2, 2) joint tables to their log ratios."""
+    (mean, swing, inter), slope = ([v.T for v in part] for part in (table, slope))
+    cos_t, sin_t = np.cos(two_theta)[:, None], np.sin(two_theta)[:, None]
+    joint = joint_rows(mean, swing, inter, cos_t, sin_t)
+    ratio = log_ratio(joint)
+    turn = np.multiply.outer(inter * cos_t - swing * sin_t, (1.0, -1.0))
+    gradient = np.empty((len(two_theta), 2))
+    gradient[:, 0] = (ratio * joint_rows(*slope, cos_t, sin_t)).sum(axis=(1, 2))
+    gradient[:, 1] = (ratio * turn).sum(axis=(1, 2))
+    return list(zip(-(joint * ratio).sum(axis=(1, 2)), -gradient))
+
+
+def information_hessian(table, slope, curve, two_theta, priors, guard: float) -> np.ndarray:
+    """(I_PhiPhi, I_Phi2theta, I_2theta2theta), shape (3, k), of the
+    information of the tables Pr(x, 0) = mean + swing cos(2theta) +
+    inter sin(2theta), Pr(x, 1) = mean - swing cos(2theta) - inter
+    sin(2theta), from the chain rule one (x, y) entry at a time:
+    sum log2(Pr / (q_x Pr(y))) d2Pr + (sum dPr dPr / Pr - sum_y dPr(y) dPr(y) / Pr(y)) / ln 2,
+    entries and columns below `guard` left out. `table`, `slope` and `curve`
+    are (mean, swing, inter) and their first and second Phi derivatives,
+    each (2, k)."""
+    mean, swing, inter = table
+    cos_t, sin_t = np.cos(two_theta), np.sin(two_theta)
+    sign = (1.0, -1.0)
+    hessian = np.zeros((3, len(two_theta)))
+    for y in (0, 1):
+        p = [mean[x] + sign[y] * (swing[x] * cos_t + inter[x] * sin_t) for x in (0, 1)]
+        p_y = p[0] + p[1]
+        # d/dPhi, d/d2theta; d2/dPhi2, d2/dPhi d2theta, d2/d2theta2
+        first = [(slope[0][x] + sign[y] * (slope[1][x] * cos_t + slope[2][x] * sin_t),
+                  sign[y] * (inter[x] * cos_t - swing[x] * sin_t)) for x in (0, 1)]
+        second = [(curve[0][x] + sign[y] * (curve[1][x] * cos_t + curve[2][x] * sin_t),
+                   sign[y] * (slope[2][x] * cos_t - slope[1][x] * sin_t),
+                   -sign[y] * (swing[x] * cos_t + inter[x] * sin_t)) for x in (0, 1)]
+        for x in (0, 1):
+            live = (p[x] >= guard) & (p_y >= guard)
+            ratio = np.log2(np.where(live, p[x], 1.0) / np.where(live, priors[x] * p_y, 1.0))
+            inverse = np.where(p[x] >= guard, 1.0 / np.where(p[x] >= guard, p[x], 1.0), 0.0)
+            for n, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
+                hessian[n] += ratio * second[x][n] + first[x][a] * first[x][b] * inverse / math.log(2.0)
+        inverse_y = np.where(p_y >= guard, 1.0 / np.where(p_y >= guard, p_y, 1.0), 0.0)
+        for n, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
+            hessian[n] -= (first[0][a] + first[1][a]) * (first[0][b] + first[1][b]) * inverse_y / math.log(2.0)
+    return hessian
+
+
 def map_scores(table: np.ndarray, priors, information) -> dict:
     """Per objective, sign * objective at each displacement of one resolution's
     (x, displacement, count) table: 1.0 times the MAP error and -1.0 times
@@ -346,25 +408,3 @@ def map_scores(table: np.ndarray, priors, information) -> dict:
     joint = (q[:, None, None] * table).transpose(1, 0, 2)
     return {"min-error": 1.0 * (1.0 - joint.max(axis=-2).sum(axis=-1)), "max-information": -1.0 * information(joint, q)}
 
-
-class ClipNumpy:
-    """numpy, in which np.minimum(np.maximum(x, lower), upper) evaluates
-    np.clip(x, lower, upper): set as a module's `np`, it turns each box
-    projection written as those two calls back into its np.clip form. It
-    counts them in `clips`, and in `moved` those that changed an entry."""
-
-    def __init__(self):
-        self.clips = self.moved = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def maximum(x, lower):
-        return x, lower
-
-    def minimum(self, pending, upper):
-        clipped = np.clip(*pending, upper)
-        self.clips += 1
-        self.moved += clipped.tobytes() != np.asarray(pending[0], dtype=float).tobytes()
-        return clipped

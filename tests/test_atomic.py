@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from oracles import KrausOracle, information_gradient, joint_rows, series_sums, table_coefficients
+from oracles import (
+    KrausOracle,
+    information_gradient,
+    information_hessian,
+    joint_rows,
+    neg_information,
+    series_sums,
+    table_coefficients,
+)
 from phasecomm import (
     AtomicParams,
     FockDim,
@@ -24,7 +32,7 @@ from phasecomm import (
 from phasecomm import atomic
 from phasecomm.atomic import PHI_MAX
 from phasecomm.cli import main
-from phasecomm.config import SERIES_TAIL
+from phasecomm.config import PROB_GUARD, SERIES_TAIL
 from phasecomm.discrimination import _log_ratio, joint_distribution
 from phasecomm.fock import default_cutoff
 from phasecomm.signals import SignalParams, bpsk, build_ensemble, ook
@@ -221,10 +229,13 @@ class TestReduction:
             ook(0.01, 0.0, 0.1), ook(0.01, 0.0, 0.05),
             # I = 1.3e-6 bits: a polish stop on the objective's absolute scale ends early here
             bpsk(0.01, 3.0, 0.1),
+            # basins within 1e-4 of each other and narrower than the information
+            # grid's Phi step: ranked by their samples, the best is not polished
+            ook(0.02, 0.0, 0.45), ook(0.01, 0.0, 0.49),
         ],
         ids=[
             "bpsk-0.5-0.6", "ook-1.5-1.2", "ook-0.5-2.0", "bpsk-0.75-2.0", "ook-1.5-3.0",
-            "ook-0.01-0.0-q0.1", "ook-0.01-0.0-q0.05", "bpsk-0.01-3.0-q0.1",
+            "ook-0.01-0.0-q0.1", "ook-0.01-0.0-q0.05", "bpsk-0.01-3.0-q0.1", "ook-0.02-0.0-q0.45", "ook-0.01-0.0-q0.49",
         ],
     )
     def test_max_information_matches_kraus_brute_force(self, params):
@@ -258,34 +269,60 @@ class TestReduction:
 
 class TestInformationGrid:
     @pytest.mark.parametrize(
-        "params", [bpsk(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 0.0), ook(0.01, 1.5, 0.1)],
-        ids=["bpsk", "ook", "ook-noiseless", "ook-0.01-q0.1"],
+        "params", [bpsk(0.5, 0.6), ook(1.5, 1.2), ook(0.5, 0.0), ook(0.01, 1.5, 0.1), ook(0.02, 0.0, 0.45)],
+        ids=["bpsk", "ook", "ook-noiseless", "ook-0.01-q0.1", "ook-0.02-q0.45"],
     )
     def test_profile_equals_the_polish_objective_at_grid_points(self, monkeypatch, params):
         # the grid ranks the information with the polish's kernel: at a grid
         # point and its best angle, the profile is minus the polish's value
-        profiles = []
-        grid_profile = atomic._grid_profile
+        profiles, starts = [], []
+        grid_profile, newton_search = atomic._grid_profile, atomic.newton_search
 
         def recorded(table, over_theta):
             profiles.append(grid_profile(table, over_theta))
             return profiles[-1]
 
+        def started(x0, *args):
+            starts.append(x0)
+            return newton_search(x0, *args)
+
         monkeypatch.setattr(atomic, "_grid_profile", recorded)
+        monkeypatch.setattr(atomic, "newton_search", started)
         optimize("max-information", params)
-        [(profile, best_t)] = profiles
-        # the information's grid is every second row of the error's
-        grid = atomic._PHI_GRID[::atomic._INFORMATION_STRIDE]
-        assert profile.size == grid.size
+        [(profile, info)] = profiles
+        # the information's grid is every fourth row of the error's, at 8 angles
+        grid, two_theta = atomic._PHI_GRID[::atomic._INFORMATION_STRIDE], atomic._TWO_THETA_GRID
+        assert profile.size == grid.size and info.shape == (grid.size, two_theta.size)
         coefficients = atomic._TableCoefficients(params)
         q = np.array([params.q1, params.q2])
+        best = info.argmax(axis=1)
         for i in range(0, grid.size, 25):
-            [(value, _)] = atomic._neg_information([np.array([grid[i], best_t[i]])], coefficients, q)
+            [(value, _, _)] = atomic._information_round([(grid[i], two_theta[best[i]])], coefficients, q)
             assert value == pytest.approx(profile[i], abs=1e-16)
+        # the polished rows are the profile's three local minima lowest at the
+        # vertex of the parabola through each row and its two neighbours
+        last = grid.size - 1
+
+        def at_vertex(i):
+            bend = profile[i - 1] - 2 * profile[i] + profile[i + 1] if 0 < i < last else 0.0
+            return profile[i] - (profile[i - 1] - profile[i + 1]) ** 2 / (8 * bend) if bend > 0 else profile[i]
+
+        minima = [i for i in range(grid.size) if profile[i] <= min(profile[max(i - 1, 0)], profile[min(i + 1, last)])]
+        rows = [int(np.flatnonzero(grid == phi)[0]) for phi, _ in starts]
+        assert rows == sorted(minima, key=at_vertex)[:atomic._POLISHED]
+        # a polish starts on its grid row, at the vertex of the parabola through
+        # the row's best angle and its two neighbours on the ring of angles
+        for i, (phi, t) in zip(rows, starts):
+            j = best[i]
+            before, at, after = info[i, j - 1], info[i, j], info[i, (j + 1) % two_theta.size]
+            vertex = two_theta[j] + 0.5 * two_theta[1] * (before - after) / (before - 2 * at + after)
+            assert t == pytest.approx(vertex, abs=1e-15)
+            assert abs(t - two_theta[j]) <= 0.5 * two_theta[1]
 
 
 class TestPolish:
-    """The max-information polish: BFGS on (Phi, 2theta) with the exact gradient."""
+    """The max-information polish: Newton's method on (Phi, 2theta) with the
+    exact gradient and Hessian, one round kernel for every running polish."""
 
     STEP = 1e-6
 
@@ -302,26 +339,45 @@ class TestPolish:
         params = signal(mean_photons, sigma, q1)
         coefficients = atomic._TableCoefficients(params)
         h = self.STEP
-        table, slopes = coefficients(np.array([phi]), slopes=True)
+        table, slopes, curvatures = coefficients(np.array([phi]), slopes=True)
         for with_slopes, alone in zip(table, coefficients(np.array([phi]))):
             assert np.array_equal(with_slopes, alone)
-        # the derivative series against central differences of the table
-        up, down = coefficients(np.array([phi + h])), coefficients(np.array([phi - h]))
-        for slope, u, d in zip(slopes, up, down):
+        # the derivative series against central differences of the table and of its slopes
+        up, down = (coefficients(np.array([phi + s]), slopes=True) for s in (h, -h))
+        for slope, u, d in zip(slopes, up[0], down[0]):
             assert np.max(np.abs(slope - (u - d) / (2 * h))) <= 1e-7
+        for curve, u, d in zip(curvatures, up[1], down[1]):
+            assert np.max(np.abs(curve - (u - d) / (2 * h))) <= 1e-7 * (1 + np.max(np.abs(curve)))
 
         def info(phi, two_theta):
             return mutual_information_series(params, AtomicParams(np.pi / 2, two_theta / 2, phi))
 
         # the polish objective against central differences of the public series
         q = np.array([q1, 1 - q1])
-        [(value, gradient)] = atomic._neg_information([np.array([phi, two_theta])], coefficients, q)
+        [(value, gradient, hessian)] = atomic._information_round([(phi, two_theta)], coefficients, q)
         assert value == pytest.approx(-info(phi, two_theta), abs=1e-14)
         central = -np.array([
             (info(phi + h, two_theta) - info(phi - h, two_theta)) / (2 * h),
             (info(phi, two_theta + h) - info(phi, two_theta - h)) / (2 * h),
         ])
-        assert np.all(np.abs(gradient - central) <= 1e-7 * (1 + np.abs(central)))
+        assert np.all(np.abs(np.array(gradient) - central) <= 1e-7 * (1 + np.abs(central)))
+        # value and gradient are the first round kernel's, bit for bit
+        [(old_value, old_gradient)] = neg_information(table, slopes, np.array([two_theta]), lambda j: _log_ratio(q, j))
+        assert same_bits(value, old_value) and same_bits(gradient, old_gradient)
+
+        # the Hessian against central differences of the kernel's gradient,
+        # where the information is smooth: not at an entry near 0 (24 of the
+        # 30 draws), where p log p has no second derivative
+        if joint_probabilities_series(params, AtomicParams(np.pi / 2, two_theta / 2, phi)).min() < 1e-12:
+            return
+
+        def grad(phi, two_theta):
+            return np.array(atomic._information_round([(phi, two_theta)], coefficients, q)[0][1])
+
+        d_phi = (grad(phi + h, two_theta) - grad(phi - h, two_theta)) / (2 * h)
+        d_two_theta = (grad(phi, two_theta + h) - grad(phi, two_theta - h)) / (2 * h)
+        central = np.array([d_phi[0], 0.5 * (d_phi[1] + d_two_theta[0]), d_two_theta[1]])
+        assert np.all(np.abs(np.array(hessian) - central) <= 1e-6 * (1 + np.abs(central)))
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(
@@ -332,15 +388,19 @@ class TestPolish:
         xs=st.lists(st.tuples(st.floats(0.0, PHI_MAX), st.floats(-1.0, 4.0)), min_size=2, max_size=3),
     )
     def test_points_of_a_round_equal_a_loop_over_them(self, signal, mean_photons, q1, sigma, xs):
-        # a round scores every running polish's trial in (k, 2, 2) arrays; the
-        # reference scores one point at a time with (2, 2) tables
+        # a round scores every running polish's trial in (k, ...) arrays; the
+        # references score one point at a time: in a round of its own, and in
+        # the first kernel's form with (2, 2) tables
         coefficients = atomic._TableCoefficients(signal(mean_photons, sigma, q1))
         q = np.array([q1, 1 - q1])
-        xs = [np.array(x) for x in xs]
-        together = atomic._neg_information(xs, coefficients, q)
+        together = atomic._information_round(xs, coefficients, q)
         assert len(together) == len(xs)
-        for x, (value, gradient) in zip(xs, together):
-            (mean, swing, inter), slope = (tuple(v[:, 0] for v in part) for part in coefficients(x[:1], slopes=True))
+        for x, (value, gradient, hessian) in zip(xs, together):
+            [(value_alone, gradient_alone, hessian_alone)] = atomic._information_round([x], coefficients, q)
+            assert same_bits(value, value_alone) and same_bits(gradient, gradient_alone)
+            assert same_bits(hessian, hessian_alone)
+            table, slope, _ = coefficients(np.array(x[:1]), slopes=True)
+            (mean, swing, inter), slope = (tuple(v[:, 0] for v in part) for part in (table, slope))
             cos_t, sin_t = np.cos(x[1]), np.sin(x[1])
             joint = atomic._joint(mean, swing, inter, cos_t, sin_t)
             log_ratio = _log_ratio(q, joint)
@@ -352,9 +412,9 @@ class TestPolish:
             assert value == -np.sum(joint * log_ratio)
             assert np.array_equal(gradient, -np.array(loop_gradient))
 
-    def test_polish_ends_at_the_rounding_noise_of_the_value(self, monkeypatch):
-        # here the polish is converged after about 20 rounds; a stop at one
-        # unit in the last place of the value let it line-search on to 111
+    @staticmethod
+    def rounds_of(monkeypatch, params) -> tuple:
+        """(rounds, result) of `optimize("max-information", params)`."""
         rounds = []
         drive = atomic.drive
 
@@ -366,9 +426,25 @@ class TestPolish:
             return drive(searches, evaluate_counted)
 
         monkeypatch.setattr(atomic, "drive", counted)
-        res = optimize("max-information", ook(0.01, 1.5, 0.5))
-        assert len(rounds) <= 40
+        return len(rounds), optimize("max-information", params)
+
+    def test_polish_ends_at_the_rounding_noise_of_the_value(self, monkeypatch):
+        # here the polish closes in 8 rounds; a stop at one unit in the last
+        # place of the value let BFGS line-search on to 111
+        rounds, res = self.rounds_of(monkeypatch, ook(0.01, 1.5, 0.5))
+        assert rounds <= 12
         assert res.value >= 0.010090044001812726 - 1e-15
+
+    def test_polish_stops_where_the_gradient_is_at_its_noise(self, monkeypatch):
+        # BFGS took 113 rounds here, its last line searches at |g| = 3.7e-10
+        # accepting drops of 1e-19 from the value's rounding noise; the Newton
+        # polish closes in 7. Each log ratio carries an absolute rounding
+        # error of about eps / ln 2 bits, so the value does too, whatever its
+        # size (here values read 1.8e-16 apart where |g| < 1e-15): the polish
+        # ends within that of BFGS's value, 8.9e-17 below it
+        rounds, res = self.rounds_of(monkeypatch, ook(0.01, 2.0, 0.02))
+        assert rounds <= 15
+        assert res.value >= 0.0002920843366200552 - np.finfo(float).eps / np.log(2.0)
 
     @pytest.mark.parametrize("params", [bpsk(0.75, 0.6), ook(1.5, 1.2)], ids=["bpsk-0.75-0.6", "ook-1.5-1.2"])
     def test_table_evaluations_per_start(self, monkeypatch, params):
@@ -398,7 +474,7 @@ class TestPolish:
         assert all(1 <= n <= atomic._POLISHED for n in rounds)
         assert rounds == sorted(rounds, reverse=True)
         assert rounds[0] == atomic._POLISHED
-        assert len(rounds) <= 60
+        assert len(rounds) <= 8
 
 
 def same_bits(got, expected) -> bool:
@@ -409,7 +485,8 @@ def same_bits(got, expected) -> bool:
 
 class TestRoundKernels:
     """The kernels of a polish round against their `np.stack` / `np.moveaxis`
-    forms in `oracles`, bit for bit."""
+    forms in `oracles`, bit for bit, and the Hessian against its entry by
+    entry chain rule."""
 
     @pytest.mark.parametrize("signal", [bpsk, ook])
     @pytest.mark.parametrize("mean_photons", [0.01, 0.5, 2.0, 5.0])
@@ -422,20 +499,23 @@ class TestRoundKernels:
         rng = np.random.default_rng(count)
         phi, two_theta = rng.uniform(0.0, PHI_MAX, count), rng.uniform(-1.0, 4.0, count)
         owner = np.arange(count) % widths
+        # the sums, last terms, slopes and second derivatives against their textbook series
         for weights in (coefficients.weights, coefficients.weights[1]):
             for slopes in (False, True):
-                for got, expected in zip(atomic._series_sums(weights, phi, slopes), series_sums(weights, phi, slopes)):
-                    assert same_bits(got, expected)
-        # the tables and their slopes at each trial's own damping
+                got, expected = atomic._series_sums(weights, phi, slopes), series_sums(weights, phi, slopes)
+                assert len(got) == len(expected) == (4 if slopes else 2)
+                assert all(same_bits(g, e) for g, e in zip(got, expected))
+        # the tables and their derivatives at each trial's own damping
         q = np.array([points[0].q1, points[0].q2])
-        sums, _, derivatives = series_sums(coefficients.weights, phi, slopes=True)
+        sums, _, derivatives, curvatures = series_sums(coefficients.weights, phi, slopes=True)
         damping = coefficients.damping[owner]
-        expected = [table_coefficients(part, q, coefficients.alphas, damping) for part in (sums, derivatives)]
+        expected = [table_coefficients(part, q, coefficients.alphas, damping) for part in (sums, derivatives, curvatures)]
         got = coefficients(phi, owner, slopes=True)
+        assert len(got) == 3
         assert all(same_bits(g, e) for got_part, part in zip(got, expected) for g, e in zip(got_part, part))
         assert all(same_bits(g, e) for g, e in zip(coefficients._table(sums, damping), expected[0]))
         # the joint tables, a (2,) row's as its public series uses it, and the polish objective
-        (mean, swing, inter), slope = ([v.T for v in part] for part in expected)
+        (mean, swing, inter), slope = ([v.T for v in part] for part in expected[:2])
         cos_t, sin_t = np.cos(two_theta)[:, None], np.sin(two_theta)[:, None]
         joint = joint_rows(mean, swing, inter, cos_t, sin_t)
         assert same_bits(atomic._joint(mean, swing, inter, cos_t, sin_t), joint)
@@ -444,10 +524,14 @@ class TestRoundKernels:
         log_ratio = _log_ratio(q, joint)
         gradient = information_gradient(log_ratio, slope, swing, inter, cos_t, sin_t)
         value = (joint * log_ratio).sum(axis=(1, 2))
-        rounds = atomic._neg_information(list(np.column_stack([phi, two_theta])), coefficients, q, owner)
+        rounds = atomic._information_round(list(zip(phi, two_theta)), coefficients, q, owner)
         assert len(rounds) == count
-        for (v, g), v_ref, g_ref in zip(rounds, -value, -gradient):
+        first_kernel = neg_information(*expected[:2], two_theta, lambda joint: _log_ratio(q, joint))
+        hessian = -information_hessian(*expected, two_theta, q, PROB_GUARD)
+        for (v, g, h), v_ref, g_ref, (v_first, g_first), h_ref in zip(rounds, -value, -gradient, first_kernel, hessian.T):
             assert same_bits(v, v_ref) and same_bits(g, g_ref)
+            assert same_bits(v, v_first) and same_bits(g, g_first)
+            assert np.all(np.abs(np.array(h) - h_ref) <= 1e-12 * (1 + np.abs(h_ref)))
 
 
 class TestGridCache:
@@ -520,7 +604,7 @@ class TestGridCache:
         assert atomic._grid_sums.cache_info().currsize == cached.currsize
         [(information_profile, _)] = profiles
         assert error_profile.size == atomic._PHI_GRID.size == 2501
-        assert information_profile.size == atomic._PHI_GRID[::atomic._INFORMATION_STRIDE].size == 1251
+        assert information_profile.size == atomic._PHI_GRID[::atomic._INFORMATION_STRIDE].size == 626
 
     def test_guard_runs_on_a_cache_hit(self, monkeypatch):
         params = SignalParams(q1=0.5, alpha1=1.5, alpha2=-1.5, sigma=0.2)

@@ -1,5 +1,6 @@
 """The library's own minimisers against scipy, and the Poisson tail against gammainc."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,9 +8,18 @@ import pytest
 from scipy import optimize as sciopt
 from scipy import special
 
-from oracles import ClipNumpy, bfgs_update
-from phasecomm import _minimize
-from phasecomm._minimize import _EPS, _NOISE_ULPS, _bfgs_update, _line_search, bfgs, bfgs_search, brent_search, drive
+from oracles import bfgs_update
+from phasecomm._minimize import (
+    _EPS,
+    _NOISE_ULPS,
+    _bfgs_update,
+    _line_search,
+    bfgs,
+    bfgs_search,
+    brent_search,
+    drive,
+    newton_search,
+)
 from phasecomm.config import TAIL
 from phasecomm.fock import default_cutoff, poisson_tail
 
@@ -48,10 +58,23 @@ def rosenbrock(x):
 
 
 def box_quadratic(x):
-    # the unconstrained minimum (2, -1) lies outside x0 <= 1
-    return float((x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2 + x[0] * x[1]), np.array(
-        [2.0 * (x[0] - 2.0) + x[1], 2.0 * (x[1] + 1.0) + x[0]]
+    # (f, gradient, Hessian) for `newton_search`; the unconstrained minimum
+    # (10/3, -8/3) lies outside x0 <= 1, and the minimum over x1 at x0 = 1 is -1.5
+    x0, x1 = x
+    return (x0 - 2.0) ** 2 + (x1 + 1.0) ** 2 + x0 * x1, (2.0 * (x0 - 2.0) + x1, 2.0 * (x1 + 1.0) + x0), (2.0, 1.0, 2.0)
+
+
+def rosenbrock_newton(x):
+    # 1 + Rosenbrock, so that the rounding noise of f at the minimum is that of 1
+    a, b = x
+    return (
+        1.0 + 100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2,
+        (-400.0 * a * (b - a * a) - 2.0 * (1.0 - a), 200.0 * (b - a * a)),
+        (1200.0 * a * a - 400.0 * b + 2.0, -400.0 * a, 200.0),
     )
+
+
+FREE = ((-math.inf, math.inf), (-math.inf, math.inf))
 
 
 class TestBfgs:
@@ -102,48 +125,9 @@ class TestBfgs:
         assert [i for _, i in seen] == [1, 2, 3, 4]
         assert np.array_equal(x, seen[-1][0])
 
-    def test_box_holds_a_variable_on_its_bound(self):
-        lower, upper = np.array([-np.inf, -np.inf]), np.array([1.0, np.inf])
-        [(x, _, _)] = drive(
-            [bfgs_search(np.array([0.0, 0.0]), 100, lower=lower, upper=upper)], lambda _, points: [box_quadratic(*points)]
-        )
-        assert x[0] == 1.0
-        assert x[1] == pytest.approx(-1.5, abs=1e-8)  # the minimum over x1 at x0 = 1
-
-    def test_box_search_equals_its_clip_form_step_for_step(self, monkeypatch):
-        # x0 starts at -0.0 against its bound 0.0 and is held there while the
-        # gradient pushes it outward, then steps off once x1 passes 2; x2 stays
-        # on its upper bound; x1 has infinite bounds; steps carry x3 past its
-        # upper bound 4, where the projection puts it
-        lower, upper = np.array([0.0, -np.inf, -np.inf, 0.0]), np.array([np.inf, np.inf, 1.0, 4.0])
-
-        def fun(x):
-            pull = x[0] - x[1] + 2.0
-            return float(pull**2 + (x[1] - 3.0) ** 2 + (x[2] - 2.0) ** 2 + (x[3] - 6.0) ** 2), np.array(
-                [2.0 * pull, -2.0 * pull + 2.0 * (x[1] - 3.0), 2.0 * (x[2] - 2.0), 2.0 * (x[3] - 6.0)]
-            )
-
-        def trials():
-            seen = []
-
-            def evaluate(_, points):
-                seen.append([float(v).hex() for v in points[0]])
-                return [fun(points[0])]
-
-            drive([bfgs_search(np.array([-0.0, 0.0, 1.0, 0.0]), 100, lower=lower, upper=upper)], evaluate)
-            return seen
-
-        boxed = trials()
-        clip = ClipNumpy()
-        monkeypatch.setattr(_minimize, "np", clip)
-        assert trials() == boxed
-        assert clip.clips == len(boxed) and clip.moved >= 2
-        assert boxed[0] == ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
-        x0 = [float.fromhex(t[0]) for t in boxed]
-        held = next(i for i, v in enumerate(x0) if v > 0.0)
-        assert held > 1 and x0[-1] == pytest.approx(1.0, abs=1e-8)
-        assert all(float.fromhex(t[2]) == 1.0 for t in boxed)
-        assert float.fromhex(boxed[-1][3]) == 4.0
+    def test_takes_no_box(self):
+        # the box belongs to `newton_search`, the atomic polish
+        assert list(inspect.signature(bfgs_search).parameters) == ["x0", "max_iter", "stop"]
 
     def test_each_update_meets_the_secant_condition(self):
         # H y = s for the newest pair, and H stays symmetric positive definite
@@ -213,11 +197,11 @@ def cosh_valley(x):
     return float(np.sum(np.cosh(10.0 * x))), 10.0 * np.sinh(10.0 * x)
 
 
-def flat_line_search(box=None):
+def flat_line_search():
     # f is flat along d = 1e-13 from x = 1; from the 11th halving of the
     # unit step on, every trial rounds back to x
     x, g, d = np.array([1.0]), np.array([-1.0]), np.array([1e-13])
-    return _line_search(x, 0.0, g, d, float(g @ d), 1.0, box, 100)
+    return _line_search(x, 0.0, g, d, float(g @ d), 1.0, 100)
 
 
 class TestDrive:
@@ -229,10 +213,10 @@ class TestDrive:
         (lambda: brent_search(0.0, 2.5, 1e-10), lambda x: math.cos(3.0 * x) + 0.1 * x),
         (lambda: brent_search(0.0, 1.0, 1e-5), lambda x: abs(x - 1.0 / 3.0)),
         (lambda: bfgs_search(np.array([-1.2, 1.0]), 1000), rosenbrock),
-        (lambda: bfgs_search(np.zeros(2), 100, lower=np.array([-np.inf, -np.inf]), upper=np.array([1.0, np.inf])),
-         box_quadratic),
+        (lambda: newton_search((0.0, 0.0), 100, ((-math.inf, 1.0), (-math.inf, math.inf))), box_quadratic),
         (lambda: bfgs_search(np.array([3.0, -2.0]), 5), cosh_valley),
         (flat_line_search, lambda x: (0.0, np.array([-1.0]))),
+        (lambda: newton_search((-1.2, 1.0), 100, FREE), rosenbrock_newton),
     ]
     BUDGET_SPENT = 5
 
@@ -264,18 +248,85 @@ class TestDrive:
 
 
 class TestLineSearch:
-    @pytest.mark.parametrize("box", [None, (np.array([-np.inf]), np.array([np.inf]))], ids=["free", "boxed"])
-    def test_gives_up_at_the_first_trial_that_rounds_to_x(self, box):
+    def test_gives_up_at_the_first_trial_that_rounds_to_x(self):
         trials = []
 
         def evaluate(_, points):
             trials.append(points[0])
             return [(0.0, np.array([-1.0]))]
 
-        [(found, *_)] = drive([flat_line_search(box)], evaluate)
+        [(found, *_)] = drive([flat_line_search()], evaluate)
         assert not found
         assert len(trials) == 10
         assert not any(np.array_equal(t, [1.0]) for t in trials)
+
+
+def newton_trials(x0, fun, box, max_iter=100) -> tuple:
+    """(trial points, (x, f, iterations)) of one `newton_search` run."""
+    trials = []
+
+    def evaluate(_, points):
+        trials.append(points[0])
+        return [fun(points[0])]
+
+    [result] = drive([newton_search(x0, max_iter, box)], evaluate)
+    return trials, result
+
+
+class TestNewton:
+    def test_box_holds_a_variable_on_its_bound(self):
+        # the Newton step from 0 lands on (10/3, -8/3), projected onto x0 = 1;
+        # there the gradient pushes x0 outward, so x0 is held and x1 takes its
+        # own Newton step to the minimum over x1
+        trials, (x, f, iterations) = newton_trials((0.0, 0.0), box_quadratic, ((-math.inf, 1.0), (-math.inf, math.inf)))
+        assert trials[1][0] == 1.0 and trials[1][1] == pytest.approx(-8.0 / 3.0, abs=1e-15)
+        assert all(t[0] == 1.0 for t in trials[1:])
+        assert x[0] == 1.0 and x[1] == pytest.approx(-1.5, abs=1e-15)
+        assert f == box_quadratic(x)[0] and iterations == 2
+
+    @pytest.mark.parametrize("turn", [0.0, 0.3])
+    def test_an_indefinite_hessian_takes_the_absolute_eigenvalue_step(self, turn):
+        # f(R x) with f(y) = y0^4 / 4 - y0^2 / 2 + y1^2, saddle at y = 0 and
+        # minima at y = (+-1, 0); at y = (0.1, 0.5) the Hessian is
+        # diag(-0.97, 2), whose plain Newton step would climb towards the saddle
+        c, s = math.cos(turn), math.sin(turn)
+
+        def fun(x):
+            y0, y1 = c * x[0] - s * x[1], s * x[0] + c * x[1]
+            gy, hy = (y0**3 - y0, 2.0 * y1), (3.0 * y0 * y0 - 1.0, 2.0)
+            return (
+                y0**4 / 4 - y0**2 / 2 + y1**2,
+                (c * gy[0] + s * gy[1], -s * gy[0] + c * gy[1]),
+                (c * c * hy[0] + s * s * hy[1], s * c * (hy[1] - hy[0]), s * s * hy[0] + c * c * hy[1]),
+            )
+
+        x0 = (c * 0.1 + s * 0.5, -s * 0.1 + c * 0.5)
+        _, g, h = fun(x0)
+        w, v = np.linalg.eigh(np.array([[h[0], h[1]], [h[1], h[2]]]))
+        assert w[0] < 0.0 < w[1]
+        step = -(v / np.abs(w)) @ (v.T @ np.array(g))
+        trials, (x, f, _) = newton_trials(x0, fun, FREE)
+        assert np.allclose(np.subtract(trials[1], trials[0]), step, rtol=0.0, atol=1e-14)
+        assert fun(trials[1])[0] < fun(x0)[0]
+        # it descends into the minimum on the side it started
+        assert np.allclose(x, (c, -s), rtol=0.0, atol=1e-8) and f == pytest.approx(-0.25, abs=1e-15)
+
+    def test_rosenbrock_ends_at_the_rounding_noise_of_f(self):
+        trials, (x, f, iterations) = newton_trials((-1.2, 1.0), rosenbrock_newton, FREE)
+        assert iterations < 100 and len(trials) < 100
+        assert np.max(np.abs(np.subtract(x, 1.0))) <= 1e-7
+        # the run ends without a line search: its last trial is x, and the
+        # full Newton step's predicted decrease is below the noise of f
+        assert trials[-1] == x
+        _, g, h = rosenbrock_newton(x)
+        a, b, c = h
+        g_h_g = (c * g[0] * g[0] - 2.0 * b * g[0] * g[1] + a * g[1] * g[1]) / (a * c - b * b)
+        assert 0.5 * g_h_g <= _NOISE_ULPS * _EPS * abs(f)
+
+    def test_holds_both_variables_on_their_bounds(self):
+        # a corner the gradient pushes out of on both axes: no step, one evaluation
+        trials, (x, f, iterations) = newton_trials((2.0, 3.0), box_quadratic, ((-math.inf, 1.0), (-math.inf, -2.0)))
+        assert trials == [(1.0, -2.0)] and x == (1.0, -2.0) and iterations == 0
 
 
 class TestPoissonTail:

@@ -1,11 +1,10 @@
-"""The library's three minimisers, in numpy and `math` only: ask-and-tell
+"""The library's two minimisers, in numpy and `math` only: ask-and-tell
 generators that yield a trial point and are sent back its value. `drive`
 runs several in lock-step, one batched evaluation per round; `bfgs` runs one.
 
-`brent_search` is scipy's `minimize_scalar(method="bounded")` step for step,
-bit for bit. `bfgs_search` is BFGS with the full inverse Hessian (Nocedal
-and Wright, Numerical Optimization, 2nd ed., ch. 6) and an Armijo line
-search with weak-Wolfe expansion; `newton_search` is Newton's method in two
+`bfgs_search` is BFGS with the full inverse Hessian (Nocedal and Wright,
+Numerical Optimization, 2nd ed., ch. 6) and an Armijo line search with
+weak-Wolfe expansion; `newton_search` is Newton's method in one or two
 variables with a modified exact Hessian (ibid., section 3.4) on a box. In
 place of a gradient tolerance, both stop at the rounding noise of f.
 """
@@ -15,8 +14,6 @@ import math
 import numpy as np
 
 _EPS = np.finfo(float).eps
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
 
 # sufficient decrease and curvature constants of the line search
 _ARMIJO = 1e-4
@@ -25,8 +22,8 @@ _WOLFE = 0.9
 _NOISE_ULPS = 4
 # trial steps per line search
 _MAX_TRIALS = 20
-# evaluations of one bounded Brent search, scipy's default
-_BRENT_EVALS = 500
+# iterations of one Newton polish
+_POLISH_ITER = 200
 
 
 def drive(searches: list, evaluate) -> list:
@@ -59,68 +56,6 @@ def bfgs(fun, x0: np.ndarray, max_iter: int, stop=None) -> tuple:
     """Minimise `fun`, which returns (f(x), gradient), from `x0`; returns
     (x, f, iterations). The settings are those of `bfgs_search`."""
     return drive([bfgs_search(x0, max_iter, stop)], lambda _, points: [fun(*points)])[0]
-
-
-def brent_search(lo: float, hi: float, xatol: float):
-    """Search for a minimum on [lo, hi] to `xatol`, sent f at each trial;
-    returns (x, f(x)). Golden-section steps, and parabolic steps where the
-    parabola through the three best points is acceptable; at most
-    _BRENT_EVALS evaluations."""
-    a, b = lo, hi
-    fulc = nfc = xf = a + _GOLDEN * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = yield xf
-    num = 1
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through (xf, nfc, fulc)
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0 else -tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = yield x
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BRENT_EVALS:
-            break
-    return xf, fx
 
 
 def bfgs_search(x0: np.ndarray, max_iter: int, stop=None):
@@ -220,28 +155,27 @@ def _backtrack(rise: float, slope: float, t: float) -> float:
 
 
 def newton_search(x0: tuple, max_iter: int, box: tuple):
-    """Minimise f(x0, x1) on `box`, ((lo0, hi0), (lo1, hi1)), from `x0`, sent
-    floats (f, (g0, g1), (h00, h01, h11)) at each trial; returns (x, f, iterations).
-    The step d is `_newton_step`'s, a variable on a bound that the gradient
-    pushes outward held there; it is backtracked by safeguarded quadratic
-    interpolation to the first trial with Armijo's decrease, each trial
-    projected into the box. A run ends after `max_iter` iterations, at a
-    trial that rounds to x, after `_MAX_TRIALS` trials without the decrease,
-    or when the model's decrease for the trial t d, -slope t (1 - t/2), is
-    below `_NOISE_ULPS` units in the last place of f."""
+    """Minimise f of one or two variables on `box`, a (lo, hi) each, from `x0`,
+    sent floats (f, (g0,), (h00,)) or (f, (g0, g1), (h00, h01, h11)) at each
+    trial; returns (x, f, iterations). The step d, `_newton_step`'s with a
+    variable held on a bound that the gradient pushes outward, is backtracked
+    by safeguarded quadratic interpolation to Armijo's decrease, each trial
+    projected into the box. A run ends after `max_iter` iterations, at a trial
+    that rounds to x, after `_MAX_TRIALS` failed trials, or when the model's
+    decrease -slope t (1 - t/2) for the trial t d is below `_NOISE_ULPS` ulps of f."""
     x = tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(x0, box))
     f, g, h = yield x
     for it in range(max_iter):
         held = [(v <= lo and gv > 0.0) or (v >= hi and gv < 0.0) for v, gv, (lo, hi) in zip(x, g, box)]
         d = _newton_step(g, h, held)
-        slope, noise, t = g[0] * d[0] + g[1] * d[1], _NOISE_ULPS * _EPS * abs(f), 1.0
+        slope, noise, t = sum(gv * dv for gv, dv in zip(g, d)), _NOISE_ULPS * _EPS * abs(f), 1.0
         for _ in range(_MAX_TRIALS):
             x_t = tuple(min(max(v + t * dv, lo), hi) for v, dv, (lo, hi) in zip(x, d, box))
             # below the rounding noise of f, a trial only chases noise
             if x_t == x or not -slope * t * (1.0 - 0.5 * t) > noise:
                 return x, f, it
             f_t, g_t, h_t = yield x_t
-            if f_t < f and f_t <= f + _ARMIJO * (g[0] * (x_t[0] - x[0]) + g[1] * (x_t[1] - x[1])):
+            if f_t < f and f_t <= f + _ARMIJO * sum(gv * (a - b) for gv, a, b in zip(g, x_t, x)):
                 break
             t = _backtrack(f_t - f, slope, t)
         else:
@@ -251,12 +185,13 @@ def newton_search(x0: tuple, max_iter: int, box: tuple):
 
 
 def _newton_step(g: tuple, h: tuple, held: list) -> tuple:
-    """-|H|^+ g over the variables not `held`, |H| with the eigenvalues of
-    H = ((h00, h01), (h01, h11)) made absolute, ^+ its pseudo-inverse (an
-    eigenvalue 0 divides as inf): the Newton step where H is positive definite."""
+    """-|H|^+ g over the variables not `held`, |H| with the eigenvalues of H,
+    (h00,) or ((h00, h01), (h01, h11)), made absolute and ^+ its pseudo-inverse
+    (an eigenvalue 0 divides as inf): the Newton step where H is positive
+    definite, and with a variable held, the other's diagonal step."""
+    if len(g) == 1 or held[0] or held[1]:
+        return tuple(0.0 if hold else -gv / (abs(hv) or math.inf) for gv, hv, hold in zip(g, h[::2], held))
     a, b, c = h
-    if held[0] or held[1]:
-        return 0.0 if held[0] else -g[0] / (abs(a) or math.inf), 0.0 if held[1] else -g[1] / (abs(c) or math.inf)
     # the eigenpairs (m + r, (cos u, sin u)) and (m - r, (-sin u, cos u))
     m, r, u = 0.5 * (a + c), math.hypot(0.5 * (a - c), b), 0.5 * math.atan2(2.0 * b, a - c)
     cos_u, sin_u = math.cos(u), math.sin(u)

@@ -9,9 +9,9 @@ through the Kraus POVM is kept as an independent cross-check.
 Every outcome probability depends on xi only through sin(xi); the error is
 linear in it and the information convex in the channel, so both optima lie
 at |sin xi| = 1. There the table is affine in (cos 2theta, sin 2theta): the
-error's minimum over theta is closed-form, and the information is polished
-by Newton's method in (Phi, 2theta) with the exact gradient and Hessian,
-from the series' Phi derivatives (`_series_sums`).
+error's minimum over theta is closed-form and polished by Newton's method
+in Phi, and the information by Newton's method in (Phi, 2theta), each with
+its exact derivatives from the series' Phi derivatives (`_series_sums`).
 """
 
 import functools
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimize import brent_search, drive, newton_search
+from ._minimize import _POLISH_ITER, drive, newton_search
 from .config import PROB_GUARD, SERIES_TAIL
 from .discrimination import BinaryPovm, _log_ratio, mutual_information_from_joint
 from .errors import SeriesTruncationError
@@ -54,8 +54,6 @@ _TWO_THETA_GRID = np.linspace(0.0, np.pi, 8, endpoint=False)
 _BLOCK_ROWS = 128
 # Local optima of the grid that are polished.
 _POLISHED = 3
-# Iterations of one polish of the information.
-_POLISH_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -310,23 +308,54 @@ def _grid_profile(table: tuple, over_theta) -> tuple:
 
 def _search_min_error(coefficients: _TableCoefficients) -> list:
     """Per point of the block, (error, params) of each of its best grid
-    minima, polished by bounded Brent in Phi in lock-step: each round is one
-    table call at every running polish's trial Phi."""
+    minima, polished in lock-step by Newton's method in Phi within the grid's
+    neighbours (`_min_error_round`) from its grid parabola's `_grid_vertex`."""
     grid = _PHI_GRID
-    starts, polishes = [], []
+    owners, polishes = [], []
     for k in range(len(coefficients.sigmas)):
         curve, _ = _min_error_over_theta(coefficients(point=k))
         for i in _best_local(curve, _POLISHED):
-            starts.append((k, i, curve[i]))
-            polishes.append(brent_search(max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX), 1e-10))
-    owner = np.array([k for k, _, _ in starts])
-    ends = drive(polishes, lambda which, phis: _min_error_over_theta(coefficients(np.array(phis), owner[which]))[0])
-    phis = [phi if value < at_grid else grid[i] for (_, i, at_grid), (phi, value) in zip(starts, ends)]
+            owners.append(k)
+            cell = (max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX))
+            polishes.append(newton_search((_grid_vertex(curve, i),), _POLISH_ITER, (cell,)))
+    owner = np.array(owners)
+    ends = drive(polishes, lambda which, xs: _min_error_round(xs, coefficients, owner[which]))
+    phis = [phi for (phi,), _, _ in ends]
     values, two_theta = _min_error_over_theta(coefficients(np.array(phis), owner))
     found = [[] for _ in coefficients.sigmas]
-    for k, value, phi, t in zip(owner, values, phis, two_theta):
+    for k, value, phi, t in zip(owners, values, phis, two_theta):
         found[k].append((float(value), _canonical(phi, t)))
     return found
+
+
+def _grid_vertex(curve: np.ndarray, i: int) -> float:
+    """The Phi of the vertex of the parabola through row i of a grid curve and
+    its neighbours, or row i's if it has no minimum; the curve is even in Phi,
+    so row 0's neighbours are both row 1. At PHI_MAX it is the row before's."""
+    j = min(i, curve.size - 2)
+    left, mid, right = curve[abs(j - 1)], curve[j], curve[j + 1]
+    bend = left - 2.0 * mid + right
+    return float(_PHI_GRID[j] + 0.5 * _PHI_GRID[1] * (left - right) / bend) if bend > 0.0 else float(_PHI_GRID[i])
+
+
+def _min_error_round(xs: list, coefficients: _TableCoefficients, point=0) -> list:
+    """The error's minimum over theta, e = e_a - r with r = hypot(e_b, e_c), at
+    each x = (Phi,) of `xs` (of the block's point `point`, one or one per x),
+    as floats (e, (e',), (e'',)) from one table call: with u = (e_b, e_c) / r,
+    e' = e_a' - u . (e_b', e_c') and e'' = e_a'' - u . (e_b'', e_c'') - (u_b
+    e_c' - u_c e_b')^2 / r, whose r terms drop at r = 0."""
+    table, slopes, curvatures = coefficients(np.array(xs)[:, 0], point, slopes=True)
+    values, _ = _min_error_over_theta(table)
+    _, swing, inter = table
+    (a1, b1, c1), (a2, b2, c2) = ((-mean[0] - mean[1], s[1] - s[0], i[1] - i[0]) for mean, s, i in (slopes, curvatures))
+    e_b, e_c = swing[1] - swing[0], inter[1] - inter[0]
+    radius = np.hypot(e_b, e_c)
+    u_b, u_c = (np.divide(e, radius, out=np.zeros(radius.shape), where=radius > 0.0) for e in (e_b, e_c))
+    turn, first = u_b * c1 - u_c * b1, a1 - (u_b * b1 + u_c * c1)
+    with np.errstate(over="ignore"):
+        bend = np.divide(turn * turn, radius, out=np.zeros(radius.shape), where=radius > 0.0)
+    second = a2 - (u_b * b2 + u_c * c2) - bend
+    return [(e, (g,), (h,)) for e, g, h in zip(values.tolist(), first.tolist(), second.tolist())]
 
 
 def _information_round(xs: list, coefficients: _TableCoefficients, q: np.ndarray, point=0) -> list:
@@ -438,16 +467,13 @@ def optimize_block(objective: str, points: list) -> list:
     are computed once per amplitude pair in a process: the error's minimum
     over theta is closed-form at each Phi, and the information ranks Phi
     basins on every fourth row (step 0.04) at 8 angles 2theta. Each point's
-    best three grid optima are polished (bounded Brent in Phi; Newton in
-    (Phi, 2theta) with the exact Hessian), all of a block's in lock-step
-    rounds of one series evaluation; each sees the values it would see alone,
-    so a point's result does not depend on its block. A polish that ends no
-    better keeps its grid point. Each value is the search's own and equals
-    `error_probability_series` / `mutual_information_series` at its
-    parameters to a few units in the last place. The parameters have xi in
-    {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX]; ties go to
-    the lexicographically smallest.
-    """
+    best three grid optima are polished by Newton's method (in Phi; in (Phi,
+    2theta)), a block's in lock-step rounds of one series evaluation, so a
+    point's result does not depend on its block. Each value is the search's
+    own and equals `error_probability_series` / `mutual_information_series`
+    at its parameters to a few units in the last place; they have xi in
+    {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX], ties going to
+    the lexicographically smallest."""
     if objective not in ("min-error", "max-information"):
         raise ValueError(f"unknown objective {objective!r}")
     first = points[0]

@@ -8,7 +8,7 @@ and a maximum-a-posteriori rule decides the hypothesis. The count pmf is
 taken exactly: an equispaced rule whose weights damp Fourier mode k by
 exp(-sigma^2 k^2 / 2), with the node count derived from each pair's
 bandwidth. One batched kernel evaluates every (amplitude, displacement)
-pair of a call.
+pair of a call, with the displacement derivatives for the Newton search.
 """
 
 import functools
@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimize import brent_search, drive
-from .discrimination import mutual_information_from_joint
+from ._minimize import _POLISH_ITER, drive, newton_search
+from .config import PROB_GUARD
+from .discrimination import _log_ratio
 from .signals import SignalParams
 
 __all__ = [
@@ -84,37 +85,41 @@ def _counts(top: int) -> tuple:
     return rows
 
 
-def _outcome_table(alphas, sigma, betas, visibility: float, resolutions) -> list:
-    """Outcome distributions for every amplitude and displacement at each
-    resolution m of `resolutions`: a list of arrays of shape (A, B, m+1), in
-    the order of `resolutions`.
+def _outcome_stack(alphas, sigma, betas, visibility: float, resolutions, slopes: bool = False) -> np.ndarray:
+    """Outcome distributions (counts 0..m-1, the merged '>= m' outcome, then
+    zeros) at every displacement, m of `resolutions` and amplitude, a (B, M,
+    A, max(m) + 1) stack; with `slopes`, (3, ...) with the first and second
+    beta derivatives. `sigma` is one phase width or one per displacement.
 
-    `alphas` and `betas` are sequences of scalars; `sigma` is one phase
-    width, or a sequence with the width of each displacement. Entries are
-    grouped by their own node count, and the Poisson pmf of a group's counts
-    0..max(m)-1 is laid out as (entry, count, node). Each entry's phase
-    average is its own sum over its nodes, weighted by its own width's rule,
-    which no other entry of the call enters, and each m takes the first m
-    of those averages. So every entry equals `outcome_distribution` at that
-    pair, bit for bit, whatever else the call holds.
+    Each entry's phase average of its Poisson pmf, (entry, count, node), is its
+    own node sum with its own width's rule: `outcome_distribution` at that pair
+    bit for bit, whatever the call. The derivatives are node sums of P mu' and
+    P mu'^2 differenced over k: dP_k/dmu = P_{k-1} - P_k, mu' = 2 (beta - v alpha cos(phi)), mu'' = 2.
     """
     top = max(resolutions)
-    a = np.array(alphas, dtype=float)[:, None]
-    b = np.array(betas, dtype=float)[None, :]
+    a = np.array(alphas, dtype=float)[None, :]
+    b = np.array(betas, dtype=float)[:, None]
     cross = 2 * visibility * a * b
     # the count mean a^2 + b^2 - 2 v a b cos(phi) as a sum of nonnegative terms,
     # (|a| - |b|)^2 + 2 |ab| (1 - v) + 4 v |ab| h(phi) with h = sin^2(phi / 2)
     # for ab >= 0 and cos^2(phi / 2) for ab < 0, which does not cancel near nulling
     ab = a * b
-    offset = (np.abs(a) - np.abs(b)) ** 2 + 2.0 * (1.0 - visibility) * np.abs(ab)
-    swing = 4.0 * visibility * np.abs(ab)
+    up = ab >= 0
+    # per entry offset, swing and with `slopes` mu' as lean + pull h (cos(phi) = +-(1 - 2h))
+    terms, size = np.empty((2 + 2 * slopes,) + ab.shape), np.abs(ab)
+    terms[0], terms[1] = (np.abs(a) - np.abs(b)) ** 2 + 2.0 * (1.0 - visibility) * size, 4.0 * visibility * size
+    if slopes:
+        turned = np.where(up, 2.0 * visibility, -2.0 * visibility) * a
+        terms[2], terms[3] = 2.0 * b - turned, 2.0 * turned
     # the smallest power of two N >= 64 with N/2 >= 9 sqrt(d) + 16, d = |cross|:
     # Fourier mode k of the count pmf falls off like exp(-k^2 / 2d)
     sizes = 2 ** np.ceil(np.log2(np.maximum(18.0 * np.sqrt(np.abs(cross)) + 32.0, 64.0))).astype(int)
     widths = np.empty(sizes.shape)
-    widths[...] = sigma
+    widths[...] = np.reshape(sigma, (-1, 1))
     k, log_factorial, zero_mean = _counts(top)
-    average = np.empty(sizes.shape + (top,))
+    # per part and entry: counts 0..top-1, each m's merged outcome at top + m - 1, a zero
+    source = np.zeros((1 + 2 * slopes,) + sizes.shape + (2 * top + 1,))
+    average, moments = source[0, ..., :top], np.empty((2 * slopes,) + sizes.shape + (top,))
     for n in set(sizes.ravel().tolist()):
         sel = sizes == n
         at = widths[sel]
@@ -122,8 +127,9 @@ def _outcome_table(alphas, sigma, betas, visibility: float, resolutions) -> list
         rules = [_phase_rule(width, n) for width in levels]
         # the half node angles depend on n alone, so any width's rule has them
         _, sin2, cos2 = rules[0]
-        h = np.where((ab >= 0)[sel][:, None], sin2, cos2)
-        n_eff = offset[sel][:, None] + swing[sel][:, None] * h
+        h = np.where(up[sel][:, None], sin2, cos2)
+        part = terms[:, sel, None]
+        n_eff = part[0] + part[1] * h
         # Poisson pmf as (entry, count, node), times the weights of each entry's own width
         log_pmf = -n_eff[:, None] + k * np.log(np.maximum(n_eff, 1e-300))[:, None] - log_factorial
         pmf = np.exp(log_pmf, out=log_pmf)
@@ -132,11 +138,31 @@ def _outcome_table(alphas, sigma, betas, visibility: float, resolutions) -> list
         pmf *= weights[:, None]
         # the weights oscillate at small sigma, so a vanishing average can round below 0
         average[sel] = np.maximum(pmf.sum(axis=-1), 0.0)
-    tables = [np.empty(sizes.shape + (m + 1,)) for m in resolutions]
-    for m, probs in zip(resolutions, tables):
-        probs[..., :m] = average[..., :m]
-        np.maximum(1.0 - probs[..., :m].sum(axis=-1), 0.0, out=probs[..., m])
-    return tables
+        if slopes:
+            rise = (part[2] + part[3] * h)[:, None]
+            for moment in moments:
+                pmf *= rise
+                moment[sel] = pmf.sum(axis=-1)
+    for m in resolutions:
+        np.maximum(1.0 - average[..., :m].sum(axis=-1), 0.0, out=source[0, ..., top + m - 1])
+    if slopes:
+        # dA_k = S1_{k-1} - S1_k, and d2A_k = D_{k-1} - D_k with D_k = S2_{k-1} - S2_k + 2 A_k;
+        # the merged outcome's are S1_{m-1} and D_{m-1}
+        rows, ends = source[1:, ..., :top], source[1:, ..., top:-1]
+        ends[0], ends[1] = moments[0], 2.0 * average - moments[1]
+        ends[1, ..., 1:] += moments[1, ..., :-1]
+        np.negative(ends, out=rows)
+        rows[..., 1:] += ends[..., :-1]
+    stack = source.take(_columns(tuple(resolutions)), axis=-1).swapaxes(-3, -2)
+    return stack if slopes else stack[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _columns(resolutions: tuple) -> np.ndarray:
+    """Indices of each m's row, (M, max(m) + 1), in `_outcome_stack`'s source:
+    its counts, its merged outcome, then the zero."""
+    top, c = max(resolutions), np.arange(max(resolutions) + 1)
+    return np.array([np.where(c < m, c, np.where(c == m, top + m - 1, 2 * top)) for m in resolutions])
 
 
 def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarray:
@@ -147,8 +173,7 @@ def outcome_distribution(alpha: float, sigma: float, cfg: PnrConfig) -> np.ndarr
     averaged over the Gaussian channel phase.
     """
     cfg.validate()
-    [table] = _outcome_table([alpha], sigma, [cfg.displacement], cfg.visibility, [cfg.resolution])
-    return table[0, 0]
+    return _outcome_stack([alpha], sigma, [cfg.displacement], cfg.visibility, [cfg.resolution])[0, 0, 0]
 
 
 def map_error_probability(params: SignalParams, cfg: PnrConfig) -> float:
@@ -163,24 +188,41 @@ def map_mutual_information(params: SignalParams, cfg: PnrConfig) -> float:
     return information
 
 
-def _scores(params: SignalParams, betas, visibility: float, keys: list, sigma=None) -> dict:
-    """sign * objective at every displacement of `betas` for each (m, objective)
-    of `keys`, from one kernel call: the MAP error ('min-error') or minus the
-    information in bits ('max-information'); each key scores all
-    displacements at once. `sigma` gives the phase width of each
-    displacement (a block's points share amplitudes and priors); by default
-    every displacement takes `params.sigma`. Each displacement's scores are
-    those of its lone call, bit for bit."""
+def _scores(params: SignalParams, betas, visibility: float, keys: list, sigma=None, slopes: bool = False) -> dict:
+    """sign * objective, the MAP error ('min-error') or minus the information in
+    bits ('max-information'), at each displacement of `betas` (widths `sigma`,
+    by default `params.sigma`) for each (m, objective) of `keys`, in one kernel
+    call, bit for bit as in lone calls. With `slopes`, (scores, first, second):
+    the error's minus the arg-max entries', the information's sum log_ratio dP
+    and sum log_ratio d2P + (sum dP^2 / P - sum_k dP(k)^2 / P(k)) / ln 2 above PROB_GUARD."""
     resolutions = list(dict.fromkeys(m for m, _ in keys))
-    alphas, q = [params.alpha1, params.alpha2], np.array([params.q1, params.q2])
-    tables = _outcome_table(alphas, params.sigma if sigma is None else sigma, betas, visibility, resolutions)
-    # (displacement, x, count) joint tables, one per resolution
-    joints = {m: (q[:, None, None] * table).transpose(1, 0, 2) for m, table in zip(resolutions, tables)}
-    return {
-        (m, o): 1.0 - joints[m].max(axis=-2).sum(axis=-1) if o == "min-error"
-        else -mutual_information_from_joint(joints[m], q)
-        for m, o in keys
+    q = np.array([params.q1, params.q2])
+    stack = _outcome_stack([params.alpha1, params.alpha2], params.sigma if sigma is None else sigma, betas,
+                           visibility, resolutions, slopes)
+    # (displacement, resolution, x, count) joint tables, and their derivatives
+    joints = np.multiply(q[:, None], stack, order="C")
+    joint = joints[0] if slopes else joints
+    log_ratio = _log_ratio(q, joint)
+    terms, best = joint * log_ratio, np.maximum(joint[..., 0, :], joint[..., 1, :])
+    # each m sums its own outcomes as its own table did: the information's (x, count) entries as one row
+    scores = {
+        (m, o): 1.0 - best[:, i, :m + 1].sum(axis=-1) if o == "min-error"
+        else -terms[:, i, :, :m + 1].reshape(len(betas), -1).sum(axis=-1)
+        for (m, o), i in ((key, resolutions.index(key[0])) for key in keys)
     }
+    if not slopes:
+        return scores
+    # sums along the counts, then over x in pairs, so that each entry's are those of its lone call
+    first = joints[1]
+    error = -np.where(joint[..., 0, :] >= joint[..., 1, :], joints[1:, ..., 0, :], joints[1:, ..., 1, :]).sum(axis=-1)
+    information = (log_ratio * joints[1:]).sum(axis=-1)
+    information = -(information[..., 0] + information[..., 1])
+    p_k, dp_k = joint[..., 0, :] + joint[..., 1, :], first[..., 0, :] + first[..., 1, :]
+    fisher = (first * first / np.where(joint >= PROB_GUARD, joint, np.inf)).sum(axis=-1)
+    fisher = fisher[..., 0] + fisher[..., 1] - (dp_k * dp_k / np.where(p_k >= PROB_GUARD, p_k, np.inf)).sum(axis=-1)
+    information[1] -= fisher / np.log(2.0)
+    slope = {"min-error": error, "max-information": information}
+    return {(m, o): (value, *slope[o][..., resolutions.index(m)]) for (m, o), value in scores.items()}
 
 
 def _distinct(visibility: float, resolutions) -> list:
@@ -219,16 +261,12 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
     [(beta, error), (beta, information)] at the displacement each search
     found.
 
-    A point's search covers every resolution and both quantities. A coarse
-    grid over a symmetric range is evaluated per point in one kernel call
-    that all of them share: one table at max(m), whose counts 0..m-1 serve
-    each m. A bounded Brent refinement then runs around each (m,
-    objective)'s best cell. The refinements of every point of the block run
-    in lock-step: each round is one kernel call at the trial displacement of
-    every running refinement, each averaged over its own point's sigma, and
-    each (m, objective) scores all of the round's displacements at once.
-    Every value equals the one `evaluate_displacement` gives at its beta,
-    bit for bit, whatever the block. Deterministic.
+    A point's 81-point grid over a symmetric range is one kernel call at
+    max(m). Newton's method in beta (`newton_search`, the derivatives of
+    `_scores`) then refines each (m, objective)'s best cell within its two
+    neighbours, taking only decreases; the block's refinements run in
+    lock-step, one kernel call per round. Every value equals the one
+    `evaluate_displacement` gives at its beta, bit for bit, whatever the block.
     """
     distinct = _distinct(visibility, resolutions)
     params = points[0]
@@ -236,26 +274,27 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
         raise ValueError("the points of a block must differ in sigma only")
     searches = [(m, objective) for m in distinct for objective in _SIGNS]
     span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
-    grid = np.linspace(-span, span, _GRID_POINTS)
-    # (point, key, best cell, its value) of each refinement
-    starts, refinements = [], []
+    grid = np.linspace(-span, span, _GRID_POINTS).tolist()
+    # (point, key) of each refinement
+    trials, refinements = [], []
     for k, point in enumerate(points):
         scores = _scores(point, grid, visibility, searches)
         for key in searches:
             i = int(np.argmin(scores[key]))
-            starts.append((k, key, i, scores[key][i]))
-            refinements.append(brent_search(grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)], 1e-9))
+            trials.append((k, key))
+            cell = (grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)])
+            refinements.append(newton_search((grid[i],), _POLISH_ITER, (cell,)))
 
-    def score(trials, betas):
-        """sign * objective of each (point, key) of `trials` at its displacement."""
+    def score(trials, betas, slopes=False):
+        """sign * objective of each (point, key) of `trials`; with `slopes`, (value, (first,), (second,))."""
         keys = list(dict.fromkeys(key for _, key in trials))
-        scores = _scores(params, betas, visibility, keys, [points[k].sigma for k, _ in trials])
-        return [scores[key][r] for r, (_, key) in enumerate(trials)]
+        scores = _scores(params, betas, visibility, keys, [points[k].sigma for k, _ in trials], slopes)
+        rows = {key: np.transpose(scores[key]).tolist() for key in keys}
+        found = [rows[key][r] for r, (_, key) in enumerate(trials)]
+        return [(v, (g,), (h,)) for v, g, h in found] if slopes else found
 
-    best = {}
-    ends = drive(refinements, lambda which, betas: score([starts[j][:2] for j in which], betas))
-    for (k, key, i, grid_value), (beta, value) in zip(starts, ends):
-        best[k, key] = (float(beta) if value <= grid_value else float(grid[i]), min(float(value), float(grid_value)))
+    ends = drive(refinements, lambda which, xs: score([trials[j] for j in which], [x for (x,) in xs], slopes=True))
+    best = {trial: (beta, value) for trial, ((beta,), value, _) in zip(trials, ends)}
     if params.q1 == params.q2 and params.alpha2 == -params.alpha1:
         # BPSK with equal priors: the value is even in beta, so report each
         # optimum at |beta|, its value evaluated there, in one kernel call
@@ -263,7 +302,7 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
         if flips:
             betas = [-best[trial][0] for trial in flips]
             for trial, beta, value in zip(flips, betas, score(flips, betas)):
-                best[trial] = (beta, float(value))
+                best[trial] = (beta, value)
     return [
         [[(best[k, (m, o)][0], _SIGNS[o] * best[k, (m, o)][1]) for o in _SIGNS] for m in resolutions]
         for k in range(len(points))

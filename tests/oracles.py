@@ -192,6 +192,38 @@ def quad_distribution(alpha, sigma, beta, visibility, m):
     return np.append(counts, max(1.0 - counts.sum(), 0.0))
 
 
+def poisson_slopes(alpha, sigma, beta, visibility, m, nodes: int = 512) -> tuple:
+    """Counts 0..m-1 and the merged rest, and their first and second beta
+    derivatives, each (m + 1,), by the textbook derivatives of the Poisson pmf
+    averaged over the Gaussian phase.
+
+    At the count mean mu = alpha^2 + beta^2 - 2 v alpha beta cos(phi), with
+    mu' = 2 (beta - v alpha cos(phi)) and mu'' = 2, dP_k = P_k (k / mu - 1) mu'
+    and d2P_k = P_k [((k / mu - 1)^2 - k / mu^2) mu'^2 + 2 (k / mu - 1)]; the
+    merged outcome's are minus their sums. The phase average is the
+    equispaced rule on `nodes` nodes, its weights the direct cosine sum of
+    the wrapped normal's Fourier modes exp(-sigma^2 k^2 / 2), and at sigma 0
+    the value at phi = 0. Needs mu > 0 at every node.
+    """
+    phi = 2.0 * np.pi * np.arange(nodes) / nodes
+    modes = np.arange(1, nodes // 2)
+    weights = (1.0 + 2.0 * np.cos(np.outer(phi, modes)) @ np.exp(-0.5 * sigma**2 * modes**2)
+               + np.exp(-0.5 * sigma**2 * (nodes // 2) ** 2) * np.cos(nodes // 2 * phi)) / nodes
+    if sigma == 0.0:
+        weights = np.where(phi == 0.0, 1.0, 0.0)
+    mu = alpha**2 + beta**2 - 2.0 * visibility * alpha * beta * np.cos(phi)
+    rise = 2.0 * (beta - visibility * alpha * np.cos(phi))
+    k = np.arange(m)[:, None]
+    pmf = np.exp(-mu + k * np.log(mu) - special.gammaln(k + 1))
+    ratio = k / mu - 1.0
+    parts = []
+    for values in (pmf, pmf * ratio * rise, pmf * ((ratio**2 - k / mu**2) * rise**2 + 2.0 * ratio)):
+        counts = values @ weights
+        parts.append(np.append(counts, -counts.sum()))
+    parts[0][-1] += 1.0
+    return tuple(parts)
+
+
 class _Elements:
     """A POVM as `dense_residual` reads it: its `elements`."""
 

@@ -477,6 +477,120 @@ class TestPolish:
         assert len(rounds) <= 8
 
 
+class TestMinErrorPolish:
+    """The min-error polish: Newton's method in Phi on the error's closed-form
+    minimum over theta, with the curvature series of the table."""
+
+    STEP = 1e-6
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        signal=st.sampled_from([bpsk, ook]),
+        mean_photons=st.floats(0.01, 10.0),
+        q1=st.floats(0.05, 0.95),
+        sigma=st.floats(0.0, 3.0),
+        phi=st.floats(0.001, PHI_MAX - 0.001),
+    )
+    def test_round_matches_central_differences(self, signal, mean_photons, q1, sigma, phi):
+        coefficients = atomic._TableCoefficients(signal(mean_photons, sigma, q1))
+        h = self.STEP
+
+        def curve(x):
+            return atomic._min_error_over_theta(coefficients(np.array([x])))[0][0]
+
+        def slope(x):
+            return atomic._min_error_round([(x,)], coefficients)[0][1][0]
+
+        [(value, (first,), (second,))] = atomic._min_error_round([(phi,)], coefficients)
+        # the value is the grid's closed form, bit for bit
+        assert same_bits(value, curve(phi))
+        # away from a zero of hypot(e_b, e_c), where the minimum over theta has a kink
+        _, swing, inter = coefficients(np.array([phi]))
+        if np.hypot(swing[1] - swing[0], inter[1] - inter[0])[0] < 1e-6:
+            return
+        central = (curve(phi + h) - curve(phi - h)) / (2 * h)
+        assert abs(first - central) <= 1e-7 * (1 + abs(central))
+        central = (slope(phi + h) - slope(phi - h)) / (2 * h)
+        assert abs(second - central) <= 1e-6 * (1 + abs(central))
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(
+        signal=st.sampled_from([bpsk, ook]),
+        mean_photons=st.floats(0.01, 10.0),
+        q1=st.floats(0.05, 0.95),
+        sigmas=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+        phis=st.lists(st.floats(0.0, PHI_MAX), min_size=2, max_size=6),
+    )
+    def test_trials_of_a_round_equal_a_loop_over_them(self, signal, mean_photons, q1, sigmas, phis):
+        coefficients = atomic._TableCoefficients(*(signal(mean_photons, sigma, q1) for sigma in sigmas))
+        owner = np.arange(len(phis)) % len(sigmas)
+        together = atomic._min_error_round([(phi,) for phi in phis], coefficients, owner)
+        for phi, k, (value, (first,), (second,)) in zip(phis, owner, together):
+            [(alone, (first_alone,), (second_alone,))] = atomic._min_error_round([(phi,)], coefficients, k)
+            assert same_bits([value, first, second], [alone, first_alone, second_alone])
+
+    def test_each_end_is_at_or_below_its_start_and_grid_point(self, monkeypatch):
+        starts, ends = [], []
+        lock_step = atomic.drive
+
+        def recording(searches, evaluate):
+            def first_round(which, xs):
+                values = evaluate(which, xs)
+                if not starts:
+                    starts.extend(value for value, _, _ in values)
+                return values
+
+            results = lock_step(searches, first_round)
+            ends.extend(results)
+            return results
+
+        monkeypatch.setattr(atomic, "drive", recording)
+        points = [ook(1.5, sigma) for sigma in np.linspace(0.0, 3.0, 12)[:6]]
+        results = atomic.optimize_block("min-error", points)
+        curve = [atomic._min_error_over_theta(atomic._TableCoefficients(p)(point=0))[0] for p in points]
+        grid_values = [curve[k][i] for k in range(len(points)) for i in atomic._best_local(curve[k], atomic._POLISHED)]
+        assert len(ends) == len(starts) == len(grid_values)
+        assert all(value <= start for start, (_, value, _) in zip(starts, ends))
+        assert all(value <= at_grid for at_grid, (_, value, _) in zip(grid_values, ends))
+        # the reported values are the polishes' ends
+        assert sorted(value for _, value, _ in ends) == sorted(v for r in results for v, _ in r.per_start)
+
+    @pytest.mark.parametrize("signal", [bpsk, ook])
+    @pytest.mark.parametrize("sigma", [0.0, 1.2, 2.4])
+    def test_the_grid_vertex_is_near_the_minimum(self, signal, sigma):
+        # at the grid's best minima the exact slope at the vertex is a small
+        # part of its grid point's (measured: below 3e-3 of step times the
+        # curvature, against up to a half)
+        coefficients = atomic._TableCoefficients(signal(1.5, sigma, 0.3))
+        curve, _ = atomic._min_error_over_theta(coefficients(point=0))
+        step = atomic._PHI_GRID[1]
+        for i in atomic._best_local(curve, atomic._POLISHED):
+            vertex = atomic._grid_vertex(curve, i)
+            assert abs(vertex - atomic._PHI_GRID[i]) <= step
+            [(_, (first,), (second,))] = atomic._min_error_round([(vertex,)], coefficients)
+            assert i == 0 or abs(first) <= 1e-2 * step * abs(second)
+        # the curve is even in Phi
+        assert atomic._grid_vertex(curve, 0) == 0.0
+
+    def test_rounds_of_a_block(self, monkeypatch):
+        # a 6-point block of the cli-sweep-2w benchmark; the bounded Brent
+        # polish took 9 rounds here, the Newton polish from the grid point 3,
+        # from its parabola's vertex 2
+        rounds = []
+        lock_step = atomic.drive
+
+        def counted(searches, evaluate):
+            def evaluate_counted(which, xs):
+                rounds.append(len(which))
+                return evaluate(which, xs)
+
+            return lock_step(searches, evaluate_counted)
+
+        monkeypatch.setattr(atomic, "drive", counted)
+        atomic.optimize_block("min-error", [ook(1.5, sigma) for sigma in np.linspace(0.0, 3.0, 12)[:6]])
+        assert rounds[0] == 6 * atomic._POLISHED and len(rounds) <= 2
+
+
 def same_bits(got, expected) -> bool:
     """Equal shapes and equal bytes: every entry bit for bit, signed zeros too."""
     got, expected = np.asarray(got), np.asarray(expected)

@@ -1,11 +1,10 @@
-"""The library's own minimisers against scipy, and the Poisson tail against gammainc."""
+"""The library's own minimisers, and the Poisson tail against gammainc."""
 
 import inspect
 import math
 
 import numpy as np
 import pytest
-from scipy import optimize as sciopt
 from scipy import special
 
 from oracles import bfgs_update
@@ -16,36 +15,11 @@ from phasecomm._minimize import (
     _line_search,
     bfgs,
     bfgs_search,
-    brent_search,
     drive,
     newton_search,
 )
 from phasecomm.config import TAIL
 from phasecomm.fock import default_cutoff, poisson_tail
-
-
-def scipy_bounded(func, lo, hi, xatol):
-    res = sciopt.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    return res.x, res.fun
-
-
-class TestBoundedBrent:
-    @pytest.mark.parametrize(
-        "func, lo, hi",
-        [
-            (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
-            (lambda x: math.cos(3.0 * x) + 0.1 * x, 0.0, 2.5),
-            (lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0),  # a kink: golden steps only
-            (lambda x: -x * math.exp(-x * x), 0.1, 4.0),
-            (lambda x: x, 2.0, 5.0),  # minimum on the bound
-            (lambda x: math.sin(40.0 * x) * math.exp(-x), 8.15, 8.17),
-        ],
-    )
-    @pytest.mark.parametrize("xatol", [1e-5, 1e-9, 1e-10])
-    def test_matches_scipy_bit_for_bit(self, func, lo, hi, xatol):
-        [(x, fun)] = drive([brent_search(lo, hi, xatol)], lambda _, points: [func(points[0])])
-        ref_x, ref_fun = scipy_bounded(func, lo, hi, xatol)
-        assert x == ref_x and fun == ref_fun
 
 
 def rosenbrock(x):
@@ -75,6 +49,29 @@ def rosenbrock_newton(x):
 
 
 FREE = ((-math.inf, math.inf), (-math.inf, math.inf))
+
+
+def shifted_square(x):
+    # (f, gradient, Hessian) of one variable for `newton_search`
+    (v,) = x
+    return (v - 0.3) ** 2, (2.0 * (v - 0.3),), (2.0,)
+
+
+def tilted_cosine(x):
+    (v,) = x
+    return math.cos(3.0 * v) + 0.1 * v, (0.1 - 3.0 * math.sin(3.0 * v),), (-9.0 * math.cos(3.0 * v),)
+
+
+def double_well(x):
+    # minima at +-1, a maximum at 0; the Hessian is negative for |v| < 1 / sqrt(3)
+    (v,) = x
+    return v**4 / 4 - v**2 / 2, (v**3 - v,), (3.0 * v * v - 1.0,)
+
+
+def cosh_bowl(x):
+    # 1 + cosh, so that the rounding noise of f at the minimum 0 is that of 2
+    (v,) = x
+    return 1.0 + math.cosh(v), (math.sinh(v),), (math.cosh(v),)
 
 
 class TestBfgs:
@@ -209,9 +206,9 @@ class TestDrive:
 
     # (a fresh search, its objective)
     CASES = [
-        (lambda: brent_search(-1.0, 2.0, 1e-9), lambda x: (x - 0.3) ** 2),
-        (lambda: brent_search(0.0, 2.5, 1e-10), lambda x: math.cos(3.0 * x) + 0.1 * x),
-        (lambda: brent_search(0.0, 1.0, 1e-5), lambda x: abs(x - 1.0 / 3.0)),
+        (lambda: newton_search((0.0,), 100, ((-1.0, 2.0),)), shifted_square),
+        (lambda: newton_search((0.1,), 100, ((-2.0, 2.0),)), double_well),
+        (lambda: newton_search((2.0,), 100, ((-math.inf, 0.0),)), shifted_square),
         (lambda: bfgs_search(np.array([-1.2, 1.0]), 1000), rosenbrock),
         (lambda: newton_search((0.0, 0.0), 100, ((-math.inf, 1.0), (-math.inf, math.inf))), box_quadratic),
         (lambda: bfgs_search(np.array([3.0, -2.0]), 5), cosh_valley),
@@ -243,8 +240,8 @@ class TestDrive:
         # the cosh start ends on its evaluation budget, well before max_iter
         assert evaluations[self.BUDGET_SPENT] == 2 * 5
         assert alone[self.BUDGET_SPENT][2] < 5
-        # the boxed start holds x0 on its bound
-        assert together[4][0][0] == 1.0
+        # the boxed starts hold x0 on their bounds
+        assert together[2][0] == (0.0,) and together[4][0][0] == 1.0
 
 
 class TestLineSearch:
@@ -327,6 +324,41 @@ class TestNewton:
         # a corner the gradient pushes out of on both axes: no step, one evaluation
         trials, (x, f, iterations) = newton_trials((2.0, 3.0), box_quadratic, ((-math.inf, 1.0), (-math.inf, -2.0)))
         assert trials == [(1.0, -2.0)] and x == (1.0, -2.0) and iterations == 0
+
+
+class TestNewtonOneVariable:
+    """`newton_search` in one variable: the step -g / |h| on a box."""
+
+    def test_box_holds_the_variable_on_its_bound(self):
+        # from 2 the Newton step lands on 0.3, projected onto the box's 1; there
+        # the gradient pushes outward, so the run stops without another trial
+        trials, (x, f, iterations) = newton_trials((2.0,), shifted_square, ((1.0, 3.0),))
+        assert trials == [(2.0,), (1.0,)]
+        assert x == (1.0,) and f == shifted_square(x)[0] and iterations == 1
+
+    def test_an_indefinite_start_steps_downhill(self):
+        # at 0.1 the Hessian is -0.97: the plain step -g / h climbs to the
+        # maximum at 0, the step -g / |h| descends towards the minimum at 1
+        _, (g,), (h,) = double_well((0.1,))
+        assert h < 0.0 and -g / h < 0.0 < -g / abs(h)
+        trials, (x, f, _) = newton_trials((0.1,), double_well, ((-2.0, 2.0),))
+        assert trials[1] == (0.1 - g / abs(h),)
+        assert double_well(trials[1])[0] < double_well((0.1,))[0]
+        assert x[0] == pytest.approx(1.0, abs=1e-8) and f == pytest.approx(-0.25, abs=1e-15)
+
+    def test_stops_at_the_rounding_noise_of_f(self):
+        trials, (x, f, iterations) = newton_trials((1.0,), cosh_bowl, ((-math.inf, math.inf),))
+        assert iterations < 10 and abs(x[0]) <= 1e-7
+        # the run ends without a line search: its last trial is x, and the
+        # full Newton step's predicted decrease is below the noise of f
+        assert trials[-1] == x
+        _, (g,), (h,) = cosh_bowl(x)
+        assert 0.5 * g * g / abs(h) <= _NOISE_ULPS * _EPS * abs(f)
+
+    def test_each_end_is_at_or_below_its_start(self):
+        for start in np.linspace(-1.9, 1.9, 39).tolist():
+            trials, (x, f, _) = newton_trials((start,), double_well, ((-2.0, 2.0),))
+            assert trials[0] == (start,) and f <= double_well((start,))[0]
 
 
 class TestPoissonTail:

@@ -388,13 +388,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep, "optimize_displacement_block", counted_block)
         monkeypatch.setattr(sweep, "evaluate_displacement", counted_evaluate)
-        kernel = pnr._outcome_table
+        kernel = pnr._outcome_stack
 
         def counted_kernel(alphas, sigma, *args):
             tables.append(np.unique(sigma).tolist())
             return kernel(alphas, sigma, *args)
 
-        monkeypatch.setattr(pnr, "_outcome_table", counted_kernel)
+        monkeypatch.setattr(pnr, "_outcome_stack", counted_kernel)
         rows = run_sweep(cfg)
         sigmas = [row["sigma"] for row in rows]
         # a serial sweep is one block: one search per 'optimized' group for

@@ -154,18 +154,18 @@ def _backtrack(rise: float, slope: float, t: float) -> float:
     return min(max(guess, 0.1 * t), 0.5 * t)
 
 
-def newton_search(x0: tuple, max_iter: int, box: tuple):
+def newton_search(x0: tuple, box: tuple):
     """Minimise f of one or two variables on `box`, a (lo, hi) each, from `x0`,
     sent floats (f, (g0,), (h00,)) or (f, (g0, g1), (h00, h01, h11)) at each
     trial; returns (x, f, iterations). The step d, `_newton_step`'s with a
     variable held on a bound that the gradient pushes outward, is backtracked
     by safeguarded quadratic interpolation to Armijo's decrease, each trial
-    projected into the box. A run ends after `max_iter` iterations, at a trial
-    that rounds to x, after `_MAX_TRIALS` failed trials, or when the model's
+    projected into the box. A run ends after `_POLISH_ITER` iterations, at a
+    trial that rounds to x, after `_MAX_TRIALS` failed trials, or when the model's
     decrease -slope t (1 - t/2) for the trial t d is below `_NOISE_ULPS` ulps of f."""
     x = tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(x0, box))
     f, g, h = yield x
-    for it in range(max_iter):
+    for it in range(_POLISH_ITER):
         held = [(v <= lo and gv > 0.0) or (v >= hi and gv < 0.0) for v, gv, (lo, hi) in zip(x, g, box)]
         d = _newton_step(g, h, held)
         slope, noise, t = sum(gv * dv for gv, dv in zip(g, d)), _NOISE_ULPS * _EPS * abs(f), 1.0
@@ -181,7 +181,7 @@ def newton_search(x0: tuple, max_iter: int, box: tuple):
         else:
             return x, f, it
         x, f, g, h = x_t, f_t, g_t, h_t
-    return x, f, max_iter
+    return x, f, _POLISH_ITER
 
 
 def _newton_step(g: tuple, h: tuple, held: list) -> tuple:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimize import _POLISH_ITER, drive, newton_search
+from ._minimize import drive, newton_search
 from .config import PROB_GUARD, SERIES_TAIL
 from .discrimination import BinaryPovm, _log_ratio, mutual_information_from_joint
 from .errors import SeriesTruncationError
@@ -43,11 +43,9 @@ __all__ = [
 
 # The receiver family's coupling range: `optimize` searches Phi in [0, PHI_MAX].
 PHI_MAX = 25.0
-# Grid of the search: Phi step 0.01 for the error. The information ranks its
-# Phi basins on every fourth row (step 0.04) and 8 angles (2theta step 22.5
-# degrees); its polish refines both.
-_PHI_GRID = np.linspace(0.0, PHI_MAX, 2501)
-_INFORMATION_STRIDE = 4
+# Grid of both searches: Phi step 0.04, and for the information 8 angles
+# (2theta step 22.5 degrees); the polishes refine both.
+_PHI_GRID = np.linspace(0.0, PHI_MAX, 626)
 _TWO_THETA_GRID = np.linspace(0.0, np.pi, 8, endpoint=False)
 # Phi rows per block of the grid: each (Phi, 2theta, x, y) information
 # temporary is 32 kB, and each (x, Phi, n) series temporary 2 (n + 1) kB.
@@ -279,12 +277,16 @@ def _min_error_over_theta(coeffs: tuple) -> tuple:
     return e_a - np.hypot(e_b, e_c), np.arctan2(-e_c, -e_b)
 
 
-def _best_local(values: np.ndarray, count: int, rank=None) -> np.ndarray:
-    """Indices of the `count` local minima of a sampled curve lowest in `rank` (default: the curve)."""
+def _best_local(values: np.ndarray) -> np.ndarray:
+    """Indices of the `_POLISHED` local minima of a sampled curve lowest at the
+    vertex of the parabola through each and its two neighbours (at an end, at
+    the sample): near-equal basins can be narrower than the grid step."""
     padded = np.concatenate([[np.inf], values, [np.inf]])
-    is_min = (values <= padded[:-2]) & (values <= padded[2:])
-    idx = np.flatnonzero(is_min)
-    return idx[np.argsort((values if rank is None else rank)[idx], kind="stable")][:count]
+    idx = np.flatnonzero((values <= padded[:-2]) & (values <= padded[2:]))
+    below, above = values[:-2], values[2:]
+    bend = np.maximum(below - 2.0 * values[1:-1] + above, 0.0)
+    depth = np.divide((below - above) ** 2, 8.0 * bend, out=np.zeros_like(bend), where=bend > 0.0)
+    return idx[np.argsort((values - np.pad(depth, 1))[idx], kind="stable")][:_POLISHED]
 
 
 def _canonical(phi: float, two_theta: float) -> AtomicParams:
@@ -314,10 +316,10 @@ def _search_min_error(coefficients: _TableCoefficients) -> list:
     owners, polishes = [], []
     for k in range(len(coefficients.sigmas)):
         curve, _ = _min_error_over_theta(coefficients(point=k))
-        for i in _best_local(curve, _POLISHED):
+        for i in _best_local(curve):
             owners.append(k)
             cell = (max(grid[i] - grid[1], 0.0), min(grid[i] + grid[1], PHI_MAX))
-            polishes.append(newton_search((_grid_vertex(curve, i),), _POLISH_ITER, (cell,)))
+            polishes.append(newton_search((_grid_vertex(curve, i),), (cell,)))
     owner = np.array(owners)
     ends = drive(polishes, lambda which, xs: _min_error_round(xs, coefficients, owner[which]))
     phis = [phi for (phi,), _, _ in ends]
@@ -402,7 +404,7 @@ def _search_max_information(coefficients: _TableCoefficients, q: np.ndarray) -> 
     starts at its row's best angle moved to the vertex of the parabola through
     its neighbours on the ring of angles, 2theta in [0, pi) (swapping the
     outcome labels adds pi); one that ends no better keeps the grid point."""
-    grid, two_theta = _PHI_GRID[::_INFORMATION_STRIDE].tolist(), _TWO_THETA_GRID
+    grid, two_theta = _PHI_GRID.tolist(), _TWO_THETA_GRID
     cos_t, sin_t, angles = np.cos(two_theta), np.sin(two_theta), two_theta.tolist()
 
     def over_theta(coeffs):
@@ -414,20 +416,15 @@ def _search_max_information(coefficients: _TableCoefficients, q: np.ndarray) -> 
 
     starts, polishes = [], []
     for k in range(len(coefficients.sigmas)):
-        profile, info = _grid_profile(tuple(v[:, ::_INFORMATION_STRIDE] for v in coefficients(point=k)), over_theta)
-        # basins ranked at the vertex of the parabola through each row and its
-        # neighbours: near-equal peaks can be narrower than the Phi step
-        below, above = profile[:-2], profile[2:]
-        bend = np.maximum(below - 2.0 * profile[1:-1] + above, 0.0)
-        vertex = np.divide((below - above) ** 2, 8.0 * bend, out=np.zeros_like(bend), where=bend > 0.0)
-        for i in _best_local(profile, _POLISHED, profile - np.pad(vertex, 1)):
+        profile, info = _grid_profile(coefficients(point=k), over_theta)
+        for i in _best_local(profile):
             row = info[i].tolist()
             j = row.index(max(row))
             before, after = row[j - 1], row[(j + 1) % len(row)]
             curvature = before - 2.0 * row[j] + after
             t0 = angles[j] + (0.5 * angles[1] * (before - after) / curvature if curvature < 0.0 else 0.0)
             starts.append((k, (grid[i], angles[j]), profile[i]))
-            polishes.append(newton_search((grid[i], t0), _POLISH_ITER, ((0.0, PHI_MAX), (-math.inf, math.inf))))
+            polishes.append(newton_search((grid[i], t0), ((0.0, PHI_MAX), (-math.inf, math.inf))))
     owner = np.array([k for k, _, _ in starts])
     ends = drive(polishes, lambda which, xs: _information_round(xs, coefficients, q, owner[which]))
     found = [[] for _ in coefficients.sigmas]
@@ -463,17 +460,17 @@ def optimize_block(objective: str, points: list) -> list:
     point of a block: sigma points (`SignalParams`) that share their
     amplitudes and priors; returns one `OptimizeResult` per point, in order.
 
-    The search runs at |sin xi| = 1 on a Phi grid of step 0.01 whose series
-    are computed once per amplitude pair in a process: the error's minimum
-    over theta is closed-form at each Phi, and the information ranks Phi
-    basins on every fourth row (step 0.04) at 8 angles 2theta. Each point's
-    best three grid optima are polished by Newton's method (in Phi; in (Phi,
-    2theta)), a block's in lock-step rounds of one series evaluation, so a
-    point's result does not depend on its block. Each value is the search's
-    own and equals `error_probability_series` / `mutual_information_series`
-    at its parameters to a few units in the last place; they have xi in
-    {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in [0, PHI_MAX], ties going to
-    the lexicographically smallest."""
+    The search runs at |sin xi| = 1 on one Phi grid of step 0.04 whose
+    series are computed once per amplitude pair in a process: the error's
+    minimum over theta is closed-form at each Phi, and the information is
+    scored at 8 angles 2theta. Each point's best three grid optima, ranked at
+    their parabola's vertex (`_best_local`), are polished by Newton's method
+    (in Phi; in (Phi, 2theta)), a block's in lock-step rounds of one series
+    evaluation, so a point's result does not depend on its block. Each value
+    is the search's own and equals `error_probability_series` /
+    `mutual_information_series` at its parameters to a few units in the last
+    place; they have xi in {pi/2, 3pi/2}, theta in [0, pi/2] and Phi in
+    [0, PHI_MAX], ties going to the lexicographically smallest."""
     if objective not in ("min-error", "max-information"):
         raise ValueError(f"unknown objective {objective!r}")
     first = points[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimize import _POLISH_ITER, drive, newton_search
+from ._minimize import drive, newton_search
 from .config import PROB_GUARD
 from .discrimination import _log_ratio
 from .signals import SignalParams
@@ -283,7 +283,7 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
             i = int(np.argmin(scores[key]))
             trials.append((k, key))
             cell = (grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)])
-            refinements.append(newton_search((grid[i],), _POLISH_ITER, (cell,)))
+            refinements.append(newton_search((grid[i],), (cell,)))
 
     def score(trials, betas, slopes=False):
         """sign * objective of each (point, key) of `trials`; with `slopes`, (value, (first,), (second,))."""

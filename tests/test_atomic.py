@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -12,6 +12,7 @@ from oracles import (
     information_hessian,
     joint_rows,
     neg_information,
+    polished_minimum,
     series_sums,
     table_coefficients,
 )
@@ -290,8 +291,8 @@ class TestInformationGrid:
         monkeypatch.setattr(atomic, "newton_search", started)
         optimize("max-information", params)
         [(profile, info)] = profiles
-        # the information's grid is every fourth row of the error's, at 8 angles
-        grid, two_theta = atomic._PHI_GRID[::atomic._INFORMATION_STRIDE], atomic._TWO_THETA_GRID
+        # the information's grid is the error's, at 8 angles
+        grid, two_theta = atomic._PHI_GRID, atomic._TWO_THETA_GRID
         assert profile.size == grid.size and info.shape == (grid.size, two_theta.size)
         coefficients = atomic._TableCoefficients(params)
         q = np.array([params.q1, params.q2])
@@ -548,7 +549,7 @@ class TestMinErrorPolish:
         points = [ook(1.5, sigma) for sigma in np.linspace(0.0, 3.0, 12)[:6]]
         results = atomic.optimize_block("min-error", points)
         curve = [atomic._min_error_over_theta(atomic._TableCoefficients(p)(point=0))[0] for p in points]
-        grid_values = [curve[k][i] for k in range(len(points)) for i in atomic._best_local(curve[k], atomic._POLISHED)]
+        grid_values = [curve[k][i] for k in range(len(points)) for i in atomic._best_local(curve[k])]
         assert len(ends) == len(starts) == len(grid_values)
         assert all(value <= start for start, (_, value, _) in zip(starts, ends))
         assert all(value <= at_grid for at_grid, (_, value, _) in zip(grid_values, ends))
@@ -559,12 +560,12 @@ class TestMinErrorPolish:
     @pytest.mark.parametrize("sigma", [0.0, 1.2, 2.4])
     def test_the_grid_vertex_is_near_the_minimum(self, signal, sigma):
         # at the grid's best minima the exact slope at the vertex is a small
-        # part of its grid point's (measured: below 3e-3 of step times the
-        # curvature, against up to a half)
+        # part of its grid point's (measured on the step-0.04 grid: below
+        # 8.5e-3 of step times the curvature, against up to 0.45)
         coefficients = atomic._TableCoefficients(signal(1.5, sigma, 0.3))
         curve, _ = atomic._min_error_over_theta(coefficients(point=0))
         step = atomic._PHI_GRID[1]
-        for i in atomic._best_local(curve, atomic._POLISHED):
+        for i in atomic._best_local(curve):
             vertex = atomic._grid_vertex(curve, i)
             assert abs(vertex - atomic._PHI_GRID[i]) <= step
             [(_, (first,), (second,))] = atomic._min_error_round([(vertex,)], coefficients)
@@ -572,23 +573,52 @@ class TestMinErrorPolish:
         # the curve is even in Phi
         assert atomic._grid_vertex(curve, 0) == 0.0
 
-    def test_rounds_of_a_block(self, monkeypatch):
-        # a 6-point block of the cli-sweep-2w benchmark; the bounded Brent
-        # polish took 9 rounds here, the Newton polish from the grid point 3,
-        # from its parabola's vertex 2
-        rounds = []
-        lock_step = atomic.drive
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        signal=st.sampled_from([bpsk, ook]),
+        mean_photons=st.floats(0.01, 10.0),
+        q1=st.floats(0.05, 0.95),
+        sigma=st.floats(0.0, 3.0),
+    )
+    # a basin that a step-0.2 grid misses, by 1.9e-3
+    @example(signal=ook, mean_photons=7.9, q1=0.94, sigma=0.13)
+    def test_the_grid_misses_no_basin_of_the_fine_curve(self, signal, mean_photons, q1, sigma):
+        # the search's step-0.04 grid against the error's minimum over theta on
+        # a step-0.01 grid, Brent-polished around its four best local minima
+        params = signal(mean_photons, sigma, q1)
+        coefficients = atomic._TableCoefficients(params)
+        fine = np.linspace(0.0, PHI_MAX, 2501)
 
-        def counted(searches, evaluate):
-            def evaluate_counted(which, xs):
-                rounds.append(len(which))
-                return evaluate(which, xs)
+        def error(phi):
+            return float(atomic._min_error_over_theta(coefficients(np.array([phi])))[0][0])
 
-            return lock_step(searches, evaluate_counted)
+        best = polished_minimum(error, fine, atomic._min_error_over_theta(coefficients(fine))[0])
+        assert optimize("min-error", params).value <= best + 1e-13
 
-        monkeypatch.setattr(atomic, "drive", counted)
-        atomic.optimize_block("min-error", [ook(1.5, sigma) for sigma in np.linspace(0.0, 3.0, 12)[:6]])
-        assert rounds[0] == 6 * atomic._POLISHED and len(rounds) <= 2
+    def test_series_work_of_a_block(self, monkeypatch):
+        # a 6-point block of the cli-sweep-2w benchmark: the series run once at
+        # every grid row, then at each polish round's trial Phis and at the
+        # ends, 626 + 3 rounds of at most 18 + 18 (a step-0.01 grid spent
+        # 2,501 rows to save one round)
+        grid_rows, rounds = [], []
+        kernel = atomic._series_sums
+
+        def counted(weights, phi, slopes=False):
+            if np.shares_memory(phi, atomic._PHI_GRID):
+                grid_rows.append(len(phi))
+            else:
+                rounds.append(len(phi))
+            return kernel(weights, phi, slopes)
+
+        monkeypatch.setattr(atomic, "_series_sums", counted)
+        atomic._grid_sums.cache_clear()
+        points = [ook(1.5, sigma) for sigma in np.linspace(0.0, 3.0, 12)[:6]]
+        atomic.optimize_block("min-error", points)
+        starts = len(points) * atomic._POLISHED
+        assert sum(grid_rows) == atomic._PHI_GRID.size == 626
+        # the last call scores the polishes' ends
+        assert rounds[0] == rounds[-1] == starts and len(rounds) <= 4
+        assert sum(grid_rows) + sum(rounds) <= 626 + 4 * starts
 
 
 def same_bits(got, expected) -> bool:
@@ -713,12 +743,13 @@ class TestGridCache:
         profiles.clear()
         cached = atomic._grid_sums.cache_info()
         optimize("max-information", params)
-        # the information's rows are a view of the cached table: no new entry, no new series
+        # the information's rows are the cached table's: no new entry, no new series
         assert atomic._grid_sums.cache_info().misses == cached.misses
         assert atomic._grid_sums.cache_info().currsize == cached.currsize
         [(information_profile, _)] = profiles
-        assert error_profile.size == atomic._PHI_GRID.size == 2501
-        assert information_profile.size == atomic._PHI_GRID[::atomic._INFORMATION_STRIDE].size == 626
+        assert error_profile.size == information_profile.size == atomic._PHI_GRID.size == 626
+        # Phi in [0, PHI_MAX] in steps of 0.04: every fourth row of the step-0.01 grid, bit for bit
+        assert atomic._PHI_GRID.tobytes() == np.linspace(0.0, PHI_MAX, 2501)[::4].tobytes()
 
     def test_guard_runs_on_a_cache_hit(self, monkeypatch):
         params = SignalParams(q1=0.5, alpha1=1.5, alpha2=-1.5, sigma=0.2)

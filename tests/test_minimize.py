@@ -206,14 +206,14 @@ class TestDrive:
 
     # (a fresh search, its objective)
     CASES = [
-        (lambda: newton_search((0.0,), 100, ((-1.0, 2.0),)), shifted_square),
-        (lambda: newton_search((0.1,), 100, ((-2.0, 2.0),)), double_well),
-        (lambda: newton_search((2.0,), 100, ((-math.inf, 0.0),)), shifted_square),
+        (lambda: newton_search((0.0,), ((-1.0, 2.0),)), shifted_square),
+        (lambda: newton_search((0.1,), ((-2.0, 2.0),)), double_well),
+        (lambda: newton_search((2.0,), ((-math.inf, 0.0),)), shifted_square),
         (lambda: bfgs_search(np.array([-1.2, 1.0]), 1000), rosenbrock),
-        (lambda: newton_search((0.0, 0.0), 100, ((-math.inf, 1.0), (-math.inf, math.inf))), box_quadratic),
+        (lambda: newton_search((0.0, 0.0), ((-math.inf, 1.0), (-math.inf, math.inf))), box_quadratic),
         (lambda: bfgs_search(np.array([3.0, -2.0]), 5), cosh_valley),
         (flat_line_search, lambda x: (0.0, np.array([-1.0]))),
-        (lambda: newton_search((-1.2, 1.0), 100, FREE), rosenbrock_newton),
+        (lambda: newton_search((-1.2, 1.0), FREE), rosenbrock_newton),
     ]
     BUDGET_SPENT = 5
 
@@ -258,7 +258,7 @@ class TestLineSearch:
         assert not any(np.array_equal(t, [1.0]) for t in trials)
 
 
-def newton_trials(x0, fun, box, max_iter=100) -> tuple:
+def newton_trials(x0, fun, box) -> tuple:
     """(trial points, (x, f, iterations)) of one `newton_search` run."""
     trials = []
 
@@ -266,7 +266,7 @@ def newton_trials(x0, fun, box, max_iter=100) -> tuple:
         trials.append(points[0])
         return [fun(points[0])]
 
-    [result] = drive([newton_search(x0, max_iter, box)], evaluate)
+    [result] = drive([newton_search(x0, box)], evaluate)
     return trials, result
 
 
@@ -324,6 +324,13 @@ class TestNewton:
         # a corner the gradient pushes out of on both axes: no step, one evaluation
         trials, (x, f, iterations) = newton_trials((2.0, 3.0), box_quadratic, ((-math.inf, 1.0), (-math.inf, -2.0)))
         assert trials == [(1.0, -2.0)] and x == (1.0, -2.0) and iterations == 0
+
+    def test_the_iteration_cap_is_the_module_constant(self, monkeypatch):
+        # every polish shares one cap, so the search takes none as an argument
+        assert list(inspect.signature(newton_search).parameters) == ["x0", "box"]
+        monkeypatch.setattr("phasecomm._minimize._POLISH_ITER", 3)
+        _, (x, f, iterations) = newton_trials((-1.2, 1.0), rosenbrock_newton, FREE)
+        assert iterations == 3 and f == rosenbrock_newton(x)[0] and f < rosenbrock_newton((-1.2, 1.0))[0]
 
 
 class TestNewtonOneVariable:

@@ -32,7 +32,7 @@ def phase_diffused_coherent(alpha: float, sigma: float, dim: FockDim) -> np.ndar
     <n|tau|m> = exp(-alpha^2) exp(-sigma^2 (n-m)^2/2) alpha^(n+m)/sqrt(n! m!)
     """
     c = coherent_ket(alpha, dim)
-    return np.outer(c, c.conj()) * dephasing_kernel(sigma, dim.size)
+    return np.outer(c, c) * dephasing_kernel(sigma, dim.size)
 
 
 def dephase(rho: np.ndarray, sigma: float) -> np.ndarray:

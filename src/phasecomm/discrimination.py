@@ -2,7 +2,7 @@
 
 Error probability of a given POVM, the Helstrom bound and its
 measurement, Shannon mutual information, and accessible information.
-The Helstrom functions and the accessible information read one
+The Helstrom measurement and the accessible information read one
 decomposition of the ensemble on its support (`_on_support`). The
 accessible information is maximised by BFGS (`_minimize.bfgs`) over
 real projective measurements M_y = phi_y phi_y^T on that support, so
@@ -123,38 +123,36 @@ def _on_support(ens: BinaryEnsemble):
     return support, taus, w, e
 
 
-def _helstrom(ens: BinaryEnsemble):
-    """The Helstrom bound and V Q+, the positive eigenvectors lifted from the support.
-
-    Eigenvalues above |w|_max d eps count as positive; those at rounding
-    level are null. The bound is q1 Tr(tau1 P-) + q2 Tr(tau2 P+), a sum
-    of terms e_j^dagger tau_x e_j >= 0, each floored at 0, so it does not
-    cancel as 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1 does.
-    """
-    support, taus, w, e = _on_support(ens)
-    plus = w > np.abs(w).max() * ens.size * np.finfo(float).eps
-    hits = np.maximum(np.real(np.sum(e.conj() * (taus @ e), axis=1)), 0.0)
-    q1, q2 = ens.priors
-    return float(q1 * hits[0, ~plus].sum() + q2 * hits[1, plus].sum()), support @ e[:, plus]
-
-
 def helstrom_bound(ens: BinaryEnsemble) -> float:
-    """Minimum error over all measurements, 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1."""
-    return _helstrom(ens)[0]
+    """Minimum error over all measurements, 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1.
+
+    Over the eigenvectors e_j of q1 tau1 - q2 tau2 in the Fock basis, with
+    a_j = e_j^dagger tau1 e_j and b_j = e_j^dagger tau2 e_j floored at 0,
+    q1 a_j - q2 b_j is the eigenvalue, so sum_j min(q1 a_j, q2 b_j) is
+    q1 Tr(tau1 P-) + q2 Tr(tau2 P+) with no sign threshold, a sum of
+    nonnegative terms that does not cancel when the bound is small.
+    """
+    ens.validate()
+    q1, q2 = ens.priors
+    states = np.asarray(ens.states)
+    _, e = hermitian_eig(q1 * states[0] - q2 * states[1])
+    hits = np.maximum(np.real(np.sum(e.conj() * (states @ e), axis=1)), 0.0)
+    return float(np.minimum(q1 * hits[0], q2 * hits[1]).sum())
 
 
 def helstrom_measurement(ens: BinaryEnsemble):
     """The Helstrom bound and the projective POVM achieving it.
 
     Outcome 1 projects onto the positive eigenspace of the weighted
-    difference restricted to the support V of the ensemble,
-    M1 = V Q+ Q+^dagger V^dagger, so M1 does not couple the support to
-    its complement.
+    difference restricted to the support V of the ensemble (eigenvalues
+    above |w|_max d eps), M1 = V Q+ Q+^dagger V^dagger, so M1 does not
+    couple the support to its complement.
     """
-    bound, pos = _helstrom(ens)
+    support, _, w, e = _on_support(ens)
+    pos = support @ e[:, w > np.abs(w).max() * ens.size * np.finfo(float).eps]
     m1 = pos @ pos.conj().T
     m1 = 0.5 * (m1 + m1.conj().T)
-    return bound, BinaryPovm((m1, np.eye(ens.size) - m1))
+    return helstrom_bound(ens), BinaryPovm((m1, np.eye(ens.size) - m1))
 
 
 def joint_distribution(ens: BinaryEnsemble, povm: Povm) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Dense linear algebra on a truncated Fock space.
 
-Everything here works on plain complex numpy arrays of shape
-(cutoff+1, cutoff+1); `FockDim` carries the cutoff and the validation
-helpers enforce hermiticity / positivity / trace invariants.
+Everything here works on plain numpy arrays of shape (cutoff+1, cutoff+1),
+real for the program's own states; `FockDim` carries the cutoff and the
+validation helpers enforce hermiticity / positivity / trace invariants.
 """
 
 import math
@@ -81,7 +81,7 @@ def default_cutoff(amplitudes) -> int:
 
 
 def coherent_ket(alpha: float, dim: FockDim) -> np.ndarray:
-    """Truncated coherent state |alpha> with real amplitude.
+    """Truncated coherent state |alpha> with real amplitude, a real float64 vector.
 
     Raises TailTooHeavy when the cutoff discards Poisson mass of TAIL or more.
     """
@@ -91,11 +91,10 @@ def coherent_ket(alpha: float, dim: FockDim) -> np.ndarray:
             f"alpha={alpha} at cutoff {dim.cutoff} discards mass {tail:.3e} "
             f">= {TAIL:.1e}"
         )
-    amps = np.empty(dim.size)
-    amps[0] = np.exp(-0.5 * alpha * alpha)
+    amps = [float(np.exp(-0.5 * alpha * alpha))]
     for n in range(1, dim.size):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    return amps.astype(complex)
+        amps.append(amps[-1] * alpha / math.sqrt(n))
+    return np.array(amps)
 
 
 def check_hermitian(op: np.ndarray) -> None:

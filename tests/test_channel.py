@@ -44,6 +44,13 @@ class TestPhaseDiffusedCoherent:
         assert np.trace(tau).real == pytest.approx(1.0, abs=1e-11)
         assert np.linalg.eigvalsh(tau).min() >= -1e-10
 
+    @pytest.mark.parametrize(
+        "params", [bpsk(0.5, 0.0), bpsk(0.75, 2.0), ook(1.5, 0.6, 0.3)], ids=["bpsk-0.5-0", "bpsk-0.75-2", "ook-1.5-0.6"]
+    )
+    def test_ensemble_states_are_real(self, params):
+        for tau in build_ensemble(params, DIM).states:
+            assert tau.dtype == np.float64
+
     def test_purity_decreases_with_sigma(self):
         purities = [
             np.trace(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    HELSTROM_40_DIGITS,
     cayley_inverse,
     dense_residual,
     holevo_chi,
@@ -143,15 +144,30 @@ class TestHelstromBound:
         assert error_probability(twisted, povm) == pytest.approx(bound, abs=1e-12)
         povm.validate()
 
-    @pytest.mark.parametrize("q1", [0.5, 0.3])
-    @pytest.mark.parametrize("mean_photons", [5.0, 10.0])
+    @pytest.mark.parametrize("q1", [0.5, 0.3, 0.1])
+    @pytest.mark.parametrize("mean_photons", [5.0, 8.0, 10.0])
     @pytest.mark.parametrize("signal", [bpsk, ook])
     def test_pure_states_match_the_closed_form(self, signal, mean_photons, q1):
-        # the error is 5e-10 (BPSK 5) and 1e-18 (BPSK 10), where
-        # 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1 cancels to 2.6e-15 and 3.7e-13
+        # the error is 5e-10 (BPSK 5), 3e-15 (BPSK 8) and 1e-18 (BPSK 10);
+        # 1/2 - 1/2 ||q1 tau1 - q2 tau2||_1 cancels to 2.6e-15 at BPSK 5 and
+        # 3.7e-13 at BPSK 10. The worst miss is 5.7e-18 (BPSK 8, q1 0.1); the
+        # same sum on the ensemble support with a threshold on the
+        # eigenvalues' sign misses by 9.0e-17 (BPSK 8) and 2.6e-17 (BPSK 10)
+        # at q1 0.5
         params = signal(mean_photons, 0.0, q1)
         closed = pure_state_error(q1, params.alpha1, params.alpha2)
-        assert abs(helstrom_bound(default_ensemble(params)) - closed) <= 1e-6 * closed + 1e-16
+        assert abs(helstrom_bound(default_ensemble(params)) - closed) <= 1e-6 * closed + 1e-17
+
+    @pytest.mark.parametrize(
+        ("key", "pinned"), HELSTROM_40_DIGITS.items(), ids=["-".join(map(str, k)) for k in HELSTROM_40_DIGITS]
+    )
+    def test_matches_40_digit_values(self, key, pinned):
+        # within 2.2e-16 at every point; the same sum on the ensemble
+        # support misses by 1.4e-14 at BPSK 0.5, sigma 0.4, and with the
+        # full-space eigenvectors but a sign threshold by 2.5e-15 at BPSK 1.0
+        signal, mean_photons, sigma = key
+        params = {"bpsk": bpsk, "ook": ook}[signal](mean_photons, sigma)
+        assert abs(helstrom_bound(build_ensemble(params, DIM)) - pinned) <= 5e-16
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("mean_photons", [5.0, 10.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import coherent_ket_loop
 from phasecomm import (
     ConvergenceFailure,
     FockDim,
@@ -33,6 +34,15 @@ class TestCoherentKet:
     def test_normalization(self):
         ket = coherent_ket(np.sqrt(0.5), FockDim(30))
         assert np.vdot(ket, ket).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mean_photons", [0.0, 0.01, 0.5, 0.75, 1.5, 3.3, 10.0, 20.0])
+    def test_matches_the_array_loop_bit_for_bit(self, mean_photons):
+        for alpha in (np.sqrt(mean_photons), -np.sqrt(mean_photons), np.sqrt(mean_photons / 0.7)):
+            first = default_cutoff([alpha])
+            for cutoff in range(first, first + 12):
+                ket = coherent_ket(alpha, FockDim(cutoff))
+                assert ket.dtype == np.float64
+                assert ket.tobytes() == coherent_ket_loop(alpha, cutoff + 1).tobytes()
 
     def test_tail_too_heavy(self):
         with pytest.raises(TailTooHeavy):

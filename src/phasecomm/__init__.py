@@ -11,17 +11,14 @@ from .atomic import (
     OptimizeConfig,
     error_probability_series,
     joint_probabilities_series,
-    kraus_operators,
     mutual_information_series,
     optimize,
-    povm_from_kraus,
 )
 from .channel import dephase, phase_diffused_coherent
 from .discrimination import (
     AscentConfig,
     AscentReport,
     BinaryEnsemble,
-    BinaryPovm,
     Povm,
     accessible_information,
     binary_entropy,

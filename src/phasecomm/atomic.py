@@ -3,8 +3,8 @@
 The measurement has a projection angle pair (xi, theta) on the probe and
 the coupling Phi of the interaction. Its Kraus pair is tridiagonal in the
 number basis, which gives closed-form photon-number series for the joint
-outcome table, their length derived from the amplitudes; the matrix path
-through the Kraus POVM is kept as an independent cross-check.
+outcome table, their length derived from the amplitudes; the explicit
+Kraus matrices are the tests' independent cross-check (`tests/oracles.py`).
 
 Every outcome probability depends on xi only through sin(xi); the error is
 linear in it and the information convex in the channel, so both optima lie
@@ -22,9 +22,8 @@ import numpy as np
 
 from ._minimize import drive, newton_search
 from .config import PROB_GUARD, SERIES_TAIL
-from .discrimination import BinaryPovm, _log_ratio, mutual_information_from_joint
+from .discrimination import _log_ratio, mutual_information_from_joint
 from .errors import SeriesTruncationError
-from .fock import FockDim
 from .signals import SignalParams
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "OptimizeConfig",
     "OptimizeResult",
     "PHI_MAX",
-    "kraus_operators",
-    "povm_from_kraus",
     "error_probability_series",
     "joint_probabilities_series",
     "mutual_information_series",
@@ -87,32 +84,6 @@ def _series_length(amplitudes: tuple) -> int:
             cdf += p_n
         n_terms = max(n_terms, n)
     return n_terms
-
-
-def kraus_operators(p: AtomicParams, dim: FockDim) -> tuple:
-    """Kraus pair of the probe measurement, entrywise in the number basis;
-    only the diagonal and first superdiagonal are nonzero:
-    <n|K1|n> = cos(theta) cos(Phi sqrt(n)),
-    <n-1|K1|n> = -i e^{-i xi} sin(theta) sin(Phi sqrt(n)),
-    and K2 with sin(theta)/+i e^{-i xi} cos(theta) in their place.
-    """
-    size = dim.size
-    n = np.arange(size)
-    cos_n = np.cos(p.phi_pulse * np.sqrt(n))
-    sin_n = np.sin(p.phi_pulse * np.sqrt(n))
-    phase = np.exp(-1j * p.xi)
-    k1 = np.diag(np.cos(p.theta) * cos_n.astype(complex))
-    k2 = np.diag(np.sin(p.theta) * cos_n.astype(complex))
-    idx = np.arange(1, size)
-    k1[idx - 1, idx] = -1j * phase * np.sin(p.theta) * sin_n[idx]
-    k2[idx - 1, idx] = 1j * phase * np.cos(p.theta) * sin_n[idx]
-    return k1, k2
-
-
-def povm_from_kraus(k1: np.ndarray, k2: np.ndarray) -> BinaryPovm:
-    m1 = k1.conj().T @ k1
-    m2 = k2.conj().T @ k2
-    return BinaryPovm((0.5 * (m1 + m1.conj().T), 0.5 * (m2 + m2.conj().T)))
 
 
 def _series_weights(alpha: float, n_terms: int) -> np.ndarray:

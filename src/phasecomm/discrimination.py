@@ -21,7 +21,6 @@ from .fock import check_hermitian, hermitian_eig
 
 __all__ = [
     "BinaryEnsemble",
-    "BinaryPovm",
     "Povm",
     "AscentConfig",
     "AscentReport",
@@ -71,36 +70,6 @@ class Povm:
         if dev > POVM_COMPLETENESS:
             raise ValueError(f"POVM completeness violated by {dev:.3e}")
 
-    @property
-    def size(self) -> int:
-        return self.elements[0].shape[0]
-
-
-class BinaryPovm(Povm):
-    """Two-outcome POVM; the measurement class of the binary protocol."""
-
-    def validate(self) -> None:
-        if len(self.elements) != 2:
-            raise ValueError(f"binary POVM needs 2 elements, got {len(self.elements)}")
-        super().validate()
-
-
-def _check_dims(ens: BinaryEnsemble, povm: BinaryPovm) -> None:
-    if ens.size != povm.size:
-        raise DimensionMismatch(
-            f"ensemble dim {ens.size} vs POVM dim {povm.size}"
-        )
-
-
-def error_probability(ens: BinaryEnsemble, povm: BinaryPovm) -> float:
-    """1 - sum_x q_x Tr{tau_x M_x} for the given measurement."""
-    _check_dims(ens, povm)
-    hit = sum(
-        q * float(np.real(np.trace(tau @ m)))
-        for q, tau, m in zip(ens.priors, ens.states, povm.elements)
-    )
-    return 1.0 - hit
-
 
 def _on_support(ens: BinaryEnsemble):
     """The ensemble on its support: V, V^dagger tau_x V, and the eigenpairs there.
@@ -140,8 +109,9 @@ def helstrom_bound(ens: BinaryEnsemble) -> float:
     return float(np.minimum(q1 * hits[0], q2 * hits[1]).sum())
 
 
-def helstrom_measurement(ens: BinaryEnsemble):
-    """The Helstrom bound and the projective POVM achieving it.
+def helstrom_measurement(ens: BinaryEnsemble) -> tuple:
+    """(bound, Povm): the Helstrom bound and the two-outcome projective
+    POVM achieving it.
 
     Outcome 1 projects onto the positive eigenspace of the weighted
     difference restricted to the support V of the ensemble (eigenvalues
@@ -152,17 +122,26 @@ def helstrom_measurement(ens: BinaryEnsemble):
     pos = support @ e[:, w > np.abs(w).max() * ens.size * np.finfo(float).eps]
     m1 = pos @ pos.conj().T
     m1 = 0.5 * (m1 + m1.conj().T)
-    return helstrom_bound(ens), BinaryPovm((m1, np.eye(ens.size) - m1))
+    return helstrom_bound(ens), Povm((m1, np.eye(ens.size) - m1))
 
 
 def joint_distribution(ens: BinaryEnsemble, povm: Povm) -> np.ndarray:
     """Table Pr(x, y) = q_x Tr{tau_x M_y}, one row per hypothesis."""
-    _check_dims(ens, povm)
-    return _joint(np.asarray(ens.priors, dtype=float), np.asarray(ens.states), np.asarray(povm.elements))
+    ms = np.asarray(povm.elements)
+    if ms.shape[-1] != ens.size:
+        raise DimensionMismatch(f"ensemble dim {ens.size} vs POVM dim {ms.shape[-1]}")
+    return _joint(np.asarray(ens.priors, dtype=float), np.asarray(ens.states), ms)
 
 
 def _joint(q: np.ndarray, taus: np.ndarray, ms: np.ndarray) -> np.ndarray:
     return q[:, None] * np.real(np.einsum("xij,yji->xy", taus, ms))
+
+
+def error_probability(ens: BinaryEnsemble, povm: Povm) -> float:
+    """1 - sum_x q_x Tr{tau_x M_x}, from the joint table: outcome x decides hypothesis x."""
+    if len(povm.elements) != 2:
+        raise ValueError(f"binary POVM needs 2 elements, got {len(povm.elements)}")
+    return 1.0 - float(np.trace(joint_distribution(ens, povm)))
 
 
 def mutual_information_from_joint(joint: np.ndarray, priors):
@@ -174,7 +153,7 @@ def mutual_information_from_joint(joint: np.ndarray, priors):
     return (joint * _log_ratio(np.asarray(priors, dtype=float), joint)).sum(axis=(-2, -1))
 
 
-def mutual_information(ens: BinaryEnsemble, povm: BinaryPovm) -> float:
+def mutual_information(ens: BinaryEnsemble, povm: Povm) -> float:
     return float(mutual_information_from_joint(joint_distribution(ens, povm), ens.priors))
 
 

@@ -224,18 +224,13 @@ def compute_point(
     dim = FockDim(cutoff)
     point_seed = cfg.seed * 100_003 + index
     row: dict = {"sigma": float(sigma), "cutoff": cutoff}
-    ens = None
-
-    def ensemble():
-        nonlocal ens
-        if ens is None:
-            ens = build_ensemble(params, dim)
-        return ens
+    if any(rec["type"] in ("helstrom", "accinfo") for rec in cfg.receivers):
+        ens = build_ensemble(params, dim)
 
     for position, rec in enumerate(cfg.receivers):
         kind = rec["type"]
         if kind == "helstrom":
-            row["p_helstrom"] = helstrom_bound(ensemble())
+            row["p_helstrom"] = helstrom_bound(ens)
         elif kind == "atomic":
             if "error" in rec["objectives"]:
                 res = searched["error"]
@@ -247,7 +242,7 @@ def compute_point(
                 row["i_atomic"] = searched["information"].value
         elif kind == "accinfo":
             acfg = AscentConfig(restarts=rec["restarts"], max_iter=rec["max_iter"], seed=point_seed)
-            rep = accessible_information(ensemble(), acfg, chain.get(position))
+            rep = accessible_information(ens, acfg, chain.get(position))
             chain[position] = rep.phi, rep.support
             row["i_accessible"] = rep.mutual_information
             row["accinfo_residual"] = rep.stationarity_residual

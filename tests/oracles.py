@@ -1,13 +1,14 @@
 """Independent reference computations the tests check the library against.
 
 Each oracle is written once, here. They use numpy, scipy and math, and
-from phasecomm only its matrix path: `kraus_operators` (with its argument
-type `AtomicParams`), `povm_from_kraus`, `build_ensemble` /
-`phase_diffused_coherent`, `joint_distribution` and `error_probability`.
-Nothing here imports the photon-number series, the atomic or displacement
-searches, the PNR kernel or the accessible-information ascent, so an oracle
-cannot share a fault with the code it checks. `tests/test_oracles.py`
-enforces this list.
+from phasecomm only its matrix path: `AtomicParams` (the argument of
+`kraus_operators`), `Povm` (what `povm_from_kraus` returns),
+`build_ensemble` / `phase_diffused_coherent`, `joint_distribution` and
+`error_probability`. The atomic receiver's explicit Kraus matrices
+(`kraus_operators`, `povm_from_kraus`) are the oracle's own. Nothing here
+imports the photon-number series, the atomic or displacement searches, the
+PNR kernel or the accessible-information ascent, so an oracle cannot share
+a fault with the code it checks. `tests/test_oracles.py` enforces this list.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import integrate, special
 from scipy import optimize as sciopt
 
-from phasecomm import AtomicParams, build_ensemble, kraus_operators, povm_from_kraus
+from phasecomm import AtomicParams, Povm, build_ensemble
 from phasecomm.discrimination import joint_distribution
 
 
@@ -103,6 +104,32 @@ def polished_minimum(fun, grid: np.ndarray, values: np.ndarray, count: int = 4) 
         )
         best = min(best, float(res.fun))
     return best
+
+
+def kraus_operators(p: AtomicParams, dim) -> tuple:
+    """Kraus pair of the probe measurement, entrywise in the number basis;
+    only the diagonal and first superdiagonal are nonzero:
+    <n|K1|n> = cos(theta) cos(Phi sqrt(n)),
+    <n-1|K1|n> = -i e^{-i xi} sin(theta) sin(Phi sqrt(n)),
+    and K2 with sin(theta)/+i e^{-i xi} cos(theta) in their place.
+    """
+    size = dim.size
+    n = np.arange(size)
+    cos_n = np.cos(p.phi_pulse * np.sqrt(n))
+    sin_n = np.sin(p.phi_pulse * np.sqrt(n))
+    phase = np.exp(-1j * p.xi)
+    k1 = np.diag(np.cos(p.theta) * cos_n.astype(complex))
+    k2 = np.diag(np.sin(p.theta) * cos_n.astype(complex))
+    idx = np.arange(1, size)
+    k1[idx - 1, idx] = -1j * phase * np.sin(p.theta) * sin_n[idx]
+    k2[idx - 1, idx] = 1j * phase * np.cos(p.theta) * sin_n[idx]
+    return k1, k2
+
+
+def povm_from_kraus(k1: np.ndarray, k2: np.ndarray) -> Povm:
+    m1 = k1.conj().T @ k1
+    m2 = k2.conj().T @ k2
+    return Povm((0.5 * (m1 + m1.conj().T), 0.5 * (m2 + m2.conj().T)))
 
 
 class KrausOracle:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import optimize as sciopt
 
-from oracles import KrausOracle, holevo_chi, lifted_elements, pure_state_error
+from oracles import KrausOracle, holevo_chi, kraus_operators, lifted_elements, povm_from_kraus, pure_state_error
 from phasecomm import (
     AscentConfig,
     AtomicParams,
@@ -27,11 +27,9 @@ from phasecomm import (
     error_probability_series,
     helstrom_bound,
     joint_probabilities_series,
-    kraus_operators,
     optimize,
     optimize_displacement,
     phase_diffused_coherent,
-    povm_from_kraus,
 )
 from phasecomm.atomic import PHI_MAX
 from phasecomm.cli import main

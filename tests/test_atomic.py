@@ -11,8 +11,10 @@ from oracles import (
     information_gradient,
     information_hessian,
     joint_rows,
+    kraus_operators,
     neg_information,
     polished_minimum,
+    povm_from_kraus,
     series_sums,
     table_coefficients,
 )
@@ -24,11 +26,9 @@ from phasecomm import (
     error_probability,
     error_probability_series,
     joint_probabilities_series,
-    kraus_operators,
     mutual_information,
     mutual_information_series,
     optimize,
-    povm_from_kraus,
 )
 from phasecomm import atomic
 from phasecomm.atomic import PHI_MAX

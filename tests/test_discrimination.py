@@ -19,7 +19,6 @@ from oracles import (
 from phasecomm import (
     AscentConfig,
     BinaryEnsemble,
-    BinaryPovm,
     DimensionMismatch,
     FockDim,
     Povm,
@@ -67,19 +66,26 @@ class TestErrorProbability:
     def test_always_guess_first(self):
         ens = fock_projector_ensemble(priors=(0.3, 0.7))
         eye = np.eye(4, dtype=complex)
-        povm = BinaryPovm((eye, np.zeros_like(eye)))
+        povm = Povm((eye, np.zeros_like(eye)))
         assert error_probability(ens, povm) == pytest.approx(0.7, abs=1e-12)
 
     def test_orthogonal_states_zero_error(self):
         ens = fock_projector_ensemble()
-        povm = BinaryPovm((ens.states[0], np.eye(4, dtype=complex) - ens.states[0]))
+        povm = Povm((ens.states[0], np.eye(4, dtype=complex) - ens.states[0]))
         assert error_probability(ens, povm) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         ens = fock_projector_ensemble(size=4)
         eye = np.eye(5, dtype=complex)
         with pytest.raises(DimensionMismatch):
-            error_probability(ens, BinaryPovm((eye, np.zeros_like(eye))))
+            error_probability(ens, Povm((eye, np.zeros_like(eye))))
+
+    @pytest.mark.parametrize("outcomes", [1, 3])
+    def test_rejects_a_povm_without_two_outcomes(self, outcomes):
+        ens = fock_projector_ensemble()
+        eye = np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match="2 elements"):
+            error_probability(ens, Povm(tuple(eye / outcomes for _ in range(outcomes))))
 
     def test_never_beats_helstrom(self):
         ens = build_ensemble(bpsk(0.5, 0.4), DIM)
@@ -89,7 +95,7 @@ class TestErrorProbability:
             z = rng.standard_normal((DIM.size, DIM.size))
             m1 = z @ z.T
             m1 = m1 / (np.linalg.eigvalsh(m1).max() + 1e-9)
-            povm = BinaryPovm(
+            povm = Povm(
                 (m1.astype(complex), np.eye(DIM.size, dtype=complex) - m1)
             )
             assert error_probability(ens, povm) >= bound - 1e-9
@@ -226,13 +232,13 @@ class TestValidationThresholds:
 class TestMutualInformation:
     def test_perfectly_correlated(self):
         ens = fock_projector_ensemble()
-        povm = BinaryPovm((ens.states[0], np.eye(4, dtype=complex) - ens.states[0]))
+        povm = Povm((ens.states[0], np.eye(4, dtype=complex) - ens.states[0]))
         assert mutual_information(ens, povm) == pytest.approx(1.0, abs=1e-12)
 
     def test_uninformative_measurement(self):
         ens = fock_projector_ensemble(priors=(0.4, 0.6))
         eye = np.eye(4, dtype=complex)
-        povm = BinaryPovm((0.5 * eye, 0.5 * eye))
+        povm = Povm((0.5 * eye, 0.5 * eye))
         assert mutual_information(ens, povm) == pytest.approx(0.0, abs=1e-12)
 
     def test_binary_symmetric_channel_identity(self):

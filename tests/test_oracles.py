@@ -4,7 +4,7 @@ from pathlib import Path
 # the modules and the phasecomm matrix-path names `oracles.py` may import
 MODULES = {"math", "numpy", "scipy"}
 MATRIX_PATH = {
-    "AtomicParams", "kraus_operators", "povm_from_kraus", "build_ensemble",
+    "AtomicParams", "Povm", "build_ensemble",
     "phase_diffused_coherent", "joint_distribution", "error_probability",
 }
 

@@ -261,12 +261,12 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
     [(beta, error), (beta, information)] at the displacement each search
     found.
 
-    A point's 81-point grid over a symmetric range is one kernel call at
-    max(m). Newton's method in beta (`newton_search`, the derivatives of
-    `_scores`) then refines each (m, objective)'s best cell within its two
-    neighbours, taking only decreases; the block's refinements run in
-    lock-step, one kernel call per round. Every value equals the one
-    `evaluate_displacement` gives at its beta, bit for bit, whatever the block.
+    A point's 81-point grid over a symmetric range (its half at beta >= 0
+    where the value is even) is one kernel call at max(m). Newton's method in
+    beta (`newton_search`) then refines each (m, objective)'s best cell
+    within its two neighbours, taking only decreases; the block's refinements
+    run in lock-step, one kernel call per round. Every value equals
+    `evaluate_displacement`'s at its beta, bit for bit, whatever the block.
     """
     distinct = _distinct(visibility, resolutions)
     params = points[0]
@@ -275,6 +275,9 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
     searches = [(m, objective) for m in distinct for objective in _SIGNS]
     span = 2.0 * max(abs(params.alpha1), abs(params.alpha2)) + 1.0
     grid = np.linspace(-span, span, _GRID_POINTS).tolist()
+    if params.q1 == params.q2 and params.alpha2 == -params.alpha1:
+        # BPSK with equal priors is even in beta: search from exactly 0 (linspace's middle may miss it) up
+        grid = [0.0] + grid[_GRID_POINTS // 2 + 1:]
     # (point, key) of each refinement
     trials, refinements = [], []
     for k, point in enumerate(points):
@@ -282,27 +285,18 @@ def optimize_displacement_block(points: list, visibility: float, resolutions) ->
         for key in searches:
             i = int(np.argmin(scores[key]))
             trials.append((k, key))
-            cell = (grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)])
+            cell = (grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
             refinements.append(newton_search((grid[i],), (cell,)))
 
-    def score(trials, betas, slopes=False):
-        """sign * objective of each (point, key) of `trials`; with `slopes`, (value, (first,), (second,))."""
-        keys = list(dict.fromkeys(key for _, key in trials))
-        scores = _scores(params, betas, visibility, keys, [points[k].sigma for k, _ in trials], slopes)
+    def score(which, xs):
+        """sign * objective of the refinements `which` at `xs`, as (value, (first,), (second,))."""
+        chosen = [trials[j] for j in which]
+        keys = list(dict.fromkeys(key for _, key in chosen))
+        scores = _scores(params, [x for (x,) in xs], visibility, keys, [points[k].sigma for k, _ in chosen], True)
         rows = {key: np.transpose(scores[key]).tolist() for key in keys}
-        found = [rows[key][r] for r, (_, key) in enumerate(trials)]
-        return [(v, (g,), (h,)) for v, g, h in found] if slopes else found
+        return [(v, (g,), (h,)) for v, g, h in (rows[key][r] for r, (_, key) in enumerate(chosen))]
 
-    ends = drive(refinements, lambda which, xs: score([trials[j] for j in which], [x for (x,) in xs], slopes=True))
-    best = {trial: (beta, value) for trial, ((beta,), value, _) in zip(trials, ends)}
-    if params.q1 == params.q2 and params.alpha2 == -params.alpha1:
-        # BPSK with equal priors: the value is even in beta, so report each
-        # optimum at |beta|, its value evaluated there, in one kernel call
-        flips = [trial for trial, (beta, _) in best.items() if beta < 0]
-        if flips:
-            betas = [-best[trial][0] for trial in flips]
-            for trial, beta, value in zip(flips, betas, score(flips, betas)):
-                best[trial] = (beta, value)
+    best = {trial: (beta, value) for trial, ((beta,), value, _) in zip(trials, drive(refinements, score))}
     return [
         [[(best[k, (m, o)][0], _SIGNS[o] * best[k, (m, o)][1]) for o in _SIGNS] for m in resolutions]
         for k in range(len(points))

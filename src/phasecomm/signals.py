@@ -23,6 +23,9 @@ class SignalParams:
     def __post_init__(self) -> None:
         if self.sigma < 0 or not np.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        # a NaN amplitude would never end the atomic search's photon-number series
+        if not (np.isfinite(self.alpha1) and np.isfinite(self.alpha2) and 0.0 <= self.q1 <= 1.0):
+            raise ValueError(f"amplitudes must be finite and q1 in [0, 1], got {self.alpha1}, {self.alpha2}, {self.q1}")
 
     @property
     def q2(self) -> float:

@@ -128,6 +128,8 @@ class SweepConfig:
             # one step reaches start only: a wider grid would silently shrink to it
             if steps == 1 and stop != start:
                 raise ConfigError(f"sigma_grid with 1 step needs stop == start, got {grid}")
+            if not isinstance(d["receivers"], list) or not d["receivers"]:
+                raise ConfigError(f"receivers must be a non-empty JSON array, got {d['receivers']!r}")
             receivers = []
             for r in d["receivers"]:
                 kind = r.get("type") if isinstance(r, dict) else None

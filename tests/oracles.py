@@ -3,12 +3,12 @@
 Each oracle is written once, here. They use numpy, scipy and math, and
 from phasecomm only its matrix path: `AtomicParams` (the argument of
 `kraus_operators`), `Povm` (what `povm_from_kraus` returns),
-`build_ensemble` / `phase_diffused_coherent`, `joint_distribution` and
-`error_probability`. The atomic receiver's explicit Kraus matrices
-(`kraus_operators`, `povm_from_kraus`) are the oracle's own. Nothing here
-imports the photon-number series, the atomic or displacement searches, the
-PNR kernel or the accessible-information ascent, so an oracle cannot share
-a fault with the code it checks. `tests/test_oracles.py` enforces this list.
+`build_ensemble` and `joint_distribution`. The atomic receiver's explicit
+Kraus matrices (`kraus_operators`, `povm_from_kraus`) are the oracle's own.
+Nothing here imports the photon-number series, the atomic or displacement
+searches, the PNR kernel or the accessible-information ascent, so an oracle
+cannot share a fault with the code it checks. `tests/test_oracles.py`
+enforces this list.
 """
 
 import math

@@ -127,3 +127,15 @@ class TestSignalParams:
         for make in (lambda: bpsk(0.5, sigma), lambda: ook(0.5, sigma), lambda: SignalParams(0.5, 1.0, -1.0, sigma)):
             with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
                 make()
+
+    @pytest.mark.parametrize("mean_photons", [-1.0, float("nan"), float("inf")])
+    def test_mean_photons_must_be_finite_and_nonnegative(self, mean_photons):
+        # a NaN amplitude once ran the atomic search's photon-number series forever
+        for signal in (bpsk, ook):
+            with pytest.raises(ValueError, match="amplitudes must be finite and q1 in"), np.errstate(invalid="ignore"):
+                signal(mean_photons, 0.5)
+
+    @pytest.mark.parametrize("q1", [-0.1, 1.5, float("nan")])
+    def test_q1_must_be_a_probability(self, q1):
+        with pytest.raises(ValueError, match="amplitudes must be finite and q1 in"):
+            SignalParams(q1, 1.0, -1.0, 0.5)

@@ -156,7 +156,7 @@ class TestOptimizeDisplacement:
     @pytest.mark.parametrize(
         "params, visibility, resolutions, path",
         [
-            (bpsk(0.75, 0.6), 0.998, [1, 2, 3], "absolute beta"),
+            (bpsk(0.75, 0.6), 0.998, [1, 2, 3], "nonnegative beta"),
             (bpsk(1.5, 2.5, 0.3), 0.998, [2], None),
             (ook(1.5, 1.2, 0.3), 0.9, [3, 1, 3], None),
         ],
@@ -165,8 +165,8 @@ class TestOptimizeDisplacement:
     def test_every_reported_value_is_the_public_functions_at_its_beta(
         self, monkeypatch, params, visibility, resolutions, path
     ):
-        starts, refined = [], []
-        lock_step = pnr.drive
+        starts, refined, betas, cells = [], [], [], []
+        lock_step, kernel, search = pnr.drive, pnr._scores, pnr.newton_search
 
         def recording(searches, evaluate):
             def first_round(which, xs):
@@ -179,14 +179,26 @@ class TestOptimizeDisplacement:
             refined.extend(results)
             return results
 
+        def scoring(point, xs, *rest):
+            betas.extend(xs)
+            return kernel(point, xs, *rest)
+
+        def bounded(x0, box):
+            cells.extend(box)
+            return search(x0, box)
+
         monkeypatch.setattr(pnr, "drive", recording)
+        monkeypatch.setattr(pnr, "_scores", scoring)
+        monkeypatch.setattr(pnr, "newton_search", bounded)
         optimized = optimize_displacement(params, visibility, resolutions)
+        monkeypatch.undo()
         # a refinement starts at its grid cell and takes only decreases
         assert len(starts) == len(refined) == 2 * len(set(resolutions))
         assert all(value <= start for start, (_, value, _) in zip(starts, refined))
-        if path == "absolute beta":
-            # a refinement ends at a negative beta, so the optimum is re-evaluated at |beta|
-            assert any(beta < 0 for (beta,), _, _ in refined)
+        if path == "nonnegative beta":
+            # the value is even in beta: the grid starts at exactly 0, and no
+            # grid point, cell bound or trial lies below it
+            assert min(betas) == 0.0 and min(lo for lo, _ in cells) >= 0.0
         null_first = evaluate_displacement(params, visibility, resolutions, params.alpha1)
         for answer in (optimized, null_first):
             assert len(answer) == len(resolutions)
@@ -241,8 +253,36 @@ class TestOptimizeDisplacement:
             with pytest.raises(ValueError, match="sigma only"):
                 pnr.optimize_displacement_block([bpsk(0.5, 0.0), other], 0.998, [1])
 
+    @pytest.mark.parametrize(
+        "points",
+        [[bpsk(0.75, 0.6)], [bpsk(0.75, sigma) for sigma in (0.0, 0.6, 1.2)], [ook(0.5, sigma, 0.3) for sigma in (0.0, 0.6)]],
+        ids=["bpsk-0.75", "bpsk-0.75-block", "ook-0.5-q0.3-block"],
+    )
+    def test_one_kernel_call_per_point_and_per_round(self, monkeypatch, points):
+        # the grid of each point, then one call per lock-step round, and no
+        # pass after the rounds: every optimum is found where it is reported
+        calls, rounds = [], []
+        kernel, lock_step = pnr._scores, pnr.drive
+
+        def scoring(*args):
+            calls.append(len(args[1]))
+            return kernel(*args)
+
+        def counted(searches, evaluate):
+            def evaluate_counted(which, xs):
+                rounds.append(len(which))
+                return evaluate(which, xs)
+
+            return lock_step(searches, evaluate_counted)
+
+        monkeypatch.setattr(pnr, "_scores", scoring)
+        monkeypatch.setattr(pnr, "drive", counted)
+        pnr.optimize_displacement_block(points, 0.998, [1, 2, 3])
+        assert len(calls) == len(points) + len(rounds)
+        assert calls[len(points):] == rounds
+
     def test_bpsk_reports_the_optimum_at_nonnegative_beta(self):
-        # with equal priors the BPSK value is even in beta: the report takes |beta|,
+        # with equal priors the BPSK value is even in beta: the search runs on beta >= 0,
         # and the value is the public function's at the reported beta
         doc = {
             "signal": "BPSK",

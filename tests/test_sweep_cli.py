@@ -151,11 +151,19 @@ class TestSweepConfig:
             {"receivers": [{"type": "pnr", "resolutoin": 3}]},
             {"receivers": [{"type": "pnr", "displacement": 0.5}]},
             {"receivers": ["pnr"]},
+            # receivers is a non-empty array, never one receiver object
+            {"receivers": []},
+            {"receivers": {"type": "helstrom"}},
         ],
     )
     def test_rejects_bad_config(self, bad):
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(base_config(**bad))
+
+    @pytest.mark.parametrize("receivers", [[], {"type": "helstrom"}])
+    def test_receivers_must_be_a_non_empty_array(self, receivers):
+        with pytest.raises(ConfigError, match="receivers must be a non-empty JSON array"):
+            SweepConfig.from_dict(base_config(receivers=receivers))
 
     @pytest.mark.parametrize(
         "signal, mean_photons, q1, cutoff",
